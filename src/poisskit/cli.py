@@ -19,8 +19,7 @@ and form coefficient tables are keyed "i,j" with i < j.
 
 Reports are deterministic line streams prefixed PASS/FAIL/INFO; exit status
 is 0 iff no FAIL line was produced.  ``--json`` emits a structured dump
-instead.  ``--parallel`` runs independent tasks on a thread pool with
-deterministic, input-ordered output.
+instead.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -345,7 +343,7 @@ TASKS = {
 }
 
 
-def run_tasks(manifest: Manifest, selected=None, extra_params=None, parallel=False):
+def run_tasks(manifest: Manifest, selected=None, extra_params=None):
     """Execute the manifest's tasks (optionally filtered/augmented); returns
     the ordered TaskResult list."""
     extra_params = extra_params or {}
@@ -372,12 +370,7 @@ def run_tasks(manifest: Manifest, selected=None, extra_params=None, parallel=Fal
         except ExprError as err:
             return TaskResult(name, False, [f"FAIL {name} {err}"], {"error": str(err)})
 
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            results = list(pool.map(execute, jobs))
-    else:
-        results = [execute(job) for job in jobs]
-    return results
+    return [execute(job) for job in jobs]
 
 
 # -- entry point -------------------------------------------------------------------
@@ -396,8 +389,7 @@ def _cmd_run(args) -> int:
         extra["f"] = args.f
     if args.point is not None:
         extra["point"] = args.point
-    results = run_tasks(manifest, selected=args.task or None,
-                        extra_params=extra, parallel=args.parallel)
+    results = run_tasks(manifest, selected=args.task or None, extra_params=extra)
     if args.json:
         dump = [
             {"task": r.name, "passed": r.passed, "lines": r.lines, "data": r.data}
@@ -440,8 +432,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--f", help="expression parameter for the selected task")
     run_p.add_argument("--point", help='point parameter, e.g. "1,0,0"')
     run_p.add_argument("--json", action="store_true", help="machine-readable output")
-    run_p.add_argument("--parallel", action="store_true",
-                       help="run independent tasks on a thread pool")
     run_p.set_defaults(fn=_cmd_run)
 
     list_p = sub.add_parser("list-fixtures", help="print the built-in fixture zoo")

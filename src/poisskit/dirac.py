@@ -106,7 +106,7 @@ class LinearLagrangian:
 
 def from_bivector_at(structure, point) -> LinearLagrangian:
     """Graph of pi# at a point: spanned by (pi#(dx_i), dx_i)."""
-    pi = structure.pi if isinstance(structure, PoissonStructure) else structure
+    pi = poisson._pi_of(structure)
     p = matrix_at(pi, point)
     n = len(p)
     basis = [list(p[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
@@ -546,7 +546,7 @@ def coregularity_check(structure, data, samples=None) -> CoregularityReport:
         phi = data
         if samples is None or len(samples) < 2:
             raise DiracError("need at least 2 samples")
-        pi = structure.pi if isinstance(structure, PoissonStructure) else structure
+        pi = poisson._pi_of(structure)
         dims = []
         for point in samples:
             jac = phi.jacobian_at(point)
@@ -607,7 +607,7 @@ def transversal_induced_poisson_at(structure, cs: ConstraintSystem, parameter_po
         raise DiracError("needs a parametrization of the level set")
     phi = cs.parametrization
     ambient_point = phi(parameter_point)
-    pi = structure.pi if isinstance(structure, PoissonStructure) else structure
+    pi = poisson._pi_of(structure)
     n = pi.chart.dim
     jac = phi.jacobian_at(parameter_point)
     tn = linalg.canonical_span(linalg.transpose(jac))

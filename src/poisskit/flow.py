@@ -2,22 +2,26 @@
 by composed flows, Moser-path verification, and spray-based symplectic
 realization by quadrature.
 
-All symbolic data is converted to 64-bit floats on entry.  The integrator is
+All symbolic data is converted to 64-bit floats on entry: each vector field
+is compiled to generated scalar Python code (``compile_field``), and the one
+RK4 step (``rk4_step``) works on plain lists of floats.  The integrator is
 deliberately fixed-step RK4 (no adaptivity) so traces are reproducible;
 variational (Jacobian) equations are integrated alongside the base flow.
+Trajectories are stored in a flat ``array('d')`` and returned as numpy views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+import sys
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import poisson
 from .expr import Chart, ExprError, RatFunc, chart as make_chart
 from .multivec import DiffForm, MultiVec, exterior_derivative
-from .poisson import PoissonStructure, bivector_matrix, hamiltonian_vf
+from .poisson import PoissonStructure, _pi_of, bivector_matrix, hamiltonian_vf
 
 
 class FlowError(ExprError):
@@ -44,40 +48,45 @@ class FlowConfig:
             raise FlowError("tolerance must be positive")
 
 
-# -- compiling exact expressions to float callables -----------------------------
+# -- compiling exact expressions to float code -----------------------------------
 
 
-def _poly_source(poly, var: str) -> str:
+def _poly_source(poly, names) -> str:
     if poly.is_zero:
         return "0.0"
     parts = []
     for e, c in poly.terms.items():
-        factors = [repr(float(c))]
+        try:
+            factors = [repr(float(c))]
+        except OverflowError:
+            raise FlowError(f"coefficient of {len(str(c))} digits overflows a float") from None
         for i, k in enumerate(e):
             if k == 1:
-                factors.append(f"{var}[{i}]")
+                factors.append(names[i])
             elif k > 1:
-                factors.append(f"{var}[{i}]**{k}")
+                factors.append(f"{names[i]}**{k}")
         parts.append("*".join(factors))
     return " + ".join(parts)
 
 
-def compile_ratfunc(rf: RatFunc):
-    """Compile a RatFunc to a float-valued callable of a coordinate array."""
-    num_src = _poly_source(rf.num, "p")
+def _ratfunc_source(rf: RatFunc, names) -> str:
+    num_src = _poly_source(rf.num, names)
     if rf.den.is_constant:
-        src = f"lambda p: ({num_src})"
-    else:
-        den_src = _poly_source(rf.den, "p")
-        src = f"lambda p: ({num_src}) / ({den_src})"
-    return eval(src)  # generated from trusted numeric terms only
+        return f"({num_src})"
+    return f"({num_src}) / ({_poly_source(rf.den, names)})"
 
 
-def compile_vector(components):
-    fns = [compile_ratfunc(c) for c in components]
-    def vector(p):
-        return np.array([f(p) for f in fns])
-    return vector
+def _names(chart: Chart, time_var=None) -> list[str]:
+    names = [f"p[{i}]" for i in range(chart.dim)]
+    if time_var is not None:
+        names[time_var] = "t"
+    return names
+
+
+def compile_ratfunc(rf: RatFunc):
+    """Compile a RatFunc to a float-valued callable of a coordinate sequence."""
+    # generated from trusted numeric terms only
+    return eval(f"lambda p: {_ratfunc_source(rf, _names(rf.chart))}")
 
 
 def compile_matrix(entries):
@@ -87,23 +96,118 @@ def compile_matrix(entries):
     return matrix
 
 
-def _denominator_guards(components):
-    guards = []
-    for c in components:
-        if not c.den.is_constant:
-            guards.append(compile_ratfunc(RatFunc.from_poly(c.den)))
-    return guards
+def compile_field(components, time_var=None, variational=False):
+    """Compile the vector field p' = X(t, p) to ``(rhs, guards)``.
+
+    ``rhs(t, p)`` returns the tuple of components as floats; chart variable
+    ``time_var``, if given, reads the time t.  With ``variational`` the state
+    p carries, after its m coordinates, the m x m matrix J (row-major) of the
+    variational equation J' = A J with A_ik = dX_i/dp_k, and rhs appends the
+    entries of A J, skipping the zero entries of A.  ``guards`` are callables
+    ``g(t, p)`` for the nonconstant denominators of the components.
+
+    Each nonzero component and entry of A is compiled by its own eval:
+    one compile of a large field's whole source takes more memory than its
+    parts one at a time.
+    """
+    m = len(components)
+    names = _names(components[0].chart, time_var)
+    env = {}
+
+    def compiled(rf):
+        name = f"f{len(env)}"
+        env[name] = eval(f"lambda t, p: {_ratfunc_source(rf, names)}")
+        return name
+
+    values = ["0.0" if c.is_zero else f"{compiled(c)}(t, p)" for c in components]
+    body = []
+    if variational:
+        for i, c in enumerate(components):
+            row = []
+            for k in range(m):
+                a = c.diff(k)
+                if not a.is_zero:
+                    body.append(f"    a{i}_{k} = {compiled(a)}(t, p)\n")
+                    row.append(k)
+            for j in range(m):
+                values.append(" + ".join(f"a{i}_{k} * p[{m + k * m + j}]" for k in row)
+                              or "0.0")
+    exec(f"def rhs(t, p):\n{''.join(body)}    return ({', '.join(values)},)\n", env)
+    guards = [eval(f"lambda t, p: {_poly_source(c.den, names)}")
+              for c in components if not c.den.is_constant]
+    return env["rhs"], guards
 
 
 # -- RK4 -------------------------------------------------------------------------
 
 
 def rk4_step(f, t, y, h):
+    """One classical RK4 step of y' = f(t, y) on lists of floats."""
+    h2 = h / 2
     k1 = f(t, y)
-    k2 = f(t + h / 2, y + (h / 2) * k1)
-    k3 = f(t + h / 2, y + (h / 2) * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    k2 = f(t + h2, [a + h2 * b for a, b in zip(y, k1)])
+    k3 = f(t + h2, [a + h2 * b for a, b in zip(y, k2)])
+    k4 = f(t + h, [a + h * b for a, b in zip(y, k3)])
+    h6 = h / 6
+    return [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+
+
+def _advance(rhs, guards, t, y, h, steps, cfg: FlowConfig, pole_msg, escape_msg=None,
+             out=None):
+    """Take ``steps`` RK4 steps of size h from (t, y); returns the new (t, y).
+
+    Before each step every guard must be at least the pole threshold in
+    absolute value.  After each step, if ``escape_msg`` is given, the state
+    must be finite and inside the escape radius.  The messages are format
+    templates for the state.  Each new state is appended to ``out`` if given.
+    """
+    # abs(v) <= radius is False for nan, and for inf once radius is finite
+    inside = float(min(cfg.escape_radius, sys.float_info.max)).__ge__
+    try:
+        for _ in range(steps):
+            for g in guards:
+                if abs(g(t, y)) < cfg.pole_threshold:
+                    raise PoleProximityError(pole_msg.format(np.array(y)))
+            y = rk4_step(rhs, t, y, h)
+            t += h
+            if escape_msg is not None and not all(map(inside, map(abs, y))):
+                raise FlowError(escape_msg.format(np.array(y)))
+            if out is not None:
+                out.extend(y)
+    except ArithmeticError:  # a float power overflowed, or a stage hit a pole
+        raise FlowError((escape_msg or "flow overflowed near {}").format(np.array(y))) from None
+    return t, y
+
+
+def _at_nodes(rhs, guards, y0, nodes, cfg: FlowConfig, pole_msg, escape_msg=None):
+    """Flow y0 with its variational matrix J (J = I at t = 0) through the
+    increasing times ``nodes``; yields (t, y, J) at each node."""
+    m = len(y0)
+    t, state = 0.0, y0 + np.eye(m).ravel().tolist()
+    for node in nodes:
+        gap = node - t
+        if gap > 0:
+            steps = max(1, int(round(gap / cfg.dt)))
+            t, state = _advance(rhs, guards, t, state, gap / steps, steps, cfg, pole_msg,
+                                escape_msg)
+        yield t, state[:m], np.array(state[m:]).reshape(m, m)
+
+
+def _point(x, n, message):
+    x = [float(v) for v in x]
+    if len(x) != n:
+        raise FlowError(message)
+    return x
+
+
+def _drifts(functions, states, n):
+    """Max |f(x) - f(x_0)| over the flat array of n-coordinate states, per f."""
+    out = []
+    for f in functions:
+        fn = compile_ratfunc(f)
+        f0 = fn(states[:n])
+        out.append(max(abs(fn(x) - f0) for x in zip(*[iter(states)] * n)))
+    return out
 
 
 # -- Hamiltonian trajectories ------------------------------------------------------
@@ -116,50 +220,22 @@ class Trajectory:
     h_drift: float
     casimir_drifts: list
 
-    def render_lines(self) -> list[str]:
-        """Line-oriented records 't x_1 ... x_n drift...' with 17 digits."""
-        out = []
-        for t, x in zip(self.ts, self.xs):
-            cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in x]
-            out.append(" ".join(cells))
-        return out
-
-
-def _integrate_autonomous(field, guards, x0, steps, h, cfg: FlowConfig):
-    xs = [np.asarray(x0, dtype=float)]
-    x = xs[0]
-    for _ in range(steps):
-        for g in guards:
-            if abs(g(x)) < cfg.pole_threshold:
-                raise PoleProximityError(f"denominator below threshold near {x}")
-        x = rk4_step(lambda t, y: field(y), 0.0, x, h)
-        if not np.all(np.isfinite(x)) or np.max(np.abs(x)) > cfg.escape_radius:
-            raise FlowError(f"trajectory escaped near {x}")
-        xs.append(x)
-    return xs
-
 
 def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
                           casimirs=()) -> Trajectory:
     """RK4 trajectory of X_H with H- and Casimir-drift reporting."""
-    xf = hamiltonian_vf(structure, hamiltonian)
-    comps = xf.components()
-    field_fn = compile_vector(comps)
-    guards = _denominator_guards(comps)
+    n = hamiltonian.chart.dim
+    rhs, guards = compile_field(hamiltonian_vf(structure, hamiltonian).components())
     steps = int(round(cfg.t_max / cfg.dt))
     if steps > cfg.max_steps:
         raise FlowError(f"step count {steps} exceeds max_steps")
-    xs = _integrate_autonomous(field_fn, guards, x0, steps, cfg.dt, cfg)
-    ts = np.arange(len(xs)) * cfg.dt
-    h_fn = compile_ratfunc(hamiltonian)
-    h0 = h_fn(xs[0])
-    h_drift = max(abs(h_fn(x) - h0) for x in xs)
-    drifts = []
-    for cas in casimirs:
-        c_fn = compile_ratfunc(cas)
-        c0 = c_fn(xs[0])
-        drifts.append(max(abs(c_fn(x) - c0) for x in xs))
-    return Trajectory(ts, np.array(xs), h_drift, drifts)
+    x = _point(x0, n, f"x0 needs {n} coordinates")
+    xs = array("d", x)
+    _advance(rhs, guards, 0.0, x, cfg.dt, steps, cfg,
+             "denominator below threshold near {}", "trajectory escaped near {}", xs)
+    h_drift, *drifts = _drifts([hamiltonian, *casimirs], xs, n)
+    return Trajectory(np.arange(len(xs) // n) * cfg.dt, np.frombuffer(xs).reshape(-1, n),
+                      h_drift, drifts)
 
 
 @dataclass
@@ -173,13 +249,12 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
                casimirs=()) -> LeafTrace:
     """Compose Hamiltonian flows of the generators per the schedule
     [(generator index, time), ...]; negative times flow backwards."""
-    fields = []
-    for g in generators:
-        comps = hamiltonian_vf(structure, g).components()
-        fields.append((compile_vector(comps), _denominator_guards(comps)))
-    points = [np.asarray(x0, dtype=float)]
+    n = _pi_of(structure).chart.dim
+    fields = [compile_field(hamiltonian_vf(structure, g).components()) for g in generators]
+    x = _point(x0, n, f"x0 needs {n} coordinates")
+    points = array("d", x)
     for gen_index, t_total in schedule:
-        field_fn, guards = fields[gen_index]
+        rhs, guards = fields[gen_index]
         t_abs = abs(float(t_total))
         if t_abs == 0.0:
             continue
@@ -187,14 +262,11 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
         if steps > cfg.max_steps:
             raise FlowError("step count exceeds max_steps")
         h = (t_abs / steps) * (1.0 if t_total > 0 else -1.0)
-        seg = _integrate_autonomous(field_fn, guards, points[-1], steps, h, cfg)
-        points.extend(seg[1:])
-    drifts = []
-    for cas in casimirs:
-        c_fn = compile_ratfunc(cas)
-        c0 = c_fn(points[0])
-        drifts.append(max(abs(c_fn(x) - c0) for x in points))
-    return LeafTrace(np.array(points), list(generators), drifts)
+        _, x = _advance(rhs, guards, 0.0, x, h, steps, cfg,
+                        "denominator below threshold near {}", "trajectory escaped near {}",
+                        points)
+    return LeafTrace(np.frombuffer(points).reshape(-1, n), list(generators),
+                     _drifts(casimirs, points, n))
 
 
 # -- Moser-path verification --------------------------------------------------------
@@ -206,11 +278,14 @@ class MoserReport:
     per_sample: list
 
 
-def _lift_chart(chart: Chart, extra: str) -> Chart:
-    name = extra
-    while name in chart.var_names:
-        name += "_"
-    return make_chart(*(chart.var_names + (name,)))
+def _lift_chart(chart: Chart, extra) -> Chart:
+    """The chart with the variables named ``extra`` appended, renamed apart."""
+    names = list(chart.var_names)
+    for name in extra:
+        while name in names:
+            name += "_"
+        names.append(name)
+    return make_chart(*names)
 
 
 def _lift_ratfunc(f: RatFunc, big: Chart) -> RatFunc:
@@ -232,7 +307,7 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     n = chart.dim
     if alpha.degree != 1 or alpha.chart != chart:
         raise FlowError("alpha must be a 1-form on the structure's chart")
-    big = _lift_chart(chart, "t")
+    big = _lift_chart(chart, ["t"])
     t_var = RatFunc.var(big, n)
     d_alpha = exterior_derivative(alpha)
     # B_t = -t d(alpha): closed on the x-chart for every fixed t (it is exact)
@@ -250,64 +325,29 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
         raise FlowError("Id + B_t_flat pi# singular along the requested family")
     # X_t = pi_t#(alpha)
     alpha_lift = [_lift_ratfunc(alpha.coeff((i,)), big) for i in range(n)]
-    x_t = []
-    for j in range(n):
-        acc = RatFunc.zero(big)
-        for i in range(n):
-            acc = acc + alpha_lift[i] * p_t[i][j]
-        x_t.append(acc)
-    field_fns = [compile_ratfunc(c) for c in x_t]
-    guards = _denominator_guards(x_t)
-    jac_entries = [[c.diff(k) for k in range(n)] for c in x_t]
-    jac_fns = [[compile_ratfunc(e) for e in row] for row in jac_entries]
-    p_t_fns = [[compile_ratfunc(p_t[i][j]) for j in range(n)] for i in range(n)]
+    x_t = [sum((alpha_lift[i] * p_t[i][j] for i in range(n)), RatFunc.zero(big))
+           for j in range(n)]
+    rhs, guards = compile_field(x_t, time_var=n, variational=True)
+    p_t_fn = compile_matrix([row[:n] for row in p_t[:n]])
 
     grid = sorted(float(t) for t in t_grid)
     if any(t < 0 for t in grid):
         raise FlowError("t_grid times must be nonnegative")
+    starts = [_point(s, n, f"samples need {n} coordinates") for s in samples]
     # invertibility at the samples across the grid (precondition check)
-    for s in samples:
+    for s, x0 in zip(samples, starts):
         for t in grid:
-            z = np.array(list(map(float, s)) + [t])
             for g in guards:
-                if abs(g(z)) < cfg.pole_threshold:
+                if abs(g(t, x0)) < cfg.pole_threshold:
                     raise FlowError(f"gauge family degenerate at sample {s}, t={t}")
-
-    def odefun(t, state):
-        x = state[:n]
-        j = state[n:].reshape(n, n)
-        z = np.concatenate([x, [t]])
-        dx = np.array([f(z) for f in field_fns])
-        a = np.array([[f(z) for f in row] for row in jac_fns])
-        return np.concatenate([dx, (a @ j).ravel()])
 
     p0_fn = compile_matrix(bivector_matrix(structure.pi))
     per_sample = []
     overall = 0.0
-    for s in samples:
-        x0 = np.asarray(list(map(float, s)), dtype=float)
-        state = np.concatenate([x0, np.eye(n).ravel()])
-        t = 0.0
+    for x0 in starts:
         p0 = p0_fn(x0)
-        devs = []
-        for t_target in grid:
-            gap = t_target - t
-            if gap > 0:
-                steps = max(1, int(round(gap / cfg.dt)))
-                h = gap / steps
-                for _ in range(steps):
-                    z = np.concatenate([state[:n], [t]])
-                    for g in guards:
-                        if abs(g(z)) < cfg.pole_threshold:
-                            raise PoleProximityError("flow hit a gauge pole")
-                    state = rk4_step(odefun, t, state, h)
-                    t += h
-            x = state[:n]
-            j = state[n:].reshape(n, n)
-            pushed = j @ p0 @ j.T
-            z = np.concatenate([x, [t]])
-            exact = np.array([[f(z) for f in row] for row in p_t_fns])
-            devs.append(float(np.max(np.abs(pushed - exact))))
+        devs = [float(np.max(np.abs(j @ p0 @ j.T - p_t_fn(x + [t]))))
+                for t, x, j in _at_nodes(rhs, guards, x0, grid, cfg, "flow hit a gauge pole")]
         per_sample.append(devs)
         overall = max(overall, max(devs))
     return MoserReport(overall, per_sample)
@@ -329,16 +369,6 @@ class RealizationSample:
         return self.det != 0 and np.isfinite(self.condition)
 
 
-def _cotangent_chart(chart: Chart) -> Chart:
-    names = list(chart.var_names)
-    for i in range(chart.dim):
-        name = f"xi{i + 1}"
-        while name in names:
-            name += "_"
-        names.append(name)
-    return make_chart(*names)
-
-
 def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     """Integrate the flat-connection Poisson spray Y|_xi = hor(xi, pi#(xi))
     on the cotangent chart and average the pullbacks of omega_can over
@@ -347,86 +377,48 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     omega_can = sum_i dx_i ^ dxi_i, for which the chart projection of the
     resulting symplectic form is a Poisson map onto pi (realization_check).
     """
-    pi = structure.pi if isinstance(structure, PoissonStructure) else structure
+    pi = _pi_of(structure)
     chart = pi.chart
     n = chart.dim
-    big = _cotangent_chart(chart)
+    big = _lift_chart(chart, [f"xi{i + 1}" for i in range(n)])
     p = bivector_matrix(pi)
-    p_lift = [[_lift_to(big, e) for e in row] for row in p]
+    p_lift = [[_lift_ratfunc(e, big) for e in row] for row in p]
     # spray: dx_j/dt = sum_i xi_i P_ij(x), dxi/dt = 0
-    spray = []
-    for j in range(n):
-        acc = RatFunc.zero(big)
-        for i in range(n):
-            acc = acc + RatFunc.var(big, n + i) * p_lift[i][j]
-        spray.append(acc)
-    field_fns = [compile_ratfunc(c) for c in spray]
-    guards = _denominator_guards(spray)
-    a_entries = [[c.diff(k) for k in range(2 * n)] for c in spray]
-    a_fns = [[compile_ratfunc(e) for e in row] for row in a_entries]
+    spray = [sum((RatFunc.var(big, n + i) * p_lift[i][j] for i in range(n)), RatFunc.zero(big))
+             for j in range(n)]
+    rhs, guards = compile_field(spray + [RatFunc.zero(big)] * n, variational=True)
 
     if isinstance(quad_nodes, int):
-        nodes = np.linspace(0.0, 1.0, quad_nodes)
+        nodes = np.linspace(0.0, 1.0, quad_nodes).tolist()
     else:
-        nodes = np.asarray(sorted(float(t) for t in quad_nodes))
+        nodes = sorted(float(t) for t in quad_nodes)
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise FlowError("quadrature nodes must span [0, 1]")
     w_can = np.zeros((2 * n, 2 * n))
     w_can[:n, n:] = np.eye(n)
     w_can[n:, :n] = -np.eye(n)
 
-    def odefun(t, state):
-        y = state[: 2 * n]
-        j = state[2 * n :].reshape(2 * n, 2 * n)
-        dy = np.zeros(2 * n)
-        dy[:n] = [f(y) for f in field_fns]
-        a = np.zeros((2 * n, 2 * n))
-        a[:n, :] = [[f(y) for f in row] for row in a_fns]
-        return np.concatenate([dy, (a @ j).ravel()])
-
     out = []
     for s in samples:
-        y0 = np.asarray(list(map(float, s)), dtype=float)
-        if y0.shape != (2 * n,):
-            raise FlowError("samples live in the cotangent chart (length 2n)")
-        state = np.concatenate([y0, np.eye(2 * n).ravel()])
-        t = 0.0
+        y0 = _point(s, 2 * n, "samples live in the cotangent chart (length 2n)")
+        values = [j.T @ w_can @ j for _, _, j in _at_nodes(
+            rhs, guards, y0, nodes, cfg, "spray flow hit a pole",
+            f"spray flow escaped for sample {s}")]
         acc = np.zeros((2 * n, 2 * n))
-        values = []
-        for node in nodes:
-            gap = node - t
-            if gap > 0:
-                steps = max(1, int(round(gap / cfg.dt)))
-                h = gap / steps
-                for _ in range(steps):
-                    for g in guards:
-                        if abs(g(state[: 2 * n])) < cfg.pole_threshold:
-                            raise PoleProximityError("spray flow hit a pole")
-                    state = rk4_step(odefun, t, state, h)
-                    t += h
-                    if not np.all(np.isfinite(state)) or np.max(np.abs(state)) > cfg.escape_radius:
-                        raise FlowError(f"spray flow escaped for sample {s}")
-            j = state[2 * n :].reshape(2 * n, 2 * n)
-            values.append(j.T @ w_can @ j)
         for k in range(len(nodes) - 1):
             acc += 0.5 * (nodes[k + 1] - nodes[k]) * (values[k] + values[k + 1])
         antisym = float(np.max(np.abs(acc + acc.T)))
         det = float(np.linalg.det(acc))
         cond = float(np.linalg.cond(acc)) if det != 0 else float("inf")
-        out.append(RealizationSample(y0, acc, antisym, det, cond))
+        out.append(RealizationSample(np.array(y0), acc, antisym, det, cond))
     return out
-
-
-def _lift_to(big: Chart, f: RatFunc) -> RatFunc:
-    values = [RatFunc.var(big, i) for i in range(f.chart.dim)]
-    return f.subst(values)
 
 
 def realization_check(realization_samples, structure) -> float:
     """Invert each omega to a bivector on the cotangent chart, push it down
     the projection (the [I 0] block), and compare with pi at the base point;
     returns the max entrywise deviation."""
-    pi = structure.pi if isinstance(structure, PoissonStructure) else structure
+    pi = _pi_of(structure)
     n = pi.chart.dim
     p_fn = compile_matrix(bivector_matrix(pi))
     worst = 0.0

@@ -1,0 +1,148 @@
+import json
+import math
+
+import numpy as np
+import pytest
+
+from poisskit import cli, flow, poisson
+from poisskit.expr import RatFunc, chart, parse_expr
+from poisskit.multivec import DiffForm, MultiVec
+
+SO3_RATIONAL = {
+    "chart": ["x", "y", "z"],
+    "bivectors": {"pi": {"0,1": "z", "1,2": "x", "0,2": "-y"}},
+    "expressions": {"h": "(x^2 + 2*y^2 + 3*z^2)/(1 + z^2)", "casimir": "x^2+y^2+z^2"},
+    "flow": {"dt": 0.01, "t_max": 5.0, "tol": 1e-6},
+    "tasks": [{"task": "flow", "h": "h", "x0": ["1/2", "1/3", "-1/4"],
+               "casimirs": ["casimir"]}],
+}
+
+SL2R_QUADRATIC = {
+    "chart": ["x", "y", "z"],
+    "bivectors": {"pi": {"0,1": "-z", "1,2": "x", "0,2": "-y"}},
+    "expressions": {"h": "2*x^2 + 2*x*y + 3*y^2 + z^2", "casimir": "x^2+y^2-z^2"},
+    "flow": {"dt": 0.002, "t_max": 4.0, "tol": 1e-9},
+    "tasks": [
+        {"task": "flow", "h": "h", "x0": ["1/8", "-3/8", "5/8"], "casimirs": ["casimir"]},
+        {"task": "flow", "h": "x^2 + y^2 + 2*z^2", "x0": "1,0,1/2", "casimirs": ["casimir"]},
+    ],
+}
+
+# Reference output of the two manifests: the text lines, and the drifts of
+# --json to the last bit, which pins every RK4 step.
+GOLDEN = [
+    (SO3_RATIONAL,
+     ["PASS flow h_drift=1.295e-11 casimir_drifts=['9.899e-12']"],
+     [(1.2945644556339175e-11, [9.898637465255433e-12])]),
+    (SL2R_QUADRATIC,
+     ["PASS flow h_drift=6.883e-12 casimir_drifts=['7.818e-12']",
+      "PASS flow h_drift=1.296e-12 casimir_drifts=['1.296e-12']"],
+     [(6.882827641163658e-12, [7.817579916746809e-12]),
+      (1.2956302697375577e-12, [1.2956302697375577e-12])]),
+]
+
+
+def _run(tmp_path, capsys, doc, *flags):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    status = cli.main(["run", str(path), *flags])
+    return status, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc,lines,drifts", GOLDEN)
+def test_golden_flow_lines(tmp_path, capsys, doc, lines, drifts):
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 0
+    assert out.splitlines() == lines
+    status, out = _run(tmp_path, capsys, doc, "--json")
+    assert status == 0
+    dump = json.loads(out)
+    assert [(r["data"]["h_drift"], r["data"]["casimir_drifts"]) for r in dump] == drifts
+    assert [r["passed"] for r in dump] == [True] * len(lines)
+
+
+def test_coefficient_overflow_is_a_flow_failure(tmp_path, capsys):
+    doc = dict(SO3_RATIONAL, expressions={"h": "10^400*x^2 + y^2 + z^2",
+                                          "casimir": "x^2+y^2+z^2"})
+    status, out = _run(tmp_path, capsys, doc)
+    assert status == 1
+    assert out.startswith("FAIL flow ") and "overflows a float" in out
+
+
+@pytest.fixture
+def qp_canonical():
+    qp = chart("q", "p")
+    return qp, poisson.require_poisson(MultiVec(qp, 2, {(0, 1): RatFunc.const(qp, 1)}))
+
+
+def test_rk4_global_error_is_fourth_order(qp_canonical):
+    # X_H = -p d/dq + q d/dp: the exact flow rotates (q, p) by the angle t
+    qp, pi = qp_canonical
+    h = parse_expr("(q^2 + p^2)/2", qp)
+    q0, p0, t = 1.0, 0.5, 2.0
+    exact = np.array([q0 * math.cos(t) - p0 * math.sin(t), q0 * math.sin(t) + p0 * math.cos(t)])
+    errors = []
+    for dt in (0.1, 0.05, 0.025):
+        traj = flow.integrate_hamiltonian(pi, h, [q0, p0], flow.FlowConfig(dt=dt, t_max=t))
+        assert traj.xs.shape == (round(t / dt) + 1, 2)
+        assert traj.ts[-1] == pytest.approx(t)
+        errors.append(float(np.max(np.abs(traj.xs[-1] - exact))))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14 < coarse / fine < 18
+
+
+def test_moser_deviation_falls_at_fourth_order(so3_structure, ch3):
+    alpha = DiffForm(ch3, 1, {(0,): parse_expr("y", ch3), (1,): parse_expr("2*x + z", ch3)})
+    samples = [[0.5, 0.3, -0.25], [-0.3, 0.2, 0.4]]
+    devs = [
+        flow.moser_verify(so3_structure, alpha, [0.5, 1.0], samples,
+                          flow.FlowConfig(dt=dt, t_max=1.0)).max_deviation
+        for dt in (0.1, 0.05, 0.025)
+    ]
+    assert devs[-1] < 1e-7
+    for coarse, fine in zip(devs, devs[1:]):
+        assert coarse / fine >= 12
+
+
+def test_spray_realization_deviation_falls_at_second_order(so3_structure):
+    samples = [[0.3, -0.2, 0.1, 0.2, 0.1, -0.3], [0.1, 0.2, -0.2, -0.1, 0.3, 0.2]]
+    cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
+    devs = []
+    for nodes in (11, 21, 41):
+        realization = flow.spray_realization(so3_structure, samples, nodes, cfg)
+        assert all(s.nondegenerate and s.antisym_error < 1e-12 for s in realization)
+        devs.append(flow.realization_check(realization, so3_structure))
+    for coarse, fine in zip(devs, devs[1:]):
+        assert 3.5 < coarse / fine < 4.5
+
+
+def test_pole_proximity(ch2):
+    # X_H = -d/dx - x^-2 d/dy runs x into the pole of x^-2 at unit speed
+    pi = poisson.require_poisson(MultiVec(ch2, 2, {(0, 1): RatFunc.const(ch2, 1)}))
+    h = parse_expr("y + 1/x", ch2)
+    cfg = flow.FlowConfig(dt=0.01, t_max=2.0, pole_threshold=1e-3)
+    with pytest.raises(flow.PoleProximityError, match="denominator below threshold"):
+        flow.integrate_hamiltonian(pi, h, [1.0, 0.0], cfg)
+
+
+# p' = p^2 blows up at t = 1, and a float power overflows on the way; for
+# H = q*p the state grows by about e per unit step until a product is inf
+@pytest.mark.parametrize("h,dt,radius", [
+    ("q*p^2", 0.01, 1e9), ("q*p^2", 0.01, float("inf")), ("q*p", 1.0, float("inf")),
+])
+def test_escape(qp_canonical, h, dt, radius):
+    qp, pi = qp_canonical
+    cfg = flow.FlowConfig(dt=dt, t_max=1000 * dt, escape_radius=radius)
+    with pytest.raises(flow.FlowError, match="trajectory escaped"):
+        flow.integrate_hamiltonian(pi, parse_expr(h, qp), [0.5, 1.0], cfg)
+
+
+def test_leaf_trace_there_and_back(so3_structure, ch3):
+    x0 = [0.6, -0.2, 0.3]
+    gens = [parse_expr("x + 2*y", ch3), parse_expr("y*z", ch3)]
+    trace = flow.leaf_trace(so3_structure, gens, x0, [(1, 1.5), (0, 0.7), (0, -0.7), (1, -1.5)],
+                            flow.FlowConfig(dt=1e-3, t_max=1.0),
+                            casimirs=[parse_expr("x^2+y^2+z^2", ch3)])
+    assert trace.points.shape == (2 * (1500 + 700) + 1, 3)
+    assert np.allclose(trace.points[-1], x0, rtol=0, atol=1e-10)
+    assert trace.casimir_drifts[0] < 1e-10
