@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dirac, fixtures, flow, liealg, poisson
-from .expr import Chart, ExprError, Fraction as Rational, RatFunc, chart as make_chart, parse_expr
+from .expr import Chart, ExprError, RatFunc, chart as make_chart, parse_expr
 from .multivec import DiffForm, MultiVec
 
 
@@ -59,16 +59,28 @@ def _parse_fraction(text) -> Fraction:
 def _parse_point(spec, chart: Chart):
     if isinstance(spec, str):
         parts = [p.strip() for p in spec.split(",")]
-    else:
+    elif isinstance(spec, (list, tuple)):
         parts = list(spec)
+    else:
+        raise ManifestError(f"point {spec!r} is not a list or a comma-separated string")
     if len(parts) != chart.dim:
         raise ManifestError(f"point {spec!r} has wrong dimension for {chart}")
     return [_parse_fraction(p) for p in parts]
 
 
+def _typed(value, kind, what):
+    if not isinstance(value, kind):
+        raise ManifestError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+    return value
+
+
+def _section(doc: dict, key: str, kind=dict):
+    return _typed(doc.get(key, kind()), kind, f"manifest entry {key!r}")
+
+
 def _parse_table(table, chart: Chart, degree: int):
     coeffs = {}
-    for key, text in table.items():
+    for key, text in _typed(table, dict, "a coefficient table").items():
         idx = tuple(int(p) for p in str(key).split(","))
         if len(idx) != degree:
             raise ManifestError(f"key {key!r} is not a degree-{degree} index tuple")
@@ -77,30 +89,31 @@ def _parse_table(table, chart: Chart, degree: int):
 
 
 def load_manifest(doc: dict) -> Manifest:
-    try:
-        chart = make_chart(*doc["chart"])
-    except KeyError:
-        raise ManifestError("manifest needs a 'chart' entry")
+    names = doc.get("chart") if isinstance(doc, dict) else None
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ManifestError("manifest needs a 'chart' entry: a list of variable names")
+    chart = make_chart(*names)
     expressions = {
         name: parse_expr(text, chart)
-        for name, text in doc.get("expressions", {}).items()
+        for name, text in _section(doc, "expressions").items()
     }
     bivectors = {}
-    for name, table in doc.get("bivectors", {}).items():
+    for name, table in _section(doc, "bivectors").items():
         bivectors[name] = MultiVec(chart, 2, _parse_table(table, chart, 2))
     forms = {}
-    for name, table in doc.get("forms", {}).items():
+    for name, table in _section(doc, "forms").items():
         forms[name] = DiffForm(chart, 2, _parse_table(table, chart, 2))
     algebras = {}
-    for name, spec in doc.get("lie_algebras", {}).items():
+    for name, spec in _section(doc, "lie_algebras").items():
+        _typed(spec, dict, f"Lie algebra {name!r}")
         triples = [
             (int(i), int(j), int(k), _parse_fraction(v))
             for i, j, k, v in spec["constants"]
         ]
         algebras[name] = liealg.lie_from_constants(int(spec["dim"]), triples)
     constraints = {}
-    for name, spec in doc.get("constraints", {}).items():
-        pi_name = spec["bivector"]
+    for name, spec in _section(doc, "constraints").items():
+        pi_name = _typed(spec, dict, f"constraint system {name!r}")["bivector"]
         if pi_name not in bivectors:
             raise ManifestError(f"constraint system {name!r} references unknown bivector {pi_name!r}")
         structure = poisson.verify(bivectors[pi_name])
@@ -108,12 +121,15 @@ def load_manifest(doc: dict) -> Manifest:
         level = [_parse_fraction(v) for v in spec["level"]]
         samples = [_parse_point(p, chart) for p in spec.get("samples", [])]
         constraints[name] = dirac.ConstraintSystem(structure, psi, level, samples)
-    fc = doc.get("flow", {})
+    fc = _section(doc, "flow")
     flow_config = flow.FlowConfig(
         dt=float(fc.get("dt", 1e-3)),
         t_max=float(fc.get("t_max", 10.0)),
         tol=float(fc.get("tol", 1e-6)),
     )
+    tasks = _section(doc, "tasks", list)
+    for spec in tasks:
+        _typed(spec, dict, "a task")
     return Manifest(
         chart,
         expressions,
@@ -122,7 +138,7 @@ def load_manifest(doc: dict) -> Manifest:
         algebras,
         constraints,
         flow_config,
-        list(doc.get("tasks", [])),
+        list(tasks),
         doc,
     )
 
@@ -145,6 +161,13 @@ def _get_expr(manifest: Manifest, params: dict, key: str) -> RatFunc:
     if text in manifest.expressions:
         return manifest.expressions[text]
     return parse_expr(str(text), manifest.chart)
+
+
+def _get_point(manifest: Manifest, params: dict, key: str):
+    spec = params.get(key)
+    if spec is None:
+        raise ManifestError(f"task needs parameter {key!r}")
+    return _parse_point(spec, manifest.chart)
 
 
 def _get_bivector(manifest: Manifest, params: dict) -> MultiVec:
@@ -198,7 +221,7 @@ def _task_hamiltonian_vf(manifest, params):
 
 def _task_rank(manifest, params):
     pi = _get_bivector(manifest, params)
-    point = _parse_point(params.get("point"), manifest.chart)
+    point = _get_point(manifest, params, "point")
     r = poisson.rank_at(pi, point)
     return TaskResult("rank", None, [f"INFO rank {r}"], {"rank": r})
 
@@ -309,7 +332,7 @@ def _task_modular_character(manifest, params):
 def _task_flow(manifest, params):
     pi = _get_bivector(manifest, params)
     h = _get_expr(manifest, params, "h")
-    x0 = [float(v) for v in _parse_point(params.get("x0"), manifest.chart)]
+    x0 = [float(v) for v in _get_point(manifest, params, "x0")]
     casimirs = []
     for name in params.get("casimirs", []):
         casimirs.append(_get_expr(manifest, {"f": name}, "f"))
@@ -345,7 +368,9 @@ TASKS = {
 
 def run_tasks(manifest: Manifest, selected=None, extra_params=None):
     """Execute the manifest's tasks (optionally filtered/augmented); returns
-    the ordered TaskResult list."""
+    the ordered TaskResult list.  A task that fails on its mathematics gives a
+    FAIL result; a malformed task (unknown name, missing or unusable
+    parameter) raises ManifestError and stops the run."""
     extra_params = extra_params or {}
     tasks = list(manifest.tasks)
     if selected:
@@ -367,6 +392,8 @@ def run_tasks(manifest: Manifest, selected=None, extra_params=None):
         name, params = job
         try:
             return TASKS[name](manifest, params)
+        except ManifestError:
+            raise
         except ExprError as err:
             return TaskResult(name, False, [f"FAIL {name} {err}"], {"error": str(err)})
 
@@ -377,19 +404,19 @@ def run_tasks(manifest: Manifest, selected=None, extra_params=None):
 
 
 def _cmd_run(args) -> int:
-    with open(args.manifest) as fh:
-        doc = json.load(fh)
-    try:
-        manifest = load_manifest(doc)
-    except (ExprError, KeyError, ValueError) as err:
-        print(f"FAIL manifest {err}")
-        return 2
     extra = {}
     if args.f is not None:
         extra["f"] = args.f
     if args.point is not None:
         extra["point"] = args.point
-    results = run_tasks(manifest, selected=args.task or None, extra_params=extra)
+    try:
+        with open(args.manifest) as fh:
+            doc = json.load(fh)
+        manifest = load_manifest(doc)
+        results = run_tasks(manifest, selected=args.task or None, extra_params=extra)
+    except (OSError, ExprError, KeyError, ValueError) as err:
+        print(f"FAIL manifest {err}")
+        return 2
     if args.json:
         dump = [
             {"task": r.name, "passed": r.passed, "lines": r.lines, "data": r.data}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import linalg, poisson
 from .expr import Chart, ChartMismatchError, ExprError, RatFunc

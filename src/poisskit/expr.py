@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Rational = Fraction
 

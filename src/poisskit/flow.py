@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -194,7 +195,12 @@ def _at_nodes(rhs, guards, y0, nodes, cfg: FlowConfig, pole_msg, escape_msg=None
 
 
 def _point(x, n, message):
-    x = [float(v) for v in x]
+    """Coordinates as floats; anything but a float is read exactly first,
+    so rational strings such as "1/2" are accepted as in CLI points."""
+    try:
+        x = [v if isinstance(v, float) else float(Fraction(v)) for v in x]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
+        raise FlowError(f"cannot read point {x!r}: {err}") from None
     if len(x) != n:
         raise FlowError(message)
     return x

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import poisson
-from .expr import Chart, ExprError, Poly, RatFunc, chart as make_chart
+from .expr import Chart, ExprError, RatFunc, chart as make_chart
 from .multivec import MultiVec, PolyMap
 from .poisson import PoissonStructure, verify
 

@@ -4,6 +4,11 @@ Matrices are lists of lists.  Subspaces are represented by lists of spanning
 row vectors; their canonical form is the reduced row echelon form with zero
 rows dropped, which makes subspace equality a structural comparison.
 
+Inside ``rref`` each row is held sparsely, as a ``{column: entry}`` dict of
+its nonzero entries, so the elimination costs follow the nonzeros (the
+Poisson cohomology matrices have densities of about 1%); every function
+takes and returns dense lists.
+
 Everything works for any entry type supporting +, -, *, /, a truthy zero
 test via ``_is_zero`` and an explicit multiplicative identity (needed when a
 matrix over RatFuncs must be inverted).
@@ -15,6 +20,8 @@ from fractions import Fraction
 
 
 def _is_zero(x) -> bool:
+    if type(x) is Fraction:
+        return not x
     z = getattr(x, "is_zero", None)
     if z is not None:
         return z
@@ -26,29 +33,49 @@ def mat_copy(m):
 
 
 def rref(matrix):
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    m = mat_copy(matrix)
-    if not m:
+    """Reduced row echelon form.  Returns (rows, pivot column indices).
+
+    Sparse Gauss-Jordan: each incoming row is reduced against the pivot rows
+    found so far, which are kept reduced against each other; its leading
+    column then becomes a new pivot and is eliminated from the earlier pivot
+    rows.  The result is the unique RREF, returned dense: the pivot rows in
+    pivot order, then zero rows, as many rows as the input.
+    """
+    if not matrix:
         return [], []
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not _is_zero(m[i][c])), None)
-        if pivot is None:
+    cols = len(matrix[0])
+    reduced = {}  # pivot column -> row with entry 1 there, 0 at other pivots
+    for dense in matrix:
+        row = {c: x for c, x in enumerate(dense) if not _is_zero(x)}
+        for pc in [c for c in row if c in reduced]:
+            _axpy(row, -row[pc], reduced[pc])
+        if not row:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+        pc = min(row)
+        pv = row[pc]
+        row = {c: x / pv for c, x in row.items()}
+        for other in reduced.values():
+            if pc in other:
+                _axpy(other, -other[pc], row)
+        reduced[pc] = row
+    pivots = sorted(reduced)
+    zero = matrix[0][0] - matrix[0][0] if cols else None
+    rows = [[zero] * cols for _ in matrix]
+    for dense, pc in zip(rows, pivots):
+        for c, x in reduced[pc].items():
+            dense[c] = x
+    return rows, pivots
+
+
+def _axpy(row, f, pivot_row):
+    """row += f * pivot_row, in place on sparse rows, dropping zeros."""
+    for c, x in pivot_row.items():
+        v = row.get(c)
+        v = f * x if v is None else v + f * x
+        if _is_zero(v):
+            row.pop(c, None)
+        else:
+            row[c] = v
 
 
 def rank(matrix) -> int:
@@ -73,13 +100,16 @@ def kernel_basis(matrix, ncols=None):
         return []
     cols = ncols if ncols is not None else len(matrix[0])
     m, pivots = rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+            x = m[r][fc]
+            if not _is_zero(x):
+                v[pc] = -x
         basis.append(v)
     return basis
 
@@ -165,15 +195,6 @@ def solve(matrix, rhs):
     for r, pc in enumerate(pivots):
         v[pc] = m[r][cols]
     return v
-
-
-def map_span(matrix, span):
-    """Image of a row-spanned subspace under v -> matrix @ v."""
-    return canonical_span([matvec(matrix, v) for v in span])
-
-
-def column_space(matrix):
-    return canonical_span(transpose(matrix))
 
 
 def preimage_span(matrix, span, ncols=None):

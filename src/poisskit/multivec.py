@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc
+from .expr import Chart, ChartMismatchError, ExprError, RatFunc
 
 Index = tuple[int, ...]
 

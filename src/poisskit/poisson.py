@@ -13,9 +13,8 @@ bracket of ``multivec``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
 from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc
@@ -23,7 +22,7 @@ from .multivec import (
     DiffForm,
     MultiVec,
     PolyMap,
-    contract,
+    _merge_indices,
     exterior_derivative,
     pushforward_bivector_at,
     schouten,
@@ -377,13 +376,37 @@ def _basis_element(chart: Chart, idx, mono) -> MultiVec:
     )
 
 
-def _vector_of(mv: MultiVec, basis, index_of):
-    v = [Fraction(0)] * len(basis)
-    for idx, c in mv.coeffs.items():
-        poly = c.as_poly()
-        for mono, coef in poly.terms.items():
-            v[index_of[(idx, mono)]] = coef
-    return v
+def _terms(mv: MultiVec):
+    """(index tuple, exponent tuple, coefficient) of each term of a
+    multivector with polynomial coefficients."""
+    return [
+        (idx, e, c) for idx, f in mv.coeffs.items() for e, c in f.as_poly().terms.items()
+    ]
+
+
+def _d_pi_image(idx, mono, of_x, of_d):
+    """d_pi(x^mono d/dx_idx) as {(index tuple, exponent tuple): Fraction},
+    from the generator images of_x[j] = _terms(d_pi(x_j)) and
+    of_d[j] = _terms(d_pi(d/dx_j))."""
+    out = {}
+
+    def add(gen_idx, rest, exps, coef):
+        merged = _merge_indices(gen_idx, rest)
+        if merged is not None:
+            sign, key_idx = merged
+            key = (key_idx, exps)
+            out[key] = out.get(key, 0) + (coef if sign > 0 else -coef)
+
+    for j, mj in enumerate(mono):
+        if mj:
+            base = mono[:j] + (mj - 1,) + mono[j + 1 :]
+            for gen_idx, e, c in of_x[j]:
+                add(gen_idx, idx, tuple(a + b for a, b in zip(base, e)), mj * c)
+    for r, i in enumerate(idx):
+        rest = idx[:r] + idx[r + 1 :]
+        for gen_idx, e, c in of_d[i]:
+            add(gen_idx, rest, tuple(a + b for a, b in zip(mono, e)), -c if r % 2 else c)
+    return {key: c for key, c in out.items() if c}
 
 
 def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
@@ -392,6 +415,16 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     Requires pi's coefficients homogeneous of a single polynomial degree so
     d_pi is degree-homogeneous; with delta that degree, the incoming image is
     taken from (k-1)-vectors of degree d - delta + 1.
+
+    d_pi = [pi, .] is a graded derivation of the wedge product, so on a basis
+    element, with e_j the j-th unit exponent,
+
+        d_pi(x^m d_I) = sum_j m_j x^(m - e_j) d_pi(x_j) ^ d_I
+                        + x^m sum_r (-1)^r d_pi(d_{i_r}) ^ d_{I without i_r}
+
+    (r counted from 0).  Only the 2n generator images d_pi(x_j) and
+    d_pi(d/dx_j) take a Schouten bracket; the rest is index and exponent
+    bookkeeping on Fraction coefficients.
     """
     pi = _pi_of(structure)
     chart = pi.chart
@@ -400,16 +433,19 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     if k > chart.dim or k < 0 or d < 0:
         raise PoissonError("invalid (k, d)")
     delta = _coefficient_degree(pi)
+    n = chart.dim
+    of_x = [_terms(d_pi(structure, MultiVec.from_scalar(RatFunc.var(chart, j))))
+            for j in range(n)]
+    of_d = [_terms(d_pi(structure, MultiVec.basis_vector(chart, j))) for j in range(n)]
 
     dom = _kvector_basis(chart, k, d)
     cod = _kvector_basis(chart, k + 1, d + delta - 1)
     cod_index = {b: i for i, b in enumerate(cod)}
-    # outgoing differential
-    cols = []
-    for idx, mono in dom:
-        image = d_pi(structure, _basis_element(chart, idx, mono))
-        cols.append(_vector_of(image, cod, cod_index) if cod else [])
-    out_matrix = linalg.transpose(cols) if cod else []
+    # outgoing differential, one column per domain basis element
+    out_matrix = [[Fraction(0)] * len(dom) for _ in cod]
+    for col, (idx, mono) in enumerate(dom):
+        for key, c in _d_pi_image(idx, mono, of_x, of_d).items():
+            out_matrix[cod_index[key]][col] = c
     kernel = (
         linalg.kernel_basis(out_matrix, ncols=len(dom)) if out_matrix else
         [ [Fraction(1 if i == j else 0) for j in range(len(dom))] for i in range(len(dom)) ]
@@ -421,23 +457,23 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
         prev = _kvector_basis(chart, k - 1, d - delta + 1)
         dom_index = {b: i for i, b in enumerate(dom)}
         for idx, mono in prev:
-            image = d_pi(structure, _basis_element(chart, idx, mono))
-            image_vectors.append(_vector_of(image, dom, dom_index))
+            v = [Fraction(0)] * len(dom)
+            for key, c in _d_pi_image(idx, mono, of_x, of_d).items():
+                v[dom_index[key]] = c
+            image_vectors.append(v)
         image_vectors = linalg.canonical_span(image_vectors)
         dim_image = len(image_vectors)
     dim_kernel = len(kernel)
     dim_h = dim_kernel - dim_image
-    # representatives: kernel vectors extending the image to a kernel basis
+    # representatives: the kernel vectors that, taken in order, extend the
+    # image to a kernel basis, i.e. the pivot columns past the image of the
+    # matrix whose columns are the image vectors, then the kernel vectors
     reps = []
-    span = list(image_vectors)
-    for v in kernel:
-        if len(reps) == dim_h:
-            break
-        extended = linalg.canonical_span(span + [v])
-        if len(extended) > len(linalg.canonical_span(span)):
-            span.append(v)
+    if dim_h:
+        _, pivots = linalg.rref(linalg.transpose(image_vectors + kernel))
+        for p in pivots[dim_image:]:
             mv = MultiVec.zero(chart, k)
-            for coef, (idx, mono) in zip(v, dom):
+            for coef, (idx, mono) in zip(kernel[p - dim_image], dom):
                 if coef:
                     mv = mv + _basis_element(chart, idx, mono).scale(coef)
             reps.append(mv)

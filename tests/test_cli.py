@@ -1,0 +1,52 @@
+import json
+
+import pytest
+
+from poisskit import cli
+
+SO3 = {"chart": ["x", "y", "z"], "bivectors": {"pi": {"0,1": "z", "1,2": "x", "0,2": "-y"}}}
+
+
+def _run(tmp_path, capsys, text):
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    status = cli.main(["run", str(path)])
+    return status, capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({**SO3, "tasks": [{"task": "nope"}]}, "unknown task 'nope'"),
+    ({**SO3, "tasks": [{"task": "rank"}]}, "task needs parameter 'point'"),
+    ({**SO3, "tasks": [{"task": "rank", "point": 5}]}, "point 5 is not a list"),
+    ({**SO3, "tasks": [{"task": "rank", "point": "1,0"}]}, "wrong dimension"),
+    ({"chart": 5}, "'chart' entry"),
+    ({"chart": ["x", 5]}, "'chart' entry"),
+    ([1, 2], "'chart' entry"),
+    ({**SO3, "bivectors": {"pi": 5}}, "a coefficient table must be a JSON object"),
+    ({**SO3, "tasks": {"task": "rank"}}, "manifest entry 'tasks' must be a JSON list"),
+    ({**SO3, "tasks": ["rank"]}, "a task must be a JSON object"),
+    ({**SO3, "tasks": [{"task": "cohomology", "k": "one"}]}, "invalid literal for int()"),
+])
+def test_malformed_manifest(tmp_path, capsys, doc, message):
+    status, lines = _run(tmp_path, capsys, json.dumps(doc))
+    assert status == 2
+    assert len(lines) == 1 and lines[0].startswith("FAIL manifest ")
+    assert message in lines[0]
+
+
+def test_unreadable_manifest(tmp_path, capsys):
+    status, lines = _run(tmp_path, capsys, "{not json")
+    assert status == 2 and lines[0].startswith("FAIL manifest ")
+    status = cli.main(["run", str(tmp_path / "missing.json")])
+    assert status == 2
+    assert capsys.readouterr().out.startswith("FAIL manifest ")
+
+
+def test_failed_task_is_reported_per_task(tmp_path, capsys):
+    # a bivector that is not Poisson fails its task; the others still run
+    doc = {"chart": ["x", "y", "z"], "bivectors": {"pi": {"0,1": "x", "1,2": "y"}},
+           "tasks": [{"task": "is_poisson"}, {"task": "rank", "point": "1,1,1"}]}
+    status, lines = _run(tmp_path, capsys, json.dumps(doc))
+    assert status == 1
+    assert lines[0].startswith("FAIL is_poisson ")
+    assert lines[1] == "INFO rank 2"

@@ -146,3 +146,14 @@ def test_leaf_trace_there_and_back(so3_structure, ch3):
     assert trace.points.shape == (2 * (1500 + 700) + 1, 3)
     assert np.allclose(trace.points[-1], x0, rtol=0, atol=1e-10)
     assert trace.casimir_drifts[0] < 1e-10
+
+
+def test_points_are_read_exactly(so3_structure):
+    cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
+    exact = flow.spray_realization(so3_structure, [["1/2", "0", "0", "0", "1/4", "0"]], 5, cfg)
+    floats = flow.spray_realization(so3_structure, [[0.5, 0.0, 0.0, 0.0, 0.25, 0.0]], 5, cfg)
+    assert np.array_equal(exact[0].point, floats[0].point)
+    assert np.array_equal(exact[0].omega, floats[0].omega)
+    for bad in (["1/2", "half", "0", "0", "0", "0"], ["1/0"] * 6, None):
+        with pytest.raises(flow.FlowError, match="cannot read point"):
+            flow.spray_realization(so3_structure, [bad], 5, cfg)

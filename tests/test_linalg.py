@@ -1,5 +1,8 @@
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from poisskit import linalg
 from poisskit.expr import RatFunc, chart, parse_expr
 
@@ -61,3 +64,33 @@ def test_solve():
     v = linalg.solve(m, [F(3), F(1)])
     assert linalg.matvec(m, v) == [F(3), F(1)]
     assert linalg.solve([[F(1), F(0)], [F(1), F(0)]], [F(0), F(1)]) is None
+
+
+def test_rref_keeps_the_entry_type():
+    ch = chart("x")
+    x, one, zero = parse_expr("x", ch), RatFunc.const(ch, 1), RatFunc.zero(ch)
+    rows, pivots = linalg.rref([[zero, x, x], [zero, one, zero], [zero, zero, zero]])
+    assert pivots == [1, 2]
+    assert rows == [[zero, one, zero], [zero, zero, one], [zero, zero, zero]]
+    assert all(isinstance(e, RatFunc) for row in rows for e in row)
+
+
+# three entries in four are zero, like the cohomology matrices' sparse rows
+_sparse_fraction = st.one_of(
+    st.just(F(0)), st.just(F(0)), st.just(F(0)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda cols: st.lists(
+    st.lists(_sparse_fraction, min_size=cols, max_size=cols), min_size=1, max_size=8)))
+def test_rref_matches_sympy(matrix):
+    sympy = pytest.importorskip("sympy")
+    expected, expected_pivots = sympy.Matrix(
+        [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in matrix]
+    ).rref()
+    rows, pivots = linalg.rref(matrix)
+    assert pivots == list(expected_pivots)
+    assert rows == [[F(int(e.p), int(e.q)) for e in expected.row(i)]
+                    for i in range(expected.rows)]

@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from poisskit import linalg, poisson
+from poisskit import cli, fixtures, linalg, poisson
 from poisskit.expr import RatFunc, chart, parse_expr
+from poisskit.liealg import lie_from_constants, lie_poisson
 from poisskit.multivec import DiffForm, MultiVec, PolyMap, wedge
 from poisskit.poisson import (
     NotClosedError,
@@ -25,6 +26,7 @@ from poisskit.poisson import (
     matrix_at,
     modular_vf,
     rank_at,
+    require_poisson,
     sharp_at,
     top_power,
     trivector_on_differentials,
@@ -433,6 +435,87 @@ def test_cohomology_report_serializes(xdxdy_structure):
     rep = cohomology(xdxdy_structure, 1, 0)
     text = rep.serialize()
     assert "dim_H=1" in text and "rep: 1 d/dy" in text
+
+
+def _gl_lie_poisson(n):
+    """Lie-Poisson structure of gl(n): [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    triples = []
+    for a in range(n * n):
+        for b in range(a + 1, n * n):
+            (i, j), (k, l) = divmod(a, n), divmod(b, n)
+            terms = {}
+            if j == k:
+                terms[i * n + l] = terms.get(i * n + l, 0) + 1
+            if l == i:
+                terms[k * n + j] = terms.get(k * n + j, 0) - 1
+            triples += [(a, b, c, v) for c, v in terms.items() if v]
+    return lie_poisson(lie_from_constants(n * n, triples))
+
+
+def _check_lie_poisson_report(structure, k, rep):
+    # representatives are cocycles, independent modulo the image, which is
+    # spanned by direct Schouten brackets of (k-1)-vectors of the same degree
+    chart, d = structure.chart, rep.poly_degree
+    dom = poisson._kvector_basis(chart, k, d)
+
+    def vector(mv):
+        terms = {(idx, e): c for idx, e, c in poisson._terms(mv)}
+        return [terms.get(b, F(0)) for b in dom]
+
+    image = [vector(d_pi(structure, poisson._basis_element(chart, idx, mono)))
+             for idx, mono in (poisson._kvector_basis(chart, k - 1, d) if k else [])]
+    reps = rep.representatives
+    assert all(d_pi(structure, r).is_zero for r in reps)
+    assert linalg.rank(image) == rep.dim_image
+    assert linalg.rank(image + [vector(r) for r in reps]) == rep.dim_image + rep.dim_h
+
+
+# dim H^k(g; S^d g) = dim H^k(g) * dim (S^d g)^g for reductive g (Whitehead):
+# H(so3) has Poincare polynomial 1 + t^3 and S(so3)^so3 one generator of
+# degree 2; H(gl2) = (1 + t)(1 + t^3), invariants of degrees 1, 2;
+# H(gl3) = (1 + t)(1 + t^3)(1 + t^5), invariants of degrees 1, 2, 3.
+@pytest.mark.parametrize("algebra,k,dims", [
+    ("so3", 0, [1, 0, 1, 0]),
+    ("so3", 3, [1, 0, 1, 0]),
+    ("gl2", 0, [1, 1, 2, 2]),
+    ("gl2", 1, [1, 1, 2, 2]),
+    ("gl2", 2, [0, 0, 0, 0]),
+    ("gl3", 1, [1, 1, 2]),
+    ("gl3", 3, [1, 1]),
+])
+def test_lie_poisson_cohomology_whitehead(so3_structure, algebra, k, dims):
+    structure = so3_structure if algebra == "so3" else _gl_lie_poisson(int(algebra[2]))
+    reports = [cohomology(structure, k, d) for d in range(len(dims))]
+    assert [rep.dim_h for rep in reports] == dims
+    for rep in reports:
+        _check_lie_poisson_report(structure, k, rep)
+
+
+def _fixture_structure(name):
+    manifest = cli.load_manifest(fixtures.fixture_manifest(name))
+    return require_poisson(manifest.bivectors["pi"])
+
+
+@pytest.mark.parametrize("name", ["s3_standard", "book", "so3", "r2_xdxdy"])
+def test_d_pi_derivation_rule_matches_schouten(name):
+    # cohomology builds d_pi from the 2n generator images; the direct
+    # Schouten bracket on each basis element is the reference
+    structure = _fixture_structure(name)
+    chart = structure.chart
+    of_x = [poisson._terms(d_pi(structure, MultiVec.from_scalar(RatFunc.var(chart, j))))
+            for j in range(chart.dim)]
+    of_d = [poisson._terms(d_pi(structure, MultiVec.basis_vector(chart, j)))
+            for j in range(chart.dim)]
+    count = 0
+    for k in range(chart.dim + 1):
+        for d in range(3):
+            for idx, mono in poisson._kvector_basis(chart, k, d):
+                direct = d_pi(structure, poisson._basis_element(chart, idx, mono))
+                expected = {(i, e): c for i, e, c in poisson._terms(direct)}
+                assert poisson._d_pi_image(idx, mono, of_x, of_d) == expected
+                count += 1
+    assert count == 2 ** chart.dim * sum(
+        len(poisson._monomials(chart, d)) for d in range(3))
 
 
 # -- gauge transformations ----------------------------------------------------------------------------
