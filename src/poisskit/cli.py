@@ -74,6 +74,20 @@ def _typed(value, kind, what):
     return value
 
 
+def _int(value, what) -> int:
+    if not isinstance(value, (int, str)):
+        raise ManifestError(f"{what} must be an integer")
+    return int(value)
+
+
+def _structure_constant(entry, algebra):
+    if not isinstance(entry, list) or len(entry) != 4:
+        raise ManifestError(f"Lie algebra {algebra!r}: a 'constants' entry must be a list [i, j, k, value]")
+    i, j, k, value = entry
+    what = f"Lie algebra {algebra!r}: a constant's index"
+    return _int(i, what), _int(j, what), _int(k, what), _parse_fraction(value)
+
+
 def _section(doc: dict, key: str, kind=dict):
     return _typed(doc.get(key, kind()), kind, f"manifest entry {key!r}")
 
@@ -106,20 +120,21 @@ def load_manifest(doc: dict) -> Manifest:
     algebras = {}
     for name, spec in _section(doc, "lie_algebras").items():
         _typed(spec, dict, f"Lie algebra {name!r}")
-        triples = [
-            (int(i), int(j), int(k), _parse_fraction(v))
-            for i, j, k, v in spec["constants"]
-        ]
-        algebras[name] = liealg.lie_from_constants(int(spec["dim"]), triples)
+        constants = _typed(spec["constants"], list, f"Lie algebra {name!r} 'constants'")
+        triples = [_structure_constant(entry, name) for entry in constants]
+        algebras[name] = liealg.lie_from_constants(
+            _int(spec["dim"], f"Lie algebra {name!r} 'dim'"), triples)
     constraints = {}
     for name, spec in _section(doc, "constraints").items():
         pi_name = _typed(spec, dict, f"constraint system {name!r}")["bivector"]
         if pi_name not in bivectors:
             raise ManifestError(f"constraint system {name!r} references unknown bivector {pi_name!r}")
         structure = poisson.verify(bivectors[pi_name])
-        psi = [parse_expr(t, chart) for t in spec["psi"]]
-        level = [_parse_fraction(v) for v in spec["level"]]
-        samples = [_parse_point(p, chart) for p in spec.get("samples", [])]
+        what = f"constraint system {name!r}"
+        psi = [parse_expr(str(t), chart) for t in _typed(spec["psi"], list, f"{what} 'psi'")]
+        level = [_parse_fraction(v) for v in _typed(spec["level"], list, f"{what} 'level'")]
+        samples = [_parse_point(p, chart)
+                   for p in _typed(spec.get("samples", []), list, f"{what} 'samples'")]
         constraints[name] = dirac.ConstraintSystem(structure, psi, level, samples)
     fc = _section(doc, "flow")
     flow_config = flow.FlowConfig(
@@ -243,8 +258,8 @@ def _task_modular(manifest, params):
 def _task_cohomology(manifest, params):
     pi = _get_bivector(manifest, params)
     ps = poisson.require_poisson(pi)
-    k = int(params.get("k", 0))
-    d_max = int(params.get("d_max", params.get("d", 0)))
+    k = _int(params.get("k", 0), "parameter 'k'")
+    d_max = _int(params.get("d_max", params.get("d", 0)), "parameter 'd_max'")
     total = 0
     lines = []
     reports = []
@@ -256,7 +271,7 @@ def _task_cohomology(manifest, params):
     expect = params.get("expect_dim")
     passed = None
     if expect is not None:
-        passed = total == int(expect)
+        passed = total == _int(expect, "parameter 'expect_dim'")
         lines.append("PASS cohomology" if passed else
                      f"FAIL cohomology dim {total} != {expect}")
     return TaskResult("cohomology", passed, lines,

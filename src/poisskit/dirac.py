@@ -117,17 +117,10 @@ def from_2form_at(omega: DiffForm, point) -> LinearLagrangian:
     """Graph of omega_flat at a point: spanned by (d/dx_i, i_{d/dx_i} omega)."""
     if omega.degree != 2:
         raise DiracError("need a 2-form")
-    n = omega.chart.dim
-    w = [[Fraction(0)] * n for _ in range(n)]
-    for (i, j), c in omega.coeffs.items():
-        v = c.eval(point)
-        w[i][j] = v
-        w[j][i] = -v
-    basis = []
-    for i in range(n):
-        row = [Fraction(1 if j == i else 0) for j in range(n)]
-        row += [w[i][j] for j in range(n)]  # (i_X omega)_j = sum_i X_i w_ij
-        basis.append(row)
+    w = matrix_at(omega, point)
+    n = len(w)
+    # (i_X omega)_j = sum_i X_i w_ij
+    basis = [[Fraction(1 if j == i else 0) for j in range(n)] + w[i] for i in range(n)]
     return LinearLagrangian(n, basis)
 
 
@@ -572,13 +565,8 @@ def dual_pair_check(omega: DiffForm, phi1: PolyMap, phi2: PolyMap,
         raise ChartMismatchError("legs must start on the 2-form's chart")
     if s_chart.dim != phi1.target.dim + phi2.target.dim:
         return False
-    n = s_chart.dim
     for point in samples:
-        w = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), c in omega.coeffs.items():
-            v = c.eval(point)
-            w[i][j] = v
-            w[j][i] = -v
+        w = matrix_at(omega, point)
         if linalg.det(w) == 0:
             raise DiracError(f"2-form degenerate at sample {point}")
         j1 = phi1.jacobian_at(point)

@@ -215,10 +215,6 @@ class Poly:
         e = max(self.terms, key=_monomial_key)
         return e, self.terms[e]
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     # -- calculus ----------------------------------------------------------
 
     def diff(self, index: int) -> "Poly":
@@ -646,21 +642,6 @@ def _coerce(value, chart: Chart) -> RatFunc:
     if isinstance(value, (int, Fraction)):
         return RatFunc.const(chart, value)
     raise ExprError(f"cannot coerce {value!r} to a rational function")
-
-
-# -- operations in the shape required by the module contract ----------------
-
-
-def diff(e: RatFunc, var_index: int) -> RatFunc:
-    return e.diff(var_index)
-
-
-def evaluate(e: RatFunc, point: Sequence[Fraction]) -> Fraction:
-    return e.eval(point)
-
-
-def is_zero(e: RatFunc) -> bool:
-    return e.is_zero
 
 
 # -- parser ------------------------------------------------------------------

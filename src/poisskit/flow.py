@@ -324,9 +324,7 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     pi_lift = MultiVec(
         big, 2, {idx: _lift_ratfunc(c, big) for idx, c in structure.pi.coeffs.items()}
     )
-    p_t = poisson.gauge_matrix(
-        bivector_matrix(pi_lift), poisson.form_matrix(b_t), big
-    )
+    p_t = poisson.gauge_matrix(bivector_matrix(pi_lift), bivector_matrix(b_t), big)
     if p_t is None:
         raise FlowError("Id + B_t_flat pi# singular along the requested family")
     # X_t = pi_t#(alpha)

@@ -2,6 +2,9 @@
 Schouten calculus on the exterior algebra, Lie-Poisson structures on the
 dual chart, r-matrices, cobrackets, and Lie-algebroid dual charts.
 
+Exterior-algebra elements (``AlgMultiVec``) are the alternating core of
+``multivec`` over Fraction coefficients, with its ``wedge`` and index merge.
+
 All algebras carry an explicit ordered basis e_0, ..., e_{m-1} with
 [e_i, e_j] = sum_k c[i][j][k] e_k; antisymmetry and the Jacobi identity are
 verified exactly on construction.
@@ -15,7 +18,7 @@ from fractions import Fraction
 
 from . import poisson
 from .expr import Chart, ExprError, RatFunc, chart as make_chart
-from .multivec import MultiVec, PolyMap
+from .multivec import MultiVec, PolyMap, _accumulate, _Alternating, _merge_indices
 from .poisson import PoissonStructure, verify
 
 
@@ -49,10 +52,6 @@ class LieAlgebra:
                     out[k] += ui * vj * self.c(i, j, k)
         return out
 
-    def ad_matrix(self, i: int) -> list[list[Fraction]]:
-        """Matrix of ad_{e_i}: column j holds [e_i, e_j]."""
-        return [[self.c(i, j, k) for j in range(self.dim)] for k in range(self.dim)]
-
 
 def lie_from_constants(dim: int, triples) -> LieAlgebra:
     """Build and verify a Lie algebra from sparse triples (i, j, k, value).
@@ -63,6 +62,9 @@ def lie_from_constants(dim: int, triples) -> LieAlgebra:
     """
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, k, val in triples:
+        if not all(0 <= t < dim for t in (i, j, k)):
+            raise LieAlgebraError(f"index (i,j,k)=({i},{j},{k}) out of range for "
+                                  f"dimension {dim}", indices=(i, j, k))
         if i == j and Fraction(val) != 0:
             raise LieAlgebraError(
                 f"antisymmetry fails at (i,j,k)=({i},{j},{k}): [e_i,e_i] != 0",
@@ -99,123 +101,30 @@ def lie_from_constants(dim: int, triples) -> LieAlgebra:
 # -- constant multivectors on the algebra ---------------------------------------
 
 
-class AlgMultiVec:
-    """Element of the exterior algebra of a Lie algebra, in the fixed basis."""
+class AlgMultiVec(_Alternating):
+    """Element of the exterior algebra of ``parent`` in its fixed basis: the
+    alternating core of ``multivec`` with Fraction coefficients."""
 
-    __slots__ = ("parent", "degree", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, parent: LieAlgebra, degree: int, coeffs: dict):
-        self.parent = parent
-        self.degree = degree
-        clean = {}
-        for idx, c in coeffs.items():
-            idx = tuple(idx)
-            if len(idx) != degree or any(
-                idx[i] >= idx[i + 1] for i in range(len(idx) - 1)
-            ):
-                raise LieAlgebraError(f"bad index tuple {idx} for degree {degree}")
-            c = Fraction(c)
-            if c:
-                clean[idx] = c
-        self.coeffs = clean
+    @property
+    def parent(self) -> LieAlgebra:
+        return self.chart
+
+    def _coerce(self, value) -> Fraction:
+        return Fraction(value)
 
     @staticmethod
-    def zero(parent: LieAlgebra, degree: int) -> "AlgMultiVec":
-        return AlgMultiVec(parent, degree, {})
+    def _is_zero(c) -> bool:
+        return not c
+
+    def _term(self, c, idx) -> str:
+        basis = "^".join(f"e{i + 1}" for i in idx)
+        return basis if c == 1 else f"{c}*{basis}"
 
     @staticmethod
     def basis(parent: LieAlgebra, i: int) -> "AlgMultiVec":
         return AlgMultiVec(parent, 1, {(i,): Fraction(1)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check(self, other):
-        if self.parent is not other.parent and self.parent != other.parent:
-            raise LieAlgebraError("parent algebra mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        if self.degree != other.degree:
-            raise LieAlgebraError("degree mismatch")
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = out.get(i, Fraction(0)) + c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-        return AlgMultiVec(self.parent, self.degree, out)
-
-    def __neg__(self):
-        return self.scale(Fraction(-1))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "AlgMultiVec":
-        c = Fraction(c)
-        return AlgMultiVec(
-            self.parent, self.degree, {i: c * v for i, v in self.coeffs.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgMultiVec)
-            and self.parent == other.parent
-            and (self.coeffs == other.coeffs if self.degree == other.degree
-                 else self.is_zero and other.is_zero)
-        )
-
-    __hash__ = None
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        if self.degree == 0:
-            return str(self.coeffs[()])
-        parts = []
-        for idx in sorted(self.coeffs):
-            basis = "^".join(f"e{i + 1}" for i in idx)
-            c = self.coeffs[idx]
-            parts.append(basis if c == 1 else f"{c}*{basis}")
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def _merge(idx_a, idx_b):
-    merged = list(idx_a)
-    sign = 1
-    for i in idx_b:
-        pos = len(merged)
-        for j, m in enumerate(merged):
-            if i == m:
-                return None
-            if i < m:
-                pos = j
-                break
-        if (len(merged) - pos) % 2:
-            sign = -sign
-        merged.insert(pos, i)
-    return sign, tuple(merged)
-
-
-def alg_wedge(a: AlgMultiVec, b: AlgMultiVec) -> AlgMultiVec:
-    a._check(b)
-    degree = a.degree + b.degree
-    if degree > a.parent.dim:
-        return AlgMultiVec.zero(a.parent, degree)
-    out = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            m = _merge(ia, ib)
-            if m is None:
-                continue
-            sign, idx = m
-            out[idx] = out.get(idx, Fraction(0)) + sign * ca * cb
-    return AlgMultiVec(a.parent, degree, out)
 
 
 def alg_schouten(g: LieAlgebra, a: AlgMultiVec, b: AlgMultiVec) -> AlgMultiVec:
@@ -224,32 +133,29 @@ def alg_schouten(g: LieAlgebra, a: AlgMultiVec, b: AlgMultiVec) -> AlgMultiVec:
         [a_1^...^a_k, b_1^...^b_l] =
             sum_{p,q} (-1)^{p+q} [a_p, b_q] ^ a_{\\p} ^ b_{\\q}
     """
-    a._check(b)
+    a._check_compat(b, same_degree=False)
     k, l = a.degree, b.degree
     degree = k + l - 1
     if k == 0 or l == 0:
         return AlgMultiVec.zero(g, max(degree, 0))
-    result = AlgMultiVec.zero(g, degree)
+    out = {}
     for ia, ca in a.coeffs.items():
         for ib, cb in b.coeffs.items():
             for p, i in enumerate(ia):
-                rest_a = ia[:p] + ia[p + 1 :]
                 for q, j in enumerate(ib):
-                    rest_b = ib[:q] + ib[q + 1 :]
-                    sign = -1 if (p + q) % 2 else 1  # (-1)^{(p+1)+(q+1)}
-                    br = g.bracket_basis(i, j)
-                    for k_idx, coef in enumerate(br):
+                    rest = _merge_indices(ia[:p] + ia[p + 1 :], ib[:q] + ib[q + 1 :])
+                    if rest is None:
+                        continue
+                    sign, rest_idx = rest
+                    if (p + q) % 2:  # (-1)^{(p+1)+(q+1)}
+                        sign = -sign
+                    for k_idx, coef in enumerate(g.constants[i][j]):
                         if not coef:
                             continue
-                        piece = AlgMultiVec(g, 1, {(k_idx,): sign * ca * cb * coef})
-                        piece = alg_wedge(
-                            piece, AlgMultiVec(g, len(rest_a), {rest_a: Fraction(1)})
-                        )
-                        piece = alg_wedge(
-                            piece, AlgMultiVec(g, len(rest_b), {rest_b: Fraction(1)})
-                        )
-                        result = result + piece
-    return result
+                        merged = _merge_indices((k_idx,), rest_idx)
+                        if merged is not None:
+                            _accumulate(out, merged[1], sign * merged[0] * ca * cb * coef)
+    return AlgMultiVec(g, degree, out)
 
 
 # -- Lie-Poisson and coadjoint structures -----------------------------------------

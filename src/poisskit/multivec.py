@@ -1,8 +1,12 @@
-"""Alternating tensor calculus on a chart.
+"""Alternating tensor calculus: one core for multivector fields and forms on
+a chart, and for the exterior algebra of a Lie algebra.
 
-Multivector fields and differential forms are stored sparsely: a degree-k
-object maps strictly increasing index tuples (i1 < ... < ik) to RatFunc
-coefficients.  Degree 0 is a single coefficient keyed by the empty tuple.
+The core (``_Alternating``) stores a degree-k object sparsely: a map from
+strictly increasing index tuples (i1 < ... < ik) to nonzero coefficients.
+Degree 0 is a single coefficient keyed by the empty tuple.  ``MultiVec`` and
+``DiffForm`` have RatFunc coefficients on a chart; ``liealg.AlgMultiVec`` has
+Fraction coefficients on a Lie algebra's basis and overrides only the
+coercion and zero test of its coefficients (and its printed basis symbol).
 
 Sign conventions (fixed once, all tests written against them):
 
@@ -17,7 +21,7 @@ Sign conventions (fixed once, all tests written against them):
   for vector fields, and gives [pi, f] = -X_f.
 * i_X(a ^ b) = (i_X a) ^ b + (-1)^deg(a) a ^ (i_X b).
 
-A wedge whose degree exceeds the chart dimension is the canonical zero
+A wedge whose degree exceeds the dimension of the space is the canonical zero
 object rather than an error.
 """
 
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .expr import Chart, ChartMismatchError, ExprError, RatFunc
 
@@ -52,12 +55,23 @@ def _merge_indices(a: Index, b: Index):
     return sign, tuple(merged)
 
 
+def _accumulate(out: dict, key, term) -> None:
+    """out[key] += term, storing the term itself when the key is new."""
+    old = out.get(key)
+    out[key] = term if old is None else old + term
+
+
 class _Alternating:
-    """Shared storage/arithmetic for multivectors and forms."""
+    """Sparse alternating object of one degree over a space of dimension
+    ``chart.dim``: a Chart here, a LieAlgebra for ``liealg.AlgMultiVec``.
+
+    Coefficients are RatFuncs on the chart unless a subclass overrides
+    ``_coerce`` and ``_is_zero``.
+    """
 
     __slots__ = ("chart", "degree", "coeffs")
 
-    def __init__(self, chart: Chart, degree: int, coeffs: dict[Index, RatFunc]):
+    def __init__(self, chart, degree: int, coeffs: dict):
         if degree < 0:
             raise ExprError("negative degree")
         self.chart = chart
@@ -69,15 +83,25 @@ class _Alternating:
             ):
                 raise ExprError(f"index tuple {idx} not strictly increasing of length {degree}")
             if any(i < 0 or i >= chart.dim for i in idx):
-                raise ExprError(f"index tuple {idx} out of chart range")
-            if not c.is_zero:
+                raise ExprError(f"index tuple {idx} out of range for dimension {chart.dim}")
+            c = self._coerce(c)
+            if not self._is_zero(c):
                 clean[idx] = c
         self.coeffs = clean
+
+    # -- coefficient ring --------------------------------------------------
+
+    def _coerce(self, value) -> RatFunc:
+        return value if isinstance(value, RatFunc) else RatFunc.const(self.chart, value)
+
+    @staticmethod
+    def _is_zero(c) -> bool:
+        return c.is_zero
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def zero(cls, chart: Chart, degree: int):
+    def zero(cls, chart, degree: int):
         return cls(chart, degree, {})
 
     @classmethod
@@ -88,10 +112,11 @@ class _Alternating:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, idx: Index) -> RatFunc:
-        return self.coeffs.get(tuple(idx), RatFunc.zero(self.chart))
+    def coeff(self, idx: Index):
+        c = self.coeffs.get(tuple(idx))
+        return self._coerce(0) if c is None else c
 
-    def scalar(self) -> RatFunc:
+    def scalar(self):
         if self.degree != 0:
             raise ExprError("not a degree-0 object")
         return self.coeff(())
@@ -119,7 +144,7 @@ class _Alternating:
             raise ExprError(f"degree mismatch: {self.degree} vs {other.degree}")
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
-            out[idx] = out.get(idx, RatFunc.zero(self.chart)) + c
+            _accumulate(out, idx, c)
         return type(self)(self.chart, self.degree, out)
 
     def __neg__(self):
@@ -131,8 +156,7 @@ class _Alternating:
         return self + (-other)
 
     def scale(self, f) -> "_Alternating":
-        if isinstance(f, (int, Fraction)):
-            f = RatFunc.const(self.chart, f)
+        f = self._coerce(f)
         return type(self)(
             self.chart, self.degree, {i: f * c for i, c in self.coeffs.items()}
         )
@@ -142,8 +166,10 @@ class _Alternating:
             return False
         if self.degree != other.degree:
             return self.is_zero and other.is_zero
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coeff(k) == other.coeff(k) for k in keys)
+        # zero coefficients are never stored, so equal objects share keys
+        return self.coeffs.keys() == other.coeffs.keys() and all(
+            c == other.coeffs[k] for k, c in self.coeffs.items()
+        )
 
     __hash__ = None
 
@@ -151,23 +177,20 @@ class _Alternating:
 
     _symbol_fmt = "e_{}"
 
-    def _basis_str(self, idx: Index) -> str:
-        return "^".join(
-            self._symbol_fmt.format(self.chart.var_names[i]) for i in idx
-        )
+    def _term(self, c, idx: Index) -> str:
+        """One printed term: the coefficient, then the wedge of basis symbols."""
+        text = str(c)
+        if " " in text or text.startswith("-") or "/" in text:
+            text = f"({text})"
+        basis = "^".join(self._symbol_fmt.format(self.chart.var_names[i]) for i in idx)
+        return f"{text} {basis}"
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         if self.degree == 0:
             return str(self.scalar())
-        parts = []
-        for idx in sorted(self.coeffs):
-            c = str(self.coeffs[idx])
-            if " " in c or c.startswith("-") or "/" in c:
-                c = f"({c})"
-            parts.append(f"{c} {self._basis_str(idx)}")
-        return " + ".join(parts)
+        return " + ".join(self._term(self.coeffs[idx], idx) for idx in sorted(self.coeffs))
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -197,17 +220,6 @@ class MultiVec(_Alternating):
             out = out + c * f.diff(i)
         return out
 
-    def contract_covectors(self, covs: Sequence[Sequence[Fraction]], point) -> Fraction:
-        """Evaluate the k-vector on k constant covectors at a rational point."""
-        if len(covs) != self.degree:
-            raise ExprError("need exactly k covectors")
-        total = Fraction(0)
-        for idx, c in self.coeffs.items():
-            # det of the k x k matrix cov_a(partial_{idx_b})
-            minor = [[Fraction(cov[i]) for i in idx] for cov in covs]
-            total += c.eval(point) * _det_fraction(minor)
-        return total
-
 
 class DiffForm(_Alternating):
     """Differential k-form on a chart."""
@@ -232,27 +244,6 @@ class DiffForm(_Alternating):
         return out
 
 
-def _det_fraction(m) -> Fraction:
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [row[:] for row in m]
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result *= a[c][c]
-        for i in range(c + 1, n):
-            f = a[i][c] / a[c][c]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
-
-
 # -- wedge --------------------------------------------------------------------
 
 
@@ -263,7 +254,7 @@ def wedge(a, b):
     degree = a.degree + b.degree
     if degree > a.chart.dim:
         return cls.zero(a.chart, degree)
-    out: dict[Index, RatFunc] = {}
+    out = {}
     for ia, ca in a.coeffs.items():
         for ib, cb in b.coeffs.items():
             merged = _merge_indices(ia, ib)
@@ -271,7 +262,7 @@ def wedge(a, b):
                 continue
             sign, idx = merged
             term = ca * cb if sign > 0 else -(ca * cb)
-            out[idx] = out.get(idx, RatFunc.zero(a.chart)) + term
+            _accumulate(out, idx, term)
     return cls(a.chart, degree, out)
 
 
@@ -298,7 +289,7 @@ def contract(form: DiffForm, vec: MultiVec) -> DiffForm:
             term = c * v
             if pos % 2:
                 term = -term
-            out[rest] = out.get(rest, RatFunc.zero(form.chart)) + term
+            _accumulate(out, rest, term)
     return DiffForm(form.chart, form.degree - 1, out)
 
 
@@ -320,7 +311,7 @@ def exterior_derivative(form: DiffForm) -> DiffForm:
                 continue
             sign, nidx = merged
             term = dc if sign > 0 else -dc
-            out[nidx] = out.get(nidx, RatFunc.zero(chart)) + term
+            _accumulate(out, nidx, term)
     return DiffForm(chart, degree, out)
 
 
@@ -339,7 +330,7 @@ def _xi_derivative_right(x: MultiVec, i: int) -> MultiVec:
         pos = idx.index(i)
         rest = idx[:pos] + idx[pos + 1 :]
         term = c if (k - 1 - pos) % 2 == 0 else -c
-        out[rest] = out.get(rest, RatFunc.zero(x.chart)) + term
+        _accumulate(out, rest, term)
     return MultiVec(x.chart, k - 1, out)
 
 

@@ -59,8 +59,10 @@ class PoissonStructure:
             raise PoissonError("a Poisson structure needs a degree-2 multivector")
 
 
-def bivector_matrix(pi: MultiVec) -> list[list[RatFunc]]:
-    """Full antisymmetric coefficient matrix, P[i][j] = {x_i, x_j}."""
+def bivector_matrix(pi) -> list[list[RatFunc]]:
+    """Full antisymmetric coefficient matrix of a degree-2 multivector or
+    form: P[i][j] = {x_i, x_j} for a bivector, W[i][j] = B(d/dx_i, d/dx_j)
+    for a 2-form."""
     n = pi.chart.dim
     zero = RatFunc.zero(pi.chart)
     m = [[zero for _ in range(n)] for _ in range(n)]
@@ -78,7 +80,8 @@ def bivector_from_matrix(chart: Chart, m) -> MultiVec:
     return MultiVec(chart, 2, coeffs)
 
 
-def matrix_at(pi: MultiVec, point) -> list[list[Fraction]]:
+def matrix_at(pi, point) -> list[list[Fraction]]:
+    """``bivector_matrix`` evaluated at a point."""
     return [[e.eval(point) for e in row] for row in bivector_matrix(pi)]
 
 
@@ -483,17 +486,6 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
 # -- gauge transformations -------------------------------------------------------
 
 
-def form_matrix(b_form: DiffForm) -> list[list[RatFunc]]:
-    """Full antisymmetric matrix W[i][j] = B(d/dx_i, d/dx_j) of a 2-form."""
-    n = b_form.chart.dim
-    zero = RatFunc.zero(b_form.chart)
-    w = [[zero for _ in range(n)] for _ in range(n)]
-    for (i, j), c in b_form.coeffs.items():
-        w[i][j] = c
-        w[j][i] = -c
-    return w
-
-
 def gauge_matrix(p, w, chart: Chart):
     """(I + P W)^-1 P, or None when I + P W is singular as a RatFunc matrix."""
     n = chart.dim
@@ -520,7 +512,7 @@ def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     db = exterior_derivative(b_form)
     if not db.is_zero:
         raise NotClosedError(f"2-form is not closed; dB = {db}")
-    pb = gauge_matrix(bivector_matrix(pi), form_matrix(b_form), chart)
+    pb = gauge_matrix(bivector_matrix(pi), bivector_matrix(b_form), chart)
     if pb is None:
         raise PoissonError("Id + B_flat pi# singular as a rational-function matrix")
     return verify(bivector_from_matrix(chart, pb))

@@ -26,6 +26,16 @@ def _run(tmp_path, capsys, text):
     ({**SO3, "tasks": {"task": "rank"}}, "manifest entry 'tasks' must be a JSON list"),
     ({**SO3, "tasks": ["rank"]}, "a task must be a JSON object"),
     ({**SO3, "tasks": [{"task": "cohomology", "k": "one"}]}, "invalid literal for int()"),
+    ({**SO3, "tasks": [{"task": "cohomology", "k": [1]}]}, "parameter 'k' must be an integer"),
+    ({**SO3, "lie_algebras": {"g": {"dim": 3, "constants": [5]}}},
+     "a 'constants' entry must be a list [i, j, k, value]"),
+    ({**SO3, "lie_algebras": {"g": {"dim": 3, "constants": [[0, 1, 3, "1"]]}}},
+     "out of range for dimension 3"),
+    ({**SO3, "constraints": {"n": {"bivector": "pi", "psi": 5, "level": ["1"]}}},
+     "constraint system 'n' 'psi' must be a JSON list"),
+    ({**SO3, "constraints": {"n": {"bivector": "pi", "psi": ["x"], "level": ["1"],
+                                   "samples": 5}}},
+     "constraint system 'n' 'samples' must be a JSON list"),
 ])
 def test_malformed_manifest(tmp_path, capsys, doc, message):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))

@@ -1,4 +1,5 @@
-"""Every name a poisskit module imports is used in that module."""
+"""Every name a poisskit module imports is used in that module, and every
+function, class and method it defines is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "poisskit"
+TESTS = Path(__file__).resolve().parent
 
 
 def _unused_imports(tree):
@@ -36,3 +38,56 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("from fractions import Fraction as Rational\nimport os\nos.sep\n")
     assert _unused_imports(tree) == [(1, "Rational")]
+
+
+def _definitions(tree):
+    """(line, name) of each module-level function or class, and of each
+    method that is not a dunder, as ``Class.method``."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(item.lineno, f"{node.name}.{item.name}") for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return out
+
+
+def _referenced(trees):
+    refs = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    return refs
+
+
+def _dead_definitions(tree, refs):
+    return [(line, name) for line, name in _definitions(tree)
+            if name.rsplit(".", 1)[-1] not in refs]
+
+
+def test_no_dead_entry_points():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    refs = _referenced(trees.values())
+    dead = {path.name: _dead_definitions(trees[path], refs)
+            for path in paths if path.parent == SRC}
+    assert {name: found for name, found in dead.items() if found} == {}
+
+
+def test_detects_a_dead_entry_point():
+    tree = ast.parse(
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "class Box:\n"
+        "    def __init__(self): self.open()\n"
+        "    def open(self): pass\n"
+        "    def close(self): pass\n"
+        "Box()\n"
+        "used()\n"
+    )
+    assert _dead_definitions(tree, _referenced([tree])) == [(2, "unused"), (6, "Box.close")]

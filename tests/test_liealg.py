@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from poisskit import poisson
-from poisskit.expr import RatFunc, chart, parse_expr
+from poisskit.expr import ExprError, RatFunc, chart, parse_expr
 from poisskit.liealg import (
     AlgMultiVec,
     Cobracket,
@@ -12,7 +12,6 @@ from poisskit.liealg import (
     LieAlgebraError,
     affine_poisson,
     alg_schouten,
-    alg_wedge,
     algebroid_dual_poisson,
     bialgebra_check,
     coadjoint_vf,
@@ -27,7 +26,7 @@ from poisskit.liealg import (
     lie_poisson,
     modular_character,
 )
-from poisskit.multivec import DiffForm, MultiVec
+from poisskit.multivec import DiffForm, MultiVec, wedge
 from poisskit.poisson import hamiltonian_vf, is_poisson_map, modular_vf
 
 
@@ -199,6 +198,45 @@ def test_affine_rejects_non_cocycle():
         affine_poisson(g, AlgMultiVec(g, 2, {(1, 2): F(1)}))
 
 
+# -- exterior algebra elements ------------------------------------------------------------
+
+
+def test_alg_multivec_printed_form():
+    g = so3()
+    a = AlgMultiVec(g, 2, {(0, 1): 2, (0, 2): F(1, 3), (1, 2): -1})
+    assert str(a) == "2*e1^e2 + 1/3*e1^e3 + -1*e2^e3"
+    assert str(AlgMultiVec.zero(g, 2)) == "0"
+    assert str(AlgMultiVec(g, 0, {(): F(-5, 2)})) == "-5/2"
+    assert str(AlgMultiVec.basis(g, 1)) == "e2"
+
+
+def test_alg_multivec_wedge():
+    g = so3()
+    e1, e2, e3 = (AlgMultiVec.basis(g, i) for i in range(3))
+    assert wedge(wedge(e1, e2), e3) == AlgMultiVec(g, 3, {(0, 1, 2): F(1)})
+    assert str(wedge(e3, wedge(e1, e2))) == "e1^e2^e3"
+    # graded commutativity: a ^ b = (-1)^(deg a deg b) b ^ a
+    a = AlgMultiVec(g, 2, {(0, 1): 2, (0, 2): F(1, 3), (1, 2): -1})
+    assert wedge(a, e1) == wedge(e1, a)
+    assert wedge(e1, e2) == wedge(e2, e1).scale(-1)
+    assert str(wedge(e3, a)) == "2*e1^e2^e3"
+    # zero above the dimension, and on a repeated index
+    assert wedge(a, a).is_zero and wedge(a, a).degree == 4
+    assert wedge(e2, e2).is_zero
+
+
+def test_alg_multivec_index_out_of_range():
+    with pytest.raises(ExprError):
+        AlgMultiVec(so3(), 1, {(3,): 1})
+
+
+def test_alg_multivec_parent_algebra():
+    g = so3()
+    assert AlgMultiVec.basis(g, 0).parent is g
+    with pytest.raises(ExprError):
+        wedge(AlgMultiVec.basis(g, 0), AlgMultiVec.basis(book(), 1))
+
+
 # -- algebraic Schouten bracket -------------------------------------------------------------
 
 
@@ -249,9 +287,9 @@ def test_alg_schouten_graded_jacobi_random():
         # Leibniz against the wedge
         w = rand(1)
         sign2 = -1 if ((k - 1) * l) % 2 else 1
-        lhs = alg_schouten(g4, x, alg_wedge(y, w))
-        rhs = alg_wedge(alg_schouten(g4, x, y), w) + \
-            alg_wedge(y, alg_schouten(g4, x, w)).scale(sign2)
+        lhs = alg_schouten(g4, x, wedge(y, w))
+        rhs = wedge(alg_schouten(g4, x, y), w) + \
+            wedge(y, alg_schouten(g4, x, w)).scale(sign2)
         assert lhs == rhs
 
 
