@@ -49,7 +49,6 @@ class Manifest:
     constraints: dict
     flow_config: flow.FlowConfig
     tasks: list
-    raw: dict
 
 
 def _parse_fraction(text) -> Fraction:
@@ -154,7 +153,6 @@ def load_manifest(doc: dict) -> Manifest:
         constraints,
         flow_config,
         list(tasks),
-        doc,
     )
 
 

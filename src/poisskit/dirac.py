@@ -6,7 +6,10 @@ sets, and submanifold classification.
 Pointwise objects live in Q^(2n) with the vector coordinates first and the
 covector coordinates last; the pairing is <(X,a),(Y,b)> = b(X) + a(Y).
 Subspaces are compared through their reduced row echelon form, which is
-canonical for the fixed column order.
+canonical for the fixed column order.  Backward and forward images are both
+one relation image {out u : into u in L}; kernel, range, induced forms and
+induced bivectors are read off the RREF of L, or of L with its covector
+coordinates first.
 
 Restriction to a constraint level set N is performed by exact substitution
 through a polynomial parametrization when one is supplied, and otherwise by
@@ -124,59 +127,45 @@ def from_2form_at(omega: DiffForm, point) -> LinearLagrangian:
     return LinearLagrangian(n, basis)
 
 
+def _block_diag(a, b):
+    """The block matrix diag(a, b) of two Fraction matrices."""
+    za = [Fraction(0)] * len(a[0])
+    zb = [Fraction(0)] * len(b[0])
+    return [list(row) + zb for row in a] + [za + list(row) for row in b]
+
+
+def _relation_image(lag: LinearLagrangian, into, out, dim: int) -> LinearLagrangian:
+    """{out u : into u in L}, a lagrangian subspace of dimension ``dim``."""
+    sols = linalg.preimage_span(into, lag.canonical(), ncols=len(into[0]))
+    return LinearLagrangian(dim, linalg.canonical_span([linalg.matvec(out, u) for u in sols]))
+
+
 def backward_image(lag: LinearLagrangian, a_matrix) -> LinearLagrangian:
     """phi^! L = {(X, A^T b) : (A X, b) in L} for a linear map A: V_src -> V_tgt.
 
     Pointwise the backward image is always lagrangian of dimension n_src;
     smoothness across points is the business of coregularity_check.
     """
-    n_tgt = lag.dim
-    n_src = len(a_matrix[0]) if a_matrix else 0
-    # unknowns (X, b): condition (A X, b) in span(L)
-    span = lag.canonical()
-    rows = []
-    for i in range(2 * n_tgt):
-        row = []
-        for s in range(n_src):
-            row.append(a_matrix[i][s] if i < n_tgt else Fraction(0))
-        for b in range(n_tgt):
-            row.append(Fraction(1 if i == n_tgt + b else 0))
-        rows.append(row)
-    sols = linalg.preimage_span(rows, span, ncols=n_src + n_tgt)
-    at = linalg.transpose(a_matrix)
-    out = []
-    for sol in sols:
-        x = sol[:n_src]
-        b = sol[n_src:]
-        alpha = linalg.matvec(at, b)
-        out.append(list(x) + list(alpha))
-    basis = linalg.canonical_span(out)
-    return LinearLagrangian(n_src, basis)
+    n_src = len(a_matrix[0])
+    a_t = linalg.transpose(a_matrix)
+    return _relation_image(
+        lag,
+        _block_diag(a_matrix, linalg.identity(lag.dim)),
+        _block_diag(linalg.identity(n_src), a_t),
+        n_src,
+    )
 
 
 def forward_image(lag: LinearLagrangian, a_matrix) -> LinearLagrangian:
     """phi_! L = {(A X, b) : (X, A^T b) in L}."""
-    n_src = lag.dim
     n_tgt = len(a_matrix)
-    span = lag.canonical()
-    at = linalg.transpose(a_matrix)
-    # unknowns (X, b) in V_src + V_tgt*: require (X, A^T b) in L
-    rows = []
-    for i in range(2 * n_src):
-        row = []
-        for s in range(n_src):
-            row.append(Fraction(1 if i == s else 0))
-        for b in range(n_tgt):
-            row.append(at[i - n_src][b] if i >= n_src else Fraction(0))
-        rows.append(row)
-    sols = linalg.preimage_span(rows, span, ncols=n_src + n_tgt)
-    out = []
-    for sol in sols:
-        x = sol[:n_src]
-        b = sol[n_src:]
-        out.append(list(linalg.matvec(a_matrix, x)) + list(b))
-    basis = linalg.canonical_span(out)
-    return LinearLagrangian(n_tgt, basis)
+    a_t = linalg.transpose(a_matrix)
+    return _relation_image(
+        lag,
+        _block_diag(linalg.identity(lag.dim), a_t),
+        _block_diag(a_matrix, linalg.identity(n_tgt)),
+        n_tgt,
+    )
 
 
 def forward_matches(phi: PolyMap, source_structure, target_structure, samples) -> bool:
@@ -193,18 +182,13 @@ def forward_matches(phi: PolyMap, source_structure, target_structure, samples) -
 def gauge_at(lag: LinearLagrangian, b_matrix) -> LinearLagrangian:
     """tau_B(X, a) = (X, a + i_X B) for an antisymmetric matrix B."""
     n = lag.dim
-    for i in range(n):
-        for j in range(n):
-            if b_matrix[i][j] != -b_matrix[j][i]:
-                raise DiracError("gauge matrix must be antisymmetric")
+    b_t = linalg.transpose(b_matrix)
+    if b_t != [[-e for e in row] for row in b_matrix]:
+        raise DiracError("gauge matrix must be antisymmetric")
     out = []
     for row in lag.basis:
         x, alpha = row[:n], row[n:]
-        shift = [
-            sum((x[i] * b_matrix[i][j] for i in range(n)), Fraction(0))
-            for j in range(n)
-        ]
-        out.append(list(x) + [a + s for a, s in zip(alpha, shift)])
+        out.append(x + [a + s for a, s in zip(alpha, linalg.matvec(b_t, x))])
     return LinearLagrangian(n, out)
 
 
@@ -217,38 +201,21 @@ class KernelRangeData:
 
 
 def kernel_and_range(lag: LinearLagrangian) -> KernelRangeData:
+    """The RREF rows of L with a vector pivot are (r_a, alpha_a), r_a the
+    canonical basis of R; the rest are (0, Ann(R)), also canonical.  With the
+    covector coordinates first, the rows (0, X) give ker(L) the same way."""
     n = lag.dim
     span = lag.canonical()
-    v_only = [[Fraction(1 if j == i else 0) for j in range(2 * n)] for i in range(n)]
-    cov_only = [
-        [Fraction(1 if j == n + i else 0) for j in range(2 * n)] for i in range(n)
-    ]
-    ker = [v[:n] for v in linalg.intersect_spans(span, v_only)]
-    ann = [v[n:] for v in linalg.intersect_spans(span, cov_only)]
-    rng = linalg.canonical_span([row[:n] for row in span])
-    omega = []
-    for u in rng:
-        # find (u, alpha) in L
-        sol = linalg.solve(linalg.transpose([row[:n] for row in span]), u)
-        if sol is None:
-            raise DiracError("range vector not represented (bug)")
-        alpha = [
-            sum((sol[r] * span[r][n + j] for r in range(len(span))), Fraction(0))
-            for j in range(n)
-        ]
-        omega.append(alpha)
+    heads = [row for row in span if any(row[:n])]
+    rng = [row[:n] for row in heads]
+    ann = [row[n:] for row in span if not any(row[:n])]
+    swapped = linalg.canonical_span([row[n:] + row[:n] for row in span])
+    ker = [row[n:] for row in swapped if not any(row[:n])]
     # Omega(u, v) = alpha_u(v); well-definedness: Ann(R) must kill the range
-    for alpha in ann:
-        for v in rng:
-            if sum((alpha[j] * v[j] for j in range(n)), Fraction(0)) != 0:
-                raise DiracError("induced form ill-defined (bug)")
-    omega_matrix = [
-        [sum((omega[a][j] * rng[b][j] for j in range(n)), Fraction(0)) for b in range(len(rng))]
-        for a in range(len(rng))
-    ]
-    return KernelRangeData(
-        linalg.canonical_span(ker), rng, omega_matrix, linalg.canonical_span(ann)
-    )
+    if any(any(row) for row in linalg.matmul(ann, linalg.transpose(rng))):
+        raise DiracError("induced form ill-defined (bug)")
+    omega_matrix = linalg.matmul([row[n:] for row in heads], linalg.transpose(rng))
+    return KernelRangeData(ker, rng, omega_matrix, ann)
 
 
 def reconstruct_from_range(data: KernelRangeData, dim: int) -> LinearLagrangian:
@@ -379,6 +346,10 @@ class ConstraintSystem:
             if psi.chart != ch:
                 raise ChartMismatchError("constraints live on another chart")
         self.level = [Fraction(r) for r in self.level]
+        if len(self.level) != len(self.constraints):
+            raise DiracError(
+                f"{len(self.constraints)} constraints but {len(self.level)} level values"
+            )
         for point in self.samples:
             for psi, r in zip(self.constraints, self.level):
                 if psi.eval(point) != r:
@@ -534,7 +505,7 @@ def coregularity_check(structure, data, samples=None) -> CoregularityReport:
             for psi in cs.constraints:
                 dpsi = [psi.diff(i).eval(point) for i in range(cs.structure.chart.dim)]
                 rows.append(poisson.sharp_at(cs.structure, point, dpsi))
-            dims.append(len(linalg.canonical_span(rows)) if rows else 0)
+            dims.append(linalg.rank(rows))
     elif isinstance(data, PolyMap):
         phi = data
         if samples is None or len(samples) < 2:
@@ -542,12 +513,9 @@ def coregularity_check(structure, data, samples=None) -> CoregularityReport:
         pi = poisson._pi_of(structure)
         dims = []
         for point in samples:
-            jac = phi.jacobian_at(point)
-            image = linalg.canonical_span(linalg.transpose(jac))
-            target_point = phi(point)
-            p = matrix_at(pi, target_point)
-            r_span = linalg.canonical_span(p)  # rows of P span R
-            dims.append(len(linalg.sum_spans(image, r_span)))
+            # the columns of dphi span Im(dphi), the rows of P span R
+            image = linalg.transpose(phi.jacobian_at(point))
+            dims.append(linalg.rank(image + matrix_at(pi, phi(point))))
     else:
         raise DiracError("second argument must be a ConstraintSystem or PolyMap")
     return CoregularityReport(dims, len(set(dims)) <= 1)
@@ -604,28 +572,17 @@ def transversal_induced_poisson_at(structure, cs: ConstraintSystem, parameter_po
         dpsi = [psi.diff(i).eval(ambient_point) for i in range(n)]
         tnpi_rows.append(poisson.sharp_at(structure, ambient_point, dpsi))
     tnpi = linalg.canonical_span(tnpi_rows)
-    if linalg.intersect_spans(tn, tnpi) or len(linalg.sum_spans(tn, tnpi)) != n:
+    if not len(tn) + len(tnpi) == n == linalg.rank(tn + tnpi):
         raise NotCosymplecticError(
             f"TN (+) TN^pi != TM at {ambient_point}: not cosymplectic there"
         )
     lag = backward_image(from_bivector_at(structure, ambient_point), jac)
     m = phi.source.dim
-    span = lag.canonical()
-    matrix = []
-    for b in range(m):
-        target = [Fraction(1 if j == b else 0) for j in range(m)]
-        # combination of basis rows whose covector part is e_b
-        sys_rows = [[span[r][m + j] for r in range(len(span))] for j in range(m)]
-        sol = linalg.solve(sys_rows, target)
-        if sol is None:
-            raise NotCosymplecticError("induced subspace is not a bivector graph")
-        row = [
-            sum((sol[r] * span[r][j] for r in range(len(span))), Fraction(0))
-            for j in range(m)
-        ]
-        matrix.append(row)
-    for a in range(m):
-        for b in range(m):
-            if matrix[a][b] != -matrix[b][a]:
-                raise DiracError("induced matrix not antisymmetric (bug)")
+    # with the covector coordinates first, a bivector graph has RREF (I | P)
+    span = linalg.canonical_span([row[m:] + row[:m] for row in lag.canonical()])
+    if [row[:m] for row in span] != linalg.identity(m):
+        raise NotCosymplecticError("induced subspace is not a bivector graph")
+    matrix = [row[m:] for row in span]
+    if linalg.transpose(matrix) != [[-e for e in row] for row in matrix]:
+        raise DiracError("induced matrix not antisymmetric (bug)")
     return matrix

@@ -610,6 +610,19 @@ class RatFunc:
             raise PoleError("substitution lands on a pole")
         return n / d
 
+    def lift(self, chart: Chart) -> "RatFunc":
+        """The same function on a chart whose leading variables are this
+        function's chart: the exponents are padded with zeros, so the result
+        stays reduced and keeps its term order."""
+        if chart.var_names[: self.chart.dim] != self.chart.var_names:
+            raise ChartMismatchError(f"{chart} does not extend {self.chart}")
+        pad = (0,) * (chart.dim - self.chart.dim)
+        out = RatFunc.__new__(RatFunc)
+        out.num, out.den = (
+            Poly(chart, {e + pad: c for e, c in p.terms.items()}) for p in (self.num, self.den)
+        )
+        return out
+
     @property
     def is_polynomial(self) -> bool:
         return self.den.is_constant

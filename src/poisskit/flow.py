@@ -294,11 +294,6 @@ def _lift_chart(chart: Chart, extra) -> Chart:
     return make_chart(*names)
 
 
-def _lift_ratfunc(f: RatFunc, big: Chart) -> RatFunc:
-    values = [RatFunc.var(big, i) for i in range(f.chart.dim)]
-    return f.subst(values)
-
-
 def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
                  cfg: FlowConfig) -> MoserReport:
     """Numerically verify (phi_t)_* pi_0 = pi_t for pi_t the gauge of pi_0 by
@@ -318,17 +313,17 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     d_alpha = exterior_derivative(alpha)
     # B_t = -t d(alpha): closed on the x-chart for every fixed t (it is exact)
     b_coeffs = {
-        idx: -t_var * _lift_ratfunc(c, big) for idx, c in d_alpha.coeffs.items()
+        idx: -t_var * c.lift(big) for idx, c in d_alpha.coeffs.items()
     }
     b_t = DiffForm(big, 2, b_coeffs)
     pi_lift = MultiVec(
-        big, 2, {idx: _lift_ratfunc(c, big) for idx, c in structure.pi.coeffs.items()}
+        big, 2, {idx: c.lift(big) for idx, c in structure.pi.coeffs.items()}
     )
     p_t = poisson.gauge_matrix(bivector_matrix(pi_lift), bivector_matrix(b_t), big)
     if p_t is None:
         raise FlowError("Id + B_t_flat pi# singular along the requested family")
     # X_t = pi_t#(alpha)
-    alpha_lift = [_lift_ratfunc(alpha.coeff((i,)), big) for i in range(n)]
+    alpha_lift = [alpha.coeff((i,)).lift(big) for i in range(n)]
     x_t = [sum((alpha_lift[i] * p_t[i][j] for i in range(n)), RatFunc.zero(big))
            for j in range(n)]
     rhs, guards = compile_field(x_t, time_var=n, variational=True)
@@ -386,7 +381,7 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     n = chart.dim
     big = _lift_chart(chart, [f"xi{i + 1}" for i in range(n)])
     p = bivector_matrix(pi)
-    p_lift = [[_lift_ratfunc(e, big) for e in row] for row in p]
+    p_lift = [[e.lift(big) for e in row] for row in p]
     # spray: dx_j/dt = sum_i xi_i P_ij(x), dxi/dt = 0
     spray = [sum((RatFunc.var(big, n + i) * p_lift[i][j] for i in range(n)), RatFunc.zero(big))
              for j in range(n)]

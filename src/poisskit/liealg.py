@@ -379,17 +379,12 @@ def algebroid_dual_poisson(base: Chart, fiber_names, rho, c_table) -> MultiVec:
     if len(rho) != n or any(len(row) != r for row in rho):
         raise LieAlgebraError("rho must be an n x r matrix over the base chart")
     total = make_chart(*(base.var_names + tuple(fiber_names)))
-    lift = [RatFunc.var(total, i) for i in range(n)]
-
-    def lift_rf(f: RatFunc) -> RatFunc:
-        return f.subst(lift)
-
     c_full = {}
     for (i, j, k), f in c_table.items():
         if i == j:
             raise LieAlgebraError("c_iik must vanish")
-        c_full[(i, j, k)] = c_full.get((i, j, k), RatFunc.zero(base)) + f
-        c_full[(j, i, k)] = c_full.get((j, i, k), RatFunc.zero(base)) - f
+        _accumulate(c_full, (i, j, k), f)
+        _accumulate(c_full, (j, i, k), -f)
     # fiber-fiber block
     coeffs = {}
     for i in range(r):
@@ -398,7 +393,7 @@ def algebroid_dual_poisson(base: Chart, fiber_names, rho, c_table) -> MultiVec:
             for k in range(r):
                 f = c_full.get((i, j, k))
                 if f is not None and not f.is_zero:
-                    acc = acc + lift_rf(f) * RatFunc.var(total, n + k)
+                    acc = acc + f.lift(total) * RatFunc.var(total, n + k)
             if not acc.is_zero:
                 coeffs[(n + i, n + j)] = acc
     # base-fiber block: -rho_ij d/dx_i ^ d/dxi_j
@@ -406,7 +401,7 @@ def algebroid_dual_poisson(base: Chart, fiber_names, rho, c_table) -> MultiVec:
         for j in range(r):
             f = rho[i][j]
             if not f.is_zero:
-                coeffs[(i, n + j)] = -lift_rf(f)
+                coeffs[(i, n + j)] = -f.lift(total)
     return MultiVec(total, 2, coeffs)
 
 

@@ -2,7 +2,10 @@
 
 Matrices are lists of lists.  Subspaces are represented by lists of spanning
 row vectors; their canonical form is the reduced row echelon form with zero
-rows dropped, which makes subspace equality a structural comparison.
+rows dropped, which makes subspace equality a structural comparison.  The
+sum of two subspaces is the span of the joined rows, so its dimension is the
+``rank`` of the joined list.  A matrix with no rows has the whole space as
+its kernel: ``kernel_basis([], ncols)`` is the standard basis.
 
 Inside ``rref`` each row is held sparsely, as a ``{column: entry}`` dict of
 its nonzero entries, so the elimination costs follow the nonzeros (the
@@ -96,9 +99,7 @@ def span_eq(a, b) -> bool:
 
 def kernel_basis(matrix, ncols=None):
     """Basis of the right null space {v : matrix @ v = 0}."""
-    if not matrix:
-        return []
-    cols = ncols if ncols is not None else len(matrix[0])
+    cols = ncols if ncols is not None else len(matrix[0]) if matrix else 0
     m, pivots = rref(matrix)
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
@@ -199,14 +200,10 @@ def solve(matrix, rhs):
 
 def preimage_span(matrix, span, ncols=None):
     """{v : matrix @ v in row-span(span)} as a canonical row span."""
-    rows = len(matrix)
     cols = ncols if ncols is not None else len(matrix[0])
-    k = len(span)
     # Solve matrix @ v - span^T c = 0 for (v, c), then project to v.
-    big = []
-    for i in range(rows):
-        big.append(list(matrix[i]) + [-span[j][i] for j in range(k)])
-    sols = kernel_basis(big, ncols=cols + k)
+    big = [list(row) + [-s[i] for s in span] for i, row in enumerate(matrix)]
+    sols = kernel_basis(big, ncols=cols + len(span))
     return canonical_span([s[:cols] for s in sols])
 
 
@@ -214,18 +211,8 @@ def intersect_spans(a, b):
     """Intersection of two row-spanned subspaces."""
     if not a or not b:
         return []
-    dim = len(a[0])
     # v = a^T x = b^T y; kernel of [a^T | -b^T]
-    big = []
-    for i in range(dim):
-        big.append([a[j][i] for j in range(len(a))] + [-b[j][i] for j in range(len(b))])
-    out = []
-    for s in kernel_basis(big, ncols=len(a) + len(b)):
-        coeffs = s[: len(a)]
-        v = [_dot(coeffs, [a[j][i] for j in range(len(a))]) for i in range(dim)]
-        out.append(v)
-    return canonical_span(out)
-
-
-def sum_spans(a, b):
-    return canonical_span(list(a) + list(b))
+    at = transpose(a)
+    big = [row + [-x for x in brow] for row, brow in zip(at, transpose(b))]
+    sols = kernel_basis(big, ncols=len(a) + len(b))
+    return canonical_span([matvec(at, s[: len(a)]) for s in sols])

@@ -22,6 +22,7 @@ from .multivec import (
     DiffForm,
     MultiVec,
     PolyMap,
+    _accumulate,
     _merge_indices,
     exterior_derivative,
     pushforward_bivector_at,
@@ -142,8 +143,8 @@ def hamiltonian_vf(structure, f: RatFunc) -> MultiVec:
     comps = {}
     for (i, j), c in pi.coeffs.items():
         # contribution of the term c d/dx_i ^ d/dx_j
-        comps[j] = comps.get(j, RatFunc.zero(pi.chart)) + c * f.diff(i)
-        comps[i] = comps.get(i, RatFunc.zero(pi.chart)) - c * f.diff(j)
+        _accumulate(comps, j, c * f.diff(i))
+        _accumulate(comps, i, -(c * f.diff(j)))
     return MultiVec(pi.chart, 1, {(k,): v for k, v in comps.items()})
 
 
@@ -152,11 +153,8 @@ def sharp_at(structure, point, covector) -> list[Fraction]:
 
     Oriented so that sharp_at(pi, p, df|_p) equals X_f(p) exactly.
     """
-    pi = _pi_of(structure)
-    p = matrix_at(pi, point)
-    alpha = [Fraction(a) for a in covector]
-    n = pi.chart.dim
-    return [sum((alpha[i] * p[i][j] for i in range(n)), Fraction(0)) for j in range(n)]
+    p = matrix_at(_pi_of(structure), point)
+    return linalg.matvec(linalg.transpose(p), [Fraction(a) for a in covector])
 
 
 def casimir_check(structure, f: RatFunc) -> bool:
@@ -449,10 +447,7 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     for col, (idx, mono) in enumerate(dom):
         for key, c in _d_pi_image(idx, mono, of_x, of_d).items():
             out_matrix[cod_index[key]][col] = c
-    kernel = (
-        linalg.kernel_basis(out_matrix, ncols=len(dom)) if out_matrix else
-        [ [Fraction(1 if i == j else 0) for j in range(len(dom))] for i in range(len(dom)) ]
-    )
+    kernel = linalg.kernel_basis(out_matrix, ncols=len(dom))
     # incoming image
     dim_image = 0
     image_vectors = []

@@ -36,6 +36,8 @@ def _run(tmp_path, capsys, text):
     ({**SO3, "constraints": {"n": {"bivector": "pi", "psi": ["x"], "level": ["1"],
                                    "samples": 5}}},
      "constraint system 'n' 'samples' must be a JSON list"),
+    ({**SO3, "constraints": {"n": {"bivector": "pi", "psi": ["x", "y"], "level": ["1"]}}},
+     "2 constraints but 1 level values"),
 ])
 def test_malformed_manifest(tmp_path, capsys, doc, message):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))

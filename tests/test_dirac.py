@@ -1,13 +1,18 @@
 from fractions import Fraction as F
 
+import pytest
+
 from poisskit import poisson
 from poisskit.dirac import (
     ConstraintSystem,
+    DiracError,
     DiracSectionFamily,
+    backward_image,
     coregularity_check,
     courant_tensor,
     dirac_bracket,
     dual_pair_check,
+    forward_image,
     forward_matches,
     from_2form_at,
     from_bivector_at,
@@ -121,3 +126,100 @@ def test_transversal_induced_poisson_matches_dirac_bracket(ch4):
     assert matrix == [[0, 1], [-1, 0]]
     bracket, _ = dirac_bracket(cs)
     assert bracket(parse_expr("q1", ch4), parse_expr("p1", ch4)) == RatFunc.const(plane, 1)
+
+
+def test_constraint_and_level_counts_must_match(ch3, so3_structure):
+    x, y = parse_expr("x", ch3), parse_expr("y", ch3)
+    with pytest.raises(DiracError, match="2 constraints but 1 level value"):
+        ConstraintSystem(so3_structure, [x, y], [1], [[F(1), F(5), F(0)]])
+
+
+# -- golden values of the pointwise linear algebra ----------------------------------------
+#
+# Each value was taken from the implementation that solved one linear system
+# per basis vector; every one is a canonical form (an RREF or a matrix of
+# Fractions), so any correct rewrite reproduces it exactly.
+
+
+def _rows(m):
+    return [[str(x) for x in row] for row in m]
+
+
+def test_golden_images_gauge_and_sharp(so3_structure):
+    lag = from_bivector_at(so3_structure, P)
+    assert str(lag) == "span{(1, 0, -1/3, 0, -1/3, 0); (0, 1, -2/3, 0, -2/3, -1); (0, 0, 0, 1, 2, 3)}"
+    onto = [[F(1), F(0), F(0), F(1)], [F(0), F(1), F(0), F(0)], [F(0), F(0), F(1), F(0)]]
+    assert str(backward_image(lag, onto)) == (
+        "span{(1, 0, 0, -1, 0, 0, 0, 0); (0, 1, 0, -2, 0, 0, -1, 0); "
+        "(0, 0, 1, -3, 0, 1, 0, 0); (0, 0, 0, 0, 1, 2, 3, 1)}"
+    )
+    plane = [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]]
+    assert str(backward_image(lag, plane)) == "span{(1, -4/5, 0, 0); (0, 0, 1, 5/4)}"
+    projection = [[F(1), F(0), F(0)], [F(0), F(1), F(1)]]
+    assert str(forward_image(lag, projection)) == "span{(1, 0, 0, -1); (0, 1, 1, 0)}"
+    b = [[F(0), F(1), F(2)], [F(-1), F(0), F(3)], [F(-2), F(-3), F(0)]]
+    assert str(gauge_at(lag, b)) == (
+        "span{(1, 0, -1/3, 0, 1/3, 0); (0, 1, -2/3, 0, 2/3, 1); (0, 0, 0, 1, 2, 3)}"
+    )
+    assert poisson.sharp_at(so3_structure, P, [1, -1, 2]) == [7, 1, -3]
+
+
+@pytest.mark.parametrize("which,kernel,range_basis,omega,annihilator", [
+    ("graph", [], [["1", "0", "-1/3"], ["0", "1", "-2/3"]],
+     [["0", "-1/3"], ["1/3", "0"]], [["1", "2", "3"]]),
+    ("gauge", [], [["1", "0", "-1/3"], ["0", "1", "-2/3"]],
+     [["0", "1/3"], ["-1/3", "0"]], [["1", "2", "3"]]),
+    ("backward", [["1", "0", "0", "-1"]],
+     [["1", "0", "0", "-1"], ["0", "1", "0", "-2"], ["0", "0", "1", "-3"]],
+     [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]], [["1", "2", "3", "1"]]),
+])
+def test_golden_kernel_and_range(so3_structure, which, kernel, range_basis, omega, annihilator):
+    lag = from_bivector_at(so3_structure, P)
+    if which == "gauge":
+        lag = gauge_at(lag, [[F(0), F(1), F(2)], [F(-1), F(0), F(3)], [F(-2), F(-3), F(0)]])
+    elif which == "backward":
+        lag = backward_image(lag, [[F(1), F(0), F(0), F(1)], [F(0), F(1), F(0), F(0)],
+                                   [F(0), F(0), F(1), F(0)]])
+    data = kernel_and_range(lag)
+    assert _rows(data.kernel) == kernel
+    assert _rows(data.range_basis) == range_basis
+    assert _rows(data.omega) == omega
+    assert _rows(data.annihilator) == annihilator
+    assert reconstruct_from_range(data, lag.dim) == lag
+
+
+def test_golden_coregularity_dims(ch3, so3_structure):
+    x, y = parse_expr("x", ch3), parse_expr("y", ch3)
+    cs = ConstraintSystem(so3_structure, [x, y], [1, 2], [P, [F(1), F(2), F(0)]])
+    assert coregularity_check(so3_structure, cs).dims == [2, 1]
+    plane = chart("a", "b")
+    a, b = parse_expr("a", plane), parse_expr("b", plane)
+    phi = PolyMap(plane, ch3, (a, b, RatFunc.zero(plane)))
+    assert coregularity_check(so3_structure, phi, [[F(1), F(1)], [F(0), F(0)]]).dims == [3, 2]
+
+
+def test_golden_transversal_induced_poisson(ch4):
+    # {q1,p1} = {q2,p2} = 1 and {p1,p2} = q1
+    structure = poisson.require_poisson(_bivector(ch4, {(0, 1): "1", (2, 3): "1", (1, 3): "q1"}))
+    plane = chart("a", "b")
+    a, b, zero = parse_expr("a", plane), parse_expr("b", plane), RatFunc.zero(plane)
+    cs = ConstraintSystem(
+        structure,
+        [parse_expr("q2", ch4), parse_expr("p2 - q1", ch4)],
+        [0, 0],
+        parametrization=PolyMap(plane, ch4, (2 * a, 3 * b, zero, 2 * a)),
+    )
+    assert _rows(transversal_induced_poisson_at(structure, cs, [F(3), F(-1)])) == [
+        ["0", "1/6"], ["-1/6", "0"]]
+    coordinate_planes = ConstraintSystem(
+        structure,
+        [parse_expr("q1", ch4), parse_expr("q2", ch4)],
+        [0, 0],
+        parametrization=PolyMap(plane, ch4, (zero, a, zero, b)),
+    )
+    with pytest.raises(poisson.NotCosymplecticError) as err:
+        transversal_induced_poisson_at(structure, coordinate_planes, [F(1), F(2)])
+    assert str(err.value) == (
+        "TN (+) TN^pi != TM at [Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), "
+        "Fraction(2, 1)]: not cosymplectic there"
+    )

@@ -1,13 +1,16 @@
-"""Every name a poisskit module imports is used in that module, and every
-function, class and method it defines is referenced somewhere."""
+"""Every name a poisskit module imports is used in that module, every
+function, class and method it defines is referenced somewhere, and every
+name the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "poisskit"
 TESTS = Path(__file__).resolve().parent
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def _unused_imports(tree):
@@ -91,3 +94,19 @@ def test_detects_a_dead_entry_point():
         "used()\n"
     )
     assert _dead_definitions(tree, _referenced([tree])) == [(2, "unused"), (6, "Box.close")]
+
+
+def test_traced_names_exist():
+    # Tracer.install raises AttributeError on a name that is gone, which
+    # would end every traced benchmark run
+    targets = next(ast.literal_eval(node.value) for node in ast.parse(TRACING.read_text()).body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "TARGETS")
+    missing = []
+    for name, (module, path) in targets.items():
+        obj = importlib.import_module(f"poisskit.{module}")
+        for attr in path.split("."):
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert missing == []
