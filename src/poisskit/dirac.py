@@ -219,16 +219,25 @@ def kernel_and_range(lag: LinearLagrangian) -> KernelRangeData:
 
 
 def reconstruct_from_range(data: KernelRangeData, dim: int) -> LinearLagrangian:
-    """Rebuild L from (R, Omega, Ann(R)): span of (r_a, alpha_a) plus 0 + Ann(R)."""
+    """Rebuild L from (R, Omega, Ann(R)): span of (r_a, alpha_a) plus 0 + Ann(R).
+
+    Any covector alpha_a with alpha_a(r_b) = Omega_ab will do.  Row b of the
+    augmented matrix [R | Omega^T] is r_b followed by the values Omega_ab, so
+    one RREF of it solves for every alpha_a at once: column n + a holds
+    alpha_a's pivot coordinates, its free coordinates are 0."""
     n = dim
+    rng = data.range_basis
     rows = []
-    for a, r in enumerate(data.range_basis):
-        # any covector alpha with alpha(r_b) = Omega_ab will do
-        system = [list(rb) for rb in data.range_basis]
-        alpha = linalg.solve(system, list(data.omega[a]))
-        if alpha is None:
+    if rng:
+        aug = [list(r) + [row[b] for row in data.omega] for b, r in enumerate(rng)]
+        m, pivots = linalg.rref(aug)
+        if pivots and pivots[-1] >= n:
             raise DiracError("cannot reconstruct covector (bug)")
-        rows.append(list(r) + list(alpha))
+        for a, r in enumerate(rng):
+            alpha = [Fraction(0)] * n
+            for row, pc in zip(m, pivots):
+                alpha[pc] = row[n + a]
+            rows.append(list(r) + alpha)
     for ann in data.annihilator:
         rows.append([Fraction(0)] * n + list(ann))
     return LinearLagrangian(n, linalg.canonical_span(rows))

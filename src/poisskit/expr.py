@@ -3,10 +3,16 @@ functions, and a small expression parser.
 
 Representation choices:
 
-* coefficients are ``fractions.Fraction`` (arbitrary precision, always in
-  lowest terms with positive denominator);
+* a coefficient is an exact rational under one rule: a Python ``int`` when
+  it is integral, a ``fractions.Fraction`` (lowest terms, positive
+  denominator, denominator > 1) otherwise.  ``Poly``'s constructor applies
+  the rule, and every division of coefficients goes through ``_quotient``,
+  so an ``int / int`` never yields a float.  Most coefficients are
+  integral, and int arithmetic costs a small part of Fraction arithmetic;
+  since ``1 == Fraction(1)`` and the two print and hash alike, the rule
+  changes no value, printed text or hash;
 * a polynomial is a dict mapping exponent tuples (one nonnegative int per
-  chart variable) to nonzero Fractions -- the zero polynomial is the empty
+  chart variable) to nonzero coefficients -- the zero polynomial is the empty
   dict, so structural equality is canonical equality;
 * a rational function stores a numerator/denominator pair of polynomials.
   The pair is reduced by a multivariate gcd whenever both total degrees are
@@ -24,10 +30,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import add
 from typing import Sequence
 
-Rational = Fraction
+Coefficient = int | Fraction  # under the coefficient rule above
 
 #: Reduction of rational functions by a polynomial gcd is attempted only when
 #: both numerator and denominator have total degree at most this cap.
@@ -97,14 +104,35 @@ def _monomial_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
+def _coefficient(c):
+    """c under the coefficient rule: an int when integral, else a Fraction."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _quotient(a, b):
+    """The exact quotient a / b of two coefficients, under the coefficient rule."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coefficient(a / b)
+
+
 class Poly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with exact rational coefficients.
+
+    ``terms`` maps exponent tuples to nonzero coefficients, each an ``int``
+    when integral and a non-integral ``Fraction`` otherwise; the constructor
+    enforces this rule on whatever it is given.
+    """
 
     __slots__ = ("chart", "terms")
 
-    def __init__(self, chart: Chart, terms: dict[tuple[int, ...], Fraction]):
+    def __init__(self, chart: Chart, terms: dict[tuple[int, ...], Coefficient]):
         self.chart = chart
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.terms = {e: c if type(c) is int else _coefficient(c)
+                      for e, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -114,10 +142,7 @@ class Poly:
 
     @staticmethod
     def const(chart: Chart, value) -> "Poly":
-        c = Fraction(value)
-        if c == 0:
-            return Poly.zero(chart)
-        return Poly(chart, {(0,) * chart.dim: c})
+        return Poly(chart, {(0,) * chart.dim: value if type(value) is int else Fraction(value)})
 
     @staticmethod
     def var(chart: Chart, index: int) -> "Poly":
@@ -125,7 +150,7 @@ class Poly:
             raise ExprError(f"variable index {index} out of range")
         e = [0] * chart.dim
         e[index] = 1
-        return Poly(chart, {tuple(e): Fraction(1)})
+        return Poly(chart, {tuple(e): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -133,11 +158,11 @@ class Poly:
         _check_same_chart(self, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
-            else:
+            s = out.get(e, 0) + c
+            if s:
                 out[e] = s
+            else:
+                out.pop(e, None)
         return Poly(self.chart, out)
 
     def __neg__(self) -> "Poly":
@@ -148,22 +173,22 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         _check_same_chart(self, other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Coefficient] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, Fraction(0)) + ca * cb
-                if s == 0:
-                    out.pop(e, None)
-                else:
+                e = tuple(map(add, ea, eb))
+                s = out.get(e, 0) + ca * cb
+                if s:
                     out[e] = s
+                else:
+                    out.pop(e, None)
         return Poly(self.chart, out)
 
     __rmul__ = __mul__
 
-    def scale(self, c: Fraction) -> "Poly":
+    def scale(self, c: Coefficient) -> "Poly":
         if c == 0:
             return Poly.zero(self.chart)
         return Poly(self.chart, {e: c * v for e, v in self.terms.items()})
@@ -202,7 +227,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant:
             raise ExprError("not a constant polynomial")
-        return next(iter(self.terms.values()), Fraction(0))
+        return Fraction(next(iter(self.terms.values()), 0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -211,7 +236,7 @@ class Poly:
     def degree_in(self, index: int) -> int:
         return max((e[index] for e in self.terms), default=-1)
 
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, ...], Coefficient]:
         e = max(self.terms, key=_monomial_key)
         return e, self.terms[e]
 
@@ -220,7 +245,7 @@ class Poly:
     def diff(self, index: int) -> "Poly":
         if not 0 <= index < self.chart.dim:
             raise ExprError(f"variable index {index} out of range")
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Coefficient] = {}
         for e, c in self.terms.items():
             k = e[index]
             if k == 0:
@@ -228,11 +253,11 @@ class Poly:
             e2 = list(e)
             e2[index] = k - 1
             e2 = tuple(e2)
-            s = out.get(e2, Fraction(0)) + c * k
-            if s == 0:
-                out.pop(e2, None)
-            else:
+            s = out.get(e2, 0) + c * k
+            if s:
                 out[e2] = s
+            else:
+                out.pop(e2, None)
         return Poly(self.chart, out)
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
@@ -304,18 +329,6 @@ class Poly:
 # degree <= GCD_DEGREE_CAP, which keeps the pseudo-remainder growth harmless.
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = _int_gcd(a.numerator, b.numerator)
-    den = abs(a.denominator * b.denominator) // _int_gcd(
-        a.denominator, b.denominator
-    )
-    return Fraction(num, den)
-
-
 def _as_univariate(p: Poly, index: int) -> dict[int, Poly]:
     """View p as a univariate polynomial in x_index with Poly coefficients."""
     coeffs: dict[int, dict] = {}
@@ -338,21 +351,30 @@ def _from_univariate(chart: Chart, index: int, coeffs: dict[int, Poly]) -> Poly:
 
 
 def poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division a / b; raises ExprError if b does not divide a."""
+    """Exact division a / b; raises ExprError if b does not divide a.
+
+    One remainder dict is reduced in place: each quotient term t*x^diff
+    subtracts t*x^diff*b from it term by term.
+    """
     if b.is_zero:
         raise ExprError("division by the zero polynomial")
-    q = Poly.zero(a.chart)
-    r = a
     be, bc = b.leading()
-    while not r.is_zero:
-        re, rc = r.leading()
+    q = {}
+    r = dict(a.terms)
+    while r:
+        re = max(r, key=_monomial_key)
         diff = tuple(x - y for x, y in zip(re, be))
         if any(d < 0 for d in diff):
             raise ExprError("inexact polynomial division")
-        t = Poly(a.chart, {diff: rc / bc})
-        q = q + t
-        r = r - t * b
-    return q
+        t = q[diff] = _quotient(r[re], bc)
+        for e, c in b.terms.items():
+            e = tuple(map(add, diff, e))
+            s = r.get(e, 0) - t * c
+            if s:
+                r[e] = s
+            else:
+                r.pop(e, None)
+    return Poly(a.chart, q)
 
 
 def _try_divexact(a: Poly, b: Poly):
@@ -396,14 +418,17 @@ def _content_and_primitive(u: dict[int, Poly], chart: Chart):
 def _normalize_gcd(g: Poly) -> Poly:
     if g.is_zero:
         return g
-    # primitive with positive leading coefficient
-    cont = Fraction(0)
+    # primitive with positive leading coefficient: divide by the content
+    # gcd(numerators) / lcm(denominators), negated when the leading
+    # coefficient is negative
+    num, den = 0, 1
     for c in g.terms.values():
-        cont = _frac_gcd(cont, c)
+        num = _int_gcd(num, c.numerator)
+        den = _int_lcm(den, c.denominator)
     _, lead = g.leading()
     if lead < 0:
-        cont = -cont
-    return g.scale(1 / cont)
+        num = -num
+    return Poly(g.chart, {e: _quotient(c * den, num) for e, c in g.terms.items()})
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -477,7 +502,7 @@ class RatFunc:
             return num, Poly.const(num.chart, 1)
         if den.is_constant:
             c = den.constant_value()
-            return num.scale(1 / c), Poly.const(num.chart, 1)
+            return num.scale(_quotient(1, c)), Poly.const(num.chart, 1)
         q = _try_divexact(num, den)
         if q is not None:
             return q, Poly.const(num.chart, 1)
@@ -494,7 +519,7 @@ class RatFunc:
                 den = poly_divexact(den, g)
                 if den.is_constant:
                     c = den.constant_value()
-                    return num.scale(1 / c), Poly.const(num.chart, 1)
+                    return num.scale(_quotient(1, c)), Poly.const(num.chart, 1)
         _, lead = den.leading()
         if lead < 0:
             num, den = -num, -den

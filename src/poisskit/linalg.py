@@ -14,7 +14,9 @@ takes and returns dense lists.
 
 Everything works for any entry type supporting +, -, *, /, a truthy zero
 test via ``_is_zero`` and an explicit multiplicative identity (needed when a
-matrix over RatFuncs must be inverted).
+matrix over RatFuncs must be inverted).  Entries may also be ints (the
+integral coefficients of ``Poly``); every division goes through ``_div``,
+which keeps ``int / int`` exact.
 """
 
 from __future__ import annotations
@@ -23,12 +25,19 @@ from fractions import Fraction
 
 
 def _is_zero(x) -> bool:
-    if type(x) is Fraction:
+    if type(x) is int or type(x) is Fraction:
         return not x
     z = getattr(x, "is_zero", None)
     if z is not None:
         return z
     return x == 0
+
+
+def _div(x, y):
+    """x / y, exact (a Fraction) when both are ints."""
+    if type(x) is int and type(y) is int:
+        return Fraction(x, y)
+    return x / y
 
 
 def mat_copy(m):
@@ -56,7 +65,7 @@ def rref(matrix):
             continue
         pc = min(row)
         pv = row[pc]
-        row = {c: x / pv for c, x in row.items()}
+        row = {c: _div(x, pv) for c, x in row.items()}
         for other in reduced.values():
             if pc in other:
                 _axpy(other, -other[pc], row)
@@ -91,10 +100,6 @@ def canonical_span(vectors):
         return []
     m, pivots = rref(vectors)
     return [m[i] for i in range(len(pivots))]
-
-
-def span_eq(a, b) -> bool:
-    return canonical_span(a) == canonical_span(b)
 
 
 def kernel_basis(matrix, ncols=None):
@@ -154,7 +159,7 @@ def mat_inverse(m, one=Fraction(1)):
             return None
         aug[r], aug[pivot] = aug[pivot], aug[r]
         pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
+        aug[r] = [_div(x, pv) for x in aug[r]]
         for i in range(n):
             if i != r and not _is_zero(aug[i][c]):
                 f = aug[i][c]
@@ -175,7 +180,7 @@ def det(m, one=Fraction(1)):
             a[c], a[pivot] = a[pivot], a[c]
             result = -result
         result = result * a[c][c]
-        inv = one / a[c][c]
+        inv = _div(one, a[c][c])
         for i in range(c + 1, n):
             if not _is_zero(a[i][c]):
                 f = a[i][c] * inv
@@ -205,14 +210,3 @@ def preimage_span(matrix, span, ncols=None):
     big = [list(row) + [-s[i] for s in span] for i, row in enumerate(matrix)]
     sols = kernel_basis(big, ncols=cols + len(span))
     return canonical_span([s[:cols] for s in sols])
-
-
-def intersect_spans(a, b):
-    """Intersection of two row-spanned subspaces."""
-    if not a or not b:
-        return []
-    # v = a^T x = b^T y; kernel of [a^T | -b^T]
-    at = transpose(a)
-    big = [row + [-x for x in brow] for row, brow in zip(at, transpose(b))]
-    sols = kernel_basis(big, ncols=len(a) + len(b))
-    return canonical_span([matvec(at, s[: len(a)]) for s in sols])

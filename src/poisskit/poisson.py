@@ -373,7 +373,7 @@ def _kvector_basis(chart: Chart, k: int, degree: int):
 
 def _basis_element(chart: Chart, idx, mono) -> MultiVec:
     return MultiVec(
-        chart, len(idx), {idx: RatFunc.from_poly(Poly(chart, {mono: Fraction(1)}))}
+        chart, len(idx), {idx: RatFunc.from_poly(Poly(chart, {mono: 1}))}
     )
 
 
@@ -386,7 +386,7 @@ def _terms(mv: MultiVec):
 
 
 def _d_pi_image(idx, mono, of_x, of_d):
-    """d_pi(x^mono d/dx_idx) as {(index tuple, exponent tuple): Fraction},
+    """d_pi(x^mono d/dx_idx) as {(index tuple, exponent tuple): coefficient},
     from the generator images of_x[j] = _terms(d_pi(x_j)) and
     of_d[j] = _terms(d_pi(d/dx_j))."""
     out = {}
@@ -425,7 +425,7 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
 
     (r counted from 0).  Only the 2n generator images d_pi(x_j) and
     d_pi(d/dx_j) take a Schouten bracket; the rest is index and exponent
-    bookkeeping on Fraction coefficients.
+    bookkeeping on exact (int or Fraction) coefficients.
     """
     pi = _pi_of(structure)
     chart = pi.chart

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from poisskit import poisson
+from poisskit import linalg, poisson
 from poisskit.dirac import (
     ConstraintSystem,
     DiracError,
@@ -54,6 +54,20 @@ def test_gauge_at_matches_gauge_transform(ch3, so3_structure):
 def test_reconstruct_from_range_inverts_kernel_and_range(so3_structure):
     lag = from_bivector_at(so3_structure, P)
     assert reconstruct_from_range(kernel_and_range(lag), 3) == lag
+
+
+def test_reconstruct_from_range_is_one_elimination(so3_structure, monkeypatch):
+    # the range of the so3 graph at P is 2-dimensional; every alpha_a comes
+    # from one RREF, and the other two are canonical_span and the lagrangian check
+    lag = from_bivector_at(so3_structure, P)
+    data = kernel_and_range(lag)
+    assert len(data.range_basis) == 2
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or rref(m))
+    result = reconstruct_from_range(data, 3)
+    assert len(calls) == 3
+    assert result == lag
 
 
 # -- Courant tensor -------------------------------------------------------------------

@@ -14,6 +14,22 @@ def test_rref_and_rank():
     assert linalg.rank(m) == 2
 
 
+def _no_floats(matrix):
+    return not any(isinstance(x, float) for row in matrix for x in row)
+
+
+def test_int_entries_stay_exact():
+    rows, pivots = linalg.rref([[2, 1], [4, 3]])
+    assert rows == [[1, 0], [0, 1]] and pivots == [0, 1] and _no_floats(rows)
+    ker = linalg.kernel_basis([[2, 1]])
+    assert ker == [[F(-1, 2), 1]] and _no_floats(ker)
+    inv = linalg.mat_inverse([[2, 1], [4, 3]], one=1)
+    assert inv == [[F(3, 2), F(-1, 2)], [-2, 1]] and _no_floats(inv)
+    assert linalg.det([[2, 1], [1, 2]], one=1) == 3
+    assert linalg.det([[3, 1], [1, 1]], one=1) == 2
+    assert linalg.solve([[2, 0], [0, 4]], [1, 1]) == [F(1, 2), F(1, 4)]
+
+
 def test_kernel_basis():
     m = [[F(1), F(1), F(0)], [F(0), F(0), F(1)]]
     ker = linalg.kernel_basis(m)
@@ -47,9 +63,14 @@ def test_ratfunc_matrix_inverse():
 def test_span_operations():
     a = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
     b = [[F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    inter = linalg.intersect_spans(a, b)
-    assert inter == [[F(0), F(1), F(0)]]
-    assert linalg.span_eq(a, [[F(1), F(1), F(0)], [F(1), F(-1), F(0)]])
+    # span(a) meets span(b) in the line through (0, 1, 0): the line lies in
+    # both, and dim(a + b) = 3 leaves it one dimension
+    line = [F(0), F(1), F(0)]
+    assert linalg.canonical_span(a + [line]) == linalg.canonical_span(a)
+    assert linalg.canonical_span(b + [line]) == linalg.canonical_span(b)
+    assert linalg.rank(a + b) == 3
+    other_basis = [[F(1), F(1), F(0)], [F(1), F(-1), F(0)]]
+    assert linalg.canonical_span(a) == linalg.canonical_span(other_basis)
 
 
 def test_preimage_span():

@@ -231,7 +231,7 @@ def test_char_fiber_canonical(chqp, pican_structure):
 def test_char_fiber_so3(so3_structure):
     pt = [F(0), F(0), F(1)]
     cf = char_fiber(so3_structure, pt)
-    assert linalg.span_eq(cf.r_basis, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]])
+    assert linalg.canonical_span(cf.r_basis) == [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
     # Omega(pi# dx, pi# dy) = pi(dy, dx) = -1 at this point (3x3 by hand)
     assert cf.omega_matrix == [[F(0), F(-1)], [F(1), F(0)]]
     assert cf.reconstruct_matrix() == matrix_at(so3_structure.pi, pt)
