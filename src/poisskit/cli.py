@@ -3,7 +3,10 @@
 A manifest is a single JSON document describing one chart and named objects
 over it; all mathematical values are strings in the expression grammar
 (floats appear only inside flow configs).  Index keys are 0-based, bivector
-and form coefficient tables are keyed "i,j" with i < j.
+and form coefficient tables are keyed "i,j" with i < j, and vector field
+tables are keyed "i": the ``expect`` of a ``modular`` task is such a table,
+e.g. {"task": "modular", "expect": {"1": "-1"}} for -d/dy on (x, y), and is
+compared with the modular vector field by value.
 
     {
       "chart": ["x", "y", "z"],
@@ -248,8 +251,12 @@ def _task_modular(manifest, params):
     expect = params.get("expect")
     if expect is None:
         return TaskResult("modular", None, [f"INFO modular {mv}"], {"modular": str(mv)})
-    ok = str(mv) == expect
-    line = "PASS modular" if ok else f"FAIL modular {mv} != {expect}"
+    try:
+        expected = MultiVec(chart, 1, _parse_table(expect, chart, 1))
+    except (ExprError, ValueError) as err:
+        raise ManifestError(f"parameter 'expect' of modular: {err}") from None
+    ok = mv == expected
+    line = "PASS modular" if ok else f"FAIL modular {mv} != {expected}"
     return TaskResult("modular", ok, [line], {"modular": str(mv)})
 
 
@@ -358,8 +365,9 @@ def _task_flow(manifest, params):
         f"{'PASS' if ok else 'FAIL'} flow h_drift={traj.h_drift:.3e} "
         f"casimir_drifts={[f'{d:.3e}' for d in traj.casimir_drifts]}"
     )
-    return TaskResult("flow", ok, [line],
-                      {"h_drift": traj.h_drift, "casimir_drifts": traj.casimir_drifts})
+    return TaskResult("flow", ok, [line], {"h_drift": traj.h_drift,
+                                           "casimir_drifts": traj.casimir_drifts,
+                                           "steps": traj.steps})
 
 
 TASKS = {

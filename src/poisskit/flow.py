@@ -3,26 +3,35 @@ by composed flows, Moser-path verification, and spray-based symplectic
 realization by quadrature.
 
 All symbolic data is converted to 64-bit floats on entry: each vector field
-is compiled to generated scalar Python code (``compile_field``), and the one
-RK4 step (``rk4_step``) works on plain lists of floats.  The integrator is
-deliberately fixed-step RK4 (no adaptivity) so traces are reproducible;
-variational (Jacobian) equations are integrated alongside the base flow.
-Trajectories are stored in a flat ``array('d')`` and returned as numpy views.
+is compiled to generated scalar Python code (``compile_field``), both its
+right-hand side and one generated RK4 loop, ``advance``, that keeps the state
+in scalar locals and runs the pole guards, the escape test and the recording
+of states inside the loop.  ``rk4_step`` is the reference step: the loop does
+the float operations of repeated ``rk4_step`` calls in the same order, so the
+two give bit-identical states (the tests hold the loop to it).  The
+integrator is deliberately fixed-step RK4 (no adaptivity) so traces are
+reproducible; variational (Jacobian) equations are integrated alongside the
+base flow.  Trajectories are stored in a flat ``array('d')`` and returned as
+numpy views; numpy is imported by the functions that return or use arrays,
+not with the module.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import poisson
 from .expr import Chart, ExprError, RatFunc, chart as make_chart
 from .multivec import DiffForm, MultiVec, exterior_derivative
 from .poisson import PoissonStructure, _pi_of, bivector_matrix, hamiltonian_vf
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FlowError(ExprError):
@@ -91,14 +100,23 @@ def compile_ratfunc(rf: RatFunc):
 
 
 def compile_matrix(entries):
+    import numpy as np
+
     fns = [[compile_ratfunc(c) for c in row] for row in entries]
     def matrix(p):
         return np.array([[f(p) for f in row] for row in fns])
     return matrix
 
 
-def compile_field(components, time_var=None, variational=False):
-    """Compile the vector field p' = X(t, p) to ``(rhs, guards)``.
+class CompiledField(NamedTuple):
+    rhs: Callable
+    guards: list
+    advance: Callable
+
+
+def compile_field(components, time_var=None, variational=False) -> CompiledField:
+    """Compile the vector field p' = X(t, p) to its ``rhs``, ``guards`` and
+    ``advance``.
 
     ``rhs(t, p)`` returns the tuple of components as floats; chart variable
     ``time_var``, if given, reads the time t.  With ``variational`` the state
@@ -107,9 +125,15 @@ def compile_field(components, time_var=None, variational=False):
     entries of A J, skipping the zero entries of A.  ``guards`` are callables
     ``g(t, p)`` for the nonconstant denominators of the components.
 
-    Each nonzero component and entry of A is compiled by its own eval:
-    one compile of a large field's whole source takes more memory than its
-    parts one at a time.
+    ``advance(t, y, h, steps, cfg, pole_msg, escape_msg=None, out=None)`` is
+    the field's generated RK4 loop (see ``_advance_source``): it takes
+    ``steps`` steps of size h from the state y at time t and returns the new
+    (t, y), y as a list.
+
+    Each nonzero component and entry of A is compiled by its own eval, and
+    the loop calls ``rhs`` at each stage instead of repeating its
+    expressions: one compile of a large field's whole source takes more
+    memory than its parts one at a time.
     """
     m = len(components)
     names = _names(components[0].chart, time_var)
@@ -136,14 +160,24 @@ def compile_field(components, time_var=None, variational=False):
     exec(f"def rhs(t, p):\n{''.join(body)}    return ({', '.join(values)},)\n", env)
     guards = [eval(f"lambda t, p: {_poly_source(c.den, names)}")
               for c in components if not c.den.is_constant]
-    return env["rhs"], guards
+    env.update((f"g{i}", g) for i, g in enumerate(guards))
+    env.update(FLOAT_MAX=sys.float_info.max, FlowError=FlowError,
+               PoleProximityError=PoleProximityError, state_error=_state_error)
+    exec(_advance_source(m + m * m if variational else m, len(guards)), env)
+    return CompiledField(env["rhs"], guards, env["advance"])
 
 
 # -- RK4 -------------------------------------------------------------------------
 
 
 def rk4_step(f, t, y, h):
-    """One classical RK4 step of y' = f(t, y) on lists of floats."""
+    """One classical RK4 step of y' = f(t, y) on lists of floats.
+
+    This is the reference step.  The generated loops of ``compile_field``
+    do its float operations in its order, and the tests compare them with
+    it bit for bit; the benchmark's tracer (``perfbench/tracing.py``) wraps
+    it by name, and the integrators do not call it.
+    """
     h2 = h / 2
     k1 = f(t, y)
     k2 = f(t + h2, [a + h2 * b for a, b in zip(y, k1)])
@@ -153,44 +187,85 @@ def rk4_step(f, t, y, h):
     return [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
-def _advance(rhs, guards, t, y, h, steps, cfg: FlowConfig, pole_msg, escape_msg=None,
-             out=None):
-    """Take ``steps`` RK4 steps of size h from (t, y); returns the new (t, y).
+def _advance_source(size, guard_count):
+    """Source of ``advance``, the RK4 loop of ``rk4_step`` on a state of
+    ``size`` floats held in the locals y0, y1, ...
 
-    Before each step every guard must be at least the pole threshold in
-    absolute value.  After each step, if ``escape_msg`` is given, the state
-    must be finite and inside the escape radius.  The messages are format
-    templates for the state.  Each new state is appended to ``out`` if given.
+    Before each step every guard g0, g1, ... must be at least the pole
+    threshold in absolute value.  Each step calls ``rhs`` at the four stages
+    with ``rk4_step``'s operations in its order: the stage points are
+    y + h2*k and, last, y + h*k; the stage times t + h2 and t + h; the update
+    y + h6*(k1 + 2*k2 + 2*k3 + k4).  After each step, if ``escape_msg`` is
+    given, the state must be finite and inside the escape radius, and it is
+    appended to ``out`` if given.  The messages are format templates for the
+    state; when a float operation fails, that is the last completed state.
     """
-    # abs(v) <= radius is False for nan, and for inf once radius is finite
-    inside = float(min(cfg.escape_radius, sys.float_info.max)).__ge__
-    try:
-        for _ in range(steps):
-            for g in guards:
-                if abs(g(t, y)) < cfg.pole_threshold:
-                    raise PoleProximityError(pole_msg.format(np.array(y)))
-            y = rk4_step(rhs, t, y, h)
-            t += h
-            if escape_msg is not None and not all(map(inside, map(abs, y))):
-                raise FlowError(escape_msg.format(np.array(y)))
-            if out is not None:
-                out.extend(y)
-    except ArithmeticError:  # a float power overflowed, or a stage hit a pole
-        raise FlowError((escape_msg or "flow overflowed near {}").format(np.array(y))) from None
-    return t, y
+    ys = [f"y{i}" for i in range(size)]
+    state = f"({', '.join(ys)},)"
+
+    def stage(k, point):
+        targets = "".join(f"k{k}_{i}, " for i in range(size))
+        return f"            {targets}= rhs({point})\n"
+
+    def moved(coef, k):
+        return "".join(f"y{i} + {coef} * k{k}_{i}, " for i in range(size))
+
+    update = "".join(f"y{i} + h6 * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i}), "
+                     for i in range(size))
+    inside = " and ".join(f"low <= {y} <= radius" for y in ys)
+    guards = "".join(f"            if abs(g{g}(t, p)) < threshold:\n"
+                     f"                raise state_error(PoleProximityError, pole_msg, p)\n"
+                     for g in range(guard_count))
+    return (
+        "def advance(t, y, h, steps, cfg, pole_msg, escape_msg=None, out=None):\n"
+        f"    {state} = y\n"
+        "    h2 = h / 2\n"
+        "    h6 = h / 6\n"
+        "    threshold = cfg.pole_threshold\n"
+        "    # the test is False for nan, and for inf once the radius is finite\n"
+        "    radius = float(min(cfg.escape_radius, FLOAT_MAX))\n"
+        "    low = -radius\n"
+        "    try:\n"
+        "        for _ in range(steps):\n"
+        f"            p = {state}\n"
+        f"{guards}"
+        + stage(1, "t, p")
+        + stage(2, f"t + h2, ({moved('h2', 1)})")
+        + stage(3, f"t + h2, ({moved('h2', 2)})")
+        + stage(4, f"t + h, ({moved('h', 3)})")
+        + f"            {state} = ({update})\n"
+        "            t += h\n"
+        f"            if escape_msg is not None and not ({inside}):\n"
+        f"                raise state_error(FlowError, escape_msg, {state})\n"
+        "            if out is not None:\n"
+        f"                out.extend({state})\n"
+        "    except ArithmeticError:  # a float power overflowed, or a stage hit a pole\n"
+        "        raise state_error(FlowError, escape_msg or 'flow overflowed near {}',\n"
+        f"                          {state}) from None\n"
+        f"    return t, [{', '.join(ys)}]\n"
+    )
 
 
-def _at_nodes(rhs, guards, y0, nodes, cfg: FlowConfig, pole_msg, escape_msg=None):
+def _state_error(cls, template, state):
+    """``cls`` with its message: ``template`` formatted with the state as an
+    array."""
+    import numpy as np
+
+    return cls(template.format(np.array(state)))
+
+
+def _at_nodes(field: CompiledField, y0, nodes, cfg: FlowConfig, pole_msg, escape_msg=None):
     """Flow y0 with its variational matrix J (J = I at t = 0) through the
     increasing times ``nodes``; yields (t, y, J) at each node."""
+    import numpy as np
+
     m = len(y0)
-    t, state = 0.0, y0 + np.eye(m).ravel().tolist()
+    t, state = 0.0, y0 + [float(i == j) for i in range(m) for j in range(m)]
     for node in nodes:
         gap = node - t
         if gap > 0:
             steps = max(1, int(round(gap / cfg.dt)))
-            t, state = _advance(rhs, guards, t, state, gap / steps, steps, cfg, pole_msg,
-                                escape_msg)
+            t, state = field.advance(t, state, gap / steps, steps, cfg, pole_msg, escape_msg)
         yield t, state[:m], np.array(state[m:]).reshape(m, m)
 
 
@@ -225,23 +300,26 @@ class Trajectory:
     xs: np.ndarray
     h_drift: float
     casimir_drifts: list
+    steps: int                   # RK4 steps taken
 
 
 def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
                           casimirs=()) -> Trajectory:
     """RK4 trajectory of X_H with H- and Casimir-drift reporting."""
+    import numpy as np
+
     n = hamiltonian.chart.dim
-    rhs, guards = compile_field(hamiltonian_vf(structure, hamiltonian).components())
+    field = compile_field(hamiltonian_vf(structure, hamiltonian).components())
     steps = int(round(cfg.t_max / cfg.dt))
     if steps > cfg.max_steps:
         raise FlowError(f"step count {steps} exceeds max_steps")
     x = _point(x0, n, f"x0 needs {n} coordinates")
     xs = array("d", x)
-    _advance(rhs, guards, 0.0, x, cfg.dt, steps, cfg,
-             "denominator below threshold near {}", "trajectory escaped near {}", xs)
+    field.advance(0.0, x, cfg.dt, steps, cfg,
+                  "denominator below threshold near {}", "trajectory escaped near {}", xs)
     h_drift, *drifts = _drifts([hamiltonian, *casimirs], xs, n)
     return Trajectory(np.arange(len(xs) // n) * cfg.dt, np.frombuffer(xs).reshape(-1, n),
-                      h_drift, drifts)
+                      h_drift, drifts, steps)
 
 
 @dataclass
@@ -249,18 +327,21 @@ class LeafTrace:
     points: np.ndarray
     hamiltonians: list
     casimir_drifts: list
+    steps: int                   # RK4 steps taken, over the whole schedule
 
 
 def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
                casimirs=()) -> LeafTrace:
     """Compose Hamiltonian flows of the generators per the schedule
     [(generator index, time), ...]; negative times flow backwards."""
+    import numpy as np
+
     n = _pi_of(structure).chart.dim
     fields = [compile_field(hamiltonian_vf(structure, g).components()) for g in generators]
     x = _point(x0, n, f"x0 needs {n} coordinates")
     points = array("d", x)
+    taken = 0
     for gen_index, t_total in schedule:
-        rhs, guards = fields[gen_index]
         t_abs = abs(float(t_total))
         if t_abs == 0.0:
             continue
@@ -268,11 +349,12 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
         if steps > cfg.max_steps:
             raise FlowError("step count exceeds max_steps")
         h = (t_abs / steps) * (1.0 if t_total > 0 else -1.0)
-        _, x = _advance(rhs, guards, 0.0, x, h, steps, cfg,
-                        "denominator below threshold near {}", "trajectory escaped near {}",
-                        points)
+        _, x = fields[gen_index].advance(0.0, x, h, steps, cfg,
+                                         "denominator below threshold near {}",
+                                         "trajectory escaped near {}", points)
+        taken += steps
     return LeafTrace(np.frombuffer(points).reshape(-1, n), list(generators),
-                     _drifts(casimirs, points, n))
+                     _drifts(casimirs, points, n), taken)
 
 
 # -- Moser-path verification --------------------------------------------------------
@@ -304,6 +386,8 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     integrated with RK4 and the pushforward J P_0 J^T is compared against the
     exact pi_t matrix at the endpoint, at every requested grid time.
     """
+    import numpy as np
+
     chart = structure.chart
     n = chart.dim
     if alpha.degree != 1 or alpha.chart != chart:
@@ -326,7 +410,7 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     alpha_lift = [alpha.coeff((i,)).lift(big) for i in range(n)]
     x_t = [sum((alpha_lift[i] * p_t[i][j] for i in range(n)), RatFunc.zero(big))
            for j in range(n)]
-    rhs, guards = compile_field(x_t, time_var=n, variational=True)
+    field = compile_field(x_t, time_var=n, variational=True)
     p_t_fn = compile_matrix([row[:n] for row in p_t[:n]])
 
     grid = sorted(float(t) for t in t_grid)
@@ -336,7 +420,7 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     # invertibility at the samples across the grid (precondition check)
     for s, x0 in zip(samples, starts):
         for t in grid:
-            for g in guards:
+            for g in field.guards:
                 if abs(g(t, x0)) < cfg.pole_threshold:
                     raise FlowError(f"gauge family degenerate at sample {s}, t={t}")
 
@@ -346,7 +430,7 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     for x0 in starts:
         p0 = p0_fn(x0)
         devs = [float(np.max(np.abs(j @ p0 @ j.T - p_t_fn(x + [t]))))
-                for t, x, j in _at_nodes(rhs, guards, x0, grid, cfg, "flow hit a gauge pole")]
+                for t, x, j in _at_nodes(field, x0, grid, cfg, "flow hit a gauge pole")]
         per_sample.append(devs)
         overall = max(overall, max(devs))
     return MoserReport(overall, per_sample)
@@ -365,7 +449,7 @@ class RealizationSample:
 
     @property
     def nondegenerate(self) -> bool:
-        return self.det != 0 and np.isfinite(self.condition)
+        return self.det != 0 and math.isfinite(self.condition)
 
 
 def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
@@ -376,6 +460,8 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     omega_can = sum_i dx_i ^ dxi_i, for which the chart projection of the
     resulting symplectic form is a Poisson map onto pi (realization_check).
     """
+    import numpy as np
+
     pi = _pi_of(structure)
     chart = pi.chart
     n = chart.dim
@@ -385,7 +471,7 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     # spray: dx_j/dt = sum_i xi_i P_ij(x), dxi/dt = 0
     spray = [sum((RatFunc.var(big, n + i) * p_lift[i][j] for i in range(n)), RatFunc.zero(big))
              for j in range(n)]
-    rhs, guards = compile_field(spray + [RatFunc.zero(big)] * n, variational=True)
+    field = compile_field(spray + [RatFunc.zero(big)] * n, variational=True)
 
     if isinstance(quad_nodes, int):
         nodes = np.linspace(0.0, 1.0, quad_nodes).tolist()
@@ -401,7 +487,7 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     for s in samples:
         y0 = _point(s, 2 * n, "samples live in the cotangent chart (length 2n)")
         values = [j.T @ w_can @ j for _, _, j in _at_nodes(
-            rhs, guards, y0, nodes, cfg, "spray flow hit a pole",
+            field, y0, nodes, cfg, "spray flow hit a pole",
             f"spray flow escaped for sample {s}")]
         acc = np.zeros((2 * n, 2 * n))
         for k in range(len(nodes) - 1):
@@ -417,6 +503,8 @@ def realization_check(realization_samples, structure) -> float:
     """Invert each omega to a bivector on the cotangent chart, push it down
     the projection (the [I 0] block), and compare with pi at the base point;
     returns the max entrywise deviation."""
+    import numpy as np
+
     pi = _pi_of(structure)
     n = pi.chart.dim
     p_fn = compile_matrix(bivector_matrix(pi))

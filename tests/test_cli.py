@@ -62,3 +62,34 @@ def test_failed_task_is_reported_per_task(tmp_path, capsys):
     assert status == 1
     assert lines[0].startswith("FAIL is_poisson ")
     assert lines[1] == "INFO rank 2"
+
+
+# pi = x d/dx^d/dy has the modular vector field -d/dy for dx^dy
+def _modular(expect):
+    return json.dumps({"chart": ["x", "y"], "bivectors": {"pi": {"0,1": "x"}},
+                       "tasks": [{"task": "modular", "expect": expect}]})
+
+
+@pytest.mark.parametrize("expect", [{"1": "-1"}, {"1": "-x/x"}, {"1": "(1 - 3)/2"}])
+def test_modular_compares_values(tmp_path, capsys, expect):
+    assert _run(tmp_path, capsys, _modular(expect)) == (0, ["PASS modular"])
+
+
+def test_modular_wrong_value(tmp_path, capsys):
+    status, lines = _run(tmp_path, capsys, _modular({"0": "x", "1": "-1"}))
+    assert status == 1
+    assert lines == ["FAIL modular (-1) d/dy != x d/dx + (-1) d/dy"]
+
+
+@pytest.mark.parametrize("expect,message", [
+    ("(-1) d/dy", "a coefficient table must be a JSON object"),
+    ({"0,1": "1"}, "key '0,1' is not a degree-1 index tuple"),
+    ({"2": "1"}, "out of range"),
+    ({"1": "x^"}, "exponent"),
+    ({"y": "1"}, "invalid literal for int()"),
+])
+def test_modular_malformed_expect(tmp_path, capsys, expect, message):
+    status, lines = _run(tmp_path, capsys, _modular(expect))
+    assert status == 2
+    assert len(lines) == 1 and lines[0].startswith("FAIL manifest parameter 'expect' of modular")
+    assert message in lines[0]

@@ -1,5 +1,6 @@
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -121,20 +122,30 @@ def test_pole_proximity(ch2):
     pi = poisson.require_poisson(MultiVec(ch2, 2, {(0, 1): RatFunc.const(ch2, 1)}))
     h = parse_expr("y + 1/x", ch2)
     cfg = flow.FlowConfig(dt=0.01, t_max=2.0, pole_threshold=1e-3)
-    with pytest.raises(flow.PoleProximityError, match="denominator below threshold"):
+    with pytest.raises(flow.PoleProximityError) as info:
         flow.integrate_hamiltonian(pi, h, [1.0, 0.0], cfg)
+    # the message gives the last state before the step
+    assert str(info.value) == ("denominator below threshold near "
+                               "[ 3.00000000e-02 -3.23364674e+01]")
 
 
-# p' = p^2 blows up at t = 1, and a float power overflows on the way; for
-# H = q*p the state grows by about e per unit step until a product is inf
-@pytest.mark.parametrize("h,dt,radius", [
-    ("q*p^2", 0.01, 1e9), ("q*p^2", 0.01, float("inf")), ("q*p", 1.0, float("inf")),
-])
+# p' = p^2 blows up at t = 1, and a float power overflows on the way (an
+# ArithmeticError, reported with the last completed state); for H = q*p the
+# state grows by about e per unit step until a product is inf
+ESCAPES = {
+    ("q*p^2", 0.01, 1e9): "[4.03144572e+07 1.01005215e+13]",
+    ("q*p^2", 0.01, float("inf")): "[3.04948524e+169 4.77517763e+173]",
+    ("q*p", 1.0, float("inf")): "[2.56585805e-304             inf]",
+}
+
+
+@pytest.mark.parametrize("h,dt,radius", list(ESCAPES))
 def test_escape(qp_canonical, h, dt, radius):
     qp, pi = qp_canonical
     cfg = flow.FlowConfig(dt=dt, t_max=1000 * dt, escape_radius=radius)
-    with pytest.raises(flow.FlowError, match="trajectory escaped"):
+    with pytest.raises(flow.FlowError) as info:
         flow.integrate_hamiltonian(pi, parse_expr(h, qp), [0.5, 1.0], cfg)
+    assert str(info.value) == f"trajectory escaped near {ESCAPES[h, dt, radius]}"
 
 
 def test_leaf_trace_there_and_back(so3_structure, ch3):
@@ -157,3 +168,71 @@ def test_points_are_read_exactly(so3_structure):
     for bad in (["1/2", "half", "0", "0", "0", "0"], ["1/0"] * 6, None):
         with pytest.raises(flow.FlowError, match="cannot read point"):
             flow.spray_realization(so3_structure, [bad], 5, cfg)
+
+
+def _rk4_states(rhs, t, y, h, steps):
+    """The reference: ``steps`` calls of flow.rk4_step, every state kept."""
+    states = array("d", y)
+    for _ in range(steps):
+        y = flow.rk4_step(rhs, t, y, h)
+        t += h
+        states.extend(y)
+    return t, states
+
+
+def test_generated_loop_is_bit_identical_to_rk4_step():
+    # each component of X_H has the nonconstant denominator (1 + z^2)^2, so
+    # the loop checks three pole guards per step
+    ch = chart("x", "y", "z")
+    pi = poisson.verify(MultiVec(ch, 2, {(0, 1): parse_expr("z", ch),
+                                         (1, 2): parse_expr("x", ch),
+                                         (0, 2): parse_expr("-y", ch)}))
+    h = parse_expr("(x^2 + 2*y^2 + 3*z^2)/(1 + z^2)", ch)
+    field = flow.compile_field(poisson.hamiltonian_vf(pi, h).components())
+    assert len(field.guards) == 3
+    cfg = flow.FlowConfig(dt=0.01, t_max=5.0)
+    traj = flow.integrate_hamiltonian(pi, h, [0.5, 1 / 3, -0.25], cfg)
+    _, states = _rk4_states(field.rhs, 0.0, [0.5, 1 / 3, -0.25], cfg.dt, 500)
+    assert traj.xs.tobytes() == states.tobytes()
+
+
+def test_generated_variational_loop_is_bit_identical_to_rk4_step():
+    # a time-dependent field with a pole, and its variational equations, as
+    # in a Moser path; the loop starts at t = 0.3 and runs in two calls, with
+    # steps at which t + h differs from t + h/2 + h/2
+    ch = chart("x", "y", "t")
+    components = [parse_expr("y*t/(2 + x^2)", ch), parse_expr("t^2*y - x + x*y", ch)]
+    field = flow.compile_field(components, time_var=2, variational=True)
+    y0 = [0.3, -0.7, 1.0, 0.0, 0.0, 1.0]
+    cfg = flow.FlowConfig()
+    got = array("d", y0)
+    t, y = field.advance(0.3, y0, 0.07, 20, cfg, "pole {}", out=got)
+    t, y = field.advance(t, y, 1 / 30, 15, cfg, "pole {}", out=got)
+    ref_t, ref = _rk4_states(field.rhs, 0.3, y0, 0.07, 20)
+    ref_t, tail = _rk4_states(field.rhs, ref_t, ref[-6:].tolist(), 1 / 30, 15)
+    ref.extend(tail[6:])
+    assert got.tobytes() == ref.tobytes()
+    assert array("d", [t, *y]).tobytes() == array("d", [ref_t, *ref[-6:]]).tobytes()
+
+
+def test_overflow_message_without_escape_test():
+    # x' = x^2 blows up at t = 1; with no escape test the power overflows
+    x = chart("x")
+    field = flow.compile_field([parse_expr("x^2", x)])
+    with pytest.raises(flow.FlowError) as info:
+        field.advance(0.0, [1.0], 0.01, 1000, flow.FlowConfig(), "pole {}")
+    assert str(info.value) == "flow overflowed near [4.77517763e+173]"
+
+
+def test_step_counts(tmp_path, capsys, so3_structure, ch3):
+    cfg = flow.FlowConfig(dt=0.003, t_max=1.0)
+    traj = flow.integrate_hamiltonian(so3_structure, parse_expr("x^2 + 2*y^2", ch3),
+                                      [0.1, 0.2, 0.3], cfg)
+    assert traj.steps == round(cfg.t_max / cfg.dt) == len(traj.xs) - 1
+    schedule = [(0, 0.5), (1, -0.25), (0, 0.0), (1, 0.1)]
+    trace = flow.leaf_trace(so3_structure, [parse_expr("x", ch3), parse_expr("y*z", ch3)],
+                            [0.6, -0.2, 0.3], schedule, cfg)
+    assert trace.steps == sum(max(1, round(abs(t) / cfg.dt)) for _, t in schedule if t)
+    assert trace.steps == len(trace.points) - 1
+    status, out = _run(tmp_path, capsys, SO3_RATIONAL, "--json")
+    assert status == 0 and json.loads(out)[0]["data"]["steps"] == 500

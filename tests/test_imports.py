@@ -1,9 +1,13 @@
 """Every name a poisskit module imports is used in that module, every
 function, class and method it defines is referenced somewhere, and every
-name the benchmark's tracer wraps exists."""
+name the benchmark's tracer wraps exists; importing the CLI does not
+import numpy."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +114,11 @@ def test_traced_names_exist():
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+def test_cli_import_leaves_numpy_out():
+    code = "import sys, poisskit.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
