@@ -342,6 +342,9 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
     points = array("d", x)
     taken = 0
     for gen_index, t_total in schedule:
+        if gen_index not in range(len(fields)):
+            raise FlowError(f"schedule names generator {gen_index!r}; "
+                            f"the indices run from 0 to {len(fields) - 1}")
         t_abs = abs(float(t_total))
         if t_abs == 0.0:
             continue
@@ -474,11 +477,12 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     field = compile_field(spray + [RatFunc.zero(big)] * n, variational=True)
 
     if isinstance(quad_nodes, int):
-        nodes = np.linspace(0.0, 1.0, quad_nodes).tolist()
-    else:
-        nodes = sorted(float(t) for t in quad_nodes)
-        if nodes[0] != 0.0 or nodes[-1] != 1.0:
-            raise FlowError("quadrature nodes must span [0, 1]")
+        quad_nodes = np.linspace(0.0, 1.0, max(quad_nodes, 0))
+    nodes = sorted(float(t) for t in quad_nodes)
+    if len(nodes) < 2:
+        raise FlowError("the trapezoid rule needs at least two quadrature nodes")
+    if nodes[0] != 0.0 or nodes[-1] != 1.0:
+        raise FlowError("quadrature nodes must span [0, 1]")
     w_can = np.zeros((2 * n, 2 * n))
     w_can[:n, n:] = np.eye(n)
     w_can[n:, :n] = -np.eye(n)

@@ -442,38 +442,29 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     dom = _kvector_basis(chart, k, d)
     cod = _kvector_basis(chart, k + 1, d + delta - 1)
     cod_index = {b: i for i, b in enumerate(cod)}
-    # outgoing differential, one column per domain basis element
-    out_matrix = [[Fraction(0)] * len(dom) for _ in cod]
+    # outgoing differential as sparse rows, one column per domain basis element
+    out_rows = [{} for _ in cod]
     for col, (idx, mono) in enumerate(dom):
         for key, c in _d_pi_image(idx, mono, of_x, of_d).items():
-            out_matrix[cod_index[key]][col] = c
-    kernel = linalg.kernel_basis(out_matrix, ncols=len(dom))
-    # incoming image
-    dim_image = 0
-    image_vectors = []
+            out_rows[cod_index[key]][col] = c
+    kernel = linalg.null_space(linalg.eliminate(out_rows)[0], len(dom))
+    # incoming image, as sparse rows over the domain basis
+    image = []
     if k >= 1 and d - delta + 1 >= 0:
-        prev = _kvector_basis(chart, k - 1, d - delta + 1)
         dom_index = {b: i for i, b in enumerate(dom)}
-        for idx, mono in prev:
-            v = [Fraction(0)] * len(dom)
-            for key, c in _d_pi_image(idx, mono, of_x, of_d).items():
-                v[dom_index[key]] = c
-            image_vectors.append(v)
-        image_vectors = linalg.canonical_span(image_vectors)
-        dim_image = len(image_vectors)
+        image = [{dom_index[key]: c for key, c in _d_pi_image(idx, mono, of_x, of_d).items()}
+                 for idx, mono in _kvector_basis(chart, k - 1, d - delta + 1)]
+    dim_image = len(linalg.eliminate(image)[1])
     dim_kernel = len(kernel)
     dim_h = dim_kernel - dim_image
     # representatives: the kernel vectors that, taken in order, extend the
-    # image to a kernel basis, i.e. the pivot columns past the image of the
-    # matrix whose columns are the image vectors, then the kernel vectors
+    # image to a kernel basis
     reps = []
     if dim_h:
-        _, pivots = linalg.rref(linalg.transpose(image_vectors + kernel))
-        for p in pivots[dim_image:]:
+        for i in linalg.eliminate(image + kernel)[1][dim_image:]:
             mv = MultiVec.zero(chart, k)
-            for coef, (idx, mono) in zip(kernel[p - dim_image], dom):
-                if coef:
-                    mv = mv + _basis_element(chart, idx, mono).scale(coef)
+            for col, coef in sorted(kernel[i - len(image)].items()):
+                mv = mv + _basis_element(chart, *dom[col]).scale(coef)
             reps.append(mv)
     return CohomologyReport(k, d, dim_kernel, dim_image, dim_h, reps)
 

@@ -159,6 +159,21 @@ def test_leaf_trace_there_and_back(so3_structure, ch3):
     assert trace.casimir_drifts[0] < 1e-10
 
 
+def test_leaf_trace_rejects_a_generator_index_out_of_range(so3_structure, ch3):
+    gens = [parse_expr("x", ch3), parse_expr("y", ch3)]
+    cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
+    for index in (-1, 2):
+        with pytest.raises(flow.FlowError, match=f"generator {index}; the indices run from 0 to 1"):
+            flow.leaf_trace(so3_structure, gens, [0.6, -0.2, 0.3], [(0, 0.1), (index, 0.5)], cfg)
+
+
+@pytest.mark.parametrize("nodes", [[], [0.0], 1, 0, -3])
+def test_spray_needs_two_quadrature_nodes(so3_structure, nodes):
+    cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
+    with pytest.raises(flow.FlowError, match="at least two quadrature nodes"):
+        flow.spray_realization(so3_structure, [[0.3, -0.2, 0.1, 0.2, 0.1, -0.3]], nodes, cfg)
+
+
 def test_points_are_read_exactly(so3_structure):
     cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
     exact = flow.spray_realization(so3_structure, [["1/2", "0", "0", "0", "1/4", "0"]], 5, cfg)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -110,10 +111,29 @@ _sparse_fraction = st.one_of(
     st.lists(_sparse_fraction, min_size=cols, max_size=cols), min_size=1, max_size=8)))
 def test_rref_matches_sympy(matrix):
     sympy = pytest.importorskip("sympy")
-    expected, expected_pivots = sympy.Matrix(
-        [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in matrix]
-    ).rref()
+    sym = sympy.Matrix(
+        [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in matrix])
+    expected, expected_pivots = sym.rref()
     rows, pivots = linalg.rref(matrix)
     assert pivots == list(expected_pivots)
     assert rows == [[F(int(e.p), int(e.q)) for e in expected.row(i)]
                     for i in range(expected.rows)]
+    # the sparse core: independent rows are the pivot columns of the
+    # transpose, and the sparse kernel is sympy's null space
+    cols = len(matrix[0])
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in matrix]
+    reduced, independent = linalg.eliminate(sparse)
+    assert sparse == [{c: x for c, x in enumerate(row) if x} for row in matrix]
+    assert independent == linalg.rref(linalg.transpose(matrix))[1]
+    assert sorted(reduced) == pivots
+    kernel = [[v.get(c, F(0)) for c in range(cols)] for v in linalg.null_space(reduced, cols)]
+    assert kernel == linalg.kernel_basis(matrix)
+    assert kernel == [[F(int(e.p), int(e.q)) for e in v] for v in sym.nullspace()]
+    # each row scaled to integers: same pivots, same kernel, no floats
+    ints = [[int(x * math.lcm(*(e.denominator for e in row))) for x in row]
+            for row in matrix]
+    reduced, independent = linalg.eliminate([{c: x for c, x in enumerate(row) if x}
+                                             for row in ints])
+    assert independent == linalg.eliminate(sparse)[1]
+    assert all(type(x) in (int, F) for row in reduced.values() for x in row.values())
+    assert linalg.kernel_basis(ints) == kernel and _no_floats(linalg.rref(ints)[0])

@@ -482,6 +482,7 @@ def _check_lie_poisson_report(structure, k, rep):
     ("gl2", 2, [0, 0, 0, 0]),
     ("gl3", 1, [1, 1, 2]),
     ("gl3", 3, [1, 1]),
+    ("gl3", 2, [0, 0, 0]),
 ])
 def test_lie_poisson_cohomology_whitehead(so3_structure, algebra, k, dims):
     structure = so3_structure if algebra == "so3" else _gl_lie_poisson(int(algebra[2]))
@@ -489,6 +490,25 @@ def test_lie_poisson_cohomology_whitehead(so3_structure, algebra, k, dims):
     assert [rep.dim_h for rep in reports] == dims
     for rep in reports:
         _check_lie_poisson_report(structure, k, rep)
+
+
+@pytest.mark.parametrize("algebra,k,d,dim_h,eliminations", [
+    ("gl2", 2, 1, 0, 2),
+    ("gl2", 1, 1, 1, 3),
+    ("so3", 0, 2, 1, 3),
+])
+def test_cohomology_is_sparse_elimination_only(so3_structure, monkeypatch,
+                                               algebra, k, d, dim_h, eliminations):
+    # the kernel, the image and (when H is nonzero) the representatives each
+    # take one sparse elimination; no dense matrix is built
+    structure = so3_structure if algebra == "so3" else _gl_lie_poisson(2)
+    for name in ("rref", "kernel_basis", "canonical_span", "transpose"):
+        monkeypatch.setattr(linalg, name, lambda *a, name=name: pytest.fail(name))
+    calls = []
+    eliminate = linalg.eliminate
+    monkeypatch.setattr(linalg, "eliminate", lambda rows: calls.append(rows) or eliminate(rows))
+    assert cohomology(structure, k, d).dim_h == dim_h
+    assert len(calls) == eliminations
 
 
 def _fixture_structure(name):
