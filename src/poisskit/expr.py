@@ -15,9 +15,15 @@ Representation choices:
   chart variable) to nonzero coefficients -- the zero polynomial is the empty
   dict, so structural equality is canonical equality;
 * a rational function stores a numerator/denominator pair of polynomials.
-  The pair is reduced by a multivariate gcd whenever both total degrees are
-  at most GCD_DEGREE_CAP, otherwise it is kept unreduced and equality is
-  decided by cross-multiplication (a/b == c/d  iff  a*d - c*b == 0).
+  A pair whose total degrees are both at most GCD_DEGREE_CAP is coprime
+  (unless its gcd was abandoned as too expensive); a pair over the cap is
+  kept unreduced, and equality is decided by cross-multiplication
+  (a/b == c/d  iff  a*d - c*b == 0).  ``RatFunc(num, den)`` reduces a pair
+  by one gcd of the whole; arithmetic on coprime operands instead cancels at
+  the operands, by gcds of the parts (Henrici, JACM 1956; Knuth, TAOCP
+  vol. 2, 4.5.1), and gives the same pair.  A pair from which a factor was
+  cancelled has its terms in descending graded-lex order, the order
+  ``poly_divexact`` leaves them in.
 
 The monomial order used for printing and sign normalization is graded
 lexicographic by variable index.  No floating point is used anywhere in this
@@ -479,11 +485,53 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # -- rational functions ------------------------------------------------------
 
 
+def _within_cap(*polys: Poly) -> bool:
+    return all(p.total_degree() <= GCD_DEGREE_CAP for p in polys)
+
+
+def _descending(p: Poly) -> Poly:
+    """p with its terms in descending graded-lex order."""
+    return Poly(p.chart, dict(sorted(p.terms.items(), key=lambda t: _monomial_key(t[0]),
+                                     reverse=True)))
+
+
+def _part_gcd(p: Poly, q: Poly) -> Poly | None:
+    """gcd(p, q) for cancelling at the operands, or None when it is 1; a
+    constant (or zero) operand needs no gcd.  May raise _GcdTooExpensive."""
+    if p.is_constant or q.is_constant:
+        return None
+    g = poly_gcd(p, q)
+    return g if g.total_degree() > 0 else None
+
+
+def _normalized(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """A coprime pair with the zero numerator over 1, a constant denominator
+    divided out, and a positive leading coefficient in the denominator."""
+    if num.is_zero:
+        return num, Poly.const(num.chart, 1)
+    if den.is_constant:
+        c = den.constant_value()
+        if c == 1:  # Poly values are never modified, so num can be shared
+            return num, den
+        return num.scale(_quotient(1, c)), Poly.const(num.chart, 1)
+    _, lead = den.leading()
+    if lead < 0:
+        return -num, -den
+    return num, den
+
+
 class RatFunc:
     """Quotient of two polynomials over the same chart.
 
     The denominator is never the zero polynomial and its leading coefficient
-    is kept positive.  Equality is exact, decided by cross-multiplication.
+    is kept positive.  Within GCD_DEGREE_CAP the pair is coprime: the
+    constructor reduces it by one gcd of the whole, and arithmetic cancels at
+    the operands, so ``(a/b)*(c/d)`` divides out gcd(a, d) and gcd(c, b), and
+    ``a/b + c/d`` cancels only gcd(t, g) from t = a*(d/g) + c*(b/g), with
+    g = gcd(b, d).  Either way the pair is the one the constructor gives for
+    the unreduced result, term order included: a pair from which a factor
+    was cancelled has its terms in descending graded-lex order.  Equality is
+    exact, decided by cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -492,38 +540,30 @@ class RatFunc:
         _check_same_chart(num, den)
         if den.is_zero:
             raise ExprError("zero denominator")
-        num, den = self._reduce(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = self._reduce(num, den)
 
     @staticmethod
     def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
-        if num.is_zero:
-            return num, Poly.const(num.chart, 1)
-        if den.is_constant:
-            c = den.constant_value()
-            return num.scale(_quotient(1, c)), Poly.const(num.chart, 1)
-        q = _try_divexact(num, den)
-        if q is not None:
-            return q, Poly.const(num.chart, 1)
-        if (
-            num.total_degree() <= GCD_DEGREE_CAP
-            and den.total_degree() <= GCD_DEGREE_CAP
-        ):
-            try:
-                g = poly_gcd(num, den)
-            except _GcdTooExpensive:
-                g = None
-            if g is not None and g.total_degree() > 0:
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
-                if den.is_constant:
-                    c = den.constant_value()
-                    return num.scale(_quotient(1, c)), Poly.const(num.chart, 1)
-        _, lead = den.leading()
-        if lead < 0:
-            num, den = -num, -den
-        return num, den
+        if not num.is_zero and not den.is_constant:
+            q = _try_divexact(num, den)
+            if q is not None:
+                return q, Poly.const(num.chart, 1)
+            if _within_cap(num, den):
+                try:
+                    g = poly_gcd(num, den)
+                except _GcdTooExpensive:
+                    g = None
+                if g is not None and g.total_degree() > 0:
+                    num = poly_divexact(num, g)
+                    den = poly_divexact(den, g)
+        return _normalized(num, den)
+
+    @staticmethod
+    def _coprime(num: Poly, den: Poly) -> "RatFunc":
+        """The RatFunc of a pair already known to be coprime."""
+        out = RatFunc.__new__(RatFunc)
+        out.num, out.den = _normalized(num, den)
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -555,16 +595,34 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         other = _coerce(other, self.chart)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return RatFunc(a + c, b)
+        if b.total_degree() + d.total_degree() > GCD_DEGREE_CAP or not _within_cap(a, c):
+            return RatFunc(a * d + c * b, b * d)
+        try:
+            g = _part_gcd(b, d)
+            if g is None:
+                # coprime denominators: the sum is already reduced
+                num = a * d + c * b
+                if not _within_cap(num):
+                    return RatFunc(num, b * d)
+                return RatFunc._coprime(num, b * d)
+            b_g, d_g = poly_divexact(b, g), poly_divexact(d, g)
+            t = a * d_g + c * b_g
+            if t.total_degree() + g.total_degree() > GCD_DEGREE_CAP:
+                return RatFunc(a * d + c * b, b * d)
+            h = _part_gcd(t, g)
+        except _GcdTooExpensive:
+            return RatFunc(a * d + c * b, b * d)
+        if h is not None:
+            t, b = poly_divexact(t, h), poly_divexact(b, h)
+        return RatFunc._coprime(_descending(t), _descending(b * d_g))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._coprime(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-_coerce(other, self.chart))
@@ -574,7 +632,7 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = _coerce(other, self.chart)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -582,7 +640,7 @@ class RatFunc:
         other = _coerce(other, self.chart)
         if other.is_zero:
             raise ExprError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other) -> "RatFunc":
         return _coerce(other, self.chart) / self
@@ -591,8 +649,11 @@ class RatFunc:
         if n < 0:
             if self.is_zero:
                 raise ExprError("zero to a negative power")
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+            within = _within_cap(self.num, self.den)
+            inverse = (RatFunc._coprime if within else RatFunc)(self.den, self.num)
+            return inverse ** (-n)
+        num, den = self.num**n, self.den**n
+        return (RatFunc._coprime if _within_cap(num, den) else RatFunc)(num, den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -671,9 +732,33 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
+def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
+    """(a/b) * (c/d) for coprime pairs: gcd(a, d) and gcd(c, b) are all
+    there is to cancel."""
+    if b.is_constant and d.is_constant:  # polynomials: nothing to cancel
+        return RatFunc._coprime(a * c, b * d)
+    if a.is_zero or c.is_zero:
+        return RatFunc.zero(a.chart)
+    if (a.total_degree() + c.total_degree() > GCD_DEGREE_CAP
+            or b.total_degree() + d.total_degree() > GCD_DEGREE_CAP):
+        return RatFunc(a * c, b * d)
+    try:
+        g1, g2 = _part_gcd(a, d), _part_gcd(c, b)
+    except _GcdTooExpensive:
+        return RatFunc(a * c, b * d)
+    if g1 is None and g2 is None:
+        return RatFunc._coprime(a * c, b * d)
+    if g1 is not None:
+        a, d = poly_divexact(a, g1), poly_divexact(d, g1)
+    if g2 is not None:
+        c, b = poly_divexact(c, g2), poly_divexact(b, g2)
+    return RatFunc._coprime(_descending(a * c), _descending(b * d))
+
+
 def _coerce(value, chart: Chart) -> RatFunc:
     if isinstance(value, RatFunc):
-        _check_same_chart(value.num, Poly.zero(chart))
+        if value.chart != chart:
+            raise ChartMismatchError(f"chart mismatch: {value.chart} vs {chart}")
         return value
     if isinstance(value, Poly):
         return RatFunc.from_poly(value)

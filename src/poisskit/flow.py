@@ -19,6 +19,7 @@ not with the module.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from array import array
 from dataclasses import dataclass
@@ -458,7 +459,8 @@ class RealizationSample:
 def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     """Integrate the flat-connection Poisson spray Y|_xi = hor(xi, pi#(xi))
     on the cotangent chart and average the pullbacks of omega_can over
-    t in [0,1] by the trapezoid rule on the given nodes.
+    t in [0,1] by the trapezoid rule on the given nodes: ``quad_nodes`` is a
+    sequence of nodes, or any integer as a count of evenly spaced ones.
 
     omega_can = sum_i dx_i ^ dxi_i, for which the chart projection of the
     resulting symplectic form is a Poisson map onto pi (realization_check).
@@ -476,9 +478,13 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
              for j in range(n)]
     field = compile_field(spray + [RatFunc.zero(big)] * n, variational=True)
 
-    if isinstance(quad_nodes, int):
-        quad_nodes = np.linspace(0.0, 1.0, max(quad_nodes, 0))
-    nodes = sorted(float(t) for t in quad_nodes)
+    if isinstance(quad_nodes, numbers.Integral):
+        quad_nodes = np.linspace(0.0, 1.0, max(int(quad_nodes), 0))
+    try:
+        nodes = sorted(float(t) for t in quad_nodes)
+    except (TypeError, ValueError):
+        raise FlowError(f"quad_nodes must be a node count or a sequence of at least two "
+                        f"quadrature nodes, not {quad_nodes!r}") from None
     if len(nodes) < 2:
         raise FlowError("the trapezoid rule needs at least two quadrature nodes")
     if nodes[0] != 0.0 or nodes[-1] != 1.0:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from poisskit import expr
 from poisskit.expr import (
     Chart,
     ExprError,
@@ -213,3 +214,50 @@ def test_degree_cap_leaves_unreduced_but_equal():
     big = parse_expr("(x+y)^5", ch)
     e = (big * big) / big  # degree 10 > cap: stored unreduced
     assert e == big
+
+
+# -- operand-level cancellation --------------------------------------------------------------
+
+
+def _top_level_gcds(monkeypatch):
+    """Record the poly_gcd calls not made from inside poly_gcd."""
+    calls, depth = [], [0]
+    gcd = expr.poly_gcd
+
+    def counted(a, b):
+        if not depth[0]:
+            calls.append((a, b))
+        depth[0] += 1
+        try:
+            return gcd(a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(expr, "poly_gcd", counted)
+    return calls
+
+
+def test_arithmetic_needs_no_gcd_of_the_whole_result(ch3, monkeypatch):
+    f = parse_expr("(x + y)/(x*z + y + 1)", ch3)
+    p = parse_expr("x^2 + z", ch3)  # shares no factor with f's denominator
+    expected = [parse_expr(text, ch3) for text in (
+        "(-x - y)/(x*z + y + 1)", "(x + y)^2/(x*z + y + 1)^2",
+        "((x^2 + z)*(x*z + y + 1) + x + y)/(x*z + y + 1)", "(x^2 + z)*(x + y)/(x*z + y + 1)")]
+    calls = _top_level_gcds(monkeypatch)
+    results = [-f, f**2]
+    assert calls == []
+    results.append(p + f)
+    assert calls == []
+    results.append(p * f)
+    assert len(calls) <= 1
+    assert results == expected
+
+
+def test_sum_cancels_a_factor_of_the_common_denominator(ch3):
+    # g = gcd(x*y, x*(x + y)) = x, and t = 1*(x + y) - 1*y = x shares it
+    a, b = parse_expr("1/(x*y)", ch3), parse_expr("1/(x*(x + y))", ch3)
+    difference = a - b
+    assert str(difference) == "1/(x*y + y^2)"
+    raw = RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
+    assert list(difference.num.terms.items()) == list(raw.num.terms.items())
+    assert list(difference.den.terms.items()) == list(raw.den.terms.items())

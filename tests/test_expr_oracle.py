@@ -1,16 +1,22 @@
 """The exact scalar layer against sympy, and the coefficient rule.
 
-sympy is used only here, as an independent oracle: every comparison is by
-value (``sympy.cancel`` of a difference), so it does not depend on how either
-side chooses to write a rational function.  After every operation, each
-``Poly`` coefficient must be an ``int`` or a non-integral ``Fraction``.
+sympy is used only here, as an independent oracle: every comparison with it
+is by value (``sympy.cancel`` of a difference, or cross-multiplication in
+sympy's polynomial ring), so it does not depend on how either side chooses to
+write a rational function.  The one structural check compares ``RatFunc``
+arithmetic with ``RatFunc``'s own full-reduction constructor.  After every
+operation, each ``Poly`` coefficient must be an ``int`` or a non-integral
+``Fraction``.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from poisskit import expr
 from poisskit.expr import ExprError, Poly, RatFunc, chart, poly_divexact, poly_gcd
 
 sympy = pytest.importorskip("sympy")
@@ -36,6 +42,10 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 small_polys = poly_strategy(1, 3)
 small_factors = small_polys.filter(lambda p: not p.is_zero)
 ratfuncs = st.builds(RatFunc, small_polys, small_factors)
+nonzero_coefficients = coefficients.filter(bool)
+linear_factors = st.tuples(*[coefficients] * 4).map(
+    lambda c: Poly(CH, {(1, 0, 0): c[0], (0, 1, 0): c[1], (0, 0, 1): c[2], (0, 0, 0): c[3]})
+).filter(lambda p: p.total_degree() == 1)
 ORACLE = settings(max_examples=30, deadline=None)
 
 
@@ -72,6 +82,73 @@ def test_field_operations_match_sympy(a, b):
         quotient = a / b
         assert same_value(quotient, sa / sb)
         assert obeys_rule(quotient)
+
+
+def layout(value):
+    """The stored pair: every term in order, with its coefficient's type."""
+    return [[(e, c, type(c)) for e, c in p.terms.items()] for p in (value.num, value.den)]
+
+
+def sympy_pair(value):
+    return tuple(sympy.Poly(to_sympy(p), *SYMS, domain="QQ") for p in (value.num, value.den))
+
+
+def sum_pair(a, b, c, d):
+    """The unreduced pair of a/b + c/d."""
+    return (a + c, b) if b == d else (a * d + c * b, b * d)
+
+
+@contextmanager
+def counting_aborts():
+    """Count the gcds abandoned as too expensive inside the block."""
+    count = []
+    gcd = expr.poly_gcd
+
+    def counted(a, b):
+        try:
+            return gcd(a, b)
+        except expr._GcdTooExpensive:
+            count.append((a, b))
+            raise
+
+    with mock.patch.object(expr, "poly_gcd", counted):
+        yield count
+
+
+@ORACLE
+@given(nonzero_coefficients, nonzero_coefficients, linear_factors, linear_factors,
+       linear_factors, st.integers(-2, 3))
+def test_arithmetic_gives_the_constructors_pair(k, m, f, g, h, n):
+    # f, g and h are shared, so that every gcd of the operands' parts (a
+    # numerator with the other denominator, the two denominators) has a factor
+    # to cancel.  A result must equal sympy's by value (cross-multiplied in
+    # sympy's QQ[x, y, z]), and be the pair RatFunc(num, den) makes of the
+    # unreduced numerator and denominator, term order included.  The operands
+    # stay small because the reference reduces each whole result by one gcd,
+    # whose cost grows quickly with the degree.
+    with counting_aborts() as aborts:
+        a, b = RatFunc(f.scale(k), g * h), RatFunc(g.scale(m), f * h)
+        assume(not a.den.is_constant and not b.den.is_constant)
+        (A, B), (C, D) = sympy_pair(a), sympy_pair(b)
+        inverse = RatFunc(a.den, a.num)
+        cases = [
+            (a + b, (A * D + C * B, B * D), sum_pair(a.num, a.den, b.num, b.den)),
+            (a - b, (A * D - C * B, B * D), sum_pair(a.num, a.den, -b.num, b.den)),
+            (a * b, (A * C, B * D), (a.num * b.num, a.den * b.den)),
+            (a / b, (A * D, B * C), (a.num * b.den, a.den * b.num)),
+            (-a, (-A, B), (-a.num, a.den)),
+            (a**n, (A**n, B**n) if n >= 0 else (B**-n, A**-n),
+             (inverse.num**-n, inverse.den**-n) if n < 0 else (a.num**n, a.den**n)),
+        ]
+        cases = [(ours, theirs, RatFunc(*unreduced)) for ours, theirs, unreduced in cases]
+    for ours, (num, den), reference in cases:
+        our_num, our_den = sympy_pair(ours)
+        assert (our_num * den - num * our_den).is_zero
+        assert obeys_rule(ours)
+        # an abandoned gcd leaves a pair unreduced, and the two ways may then
+        # cancel different factors; both stay exact
+        if not aborts:
+            assert layout(ours) == layout(reference)
 
 
 @ORACLE

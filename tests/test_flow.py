@@ -167,11 +167,19 @@ def test_leaf_trace_rejects_a_generator_index_out_of_range(so3_structure, ch3):
             flow.leaf_trace(so3_structure, gens, [0.6, -0.2, 0.3], [(0, 0.1), (index, 0.5)], cfg)
 
 
-@pytest.mark.parametrize("nodes", [[], [0.0], 1, 0, -3])
+@pytest.mark.parametrize("nodes", [[], [0.0], 1, 0, -3, np.int64(1), 5.0])
 def test_spray_needs_two_quadrature_nodes(so3_structure, nodes):
     cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
     with pytest.raises(flow.FlowError, match="at least two quadrature nodes"):
         flow.spray_realization(so3_structure, [[0.3, -0.2, 0.1, 0.2, 0.1, -0.3]], nodes, cfg)
+
+
+def test_spray_node_count_may_be_any_integer(so3_structure):
+    cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
+    sample = [[0.3, -0.2, 0.1, 0.2, 0.1, -0.3]]
+    ours = flow.spray_realization(so3_structure, sample, np.int64(5), cfg)
+    assert np.array_equal(ours[0].omega,
+                          flow.spray_realization(so3_structure, sample, 5, cfg)[0].omega)
 
 
 def test_points_are_read_exactly(so3_structure):
