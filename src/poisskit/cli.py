@@ -70,9 +70,12 @@ def _parse_point(spec, chart: Chart):
     return [_parse_fraction(p) for p in parts]
 
 
+_JSON_TYPES = {dict: "object", list: "list", str: "string"}
+
+
 def _typed(value, kind, what):
     if not isinstance(value, kind):
-        raise ManifestError(f"{what} must be a JSON {'object' if kind is dict else 'list'}")
+        raise ManifestError(f"{what} must be a JSON {_JSON_TYPES[kind]}")
     return value
 
 
@@ -80,6 +83,19 @@ def _int(value, what) -> int:
     if not isinstance(value, (int, str)):
         raise ManifestError(f"{what} must be an integer")
     return int(value)
+
+
+def _float(value, what) -> float:
+    if not isinstance(value, (int, float, str)):
+        raise ManifestError(f"{what} must be a number")
+    return float(value)
+
+
+def _named(table: dict, name, what: str):
+    """The entry of a manifest table that ``name`` refers to."""
+    if not isinstance(name, str) or name not in table:
+        raise ManifestError(f"unknown {what} {name!r}")
+    return table[name]
 
 
 def _structure_constant(entry, algebra):
@@ -110,7 +126,7 @@ def load_manifest(doc: dict) -> Manifest:
         raise ManifestError("manifest needs a 'chart' entry: a list of variable names")
     chart = make_chart(*names)
     expressions = {
-        name: parse_expr(text, chart)
+        name: parse_expr(_typed(text, str, f"expression {name!r}"), chart)
         for name, text in _section(doc, "expressions").items()
     }
     bivectors = {}
@@ -129,7 +145,7 @@ def load_manifest(doc: dict) -> Manifest:
     constraints = {}
     for name, spec in _section(doc, "constraints").items():
         pi_name = _typed(spec, dict, f"constraint system {name!r}")["bivector"]
-        if pi_name not in bivectors:
+        if not isinstance(pi_name, str) or pi_name not in bivectors:
             raise ManifestError(f"constraint system {name!r} references unknown bivector {pi_name!r}")
         structure = poisson.verify(bivectors[pi_name])
         what = f"constraint system {name!r}"
@@ -140,9 +156,9 @@ def load_manifest(doc: dict) -> Manifest:
         constraints[name] = dirac.ConstraintSystem(structure, psi, level, samples)
     fc = _section(doc, "flow")
     flow_config = flow.FlowConfig(
-        dt=float(fc.get("dt", 1e-3)),
-        t_max=float(fc.get("t_max", 10.0)),
-        tol=float(fc.get("tol", 1e-6)),
+        dt=_float(fc.get("dt", 1e-3), "flow 'dt'"),
+        t_max=_float(fc.get("t_max", 10.0), "flow 't_max'"),
+        tol=_float(fc.get("tol", 1e-6), "flow 'tol'"),
     )
     tasks = _section(doc, "tasks", list)
     for spec in tasks:
@@ -174,8 +190,10 @@ def _get_expr(manifest: Manifest, params: dict, key: str) -> RatFunc:
     text = params.get(key)
     if text is None:
         raise ManifestError(f"task needs parameter {key!r}")
-    if text in manifest.expressions:
+    if isinstance(text, str) and text in manifest.expressions:
         return manifest.expressions[text]
+    if not isinstance(text, (str, int)):
+        raise ManifestError(f"parameter {key!r} must be an expression or a name")
     return parse_expr(str(text), manifest.chart)
 
 
@@ -192,9 +210,7 @@ def _get_bivector(manifest: Manifest, params: dict) -> MultiVec:
         if len(manifest.bivectors) == 1:
             return next(iter(manifest.bivectors.values()))
         raise ManifestError("task needs a 'bivector' parameter")
-    if name not in manifest.bivectors:
-        raise ManifestError(f"unknown bivector {name!r}")
-    return manifest.bivectors[name]
+    return _named(manifest.bivectors, name, "bivector")
 
 
 def _task_is_poisson(manifest, params):
@@ -265,6 +281,8 @@ def _task_cohomology(manifest, params):
     ps = poisson.require_poisson(pi)
     k = _int(params.get("k", 0), "parameter 'k'")
     d_max = _int(params.get("d_max", params.get("d", 0)), "parameter 'd_max'")
+    if d_max < 0:  # an empty range of degrees, rejected as cohomology rejects d < 0
+        raise poisson.PoissonError("invalid (k, d)")
     total = 0
     lines = []
     reports = []
@@ -285,20 +303,16 @@ def _task_cohomology(manifest, params):
 
 def _task_gauge(manifest, params):
     pi = _get_bivector(manifest, params)
-    form_name = params.get("form")
-    if form_name not in manifest.forms:
-        raise ManifestError(f"unknown form {form_name!r}")
-    result = poisson.gauge_transform(poisson.verify(pi), manifest.forms[form_name])
+    form = _named(manifest.forms, params.get("form"), "form")
+    result = poisson.gauge_transform(poisson.verify(pi), form)
     ok = result.verified
     line = f"PASS gauge pi_B = {result.pi}" if ok else "FAIL gauge result not Poisson"
     return TaskResult("gauge", ok, [line], {"pi_B": str(result.pi)})
 
 
 def _task_classify(manifest, params):
-    name = params.get("constraints")
-    if name not in manifest.constraints:
-        raise ManifestError(f"unknown constraint system {name!r}")
-    flags = dirac.classify_submanifold(manifest.constraints[name])
+    cs = _named(manifest.constraints, params.get("constraints"), "constraint system")
+    flags = dirac.classify_submanifold(cs)
     line = (
         f"INFO classify poisson={flags.poisson} coisotropic={flags.coisotropic} "
         f"cosymplectic={flags.cosymplectic} ({flags.mode})"
@@ -312,10 +326,7 @@ def _task_classify(manifest, params):
 
 
 def _task_dirac_bracket(manifest, params):
-    name = params.get("constraints")
-    if name not in manifest.constraints:
-        raise ManifestError(f"unknown constraint system {name!r}")
-    cs = manifest.constraints[name]
+    cs = _named(manifest.constraints, params.get("constraints"), "constraint system")
     try:
         db, data = dirac.dirac_bracket(cs)
     except poisson.NotCosymplecticError as err:
@@ -330,20 +341,15 @@ def _task_dirac_bracket(manifest, params):
 
 
 def _task_lie_poisson(manifest, params):
-    name = params.get("algebra")
-    if name not in manifest.lie_algebras:
-        raise ManifestError(f"unknown Lie algebra {name!r}")
-    g = manifest.lie_algebras[name]
+    g = _named(manifest.lie_algebras, params.get("algebra"), "Lie algebra")
     ps = liealg.lie_poisson(g, manifest.chart if manifest.chart.dim == g.dim else None)
     return TaskResult("lie_poisson", True,
                       [f"PASS lie_poisson pi = {ps.pi}"], {"pi": str(ps.pi)})
 
 
 def _task_modular_character(manifest, params):
-    name = params.get("algebra")
-    if name not in manifest.lie_algebras:
-        raise ManifestError(f"unknown Lie algebra {name!r}")
-    chi = liealg.modular_character(manifest.lie_algebras[name])
+    chi = liealg.modular_character(
+        _named(manifest.lie_algebras, params.get("algebra"), "Lie algebra"))
     text = ", ".join(str(c) for c in chi)
     return TaskResult("modular_character", None,
                       [f"INFO modular_character ({text})"], {"chi": [str(c) for c in chi]})
@@ -354,7 +360,7 @@ def _task_flow(manifest, params):
     h = _get_expr(manifest, params, "h")
     x0 = [float(v) for v in _get_point(manifest, params, "x0")]
     casimirs = []
-    for name in params.get("casimirs", []):
+    for name in _typed(params.get("casimirs", []), list, "parameter 'casimirs'"):
         casimirs.append(_get_expr(manifest, {"f": name}, "f"))
     traj = flow.integrate_hamiltonian(poisson.verify(pi), h, x0,
                                       manifest.flow_config, casimirs=casimirs)

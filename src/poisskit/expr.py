@@ -19,9 +19,10 @@ Representation choices:
   (unless its gcd was abandoned as too expensive); a pair over the cap is
   kept unreduced, and equality is decided by cross-multiplication
   (a/b == c/d  iff  a*d - c*b == 0).  ``RatFunc(num, den)`` reduces a pair
-  by one gcd of the whole; arithmetic on coprime operands instead cancels at
-  the operands, by gcds of the parts (Henrici, JACM 1956; Knuth, TAOCP
-  vol. 2, 4.5.1), and gives the same pair.  A pair from which a factor was
+  by one gcd of the whole; arithmetic and ``diff`` on coprime operands
+  instead cancel at the parts, by gcds of the operands' numerators and
+  denominators (Henrici, JACM 1956; Knuth, TAOCP vol. 2, 4.5.1) or of d and
+  its derivative, and give the same pair.  A pair from which a factor was
   cancelled has its terms in descending graded-lex order, the order
   ``poly_divexact`` leaves them in.
 
@@ -528,10 +529,11 @@ class RatFunc:
     constructor reduces it by one gcd of the whole, and arithmetic cancels at
     the operands, so ``(a/b)*(c/d)`` divides out gcd(a, d) and gcd(c, b), and
     ``a/b + c/d`` cancels only gcd(t, g) from t = a*(d/g) + c*(b/g), with
-    g = gcd(b, d).  Either way the pair is the one the constructor gives for
-    the unreduced result, term order included: a pair from which a factor
-    was cancelled has its terms in descending graded-lex order.  Equality is
-    exact, decided by cross-multiplication.
+    g = gcd(b, d); ``diff`` cancels with gcd(d, d') and a factor of it.
+    Either way the pair is the one the constructor gives for the unreduced
+    result, term order included: a pair from which a factor was cancelled
+    has its terms in descending graded-lex order.  Equality is exact,
+    decided by cross-multiplication.
     """
 
     __slots__ = ("num", "den")
@@ -669,19 +671,48 @@ class RatFunc:
     # -- calculus ----------------------------------------------------------
 
     def diff(self, index: int) -> "RatFunc":
-        """Exact partial derivative (quotient rule)."""
+        """Exact partial derivative d/dx_k (quotient rule), cancelled at its
+        parts.
+
+        For coprime n/d within GCD_DEGREE_CAP with d' = d_k d != 0, let
+        g = gcd(d, d'), h = d/g, e = d'/g and t = n'*h - n*e, so that
+        n'd - nd' = g*t over d^2 = g*g*h*h.  An irreducible factor p of d
+        that involves x_k divides d exactly p^a times and d' exactly p^(a-1)
+        times, so p divides h once and not e; as p divides neither n nor e,
+        it does not divide t.  An x_k-free factor of d divides d' at least
+        as often as d, so it divides g and not h.  Hence t shares with g*h*h only
+        factors of g, and with u = gcd(t, g) the whole gcd of the bracket and
+        d^2 is exactly g*u (both sides primitive with a positive leading
+        coefficient).  The result (t/u) / ((d/u)*h) is therefore the pair
+        ``RatFunc(n'd - nd', d*d)`` gives, term order included: descending
+        graded-lex when a factor was cancelled, the products' own order when
+        g = 1.  A d free of x_k gives n'/d.  Over the cap (n, d^2 or the
+        bracket), or when a gcd is abandoned, the bracket and d^2 go through
+        the constructor, which leaves them unreduced."""
         if not 0 <= index < self.chart.dim:
             raise ExprError(f"variable index {index} out of range")
-        if self.den.is_constant:
-            return RatFunc(self.num.diff(index), self.den)
         n, d = self.num, self.den
-        g = n.diff(index) * d - n * d.diff(index)
-        # cancel one denominator factor structurally when it divides the
-        # bracket; keeps iterated derivatives from stacking d^2 factors
-        q = _try_divexact(g, d)
-        if q is not None:
-            return RatFunc(q, d)
-        return RatFunc(g, d * d)
+        if d.is_constant:
+            return RatFunc(n.diff(index), d)
+        dn, dd = n.diff(index), d.diff(index)
+        if dd.is_zero:
+            return RatFunc(_descending(dn), d)
+        if 2 * d.total_degree() > GCD_DEGREE_CAP or not _within_cap(n):
+            return _quotient_rule(n, d, dn, dd)
+        try:
+            g = _part_gcd(d, dd)
+            if g is None:  # gcd(d, d') = 1: the bracket over d^2 is reduced
+                return RatFunc._coprime(dn * d - n * dd, d * d)
+            h = poly_divexact(d, g)
+            t = dn * h - n * poly_divexact(dd, g)
+            if t.total_degree() + g.total_degree() > GCD_DEGREE_CAP:
+                return _quotient_rule(n, d, dn, dd)
+            u = _part_gcd(t, g)
+        except _GcdTooExpensive:
+            return _quotient_rule(n, d, dn, dd)
+        if u is not None:
+            t, d = poly_divexact(t, u), poly_divexact(d, u)
+        return RatFunc._coprime(_descending(t), _descending(d * h))
 
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         dv = self.den.eval(point)
@@ -753,6 +784,17 @@ def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
     if g2 is not None:
         c, b = poly_divexact(c, g2), poly_divexact(b, g2)
     return RatFunc._coprime(_descending(a * c), _descending(b * d))
+
+
+def _quotient_rule(n: Poly, d: Poly, dn: Poly, dd: Poly) -> RatFunc:
+    """(n'd - nd') / d^2 through the constructor, with one factor d cancelled
+    structurally when it divides the bracket (possible only for a pair that
+    is not coprime)."""
+    bracket = dn * d - n * dd
+    q = _try_divexact(bracket, d)
+    if q is not None:
+        return RatFunc(q, d)
+    return RatFunc(bracket, d * d)
 
 
 def _coerce(value, chart: Chart) -> RatFunc:

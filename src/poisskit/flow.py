@@ -53,6 +53,9 @@ class FlowConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
+        for name in ("dt", "t_max", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise FlowError(f"{name} must be finite, not {getattr(self, name)}")
         if self.dt <= 0 or self.t_max <= 0 or self.dt > self.t_max:
             raise FlowError("need 0 < dt <= t_max")
         if self.tol <= 0:
@@ -255,6 +258,15 @@ def _state_error(cls, template, state):
     return cls(template.format(np.array(state)))
 
 
+def _step_count(span: float, cfg: FlowConfig) -> int:
+    """round(span / dt) RK4 steps, at least one.  The ratio is held against
+    max_steps while it is a float, so that no overflowing count reaches int()."""
+    ratio = span / cfg.dt
+    if ratio > cfg.max_steps:
+        raise FlowError(f"step count {ratio:.4g} exceeds max_steps ({cfg.max_steps})")
+    return max(1, round(ratio))
+
+
 def _at_nodes(field: CompiledField, y0, nodes, cfg: FlowConfig, pole_msg, escape_msg=None):
     """Flow y0 with its variational matrix J (J = I at t = 0) through the
     increasing times ``nodes``; yields (t, y, J) at each node."""
@@ -265,7 +277,7 @@ def _at_nodes(field: CompiledField, y0, nodes, cfg: FlowConfig, pole_msg, escape
     for node in nodes:
         gap = node - t
         if gap > 0:
-            steps = max(1, int(round(gap / cfg.dt)))
+            steps = _step_count(gap, cfg)
             t, state = field.advance(t, state, gap / steps, steps, cfg, pole_msg, escape_msg)
         yield t, state[:m], np.array(state[m:]).reshape(m, m)
 
@@ -311,9 +323,7 @@ def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
 
     n = hamiltonian.chart.dim
     field = compile_field(hamiltonian_vf(structure, hamiltonian).components())
-    steps = int(round(cfg.t_max / cfg.dt))
-    if steps > cfg.max_steps:
-        raise FlowError(f"step count {steps} exceeds max_steps")
+    steps = _step_count(cfg.t_max, cfg)
     x = _point(x0, n, f"x0 needs {n} coordinates")
     xs = array("d", x)
     field.advance(0.0, x, cfg.dt, steps, cfg,
@@ -349,9 +359,9 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
         t_abs = abs(float(t_total))
         if t_abs == 0.0:
             continue
-        steps = max(1, int(round(t_abs / cfg.dt)))
-        if steps > cfg.max_steps:
-            raise FlowError("step count exceeds max_steps")
+        if not math.isfinite(t_abs):
+            raise FlowError(f"schedule time {t_total!r} is not finite")
+        steps = _step_count(t_abs, cfg)
         h = (t_abs / steps) * (1.0 if t_total > 0 else -1.0)
         _, x = fields[gen_index].advance(0.0, x, h, steps, cfg,
                                          "denominator below threshold near {}",

@@ -341,7 +341,13 @@ def _x_derivative(x: MultiVec, i: int) -> MultiVec:
 
 
 def schouten(x: MultiVec, y: MultiVec) -> MultiVec:
-    """Schouten bracket via the local superalgebra formula."""
+    """Schouten bracket via the local superalgebra formula
+
+        [x, y] = sum_i d_xi_i x ^ d_i y  -  sign * d_xi_i y ^ d_i x,
+
+    with sign = (-1)^((k-1)(l-1)) for degrees k and l.  For ``x is y`` the
+    two sums are equal, so [x, x] = (1 - sign) * sum_i d_xi_i x ^ d_i x,
+    zero for odd degree: each derivative and wedge is taken once."""
     if not isinstance(x, MultiVec) or not isinstance(y, MultiVec):
         raise ExprError("schouten expects multivector fields")
     if x.chart != y.chart:
@@ -354,6 +360,14 @@ def schouten(x: MultiVec, y: MultiVec) -> MultiVec:
         return MultiVec.zero(chart, 0)
     result = MultiVec.zero(chart, degree)
     sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
+    if x is y:
+        if sign == 1:
+            return result
+        for i in range(chart.dim):
+            dx_xi = _xi_derivative_right(x, i)
+            if not dx_xi.is_zero:
+                result = result + wedge(dx_xi, _x_derivative(x, i))
+        return result.scale(2)
     for i in range(chart.dim):
         dx_xi = _xi_derivative_right(x, i)
         if not dx_xi.is_zero:

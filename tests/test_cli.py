@@ -38,6 +38,18 @@ def _run(tmp_path, capsys, text):
      "constraint system 'n' 'samples' must be a JSON list"),
     ({**SO3, "constraints": {"n": {"bivector": "pi", "psi": ["x", "y"], "level": ["1"]}}},
      "2 constraints but 1 level values"),
+    ({**SO3, "expressions": {"f": 5}}, "expression 'f' must be a JSON string"),
+    ({**SO3, "flow": {"dt": None}}, "flow 'dt' must be a number"),
+    ({**SO3, "flow": {"t_max": [10]}}, "flow 't_max' must be a number"),
+    ({**SO3, "flow": {"tol": "inf"}}, "tol must be finite"),
+    ({**SO3, "flow": {"dt": "nan"}}, "dt must be finite"),
+    ({**SO3, "tasks": [{"task": "bracket", "bivector": ["pi"], "f": "x", "g": "y"}]},
+     "unknown bivector ['pi']"),
+    ({**SO3, "tasks": [{"task": "bracket", "f": {"a": 1}, "g": "y"}]},
+     "parameter 'f' must be an expression or a name"),
+    ({**SO3, "tasks": [{"task": "lie_poisson", "algebra": {}}]}, "unknown Lie algebra {}"),
+    ({**SO3, "tasks": [{"task": "flow", "h": "x", "x0": "1,0,0", "casimirs": 5}]},
+     "parameter 'casimirs' must be a JSON list"),
 ])
 def test_malformed_manifest(tmp_path, capsys, doc, message):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))
@@ -93,3 +105,16 @@ def test_modular_malformed_expect(tmp_path, capsys, expect, message):
     assert status == 2
     assert len(lines) == 1 and lines[0].startswith("FAIL manifest parameter 'expect' of modular")
     assert message in lines[0]
+
+
+def test_negative_degree_bound_is_an_invalid_degree(tmp_path, capsys):
+    doc = {**SO3, "tasks": [{"task": "cohomology", "k": 1, "d_max": -2}]}
+    assert _run(tmp_path, capsys, json.dumps(doc)) == (1, ["FAIL cohomology invalid (k, d)"])
+
+
+def test_step_count_overflow_is_a_flow_failure(tmp_path, capsys):
+    doc = {**SO3, "flow": {"dt": 1e-300, "t_max": 1e300},
+           "tasks": [{"task": "flow", "h": "x^2 + y", "x0": "1,0,0"}]}
+    status, lines = _run(tmp_path, capsys, json.dumps(doc))
+    assert status == 1 and len(lines) == 1
+    assert lines[0].startswith("FAIL flow step count inf exceeds max_steps")

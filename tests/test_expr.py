@@ -261,3 +261,17 @@ def test_sum_cancels_a_factor_of_the_common_denominator(ch3):
     raw = RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
     assert list(difference.num.terms.items()) == list(raw.num.terms.items())
     assert list(difference.den.terms.items()) == list(raw.den.terms.items())
+
+
+@pytest.mark.parametrize("text", [
+    "(x + z)/(x*z)", "(x + y)/((x + z)^2*y)", "x^2/((x + y)*(y - z)^2)", "1/(x*y*z)"])
+def test_diff_never_takes_the_gcd_of_the_whole_result(ch3, monkeypatch, text):
+    # within the cap, diff cancels with gcd(d, d') and gcd(t, g) only: no gcd
+    # is taken with d^2, the denominator of the unreduced quotient rule
+    f = parse_expr(text, ch3)
+    square = f.den * f.den
+    expected = [RatFunc(f.num.diff(i) * f.den - f.num * f.den.diff(i), square) for i in range(3)]
+    calls = _top_level_gcds(monkeypatch)
+    assert [f.diff(i) for i in range(3)] == expected
+    assert calls and not any(square in pair for pair in calls)
+    assert len(calls) <= 6

@@ -3,8 +3,8 @@
 sympy is used only here, as an independent oracle: every comparison with it
 is by value (``sympy.cancel`` of a difference, or cross-multiplication in
 sympy's polynomial ring), so it does not depend on how either side chooses to
-write a rational function.  The one structural check compares ``RatFunc``
-arithmetic with ``RatFunc``'s own full-reduction constructor.  After every
+write a rational function.  The structural checks compare ``RatFunc``
+arithmetic and ``diff`` with ``RatFunc``'s own full-reduction constructor.  After every
 operation, each ``Poly`` coefficient must be an ``int`` or a non-integral
 ``Fraction``.
 """
@@ -17,7 +17,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from poisskit import expr
-from poisskit.expr import ExprError, Poly, RatFunc, chart, poly_divexact, poly_gcd
+from poisskit.expr import (
+    ExprError,
+    Poly,
+    RatFunc,
+    chart,
+    parse_expr,
+    poly_divexact,
+    poly_gcd,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -157,6 +165,60 @@ def test_diff_matches_sympy(a, index):
     derivative = a.diff(index)
     assert same_value(derivative, sympy.diff(to_sympy(a), SYMS[index]))
     assert obeys_rule(derivative)
+
+
+def quotient_rule_pair(a, index):
+    """RatFunc of the unreduced quotient rule (n'd - nd') / d^2."""
+    n, d = a.num, a.den
+    return RatFunc(n.diff(index) * d - n * d.diff(index), d * d)
+
+
+@ORACLE
+@given(nonzero_coefficients, linear_factors, linear_factors, linear_factors,
+       st.integers(0, 2), st.integers(0, 3), st.booleans())
+def test_diff_gives_the_constructors_pair(c, f, g, h, index, monomial, split):
+    # The denominator has a factor g that involves x_index, squared or times
+    # a variable x_monomial, and an x_index-free factor (h without its
+    # x_index term).  Split into a sum, the free factor drops out of the
+    # derivative's denominator, so diff cancels gcd(t, g) as well.  The
+    # derivative must equal sympy's (A'B - AB')/B^2 by cross-multiplication,
+    # and be the pair the constructor makes of the unreduced quotient rule.
+    free = Poly(CH, {e: v for e, v in h.terms.items() if not e[index]})
+    assume(g.degree_in(index) > 0 and free.total_degree() > 0)
+    base = g**2 if monomial == 3 else g * Poly.var(CH, monomial)
+    with counting_aborts() as aborts:
+        if split:
+            a = RatFunc(f, base) + RatFunc(Poly.const(CH, c), free)
+        else:
+            a = RatFunc(f.scale(c), base * free)
+        ours, reference = a.diff(index), quotient_rule_pair(a, index)
+    (A, B), (num, den) = sympy_pair(a), sympy_pair(ours)
+    x = SYMS[index]
+    assert (num * B**2 - (A.diff(x) * B - A * B.diff(x)) * den).is_zero
+    assert obeys_rule(ours)
+    if not aborts:
+        assert layout(ours) == layout(reference)
+
+
+@pytest.mark.parametrize("text,index", [
+    # d = x*z, d' = z: g = z, h = x, t = 1*x - (x + z)*1 = -z and u = z, so
+    # the result is (t/u) / ((d/u)*h), with d and not h divided by u
+    ("(x + z)/(x*z)", 0),
+    # g = 1: the bracket keeps the products' own term order
+    ("(x + y)/(x^2 + z)", 0),
+    # a bracket of degree 9, over the cap: left unreduced by the constructor
+    ("x^5*y/((x + y)^2*z^2)", 0),
+    # d free of x: n'/d, with n' in the descending order the constructor
+    # leaves after cancelling d from n'd/d^2
+    ("(x*z + x^2 + x*y)/(y + z)", 0),
+])
+def test_diff_pins_the_constructors_pair(text, index):
+    a = parse_expr(text, CH)
+    assert layout(a.diff(index)) == layout(quotient_rule_pair(a, index))
+
+
+def test_diff_divides_d_by_the_cancelled_factor():
+    assert str(parse_expr("(x + z)/(x*z)", CH).diff(0)) == "(-1)/(x^2)"
 
 
 @ORACLE

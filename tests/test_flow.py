@@ -259,3 +259,28 @@ def test_step_counts(tmp_path, capsys, so3_structure, ch3):
     assert trace.steps == len(trace.points) - 1
     status, out = _run(tmp_path, capsys, SO3_RATIONAL, "--json")
     assert status == 0 and json.loads(out)[0]["data"]["steps"] == 500
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"dt": math.nan}, "dt must be finite"),
+    ({"t_max": math.inf}, "t_max must be finite"),
+    ({"tol": math.inf}, "tol must be finite"),
+    ({"tol": math.nan}, "tol must be finite"),
+])
+def test_flow_config_rejects_non_finite_values(settings, message):
+    with pytest.raises(flow.FlowError, match=message):
+        flow.FlowConfig(**settings)
+
+
+def test_step_counts_past_max_steps_are_flow_errors(so3_structure, ch3):
+    # t_max / dt overflows to inf: compared with max_steps as a float, it
+    # never reaches int()
+    cfg = flow.FlowConfig(dt=1e-300, t_max=1e300)
+    h, x0 = parse_expr("x^2 + y", ch3), [0.1, 0.2, 0.3]
+    with pytest.raises(flow.FlowError, match="step count inf exceeds max_steps"):
+        flow.integrate_hamiltonian(so3_structure, h, x0, cfg)
+    with pytest.raises(flow.FlowError, match="step count 1e\\+30 exceeds max_steps"):
+        flow.leaf_trace(so3_structure, [h], x0, [(0, 1e-270)], cfg)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(flow.FlowError, match="is not finite"):
+            flow.leaf_trace(so3_structure, [h], x0, [(0, t)], cfg)

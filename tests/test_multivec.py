@@ -194,6 +194,26 @@ def test_schouten_graded_antisymmetry(ch3):
         assert schouten(x, y) == schouten(y, x).scale(-sign)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_schouten_square_of_itself_matches_an_equal_copy(ch3, degree):
+    # schouten(x, x) takes each derivative once; an equal copy that is not
+    # the same object goes through the two sums of the general formula
+    # (odd degree: [x, x] = 0 by graded antisymmetry)
+    rng = rng_for(f"square {degree}")
+    nonzero = 0
+    for _ in range(6):
+        x = random_multivec(rng, ch3, degree)
+        den = random_poly(rng, ch3, 1)
+        if not den.is_zero:
+            x = x.scale(1 / den)
+        copy = MultiVec(ch3, degree, dict(x.coeffs))
+        assert copy is not x and copy == x
+        square = schouten(x, x)
+        assert square == schouten(x, copy)
+        nonzero += not square.is_zero
+    assert nonzero == 0 if degree % 2 else nonzero > 0
+
+
 def test_schouten_graded_jacobi(ch3):
     rng = rng_for("jacobi")
     for _ in range(25):
