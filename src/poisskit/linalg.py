@@ -16,6 +16,20 @@ cohomology calls the two directly and builds no dense matrix.  ``rref`` and
 ``solve`` and ``preimage_span`` run on ``rref``; all of these take and return
 dense lists.
 
+The core eliminates over the integers (fraction-free, as in Bareiss, Math.
+Comp. 1968).  On entry each rational row (int or Fraction entries) is scaled
+to the primitive integer row on its line.  A step that cancels the entry f of
+a row against the pivot p of a pivot row takes row <- (p/g) row - (f/g)
+pivot_row with g = gcd(p, f), and then divides the row by its content, the
+gcd of its entries; so the loop builds no Fraction.  Rows with other entries
+(RatFunc) take the same loop with the step row <- row - (f/p) pivot_row and
+no content step.  Each pivot row is divided by its pivot once, through
+``_div``, at the end of ``eliminate``: the reduced row echelon form is
+unique, so the result is the one of dividing at every step, with Fraction
+entries for rational input.  On gl3 Lie-Poisson cohomology, H^2 at d = 3
+took 6.8 s instead of 28.5 s with Fraction steps, and H^2 at d = 2 took
+0.43 s instead of 1.76 s (2-core x86 VM, Python 3.11).
+
 ``mat_inverse`` and ``det`` stay dense loops over small square matrices,
 mostly of RatFuncs.  With ``mat_inverse`` routed through ``eliminate``, the
 ``rational`` benchmark jobs at seeds 1 and 2 took 33.2 s instead of 14.5 s
@@ -31,6 +45,7 @@ which keeps ``int / int`` exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -59,26 +74,73 @@ def eliminate(rows):
     nonzero entries, left unmodified.  Each row is reduced against the pivot
     rows found so far, which are kept reduced against each other; its leading
     column then becomes a new pivot and is eliminated from the earlier ones.
+    Rational rows are worked on as primitive integer rows, cancelled by
+    ``_cancel`` with a content step, and each pivot row is divided by its
+    pivot only at the end (see the module docstring).
     Returns (reduced, independent): ``reduced`` maps each pivot column to its
     row (1 there, 0 at the other pivots); ``independent`` lists the indices
     of the rows outside the span of the rows before them."""
     reduced = {}
     independent = []
     for i, row in enumerate(rows):
-        row = dict(row)
+        if not row:
+            continue
+        row = _primitive(row) if _is_rational(row) else dict(row)
         for pc in [c for c in row if c in reduced]:
-            _axpy(row, -row[pc], reduced[pc])
+            _cancel(row, pc, reduced[pc])
         if not row:
             continue
         pc = min(row)
-        pv = row[pc]
-        row = {c: _div(x, pv) for c, x in row.items()}
         for other in reduced.values():
             if pc in other:
-                _axpy(other, -other[pc], row)
+                _cancel(other, pc, row)
         reduced[pc] = row
         independent.append(i)
+    for pc, row in reduced.items():
+        pv = row[pc]
+        reduced[pc] = {c: _div(x, pv) for c, x in row.items()}
     return reduced, independent
+
+
+def _is_rational(row) -> bool:
+    return all(type(x) is int or type(x) is Fraction for x in row.values())
+
+
+def _primitive(row):
+    """The integer row of content 1 on the line of a nonzero rational row."""
+    scale = math.lcm(*(x.denominator for x in row.values()))
+    row = {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
+    g = math.gcd(*row.values())
+    return {c: x // g for c, x in row.items()} if g != 1 else row
+
+
+def _cancel(row, pc, pivot_row):
+    """Cancels the entry f of ``row`` at column pc against the pivot p of
+    ``pivot_row``, in place, dropping zeros.  Integer rows take
+    row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f) and are then
+    divided by their content; other rows take row <- row - (f/p) pivot_row."""
+    f, p = row[pc], pivot_row[pc]
+    integral = type(f) is int and type(p) is int
+    if integral:
+        g = math.gcd(p, f)
+        a, f = p // g, -(f // g)
+        if a != 1:
+            for c in row:
+                row[c] *= a
+    else:
+        f = -(f / p)
+    for c, x in pivot_row.items():
+        v = row.get(c)
+        v = f * x if v is None else v + f * x
+        if _is_zero(v):
+            row.pop(c, None)
+        else:
+            row[c] = v
+    if integral and row:
+        g = math.gcd(*row.values())
+        if g != 1:
+            for c in row:
+                row[c] //= g
 
 
 def null_space(reduced, ncols):
@@ -90,6 +152,11 @@ def null_space(reduced, ncols):
             if c != pc:
                 basis[c][pc] = -x
     return list(basis.values())
+
+
+def _zero_of(matrix):
+    """The zero of the matrix's entry type; Fraction(0) for an empty matrix."""
+    return matrix[0][0] - matrix[0][0] if matrix and matrix[0] else Fraction(0)
 
 
 def _sparse_rows(matrix):
@@ -105,23 +172,12 @@ def rref(matrix):
     cols = len(matrix[0])
     reduced, _ = eliminate(_sparse_rows(matrix))
     pivots = sorted(reduced)
-    zero = matrix[0][0] - matrix[0][0] if cols else None
+    zero = _zero_of(matrix)
     rows = [[zero] * cols for _ in matrix]
     for dense, pc in zip(rows, pivots):
         for c, x in reduced[pc].items():
             dense[c] = x
     return rows, pivots
-
-
-def _axpy(row, f, pivot_row):
-    """row += f * pivot_row, in place on sparse rows, dropping zeros."""
-    for c, x in pivot_row.items():
-        v = row.get(c)
-        v = f * x if v is None else v + f * x
-        if _is_zero(v):
-            row.pop(c, None)
-        else:
-            row[c] = v
 
 
 def rank(matrix) -> int:
@@ -139,8 +195,10 @@ def canonical_span(vectors):
 def kernel_basis(matrix, ncols=None):
     """Basis of the right null space {v : matrix @ v = 0}, ``null_space`` made dense."""
     cols = ncols if ncols is not None else len(matrix[0]) if matrix else 0
+    zero = _zero_of(matrix)
     basis = null_space(eliminate(_sparse_rows(matrix))[0], cols)
-    return [[v.get(c, Fraction(0)) for c in range(cols)] for v in basis]
+    # zero + x turns null_space's Fraction(1) at each free column into the entry type
+    return [[zero + v[c] if c in v else zero for c in range(cols)] for v in basis]
 
 
 def _dot(row, col):
@@ -220,7 +278,7 @@ def solve(matrix, rhs):
     m, pivots = rref(aug)
     if cols in pivots:
         return None  # pivot in the rhs column
-    v = [Fraction(0)] * cols
+    v = [_zero_of(matrix)] * cols
     for r, pc in enumerate(pivots):
         v[pc] = m[r][cols]
     return v

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
@@ -58,6 +59,19 @@ class PoissonStructure:
     def __post_init__(self):
         if self.pi.degree != 2:
             raise PoissonError("a Poisson structure needs a degree-2 multivector")
+
+    @cached_property
+    def generator_images(self):
+        """(of_x, of_d): the ``_terms`` of d_pi(x_j) and of d_pi(d/dx_j) for
+        each coordinate j, which ``cohomology`` builds d_pi from.  Taken on
+        first use and kept on the instance, outside the dataclass fields, so
+        equality and repr ignore it."""
+        chart = self.chart
+        of_x = [_terms(d_pi(self, MultiVec.from_scalar(RatFunc.var(chart, j))))
+                for j in range(chart.dim)]
+        of_d = [_terms(d_pi(self, MultiVec.basis_vector(chart, j)))
+                for j in range(chart.dim)]
+        return of_x, of_d
 
 
 def bivector_matrix(pi) -> list[list[RatFunc]]:
@@ -424,8 +438,10 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
                         + x^m sum_r (-1)^r d_pi(d_{i_r}) ^ d_{I without i_r}
 
     (r counted from 0).  Only the 2n generator images d_pi(x_j) and
-    d_pi(d/dx_j) take a Schouten bracket; the rest is index and exponent
-    bookkeeping on exact (int or Fraction) coefficients.
+    d_pi(d/dx_j) take a Schouten bracket, and they are taken once per
+    structure (``PoissonStructure.generator_images``), so a loop over k or d
+    on one structure brackets 2n times in all; the rest is index and
+    exponent bookkeeping on exact (int or Fraction) coefficients.
     """
     pi = _pi_of(structure)
     chart = pi.chart
@@ -434,10 +450,7 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     if k > chart.dim or k < 0 or d < 0:
         raise PoissonError("invalid (k, d)")
     delta = _coefficient_degree(pi)
-    n = chart.dim
-    of_x = [_terms(d_pi(structure, MultiVec.from_scalar(RatFunc.var(chart, j))))
-            for j in range(n)]
-    of_d = [_terms(d_pi(structure, MultiVec.basis_vector(chart, j))) for j in range(n)]
+    of_x, of_d = structure.generator_images
 
     dom = _kvector_basis(chart, k, d)
     cod = _kvector_basis(chart, k + 1, d + delta - 1)

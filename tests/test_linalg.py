@@ -99,16 +99,53 @@ def test_rref_keeps_the_entry_type():
     assert all(isinstance(e, RatFunc) for row in rows for e in row)
 
 
+def test_kernel_and_solve_keep_the_entry_type():
+    ch = chart("x")
+    x, one, zero = parse_expr("x", ch), RatFunc.const(ch, 1), RatFunc.zero(ch)
+    ker = linalg.kernel_basis([[zero, x, x]])
+    assert ker == [[one, zero, zero], [zero, -one, one]]
+    assert all(isinstance(e, RatFunc) for v in ker for e in v)
+    v = linalg.solve([[x, zero, zero], [zero, one, zero]], [x, x])
+    assert v == [one, x, zero]
+    assert all(isinstance(e, RatFunc) for e in v)
+
+
+def test_cancel_removes_the_content():
+    # cancelling column 0 of (1, 1, 1) against the pivot row (1, 3, 5) leaves
+    # (0, -2, -4), whose content 2 is divided out
+    row = {0: 1, 1: 1, 2: 1}
+    linalg._cancel(row, 0, {0: 1, 1: 3, 2: 5})
+    assert row == {1: -1, 2: -2}
+    # the same rows scaled by fractions: the same primitive rows on entry,
+    # and one division by each pivot at the end
+    for matrix in ([[1, 3, 5], [1, 1, 1]], [[F(1, 2), F(3, 2), F(5, 2)], [F(-1, 3)] * 3]):
+        reduced, independent = linalg.eliminate(
+            [{c: x for c, x in enumerate(row)} for row in matrix])
+        assert independent == [0, 1]
+        assert reduced == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 2}}
+        assert all(type(x) is F for row in reduced.values() for x in row.values())
+
+
 # three entries in four are zero, like the cohomology matrices' sparse rows
 _sparse_fraction = st.one_of(
     st.just(F(0)), st.just(F(0)), st.just(F(0)),
     st.fractions(min_value=-4, max_value=4, max_denominator=5),
 )
+# larger numerators and denominators, so that the integer rows carry a
+# nontrivial content and the final division by each pivot reduces
+_wide_fraction = st.one_of(
+    st.just(F(0)), st.just(F(0)),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=50),
+)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 7).flatmap(lambda cols: st.lists(
-    st.lists(_sparse_fraction, min_size=cols, max_size=cols), min_size=1, max_size=8)))
+def _matrices(entries):
+    return st.integers(1, 7).flatmap(lambda cols: st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_matrices(_sparse_fraction), _matrices(_wide_fraction)))
 def test_rref_matches_sympy(matrix):
     sympy = pytest.importorskip("sympy")
     sym = sympy.Matrix(
@@ -126,6 +163,7 @@ def test_rref_matches_sympy(matrix):
     assert sparse == [{c: x for c, x in enumerate(row) if x} for row in matrix]
     assert independent == linalg.rref(linalg.transpose(matrix))[1]
     assert sorted(reduced) == pivots
+    assert all(type(x) is F for row in reduced.values() for x in row.values())
     kernel = [[v.get(c, F(0)) for c in range(cols)] for v in linalg.null_space(reduced, cols)]
     assert kernel == linalg.kernel_basis(matrix)
     assert kernel == [[F(int(e.p), int(e.q)) for e in v] for v in sym.nullspace()]
@@ -135,5 +173,5 @@ def test_rref_matches_sympy(matrix):
     reduced, independent = linalg.eliminate([{c: x for c, x in enumerate(row) if x}
                                              for row in ints])
     assert independent == linalg.eliminate(sparse)[1]
-    assert all(type(x) in (int, F) for row in reduced.values() for x in row.values())
+    assert all(type(x) is F for row in reduced.values() for x in row.values())
     assert linalg.kernel_basis(ints) == kernel and _no_floats(linalg.rref(ints)[0])

@@ -526,6 +526,8 @@ def test_d_pi_derivation_rule_matches_schouten(name):
             for j in range(chart.dim)]
     of_d = [poisson._terms(d_pi(structure, MultiVec.basis_vector(chart, j)))
             for j in range(chart.dim)]
+    # the images cohomology reads are the cached ones
+    assert structure.generator_images == (of_x, of_d)
     count = 0
     for k in range(chart.dim + 1):
         for d in range(3):
@@ -536,6 +538,29 @@ def test_d_pi_derivation_rule_matches_schouten(name):
                 count += 1
     assert count == 2 ** chart.dim * sum(
         len(poisson._monomials(chart, d)) for d in range(3))
+
+
+def test_cohomology_takes_the_generator_images_once(monkeypatch):
+    # a CLI cohomology task loops over d = 0..d_max on one structure; only
+    # its first degree brackets, 2n times
+    calls = []
+    original = poisson.d_pi
+    monkeypatch.setattr(poisson, "d_pi", lambda *a: calls.append(a) or original(*a))
+    doc = {**fixtures.fixture_manifest("so3"),
+           "tasks": [{"task": "cohomology", "k": 1, "d_max": 3}]}
+    [result] = cli.run_tasks(cli.load_manifest(doc))
+    assert len(result.data["reports"]) == 4
+    assert len(calls) == 2 * 3
+
+
+def test_generator_images_stay_out_of_equality_and_repr(so3_structure):
+    fresh = require_poisson(so3_structure.pi)
+    assert so3_structure.generator_images  # cached on one of the two
+    assert "generator_images" in vars(so3_structure)
+    assert "generator_images" not in vars(fresh)
+    assert so3_structure == fresh
+    assert repr(so3_structure) == repr(fresh)
+    assert "generator_images" not in repr(so3_structure)
 
 
 # -- gauge transformations ----------------------------------------------------------------------------
