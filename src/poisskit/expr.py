@@ -24,7 +24,14 @@ Representation choices:
   denominators (Henrici, JACM 1956; Knuth, TAOCP vol. 2, 4.5.1) or of d and
   its derivative, and give the same pair.  A pair from which a factor was
   cancelled has its terms in descending graded-lex order, the order
-  ``poly_divexact`` leaves them in.
+  ``poly_divexact`` leaves them in;
+* ``poly_gcd`` takes its steps in this order: the trivial cases, the size
+  guard (still in force: an operand over it abandons the gcd), the two
+  exact-division shortcuts, a heuristic integer gcd (GCDHEU) whose
+  candidate is accepted only when it divides both operands exactly, and the
+  recursive primitive PRS only when the heuristic gives up.  The result is
+  normalized primitive with a positive leading coefficient, so it does not
+  depend on which step found it.
 
 The monomial order used for printing and sign normalization is graded
 lexicographic by variable index.  No floating point is used anywhere in this
@@ -37,7 +44,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from itertools import chain
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
 from operator import add
 from typing import Sequence
 
@@ -332,8 +340,12 @@ class Poly:
 
 # -- multivariate gcd -------------------------------------------------------
 #
-# Recursive primitive-PRS gcd over Q[x_1, ..., x_n].  Only called for total
-# degree <= GCD_DEGREE_CAP, which keeps the pseudo-remainder growth harmless.
+# The size guard in poly_gcd (twice GCD_DEGREE_CAP) bounds what each call is
+# handed, not how far the primitive PRS's intermediates grow: a content gcd
+# inside the PRS can pass the guard and so abandon the whole gcd.
+
+#: Evaluation points the heuristic gcd tries before it gives up.
+HEU_GCD_TRIES = 6
 
 
 def _as_univariate(p: Poly, index: int) -> dict[int, Poly]:
@@ -358,30 +370,37 @@ def _from_univariate(chart: Chart, index: int, coeffs: dict[int, Poly]) -> Poly:
 
 
 def poly_divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division a / b; raises ExprError if b does not divide a.
+    """Exact division a / b; raises ExprError if b does not divide a."""
+    if b.is_zero:
+        raise ExprError("division by the zero polynomial")
+    return Poly(a.chart, _divide(a.terms, b.terms, _quotient))
+
+
+def _divide(a: dict, b: dict, quotient) -> dict:
+    """The terms of a / b, coefficients divided by ``quotient``; raises
+    ExprError if b does not divide a.
 
     One remainder dict is reduced in place: each quotient term t*x^diff
     subtracts t*x^diff*b from it term by term.
     """
-    if b.is_zero:
-        raise ExprError("division by the zero polynomial")
-    be, bc = b.leading()
+    be = max(b, key=_monomial_key)
+    bc = b[be]
     q = {}
-    r = dict(a.terms)
+    r = dict(a)
     while r:
         re = max(r, key=_monomial_key)
         diff = tuple(x - y for x, y in zip(re, be))
         if any(d < 0 for d in diff):
             raise ExprError("inexact polynomial division")
-        t = q[diff] = _quotient(r[re], bc)
-        for e, c in b.terms.items():
+        t = q[diff] = quotient(r[re], bc)
+        for e, c in b.items():
             e = tuple(map(add, diff, e))
             s = r.get(e, 0) - t * c
             if s:
                 r[e] = s
             else:
                 r.pop(e, None)
-    return Poly(a.chart, q)
+    return q
 
 
 def _try_divexact(a: Poly, b: Poly):
@@ -438,12 +457,111 @@ def _normalize_gcd(g: Poly) -> Poly:
     return Poly(g.chart, {e: _quotient(c * den, num) for e, c in g.terms.items()})
 
 
+def _integral(p: Poly) -> dict:
+    """The terms of p times the lcm of its denominators."""
+    den = _int_lcm(*(c.denominator for c in p.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+
+
+def _int_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ExprError("inexact polynomial division")
+    return q
+
+
+def _int_divide(a: dict, b: dict) -> dict | None:
+    """a / b for integer polynomials when b divides a over Z, else None."""
+    try:
+        return _divide(a, b, _int_quotient)
+    except ExprError:
+        return None
+
+
+def _evaluate(f: dict, i: int, xi: int) -> dict:
+    """f with x_i set to xi."""
+    out = {}
+    for e, c in f.items():
+        if e[i]:
+            c *= xi ** e[i]
+            e = e[:i] + (0,) + e[i + 1:]
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _interpolate(h: dict, i: int, xi: int) -> dict:
+    """The polynomial in x_i whose coefficients of x_i^k are the k-th
+    symmetric xi-adic digits of h's coefficients."""
+    out, k, half = {}, 0, xi // 2
+    while h:
+        rest = {}
+        for e, c in h.items():
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[e[:i] + (k,) + e[i + 1:]] = d
+            if c != d:
+                rest[e] = (c - d) // xi
+        h, k = rest, k + 1
+    return out
+
+
+def _heu_gcd(f: dict, g: dict) -> dict | None:
+    """gcd of two nonzero integer polynomials (exponent tuple -> int), up to
+    sign, or None when the heuristic gives up (GCDHEU: Char, Geddes and
+    Gonnet, JSC 1989; Liao and Fateman, 1995).
+
+    The last live variable x_i is set to an integer xi, the gcd of the
+    images is taken recursively down to an integer gcd, and a candidate is
+    read off its symmetric xi-adic digits.  A candidate is accepted only if
+    it divides both inputs exactly; a constant image gcd c with 2|c| <= xi
+    gives the unit candidate, which does.  Otherwise the cofactors' images
+    are interpolated the same way, and xi grows for the next try."""
+    cf, cg = _int_gcd(*f.values()), _int_gcd(*g.values())
+    cont = _int_gcd(cf, cg)
+    zero = (0,) * len(next(iter(f)))
+    i = max((j for e in (*f, *g) for j, k in enumerate(e) if k), default=None)
+    if i is None:
+        return {zero: cont}
+    f = {e: c // cf for e, c in f.items()}
+    g = {e: c // cg for e, c in g.items()}
+    fn, gn = max(map(abs, f.values())), max(map(abs, g.values()))
+    # |leading coefficient| with x_i, then the variables below it, most significant
+    lf, lg = (abs(p[max(p, key=lambda e: e[::-1])]) for p in (f, g))
+    bound = 2 * min(fn, gn) + 29
+    xi = max(min(bound, 99 * isqrt(bound)), 2 * min(fn // lf, gn // lg) + 4)
+    for _ in range(HEU_GCD_TRIES):
+        ff, gg = _evaluate(f, i, xi), _evaluate(g, i, xi)
+        if ff and gg:
+            h = _heu_gcd(ff, gg)
+            if h is None:
+                return None
+            if h.keys() == {zero} and 2 * abs(h[zero]) <= xi:
+                return {zero: cont}
+            h_i = _interpolate(h, i, xi)
+            content = _int_gcd(*h_i.values())
+            by_cofactor = (_int_divide(p, _interpolate(_int_divide(image, h), i, xi))
+                           for p, image in ((f, ff), (g, gg)))
+            for candidate in chain([{e: c // content for e, c in h_i.items()}], by_cofactor):
+                if (candidate is not None and _int_divide(f, candidate) is not None
+                        and _int_divide(g, candidate) is not None):
+                    return {e: c * cont for e, c in candidate.items()}
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd in Q[x...], normalized primitive with positive leading coefficient.
 
-    Raises _GcdTooExpensive when intermediates leave the cheap range; callers
-    that merely want opportunistic reduction catch that and keep the operands
-    unreduced.
+    The steps, in order: the trivial cases (a zero or constant operand); the
+    size guard; the two exact-division shortcuts (one operand divides the
+    other); the heuristic integer gcd ``_heu_gcd``, whose result is checked
+    by exact division of both operands; and the recursive primitive PRS,
+    only when the heuristic gives up.  Raises _GcdTooExpensive when an
+    operand, or an intermediate of the PRS, is over the size guard; callers
+    that merely want opportunistic reduction catch that and keep the
+    operands unreduced.
     """
     if a.is_zero:
         return _normalize_gcd(b)
@@ -464,7 +582,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     q = _try_divexact(b, a)
     if q is not None:
         return _normalize_gcd(a)
-    # main variable: last index where either has positive degree
+    h = _heu_gcd(_integral(a), _integral(b))
+    if h is not None:
+        return _normalize_gcd(Poly(a.chart, h))
+    # the heuristic gave up: primitive PRS in the last live variable
     index = max(
         i
         for i in range(a.chart.dim)
@@ -869,7 +990,10 @@ class _Parser:
         self.chart = chart
 
     def parse(self) -> RatFunc:
-        value = self._expr()
+        try:
+            value = self._expr()
+        except RecursionError:  # the descent takes a few frames per '(' or '-'
+            raise ParseError("expression nested too deeply", self.toks.peek()[2]) from None
         kind, text, pos = self.toks.peek()
         if kind != "eof":
             raise ParseError(f"unexpected trailing input {text!r}", pos)

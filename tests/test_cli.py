@@ -66,6 +66,17 @@ def test_unreadable_manifest(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("FAIL manifest ")
 
 
+def test_deeply_nested_expression_is_a_manifest_error(tmp_path, capsys):
+    deep = "(" * 5000 + "x" + ")" * 5000
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({**SO3, "expressions": {"f": deep}}))
+    status = cli.main(["run", str(path)])
+    out, err = capsys.readouterr()
+    assert status == 2 and err == ""
+    assert out.startswith("FAIL manifest expression nested too deeply")
+    assert "Traceback" not in out
+
+
 def test_failed_task_is_reported_per_task(tmp_path, capsys):
     # a bivector that is not Poisson fails its task; the others still run
     doc = {"chart": ["x", "y", "z"], "bivectors": {"pi": {"0,1": "x", "1,2": "y"}},

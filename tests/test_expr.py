@@ -71,6 +71,17 @@ def test_parse_errors_carry_position(ch2):
         parse_expr("x $ y", ch2)
 
 
+@pytest.mark.parametrize("text", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"])
+def test_deep_nesting_is_a_parse_error(ch2, text):
+    with pytest.raises(ParseError, match="expression nested too deeply"):
+        parse_expr(text, ch2)
+
+
+def test_moderate_nesting_still_parses(ch2):
+    assert parse_expr("(" * 200 + "x" + ")" * 200, ch2) == parse_expr("x", ch2)
+    assert parse_expr("-" * 200 + "x", ch2) == parse_expr("x", ch2)
+
+
 def test_unary_minus_and_precedence(ch2):
     assert parse_expr("-x^2", ch2) == -parse_expr("x^2", ch2)
     assert parse_expr("2*x+3*y", ch2) == parse_expr("3*y+2*x", ch2)
@@ -196,6 +207,41 @@ def test_gcd_cancels_common_factor():
     g = poly_gcd(a, b)
     assert g == x_plus_y or g == x_plus_y.scale(Fraction(-1))
     assert poly_divexact(a, g) * g == a
+
+
+def test_gcd_where_the_prs_gives_up(ch3):
+    # a content gcd inside the primitive PRS reaches degree 17, past its size
+    # guard, so the PRS alone abandons this gcd and leaves the pair unreduced
+    a = parse_expr("(y^2*z + 1)*(y^2*z^2 + 1)", ch3).as_poly()
+    b = parse_expr("(y^2*z + 1)*(x^2*y^2*z + x*z^2 + 1)", ch3).as_poly()
+    assert str(poly_gcd(a, b)) == "y^2*z + 1"
+    assert str(RatFunc(a, b)) == "(y^2*z^2 + 1)/(x^2*y^2*z + x*z^2 + 1)"
+
+
+def test_gcd_of_an_unreduced_sum(ch3):
+    # numerator and denominator of 30 and 35 terms: the PRS alone ran for
+    # minutes on this pair
+    a = parse_expr("(48*x^2 + 24*x*y - 240*x*z - 96*x)/(60*x^2 + 27*x*y + 75/2*x*z - 60*y^2"
+                   " + 93*y*z - 45/2*z^2 + 189*x + 144*y - 9*z + 108)", ch3)
+    b = parse_expr("(-55/2*x*z + 22*y*z - 55/2*z^2 - 66*z)/(24*x^2 + 42*x*y - 129*x*z"
+                   " + 15*y^2 - 309/2*y*z + 45*z^2 - 30*x - 51*y - 72*z - 36)", ch3)
+    num, den = a.num * b.den + b.num * a.den, a.den * b.den
+    assert (len(num.terms), len(den.terms)) == (30, 35)
+    assert str(poly_gcd(num, den)) == "8*x + 10*y - 3*z + 6"
+    whole = RatFunc(num, den)
+    assert whole == a + b and str(whole) == str(a + b)
+
+
+def test_heuristic_reads_the_gcd_off_a_cofactor(ch3, monkeypatch):
+    # at the first evaluation point, the innermost candidate read off the
+    # image gcd fails the division check, and the one read off the first
+    # input's cofactor passes it, so one point is enough
+    monkeypatch.setattr(expr, "HEU_GCD_TRIES", 1)
+    a = parse_expr("-36*x*y^4*z - 48*x^2*y^2", ch3).as_poly()
+    b = parse_expr("24*x*y^4*z^3 + 32*x^2*y^2*z^2", ch3).as_poly()
+    h = expr._heu_gcd(expr._integral(a), expr._integral(b))
+    assert h is not None
+    assert str(expr._normalize_gcd(Poly(ch3, h))) == "3*x*y^4*z + 4*x^2*y^2"
 
 
 def test_ratfunc_reduction_and_cross_multiplication():

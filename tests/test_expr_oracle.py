@@ -49,6 +49,8 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 # small enough that sympy.cancel stays quick and a gcd never leaves its cheap range
 small_polys = poly_strategy(1, 3)
 small_factors = small_polys.filter(lambda p: not p.is_zero)
+# gcd factors with squared variables, whose products the PRS alone abandoned
+gcd_factors = poly_strategy(2, 3).filter(lambda p: not p.is_zero)
 ratfuncs = st.builds(RatFunc, small_polys, small_factors)
 nonzero_coefficients = coefficients.filter(bool)
 linear_factors = st.tuples(*[coefficients] * 4).map(
@@ -222,7 +224,7 @@ def test_diff_divides_d_by_the_cancelled_factor():
 
 
 @ORACLE
-@given(small_factors, small_factors, small_factors)
+@given(gcd_factors, gcd_factors, gcd_factors)
 def test_gcd_matches_sympy(f, g, h):
     # a common factor f makes most gcds nontrivial
     a, b = f * g, f * h
@@ -234,6 +236,46 @@ def test_gcd_matches_sympy(f, g, h):
     # normalized: primitive integer coefficients, positive leading coefficient
     assert all(type(c) is int for c in ours.terms.values())
     assert ours.leading()[1] > 0
+
+
+@ORACLE
+@given(small_factors, small_factors, small_factors)
+def test_prs_fallback_gives_the_same_gcd(f, g, h):
+    # the heuristic gcd succeeds on every benchmark workload, so the primitive
+    # PRS behind it runs only here: made to give up, the heuristic hands
+    # every gcd, the PRS's inner ones included, to the PRS
+    a, b = f * g, f * h
+    expected = poly_gcd(a, b)
+    gave_up = []
+
+    def give_up(f, g):
+        gave_up.append((f, g))
+
+    with mock.patch.object(expr, "_heu_gcd", give_up):
+        fallback = poly_gcd(a, b)
+    assume(gave_up)
+    assert fallback == expected
+    assert obeys_rule(fallback)
+
+
+@pytest.mark.parametrize("a,b", [
+    ("x^2 + y*z + 1", "x*y + z^2 + 2"),
+    ("(x + y)*(y*z - 1)", "(x - y)*(x*z + 3)"),
+    ("x^3*y - 2*z", "x*y^2*z + x + 1"),
+])
+def test_coprime_pair_takes_one_gcd_call(a, b):
+    # the heuristic never calls poly_gcd; the PRS calls it for every content
+    calls = []
+    gcd = expr.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    a, b = (parse_expr(text, CH).as_poly() for text in (a, b))
+    with mock.patch.object(expr, "poly_gcd", counted):
+        assert expr.poly_gcd(a, b) == Poly.const(CH, 1)
+    assert len(calls) == 1
 
 
 @ORACLE
