@@ -438,7 +438,10 @@ def _cmd_run(args) -> int:
         extra["point"] = args.point
     try:
         with open(args.manifest) as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ManifestError("JSON nested too deeply") from None
         manifest = load_manifest(doc)
         results = run_tasks(manifest, selected=args.task or None, extra_params=extra)
     except (OSError, ExprError, KeyError, ValueError) as err:

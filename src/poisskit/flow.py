@@ -6,14 +6,20 @@ All symbolic data is converted to 64-bit floats on entry: each vector field
 is compiled to generated scalar Python code (``compile_field``), both its
 right-hand side and one generated RK4 loop, ``advance``, that keeps the state
 in scalar locals and runs the pole guards, the escape test and the recording
-of states inside the loop.  ``rk4_step`` is the reference step: the loop does
-the float operations of repeated ``rk4_step`` calls in the same order, so the
-two give bit-identical states (the tests hold the loop to it).  The
-integrator is deliberately fixed-step RK4 (no adaptivity) so traces are
-reproducible; variational (Jacobian) equations are integrated alongside the
-base flow.  Trajectories are stored in a flat ``array('d')`` and returned as
-numpy views; numpy is imported by the functions that return or use arrays,
-not with the module.
+of states inside the loop.  The four stages of the loop hold the field
+itself: polynomial entries (components, Jacobian entries and the entries of
+J' = A J) are written in as expressions, so a step of a polynomial field
+makes no Python call, while each entry with a nonconstant denominator stays
+one compiled lambda that the stages call (see ``compile_field`` for why).
+``rk4_step`` is the reference step: the loop does the float operations of
+repeated ``rk4_step`` calls in the same order, so the two give bit-identical
+states (the tests hold the loop to it).  The drifts of H and the Casimirs
+along a trajectory are taken by one generated pass over its states
+(``compile_drifts``).  The integrator is deliberately fixed-step RK4 (no
+adaptivity) so traces are reproducible; variational (Jacobian) equations are
+integrated alongside the base flow.  Trajectories are stored in a flat
+``array('d')`` and returned as numpy views; numpy is imported by the
+functions that return or use arrays, not with the module.
 """
 
 from __future__ import annotations
@@ -123,51 +129,65 @@ def compile_field(components, time_var=None, variational=False) -> CompiledField
     ``advance``.
 
     ``rhs(t, p)`` returns the tuple of components as floats; chart variable
-    ``time_var``, if given, reads the time t.  With ``variational`` the state
-    p carries, after its m coordinates, the m x m matrix J (row-major) of the
-    variational equation J' = A J with A_ik = dX_i/dp_k, and rhs appends the
-    entries of A J, skipping the zero entries of A.  ``guards`` are callables
-    ``g(t, p)`` for the nonconstant denominators of the components.
+    ``time_var``, if given, reads the time t, and chart variable i < m reads
+    coordinate i.  With ``variational`` the state p carries, after its m
+    coordinates, the m x m matrix J (row-major) of the variational equation
+    J' = A J with A_ik = dX_i/dp_k, and rhs appends the entries of A J,
+    skipping the zero entries of A.  ``guards`` are callables ``g(t, p)`` for
+    the nonconstant denominators of the components.
 
     ``advance(t, y, h, steps, cfg, pole_msg, escape_msg=None, out=None)`` is
     the field's generated RK4 loop (see ``_advance_source``): it takes
     ``steps`` steps of size h from the state y at time t and returns the new
     (t, y), y as a list.
 
-    Each nonzero component and entry of A is compiled by its own eval, and
-    the loop calls ``rhs`` at each stage instead of repeating its
-    expressions: one compile of a large field's whole source takes more
-    memory than its parts one at a time.
+    The four stages of ``advance`` hold the field itself.  A component or
+    entry of A with a constant denominator, and each entry of A J, is
+    written into every stage as an expression.  An entry with a nonconstant
+    denominator is compiled to a lambda by its own eval as soon as it is
+    derived, and each stage calls it: writing the rational entries in as
+    well would compile four copies of them, and the Moser gauge families
+    of the benchmark's ``rational`` workload have entries of up to 62/52
+    terms: that raised its peak RSS from 33.5 to 43.0 MB, against under 2%
+    for writing in the polynomial entries only.  ``rhs`` is the first
+    stage's text in a function of its own.
     """
     m = len(components)
-    names = _names(components[0].chart, time_var)
+    size = m + m * m if variational else m
+    # stage text is a template: {i} is coordinate i, {t} the stage time, {p}
+    # the stage point as a tuple, and {k} the stage number
+    names = [f"{{{i}}}" for i in range(components[0].chart.dim)]
+    if time_var is not None:
+        names[time_var] = "{t}"
     env = {}
 
-    def compiled(rf):
+    def source(rf):
+        if rf.den.is_constant:
+            return _ratfunc_source(rf, names)
         name = f"f{len(env)}"
-        env[name] = eval(f"lambda t, p: {_ratfunc_source(rf, names)}")
-        return name
+        env[name] = eval(f"lambda t, p: {_ratfunc_source(rf, _names(rf.chart, time_var))}")
+        return f"{name}({{t}}, {{p}})"
 
-    values = ["0.0" if c.is_zero else f"{compiled(c)}(t, p)" for c in components]
-    body = []
+    body = [f"k{{k}}_{i} = {source(c)}" for i, c in enumerate(components)]
     if variational:
         for i, c in enumerate(components):
             row = []
-            for k in range(m):
-                a = c.diff(k)
+            for col in range(m):
+                a = c.diff(col)
                 if not a.is_zero:
-                    body.append(f"    a{i}_{k} = {compiled(a)}(t, p)\n")
-                    row.append(k)
-            for j in range(m):
-                values.append(" + ".join(f"a{i}_{k} * p[{m + k * m + j}]" for k in row)
-                              or "0.0")
-    exec(f"def rhs(t, p):\n{''.join(body)}    return ({', '.join(values)},)\n", env)
-    guards = [eval(f"lambda t, p: {_poly_source(c.den, names)}")
+                    body.append(f"a{i}_{col} = {source(a)}")
+                    row.append(col)
+            body += [f"k{{k}}_{m + i * m + j} = "
+                     + (" + ".join(f"a{i}_{col} * {{{m + col * m + j}}}" for col in row)
+                        or "0.0")
+                     for j in range(m)]
+    guards = [eval(f"lambda t, p: {_poly_source(c.den, _names(c.chart, time_var))}")
               for c in components if not c.den.is_constant]
     env.update((f"g{i}", g) for i, g in enumerate(guards))
     env.update(FLOAT_MAX=sys.float_info.max, FlowError=FlowError,
                PoleProximityError=PoleProximityError, state_error=_state_error)
-    exec(_advance_source(m + m * m if variational else m, len(guards)), env)
+    exec(_rhs_source(size, body), env)
+    exec(_advance_source(size, m, body, len(guards)), env)
     return CompiledField(env["rhs"], guards, env["advance"])
 
 
@@ -191,30 +211,60 @@ def rk4_step(f, t, y, h):
     return [a + h6 * (b + 2 * c + 2 * d + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
 
-def _advance_source(size, guard_count):
+def _stage(body, k, names, time, point, indent):
+    """Stage k of the RK4 step: the template ``body`` of ``compile_field``
+    on the coordinate locals ``names``, the time ``time`` and the point tuple
+    ``point``, one statement a line."""
+    return "".join(f"{indent}{line.format(*names, t=time, p=point, k=k)}\n" for line in body)
+
+
+def _rhs_source(size, body):
+    """Source of ``rhs(t, p)``: the first stage of ``advance`` on the state
+    p, returning k1_0, k1_1, ..."""
+    state = ", ".join(f"y{i}" for i in range(size))
+    return (f"def rhs(t, p):\n    ({state},) = p\n"
+            + _stage(body, 1, [f"y{i}" for i in range(size)], "t", "p", "    ")
+            + f"    return ({', '.join(f'k1_{i}' for i in range(size))},)\n")
+
+
+def _advance_source(size, m, body, guard_count):
     """Source of ``advance``, the RK4 loop of ``rk4_step`` on a state of
     ``size`` floats held in the locals y0, y1, ...
 
+    The loop writes the stage template ``body`` (see ``compile_field``) out
+    four times: the first stage reads the state and the time t, the later
+    ones the stage locals q0, q1, ... and s.  A stage of a polynomial field
+    makes no Python call; a stage with rational entries calls their lambdas
+    on its point, the state tuple p or the tuple q of the first m stage
+    locals, which it builds only then.
+
     Before each step every guard g0, g1, ... must be at least the pole
-    threshold in absolute value.  Each step calls ``rhs`` at the four stages
-    with ``rk4_step``'s operations in its order: the stage points are
-    y + h2*k and, last, y + h*k; the stage times t + h2 and t + h; the update
-    y + h6*(k1 + 2*k2 + 2*k3 + k4).  After each step, if ``escape_msg`` is
-    given, the state must be finite and inside the escape radius, and it is
-    appended to ``out`` if given.  The messages are format templates for the
-    state; when a float operation fails, that is the last completed state.
+    threshold in absolute value.  The stages keep ``rk4_step``'s operations
+    in its order: the stage points are y + h2*k and, last, y + h*k; the
+    stage times t + h2 and t + h; the update y + h6*(k1 + 2*k2 + 2*k3 + k4),
+    its 2 written 2.0 (the same product, with no int operand to convert).
+    After each step, if ``escape_msg`` is given, the state must be finite
+    and inside the escape radius, and it is appended to ``out`` if given.
+    The messages are format templates for the state; when a float operation
+    fails, that is the last completed state.
     """
     ys = [f"y{i}" for i in range(size)]
+    qs = [f"q{i}" for i in range(size)]
     state = f"({', '.join(ys)},)"
+    text = "\n".join(body)
+    calls, timed = "{p}" in text, "{t}" in text
+    indent = "            "
 
-    def stage(k, point):
-        targets = "".join(f"k{k}_{i}, " for i in range(size))
-        return f"            {targets}= rhs({point})\n"
+    def later_stage(k, coef, time):
+        """Stage k > 1 on the point y + coef*k_{k-1}; a time of None keeps s."""
+        lines = [f"s = {time}"] if timed and time else []
+        lines += [f"q{i} = y{i} + {coef} * k{k - 1}_{i}" for i in range(size)]
+        if calls:
+            lines.append(f"q = ({', '.join(qs[:m])},)")
+        return ("".join(f"{indent}{line}\n" for line in lines)
+                + _stage(body, k, qs, "s", "q", indent))
 
-    def moved(coef, k):
-        return "".join(f"y{i} + {coef} * k{k}_{i}, " for i in range(size))
-
-    update = "".join(f"y{i} + h6 * (k1_{i} + 2 * k2_{i} + 2 * k3_{i} + k4_{i}), "
+    update = "".join(f"y{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i}), "
                      for i in range(size))
     inside = " and ".join(f"low <= {y} <= radius" for y in ys)
     guards = "".join(f"            if abs(g{g}(t, p)) < threshold:\n"
@@ -231,12 +281,12 @@ def _advance_source(size, guard_count):
         "    low = -radius\n"
         "    try:\n"
         "        for _ in range(steps):\n"
-        f"            p = {state}\n"
-        f"{guards}"
-        + stage(1, "t, p")
-        + stage(2, f"t + h2, ({moved('h2', 1)})")
-        + stage(3, f"t + h2, ({moved('h2', 2)})")
-        + stage(4, f"t + h, ({moved('h', 3)})")
+        + (f"            p = {state}\n" if guard_count or calls else "")
+        + guards
+        + _stage(body, 1, ys, "t", "p", indent)
+        + later_stage(2, "h2", "t + h2")
+        + later_stage(3, "h2", None)
+        + later_stage(4, "h", "t + h")
         + f"            {state} = ({update})\n"
         "            t += h\n"
         f"            if escape_msg is not None and not ({inside}):\n"
@@ -294,14 +344,50 @@ def _point(x, n, message):
     return x
 
 
-def _drifts(functions, states, n):
-    """Max |f(x) - f(x_0)| over the flat array of n-coordinate states, per f."""
-    out = []
-    for f in functions:
-        fn = compile_ratfunc(f)
-        f0 = fn(states[:n])
-        out.append(max(abs(fn(x) - f0) for x in zip(*[iter(states)] * n)))
-    return out
+def compile_drifts(functions, n):
+    """Compile ``drifts(states)``: for each of ``functions``, RatFuncs on an
+    n-dimensional chart, the max of |f(x) - f(x_0)| over the flat array of
+    n-coordinate states x_0, x_1, ...
+
+    The generated pass walks the states once for all the functions, each
+    written in as an expression.  It keeps ``max``'s rule: the value at x_0
+    stands until a later one is strictly greater, so a nan there stays.  A
+    function that cannot be evaluated at a state (a pole, an overflowing
+    power) raises FlowError naming the function and the state.
+    """
+    if not functions:
+        return lambda states: []
+    xs = [f"x{i}" for i in range(n)]
+    point = f"({', '.join(xs)},)"
+    values = [_ratfunc_source(f, xs) for f in functions]
+    first = "".join(f"        f{i} = {v}\n        b{i} = abs(f{i} - f{i})\n"
+                    for i, v in enumerate(values))
+    walk = "".join(f"            d = abs({v} - f{i})\n"
+                   f"            if d > b{i}:\n"
+                   f"                b{i} = d\n" for i, v in enumerate(values))
+
+    def undefined(state, err):
+        import numpy as np
+
+        for f in functions:
+            try:
+                compile_ratfunc(f)(state)
+            except ArithmeticError as failure:
+                return FlowError(f"cannot evaluate {f} at {np.array(state)}: {failure}")
+        return err
+
+    env = {"undefined": undefined}
+    exec("def drifts(states):\n"
+         f"    {point} = states[:{n}]\n"
+         "    try:\n"
+         f"{first}"
+         "        it = iter(states)\n"
+         f"        for {point} in zip({', '.join(['it'] * n)}):\n"
+         f"{walk}"
+         "    except ArithmeticError as err:\n"
+         f"        raise undefined({point}, err) from None\n"
+         f"    return [{', '.join(f'b{i}' for i in range(len(values)))}]\n", env)
+    return env["drifts"]
 
 
 # -- Hamiltonian trajectories ------------------------------------------------------
@@ -328,7 +414,7 @@ def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
     xs = array("d", x)
     field.advance(0.0, x, cfg.dt, steps, cfg,
                   "denominator below threshold near {}", "trajectory escaped near {}", xs)
-    h_drift, *drifts = _drifts([hamiltonian, *casimirs], xs, n)
+    h_drift, *drifts = compile_drifts([hamiltonian, *casimirs], n)(xs)
     return Trajectory(np.arange(len(xs) // n) * cfg.dt, np.frombuffer(xs).reshape(-1, n),
                       h_drift, drifts, steps)
 
@@ -368,7 +454,7 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
                                          "trajectory escaped near {}", points)
         taken += steps
     return LeafTrace(np.frombuffer(points).reshape(-1, n), list(generators),
-                     _drifts(casimirs, points, n), taken)
+                     compile_drifts(casimirs, n)(points), taken)
 
 
 # -- Moser-path verification --------------------------------------------------------

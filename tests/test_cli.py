@@ -129,3 +129,27 @@ def test_step_count_overflow_is_a_flow_failure(tmp_path, capsys):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))
     assert status == 1 and len(lines) == 1
     assert lines[0].startswith("FAIL flow step count inf exceeds max_steps")
+
+
+def test_deeply_nested_json_is_a_manifest_error(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    deep = "[" * 100_000 + "]" * 100_000
+    path.write_text('{"chart": ["x"], "expressions": {"f": ' + deep + "}}")
+    status = cli.main(["run", str(path)])
+    out, err = capsys.readouterr()
+    assert status == 2 and err == ""
+    assert out.splitlines() == ["FAIL manifest JSON nested too deeply"]
+
+
+def test_drift_at_a_pole_is_a_flow_failure(tmp_path, capsys):
+    # the Casimir 1/x has a pole at the first state
+    doc = {**SO3, "expressions": {"c": "1/x"}, "flow": {"dt": 0.01, "t_max": 1.0},
+           "tasks": [{"task": "flow", "h": "x^2 + 2*y^2 + 3*z^2",
+                      "x0": ["0", "1/3", "-1/4"], "casimirs": ["c"]}]}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    status = cli.main(["run", str(path)])
+    out, err = capsys.readouterr()
+    assert status == 1 and err == ""
+    assert out.splitlines() == ["FAIL flow cannot evaluate 1/(x) at "
+                                "[ 0.          0.33333333 -0.25      ]: float division by zero"]

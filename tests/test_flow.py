@@ -1,12 +1,14 @@
 import json
 import math
+import sys
 from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisskit import cli, flow, poisson
-from poisskit.expr import RatFunc, chart, parse_expr
+from poisskit.expr import Poly, RatFunc, chart, parse_expr
 from poisskit.multivec import DiffForm, MultiVec
 
 SO3_RATIONAL = {
@@ -236,6 +238,143 @@ def test_generated_variational_loop_is_bit_identical_to_rk4_step():
     ref.extend(tail[6:])
     assert got.tobytes() == ref.tobytes()
     assert array("d", [t, *y]).tobytes() == array("d", [ref_t, *ref[-6:]]).tobytes()
+
+
+# the spray's shape: dx_j/dt = sum_i xi_i P_ij(x), dxi/dt = 0, with a
+# quadratic P, on 6 coordinates and their 6 x 6 variational matrix
+SPRAY_P = [["0", "z^2 + x", "-y"], ["-z^2 - x", "0", "x*y"], ["y", "-x*y", "0"]]
+
+
+def _spray_field():
+    ch = chart("x", "y", "z", "a", "b", "c")
+    spray = [parse_expr(" + ".join(f"{xi}*({SPRAY_P[i][j]})" for i, xi in enumerate("abc")), ch)
+             for j in range(3)]
+    return spray + [RatFunc.zero(ch)] * 3
+
+
+def _mixed_field():
+    ch = chart("x", "y", "z")
+    return [parse_expr("x*y - z", ch), parse_expr("y^2 + x*z", ch), parse_expr("x/(1 + y^2)", ch)]
+
+
+@pytest.mark.parametrize("components,variational,y0", [
+    (_spray_field(), True, [0.3, -0.2, 0.1, 0.2, 0.1, -0.3]),
+    (_mixed_field(), False, [0.4, -0.3, 0.2]),
+    (_mixed_field(), True, [0.4, -0.3, 0.2]),
+], ids=["spray", "mixed", "mixed-variational"])
+def test_generated_loop_is_bit_identical_on_written_in_and_called_entries(components,
+                                                                          variational, y0):
+    m = len(components)
+    field = flow.compile_field(components, variational=variational)
+    if variational:
+        y0 = y0 + [float(i == j) for i in range(m) for j in range(m)]
+    got = array("d", y0)
+    t, y = field.advance(0.0, y0, 0.01, 150, flow.FlowConfig(), "pole {}", out=got)
+    ref_t, ref = _rk4_states(field.rhs, 0.0, y0, 0.01, 150)
+    assert len(y) == len(y0)
+    assert got.tobytes() == ref.tobytes()
+    assert array("d", [t, *y]).tobytes() == array("d", [ref_t, *ref[-len(y0):]]).tobytes()
+
+
+def _calls_per_step(field, y0):
+    """Python function calls per step of ``field.advance``, counted by
+    sys.setprofile as the difference between runs of 20 and 40 steps."""
+    def calls(steps):
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call"
+        sys.setprofile(profile)
+        try:
+            field.advance(0.0, y0, 0.01, steps, flow.FlowConfig(), "pole {}")
+        finally:
+            sys.setprofile(None)
+        return count
+    return (calls(40) - calls(20)) / 20
+
+
+@pytest.mark.parametrize("components,variational,y0", [
+    (_spray_field(), False, [0.3, -0.2, 0.1, 0.2, 0.1, -0.3]),
+    (_spray_field(), True, [0.3, -0.2, 0.1, 0.2, 0.1, -0.3]),
+    (_mixed_field(), False, [0.4, -0.3, 0.2]),
+    (_mixed_field(), True, [0.4, -0.3, 0.2]),
+], ids=["spray", "spray-variational", "mixed", "mixed-variational"])
+def test_a_step_calls_only_the_rational_entries_and_the_guards(components, variational, y0):
+    # polynomial entries are written into the loop; each rational entry is
+    # one call per stage, and each pole guard one call per step
+    m = len(components)
+    field = flow.compile_field(components, variational=variational)
+    entries = list(components)
+    if variational:
+        entries += [c.diff(k) for c in components for k in range(m)]
+        y0 = y0 + [float(i == j) for i in range(m) for j in range(m)]
+    rational = sum(not e.den.is_constant for e in entries)
+    assert _calls_per_step(field, y0) == 4 * rational + len(field.guards)
+
+
+def test_drift_pass_raises_at_a_pole(so3_structure, ch3):
+    # 1/x has a pole at the first state of the trace, and at the second state
+    # handed to the pass
+    cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
+    with pytest.raises(flow.FlowError) as info:
+        flow.leaf_trace(so3_structure, [parse_expr("x", ch3)], [0, 1 / 3, -1 / 4], [(0, 0.5)],
+                        cfg, casimirs=[parse_expr("x^2", ch3), parse_expr("1/x", ch3)])
+    assert str(info.value) == ("cannot evaluate 1/(x) at [ 0.          0.33333333 -0.25      ]: "
+                               "float division by zero")
+    drifts = flow.compile_drifts([parse_expr("y", ch3), parse_expr("z/x", ch3)], 3)
+    assert drifts(array("d", [1, 2, 3, 2, 2, 3])) == [0.0, 1.5]
+    with pytest.raises(flow.FlowError) as info:
+        drifts(array("d", [1, 2, 3, 0, 2, 3, 2, 2, 3]))
+    assert str(info.value) == "cannot evaluate z/(x) at [0. 2. 3.]: float division by zero"
+
+
+def test_drift_pass_keeps_the_first_state_until_a_strictly_greater_one(ch3):
+    # x*y is nan at (inf, 0, 0), and no later drift is greater than nan
+    functions = [parse_expr("x*y", ch3), parse_expr("y + z", ch3)]
+    states = array("d", [math.inf, 0.0, 0.0, 1.0, 2.0, 3.0, -1.0, 0.0, 5.0])
+    got = flow.compile_drifts(functions, 3)(states)
+    assert math.isnan(got[0]) and got[1] == 5.0
+    assert array("d", got).tobytes() == array("d", _drift_reference(functions, states, 3)).tobytes()
+    assert flow.compile_drifts([], 3)(states) == []
+
+
+def _drift_reference(functions, states, n):
+    out = []
+    for f in map(flow.compile_ratfunc, functions):
+        f0 = f(states[:n])
+        out.append(max(abs(f(x) - f0) for x in zip(*[iter(states)] * n)))
+    return out
+
+
+DRIFT_CHART = chart("x", "y", "z")
+_exponents = st.tuples(*[st.integers(0, 2)] * 3)
+_polys = st.dictionaries(_exponents, st.integers(-3, 3), max_size=4).map(
+    lambda terms: RatFunc.from_poly(Poly(DRIFT_CHART, terms)))
+# denominators 1 + a x^2 + b y^2 z^2 have no real zeros, so the poles come
+# only from overflow
+_denominators = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+    lambda ab: RatFunc.from_poly(Poly(DRIFT_CHART, {(0, 0, 0): 1, (2, 0, 0): ab[0],
+                                                    (0, 2, 2): ab[1]})))
+_functions = st.one_of(_polys, st.builds(lambda a, b: a / b, _polys, _denominators))
+_coordinates = st.one_of(st.floats(-4, 4), st.floats(allow_nan=False),
+                         st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 1e200]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_functions, max_size=3),
+       st.integers(1, 6).flatmap(lambda k: st.lists(_coordinates, min_size=3 * k,
+                                                    max_size=3 * k)))
+def test_drift_pass_matches_max_over_the_states(functions, coordinates):
+    states = array("d", coordinates)
+    try:
+        expected = _drift_reference(functions, states, 3)
+    except ArithmeticError:
+        with pytest.raises(flow.FlowError, match="^cannot evaluate "):
+            flow.compile_drifts(functions, 3)(states)
+        return
+    got = flow.compile_drifts(functions, 3)(states)
+    assert array("d", got).tobytes() == array("d", expected).tobytes()
 
 
 def test_overflow_message_without_escape_test():
