@@ -14,10 +14,10 @@ Representation choices:
 * a polynomial is a dict mapping exponent tuples (one nonnegative int per
   chart variable) to nonzero coefficients -- the zero polynomial is the empty
   dict, so structural equality is canonical equality;
-* a rational function stores a numerator/denominator pair of polynomials.
-  A pair whose total degrees are both at most GCD_DEGREE_CAP is coprime
-  (unless its gcd was abandoned as too expensive); a pair over the cap is
-  kept unreduced, and equality is decided by cross-multiplication
+* a rational function stores a numerator/denominator pair of polynomials,
+  and every result is reduced: the pair is coprime unless ``poly_gcd``'s
+  size guard abandoned a gcd on the way, in which case it stays exact but
+  may keep a common factor.  Equality is decided by cross-multiplication
   (a/b == c/d  iff  a*d - c*b == 0).  ``RatFunc(num, den)`` reduces a pair
   by one gcd of the whole; arithmetic and ``diff`` on coprime operands
   instead cancel at the parts, by gcds of the operands' numerators and
@@ -26,7 +26,7 @@ Representation choices:
   cancelled has its terms in descending graded-lex order, the order
   ``poly_divexact`` leaves them in;
 * ``poly_gcd`` takes its steps in this order: the trivial cases, the size
-  guard (still in force: an operand over it abandons the gcd), the two
+  guard (an operand over it abandons the gcd), the two
   exact-division shortcuts, a heuristic integer gcd (GCDHEU) whose
   candidate is accepted only when it divides both operands exactly, and the
   recursive primitive PRS only when the heuristic gives up.  The result is
@@ -51,8 +51,8 @@ from typing import Sequence
 
 Coefficient = int | Fraction  # under the coefficient rule above
 
-#: Reduction of rational functions by a polynomial gcd is attempted only when
-#: both numerator and denominator have total degree at most this cap.
+#: poly_gcd abandons a gcd when an operand has total degree above twice this
+#: value (or more than 200 terms).
 GCD_DEGREE_CAP = 8
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -340,9 +340,11 @@ class Poly:
 
 # -- multivariate gcd -------------------------------------------------------
 #
-# The size guard in poly_gcd (twice GCD_DEGREE_CAP) bounds what each call is
-# handed, not how far the primitive PRS's intermediates grow: a content gcd
-# inside the PRS can pass the guard and so abandon the whole gcd.
+# The size guard in poly_gcd (total degree above twice GCD_DEGREE_CAP, or more
+# than 200 terms) is the one bound on the cost of a gcd, and the only reason
+# a RatFunc is left unreduced.  It bounds what each call is handed, not how
+# far the primitive PRS's intermediates grow: a content gcd inside the PRS
+# can pass the guard and so abandon the whole gcd.
 
 #: Evaluation points the heuristic gcd tries before it gives up.
 HEU_GCD_TRIES = 6
@@ -559,9 +561,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     other); the heuristic integer gcd ``_heu_gcd``, whose result is checked
     by exact division of both operands; and the recursive primitive PRS,
     only when the heuristic gives up.  Raises _GcdTooExpensive when an
-    operand, or an intermediate of the PRS, is over the size guard; callers
-    that merely want opportunistic reduction catch that and keep the
-    operands unreduced.
+    operand, or an intermediate of the PRS, is over the size guard;
+    ``_part_gcd`` catches that and leaves its operands uncancelled.
     """
     if a.is_zero:
         return _normalize_gcd(b)
@@ -607,10 +608,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # -- rational functions ------------------------------------------------------
 
 
-def _within_cap(*polys: Poly) -> bool:
-    return all(p.total_degree() <= GCD_DEGREE_CAP for p in polys)
-
-
 def _descending(p: Poly) -> Poly:
     """p with its terms in descending graded-lex order."""
     return Poly(p.chart, dict(sorted(p.terms.items(), key=lambda t: _monomial_key(t[0]),
@@ -618,11 +615,15 @@ def _descending(p: Poly) -> Poly:
 
 
 def _part_gcd(p: Poly, q: Poly) -> Poly | None:
-    """gcd(p, q) for cancelling at the operands, or None when it is 1; a
-    constant (or zero) operand needs no gcd.  May raise _GcdTooExpensive."""
+    """gcd(p, q) for cancelling, or None when there is nothing to cancel: the
+    gcd is 1, an operand is constant (or zero, which needs no gcd), or the
+    size guard abandoned the gcd, which leaves p and q exact but uncancelled."""
     if p.is_constant or q.is_constant:
         return None
-    g = poly_gcd(p, q)
+    try:
+        g = poly_gcd(p, q)
+    except _GcdTooExpensive:
+        return None
     return g if g.total_degree() > 0 else None
 
 
@@ -646,11 +647,12 @@ class RatFunc:
     """Quotient of two polynomials over the same chart.
 
     The denominator is never the zero polynomial and its leading coefficient
-    is kept positive.  Within GCD_DEGREE_CAP the pair is coprime: the
-    constructor reduces it by one gcd of the whole, and arithmetic cancels at
-    the operands, so ``(a/b)*(c/d)`` divides out gcd(a, d) and gcd(c, b), and
-    ``a/b + c/d`` cancels only gcd(t, g) from t = a*(d/g) + c*(b/g), with
-    g = gcd(b, d); ``diff`` cancels with gcd(d, d') and a factor of it.
+    is kept positive.  The pair is coprime unless ``poly_gcd``'s size guard
+    abandoned a gcd: the constructor reduces it by one gcd of the whole, and
+    arithmetic cancels at the operands, so ``(a/b)*(c/d)`` divides out
+    gcd(a, d) and gcd(c, b), and ``a/b + c/d`` cancels only gcd(t, g) from
+    t = a*(d/g) + c*(b/g), with g = gcd(b, d); ``diff`` cancels with
+    gcd(d, d') and a factor of it.
     Either way the pair is the one the constructor gives for the unreduced
     result, term order included: a pair from which a factor was cancelled
     has its terms in descending graded-lex order.  Equality is exact,
@@ -671,19 +673,15 @@ class RatFunc:
             q = _try_divexact(num, den)
             if q is not None:
                 return q, Poly.const(num.chart, 1)
-            if _within_cap(num, den):
-                try:
-                    g = poly_gcd(num, den)
-                except _GcdTooExpensive:
-                    g = None
-                if g is not None and g.total_degree() > 0:
-                    num = poly_divexact(num, g)
-                    den = poly_divexact(den, g)
+            g = _part_gcd(num, den)
+            if g is not None:
+                num, den = poly_divexact(num, g), poly_divexact(den, g)
         return _normalized(num, den)
 
     @staticmethod
     def _coprime(num: Poly, den: Poly) -> "RatFunc":
-        """The RatFunc of a pair already known to be coprime."""
+        """The RatFunc of a pair already cancelled as far as the size guard
+        allows: coprime unless a gcd on the way was abandoned."""
         out = RatFunc.__new__(RatFunc)
         out.num, out.den = _normalized(num, den)
         return out
@@ -721,23 +719,12 @@ class RatFunc:
         a, b, c, d = self.num, self.den, other.num, other.den
         if b == d:
             return RatFunc(a + c, b)
-        if b.total_degree() + d.total_degree() > GCD_DEGREE_CAP or not _within_cap(a, c):
-            return RatFunc(a * d + c * b, b * d)
-        try:
-            g = _part_gcd(b, d)
-            if g is None:
-                # coprime denominators: the sum is already reduced
-                num = a * d + c * b
-                if not _within_cap(num):
-                    return RatFunc(num, b * d)
-                return RatFunc._coprime(num, b * d)
-            b_g, d_g = poly_divexact(b, g), poly_divexact(d, g)
-            t = a * d_g + c * b_g
-            if t.total_degree() + g.total_degree() > GCD_DEGREE_CAP:
-                return RatFunc(a * d + c * b, b * d)
-            h = _part_gcd(t, g)
-        except _GcdTooExpensive:
-            return RatFunc(a * d + c * b, b * d)
+        g = _part_gcd(b, d)
+        if g is None:  # coprime denominators: the sum is already reduced
+            return RatFunc._coprime(a * d + c * b, b * d)
+        b_g, d_g = poly_divexact(b, g), poly_divexact(d, g)
+        t = a * d_g + c * b_g
+        h = _part_gcd(t, g)
         if h is not None:
             t, b = poly_divexact(t, h), poly_divexact(b, h)
         return RatFunc._coprime(_descending(t), _descending(b * d_g))
@@ -772,11 +759,8 @@ class RatFunc:
         if n < 0:
             if self.is_zero:
                 raise ExprError("zero to a negative power")
-            within = _within_cap(self.num, self.den)
-            inverse = (RatFunc._coprime if within else RatFunc)(self.den, self.num)
-            return inverse ** (-n)
-        num, den = self.num**n, self.den**n
-        return (RatFunc._coprime if _within_cap(num, den) else RatFunc)(num, den)
+            return RatFunc._coprime(self.den, self.num) ** (-n)
+        return RatFunc._coprime(self.num**n, self.den**n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -795,7 +779,7 @@ class RatFunc:
         """Exact partial derivative d/dx_k (quotient rule), cancelled at its
         parts.
 
-        For coprime n/d within GCD_DEGREE_CAP with d' = d_k d != 0, let
+        For coprime n/d with d' = d_k d != 0, let
         g = gcd(d, d'), h = d/g, e = d'/g and t = n'*h - n*e, so that
         n'd - nd' = g*t over d^2 = g*g*h*h.  An irreducible factor p of d
         that involves x_k divides d exactly p^a times and d' exactly p^(a-1)
@@ -807,9 +791,10 @@ class RatFunc:
         coefficient).  The result (t/u) / ((d/u)*h) is therefore the pair
         ``RatFunc(n'd - nd', d*d)`` gives, term order included: descending
         graded-lex when a factor was cancelled, the products' own order when
-        g = 1.  A d free of x_k gives n'/d.  Over the cap (n, d^2 or the
-        bracket), or when a gcd is abandoned, the bracket and d^2 go through
-        the constructor, which leaves them unreduced."""
+        g = 1.  A d free of x_k gives n'/d.  When the size guard abandons
+        gcd(d, d'), the bracket over d^2 is kept as it is; when it abandons
+        gcd(t, g), nothing is cancelled from t/(d*h).  Either way the value
+        is exact."""
         if not 0 <= index < self.chart.dim:
             raise ExprError(f"variable index {index} out of range")
         n, d = self.num, self.den
@@ -818,19 +803,12 @@ class RatFunc:
         dn, dd = n.diff(index), d.diff(index)
         if dd.is_zero:
             return RatFunc(_descending(dn), d)
-        if 2 * d.total_degree() > GCD_DEGREE_CAP or not _within_cap(n):
-            return _quotient_rule(n, d, dn, dd)
-        try:
-            g = _part_gcd(d, dd)
-            if g is None:  # gcd(d, d') = 1: the bracket over d^2 is reduced
-                return RatFunc._coprime(dn * d - n * dd, d * d)
-            h = poly_divexact(d, g)
-            t = dn * h - n * poly_divexact(dd, g)
-            if t.total_degree() + g.total_degree() > GCD_DEGREE_CAP:
-                return _quotient_rule(n, d, dn, dd)
-            u = _part_gcd(t, g)
-        except _GcdTooExpensive:
-            return _quotient_rule(n, d, dn, dd)
+        g = _part_gcd(d, dd)
+        if g is None:  # gcd(d, d') = 1: the bracket over d^2 is reduced
+            return RatFunc._coprime(dn * d - n * dd, d * d)
+        h = poly_divexact(d, g)
+        t = dn * h - n * poly_divexact(dd, g)
+        u = _part_gcd(t, g)
         if u is not None:
             t, d = poly_divexact(t, u), poly_divexact(d, u)
         return RatFunc._coprime(_descending(t), _descending(d * h))
@@ -891,13 +869,7 @@ def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
         return RatFunc._coprime(a * c, b * d)
     if a.is_zero or c.is_zero:
         return RatFunc.zero(a.chart)
-    if (a.total_degree() + c.total_degree() > GCD_DEGREE_CAP
-            or b.total_degree() + d.total_degree() > GCD_DEGREE_CAP):
-        return RatFunc(a * c, b * d)
-    try:
-        g1, g2 = _part_gcd(a, d), _part_gcd(c, b)
-    except _GcdTooExpensive:
-        return RatFunc(a * c, b * d)
+    g1, g2 = _part_gcd(a, d), _part_gcd(c, b)
     if g1 is None and g2 is None:
         return RatFunc._coprime(a * c, b * d)
     if g1 is not None:
@@ -905,17 +877,6 @@ def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
     if g2 is not None:
         c, b = poly_divexact(c, g2), poly_divexact(b, g2)
     return RatFunc._coprime(_descending(a * c), _descending(b * d))
-
-
-def _quotient_rule(n: Poly, d: Poly, dn: Poly, dd: Poly) -> RatFunc:
-    """(n'd - nd') / d^2 through the constructor, with one factor d cancelled
-    structurally when it divides the bracket (possible only for a pair that
-    is not coprime)."""
-    bracket = dn * d - n * dd
-    q = _try_divexact(bracket, d)
-    if q is not None:
-        return RatFunc(q, d)
-    return RatFunc(bracket, d * d)
 
 
 def _coerce(value, chart: Chart) -> RatFunc:
@@ -955,9 +916,9 @@ class _Tokenizer:
             if ch.isspace():
                 pos += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 start = pos
-                while pos < n and text[pos].isdigit():
+                while pos < n and text[pos].isdecimal():
                     pos += 1
                 self.tokens.append(("num", text[start:pos], start))
                 continue

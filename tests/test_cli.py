@@ -50,6 +50,7 @@ def _run(tmp_path, capsys, text):
     ({**SO3, "tasks": [{"task": "lie_poisson", "algebra": {}}]}, "unknown Lie algebra {}"),
     ({**SO3, "tasks": [{"task": "flow", "h": "x", "x0": "1,0,0", "casimirs": 5}]},
      "parameter 'casimirs' must be a JSON list"),
+    ({**SO3, "expressions": {"f": "x^²"}}, "unexpected character '²' (at position 2)"),
 ])
 def test_malformed_manifest(tmp_path, capsys, doc, message):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))

@@ -69,6 +69,9 @@ def test_parse_errors_carry_position(ch2):
         parse_expr("1/(x - x)", ch2)  # division by (syntactic) zero
     with pytest.raises(ParseError):
         parse_expr("x $ y", ch2)
+    with pytest.raises(ParseError) as err:
+        parse_expr("x^²", ch2)  # a digit that int() does not read
+    assert err.value.pos == 2
 
 
 @pytest.mark.parametrize("text", ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x"])
@@ -255,11 +258,12 @@ def test_ratfunc_reduction_and_cross_multiplication():
     assert a == b
 
 
-def test_degree_cap_leaves_unreduced_but_equal():
+def test_high_degree_results_are_reduced():
     ch = chart("x", "y")
     big = parse_expr("(x+y)^5", ch)
-    e = (big * big) / big  # degree 10 > cap: stored unreduced
-    assert e == big
+    e = (big * big) / big  # degree 10 over degree 5
+    assert (e.num, e.den) == (big.num, big.den)
+    assert str(parse_expr("x^9/(x^9*y)", ch)) == "1/(y)"
 
 
 # -- operand-level cancellation --------------------------------------------------------------

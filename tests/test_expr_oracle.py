@@ -127,17 +127,19 @@ def counting_aborts():
 
 @ORACLE
 @given(nonzero_coefficients, nonzero_coefficients, linear_factors, linear_factors,
-       linear_factors, st.integers(-2, 3))
-def test_arithmetic_gives_the_constructors_pair(k, m, f, g, h, n):
+       linear_factors, st.integers(1, 4), st.integers(-2, 3))
+def test_arithmetic_gives_the_constructors_pair(k, m, f, g, h, p, n):
     # f, g and h are shared, so that every gcd of the operands' parts (a
     # numerator with the other denominator, the two denominators) has a factor
-    # to cancel.  A result must equal sympy's by value (cross-multiplied in
-    # sympy's QQ[x, y, z]), and be the pair RatFunc(num, den) makes of the
-    # unreduced numerator and denominator, term order included.  The operands
-    # stay small because the reference reduces each whole result by one gcd,
-    # whose cost grows quickly with the degree.
+    # to cancel.  h**p takes the unreduced results to total degree 10, and
+    # a**n to 15; h is free of z, so that up to degree 10 they stay within
+    # poly_gcd's 200 terms.  A result must equal sympy's by value
+    # (cross-multiplied in sympy's QQ[x, y, z]), and be the pair
+    # RatFunc(num, den) makes of the unreduced numerator and denominator, term
+    # order included, with nothing left to cancel.
+    h = Poly(CH, {e: v for e, v in h.terms.items() if not e[2]})
     with counting_aborts() as aborts:
-        a, b = RatFunc(f.scale(k), g * h), RatFunc(g.scale(m), f * h)
+        a, b = RatFunc(f.scale(k), g * h**p), RatFunc(g.scale(m), f * h**p)
         assume(not a.den.is_constant and not b.den.is_constant)
         (A, B), (C, D) = sympy_pair(a), sympy_pair(b)
         inverse = RatFunc(a.den, a.num)
@@ -150,15 +152,19 @@ def test_arithmetic_gives_the_constructors_pair(k, m, f, g, h, n):
             (a**n, (A**n, B**n) if n >= 0 else (B**-n, A**-n),
              (inverse.num**-n, inverse.den**-n) if n < 0 else (a.num**n, a.den**n)),
         ]
-        cases = [(ours, theirs, RatFunc(*unreduced)) for ours, theirs, unreduced in cases]
-    for ours, (num, den), reference in cases:
+    for ours, (num, den), unreduced in cases:
         our_num, our_den = sympy_pair(ours)
         assert (our_num * den - num * our_den).is_zero
         assert obeys_rule(ours)
         # an abandoned gcd leaves a pair unreduced, and the two ways may then
-        # cancel different factors; both stay exact
-        if not aborts:
+        # cancel different factors; both stay exact.  Each reference counts
+        # its own, so that a large one (a**3 at p = 4) skips only its case
+        with counting_aborts() as reference_aborts:
+            reference = RatFunc(*unreduced)
+            common = expr._part_gcd(ours.num, ours.den)
+        if not aborts and not reference_aborts:
             assert layout(ours) == layout(reference)
+            assert common is None
 
 
 @ORACLE
@@ -177,29 +183,33 @@ def quotient_rule_pair(a, index):
 
 @ORACLE
 @given(nonzero_coefficients, linear_factors, linear_factors, linear_factors,
-       st.integers(0, 2), st.integers(0, 3), st.booleans())
-def test_diff_gives_the_constructors_pair(c, f, g, h, index, monomial, split):
-    # The denominator has a factor g that involves x_index, squared or times
-    # a variable x_monomial, and an x_index-free factor (h without its
-    # x_index term).  Split into a sum, the free factor drops out of the
-    # derivative's denominator, so diff cancels gcd(t, g) as well.  The
-    # derivative must equal sympy's (A'B - AB')/B^2 by cross-multiplication,
-    # and be the pair the constructor makes of the unreduced quotient rule.
+       st.integers(0, 2), st.integers(0, 3), st.integers(1, 3), st.booleans())
+def test_diff_gives_the_constructors_pair(c, f, g, h, index, monomial, p, split):
+    # The denominator has a factor g**p that involves x_index, times g or a
+    # variable x_monomial, and an x_index-free factor (h without its x_index
+    # term), so the unreduced d^2 reaches total degree 10.  Split into a sum,
+    # the free factor drops out of the derivative's denominator, so diff
+    # cancels gcd(t, g) as well.  The derivative must equal sympy's
+    # (A'B - AB')/B^2 by cross-multiplication, and be the pair the
+    # constructor makes of the unreduced quotient rule, with nothing left to
+    # cancel.
     free = Poly(CH, {e: v for e, v in h.terms.items() if not e[index]})
     assume(g.degree_in(index) > 0 and free.total_degree() > 0)
-    base = g**2 if monomial == 3 else g * Poly.var(CH, monomial)
+    base = g**p * (g if monomial == 3 else Poly.var(CH, monomial))
     with counting_aborts() as aborts:
         if split:
             a = RatFunc(f, base) + RatFunc(Poly.const(CH, c), free)
         else:
             a = RatFunc(f.scale(c), base * free)
         ours, reference = a.diff(index), quotient_rule_pair(a, index)
+        common = expr._part_gcd(ours.num, ours.den)
     (A, B), (num, den) = sympy_pair(a), sympy_pair(ours)
     x = SYMS[index]
     assert (num * B**2 - (A.diff(x) * B - A * B.diff(x)) * den).is_zero
     assert obeys_rule(ours)
     if not aborts:
         assert layout(ours) == layout(reference)
+        assert common is None
 
 
 @pytest.mark.parametrize("text,index", [
@@ -208,7 +218,8 @@ def test_diff_gives_the_constructors_pair(c, f, g, h, index, monomial, split):
     ("(x + z)/(x*z)", 0),
     # g = 1: the bracket keeps the products' own term order
     ("(x + y)/(x^2 + z)", 0),
-    # a bracket of degree 9, over the cap: left unreduced by the constructor
+    # a bracket of degree 9 over d^2 of degree 8: diff cancels g = (x + y)*z^2
+    # and reaches the pair the constructor makes with one gcd of the whole
     ("x^5*y/((x + y)^2*z^2)", 0),
     # d free of x: n'/d, with n' in the descending order the constructor
     # leaves after cancelling d from n'd/d^2

@@ -102,12 +102,21 @@ def test_detects_a_dead_entry_point():
 
 def test_traced_names_exist():
     # Tracer.install raises AttributeError on a name that is gone, which
-    # would end every traced benchmark run
-    targets = next(ast.literal_eval(node.value) for node in ast.parse(TRACING.read_text()).body
+    # would end every traced benchmark run: a wrapped target, or a module
+    # attribute its observers read (expr.GCD_DEGREE_CAP after
+    # expr = modules["expr"])
+    tree = ast.parse(TRACING.read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
                    if isinstance(node, ast.Assign)
                    and getattr(node.targets[0], "id", None) == "TARGETS")
+    bound = {node.targets[0].id: node.value.slice.value for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript)
+             and getattr(node.value.value, "id", None) == "modules"}
+    read = {(bound[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in bound}
+    assert read  # the scan sees the observers
     missing = []
-    for name, (module, path) in targets.items():
+    for name, (module, path) in [*targets.items(), *((f"{m}.{a}", (m, a)) for m, a in read)]:
         obj = importlib.import_module(f"poisskit.{module}")
         for attr in path.split("."):
             obj = getattr(obj, attr, None)
