@@ -395,13 +395,6 @@ def constraint_bracket_matrix(cs: ConstraintSystem):
     ]
 
 
-@dataclass
-class DiracBracketData:
-    constraint_system: ConstraintSystem
-    c_upper: list
-    c_lower: list
-
-
 class DiracBracket:
     """Closure computing {f,g}_N for ambient representatives f, g."""
 
@@ -419,7 +412,7 @@ class DiracBracket:
                 f"constraint matrix is singular (not cosymplectic): c_upper = {pretty}"
             )
         self.cs = cs
-        self.data = DiracBracketData(cs, c_upper, c_lower)
+        self.c_lower = c_lower
 
     def ambient(self, f: RatFunc, g: RatFunc) -> RatFunc:
         """The unrestricted combination {f,g} - {f,psi_i} c_ij {psi_j,g}."""
@@ -431,17 +424,16 @@ class DiracBracket:
             psig = [bracket(cs.structure, cs.constraints[j], g) for j in range(k)]
             for i in range(k):
                 for j in range(k):
-                    out = out - fpsi[i] * self.data.c_lower[i][j] * psig[j]
+                    out = out - fpsi[i] * self.c_lower[i][j] * psig[j]
         return out
 
     def __call__(self, f: RatFunc, g: RatFunc):
         return self.cs.restrict(self.ambient(f, g))
 
 
-def dirac_bracket(cs: ConstraintSystem):
-    """Returns (bracket closure, DiracBracketData)."""
-    db = DiracBracket(cs)
-    return db, db.data
+def dirac_bracket(cs: ConstraintSystem) -> DiracBracket:
+    """The Dirac bracket of the constraint system, as a closure."""
+    return DiracBracket(cs)
 
 
 # -- submanifold classification -----------------------------------------------------

@@ -15,23 +15,22 @@ Representation choices:
   chart variable) to nonzero coefficients -- the zero polynomial is the empty
   dict, so structural equality is canonical equality;
 * a rational function stores a numerator/denominator pair of polynomials,
-  and every result is reduced: the pair is coprime unless ``poly_gcd``'s
-  size guard abandoned a gcd on the way, in which case it stays exact but
-  may keep a common factor.  Equality is decided by cross-multiplication
-  (a/b == c/d  iff  a*d - c*b == 0).  ``RatFunc(num, den)`` reduces a pair
-  by one gcd of the whole; arithmetic and ``diff`` on coprime operands
-  instead cancel at the parts, by gcds of the operands' numerators and
-  denominators (Henrici, JACM 1956; Knuth, TAOCP vol. 2, 4.5.1) or of d and
-  its derivative, and give the same pair.  A pair from which a factor was
-  cancelled has its terms in descending graded-lex order, the order
-  ``poly_divexact`` leaves them in;
-* ``poly_gcd`` takes its steps in this order: the trivial cases, the size
-  guard (an operand over it abandons the gcd), the two
-  exact-division shortcuts, a heuristic integer gcd (GCDHEU) whose
-  candidate is accepted only when it divides both operands exactly, and the
-  recursive primitive PRS only when the heuristic gives up.  The result is
-  normalized primitive with a positive leading coefficient, so it does not
-  depend on which step found it.
+  and every result is reduced: the pair is coprime unless a gcd on the way
+  was abandoned, either by ``poly_gcd``'s size guard or by the heuristic
+  gcd giving up, in which case it stays exact but may keep a common factor.
+  Equality is decided by cross-multiplication (a/b == c/d  iff
+  a*d - c*b == 0).  ``RatFunc(num, den)`` reduces a pair by one exact
+  division of num by den, or else by one gcd of the whole; arithmetic and
+  ``diff`` on coprime operands instead cancel at the parts, by gcds of the
+  operands' numerators and denominators (Henrici, JACM 1956; Knuth, TAOCP
+  vol. 2, 4.5.1) or of d and its derivative, and give the same pair.  A
+  pair from which a factor was cancelled has its terms in descending
+  graded-lex order, the order ``poly_divexact`` leaves them in;
+* ``poly_gcd`` is one algorithm behind one bound: after the trivial cases
+  and the size guard, a heuristic integer gcd (GCDHEU) whose candidate is
+  accepted only when it divides both operands exactly.  An operand over the
+  guard, or a heuristic that gives up, abandons the gcd.  The result is
+  normalized primitive with a positive leading coefficient.
 
 The monomial order used for printing and sign normalization is graded
 lexicographic by variable index.  No floating point is used anywhere in this
@@ -340,35 +339,15 @@ class Poly:
 
 # -- multivariate gcd -------------------------------------------------------
 #
-# The size guard in poly_gcd (total degree above twice GCD_DEGREE_CAP, or more
-# than 200 terms) is the one bound on the cost of a gcd, and the only reason
-# a RatFunc is left unreduced.  It bounds what each call is handed, not how
-# far the primitive PRS's intermediates grow: a content gcd inside the PRS
-# can pass the guard and so abandon the whole gcd.
+# poly_gcd is one algorithm, the heuristic integer gcd, behind one bound.  The
+# size guard (total degree above twice GCD_DEGREE_CAP, or more than 200
+# terms) bounds what each call is handed, and HEU_GCD_TRIES bounds the
+# evaluation points it tries.  A gcd is abandoned, and its RatFunc left
+# exact but unreduced, in just two ways: an operand is over the size guard,
+# or the heuristic gives up.
 
 #: Evaluation points the heuristic gcd tries before it gives up.
 HEU_GCD_TRIES = 6
-
-
-def _as_univariate(p: Poly, index: int) -> dict[int, Poly]:
-    """View p as a univariate polynomial in x_index with Poly coefficients."""
-    coeffs: dict[int, dict] = {}
-    for e, c in p.terms.items():
-        k = e[index]
-        e2 = list(e)
-        e2[index] = 0
-        coeffs.setdefault(k, {})[tuple(e2)] = c
-    return {k: Poly(p.chart, t) for k, t in coeffs.items()}
-
-
-def _from_univariate(chart: Chart, index: int, coeffs: dict[int, Poly]) -> Poly:
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for k, q in coeffs.items():
-        for e, c in q.terms.items():
-            e2 = list(e)
-            e2[index] = k
-            terms[tuple(e2)] = c
-    return Poly(chart, terms)
 
 
 def poly_divexact(a: Poly, b: Poly) -> Poly:
@@ -405,42 +384,9 @@ def _divide(a: dict, b: dict, quotient) -> dict:
     return q
 
 
-def _try_divexact(a: Poly, b: Poly):
-    try:
-        return poly_divexact(a, b)
-    except ExprError:
-        return None
-
-
 class _GcdTooExpensive(Exception):
-    """Internal: abandon a gcd whose intermediates grow past the cheap range."""
-
-
-def _pseudo_rem(a: dict[int, Poly], b: dict[int, Poly], chart: Chart, index: int):
-    """Pseudo-remainder of a by b, both univariate views in x_index."""
-    da, db = max(a), max(b)
-    lc_b = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lc_r = r[dr]
-        # r <- lc_b * r - lc_r * x^(dr-db) * b
-        new: dict[int, Poly] = {}
-        for k, c in r.items():
-            new[k] = lc_b * c
-        for k, c in b.items():
-            kk = k + dr - db
-            new[kk] = new.get(kk, Poly.zero(chart)) - lc_r * c
-        r = {k: c for k, c in new.items() if not c.is_zero}
-    return r
-
-
-def _content_and_primitive(u: dict[int, Poly], chart: Chart):
-    cont = Poly.zero(chart)
-    for c in u.values():
-        cont = poly_gcd(cont, c)
-    prim = {k: poly_divexact(c, cont) for k, c in u.items()}
-    return cont, prim
+    """Internal: a gcd abandoned, either because an operand is over the size
+    guard or because the heuristic gcd gave up."""
 
 
 def _normalize_gcd(g: Poly) -> Poly:
@@ -556,13 +502,11 @@ def _heu_gcd(f: dict, g: dict) -> dict | None:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Gcd in Q[x...], normalized primitive with positive leading coefficient.
 
-    The steps, in order: the trivial cases (a zero or constant operand); the
-    size guard; the two exact-division shortcuts (one operand divides the
-    other); the heuristic integer gcd ``_heu_gcd``, whose result is checked
-    by exact division of both operands; and the recursive primitive PRS,
-    only when the heuristic gives up.  Raises _GcdTooExpensive when an
-    operand, or an intermediate of the PRS, is over the size guard;
-    ``_part_gcd`` catches that and leaves its operands uncancelled.
+    A zero or constant operand is answered directly; any other pair goes to
+    the heuristic integer gcd ``_heu_gcd``, whose result is checked by exact
+    division of both operands.  Raises _GcdTooExpensive, abandoning the gcd,
+    in two ways: an operand is over the size guard, or the heuristic gives
+    up; ``_part_gcd`` catches it and leaves its operands uncancelled.
     """
     if a.is_zero:
         return _normalize_gcd(b)
@@ -577,32 +521,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         or len(b.terms) > 200
     ):
         raise _GcdTooExpensive
-    q = _try_divexact(a, b)
-    if q is not None:
-        return _normalize_gcd(b)
-    q = _try_divexact(b, a)
-    if q is not None:
-        return _normalize_gcd(a)
     h = _heu_gcd(_integral(a), _integral(b))
-    if h is not None:
-        return _normalize_gcd(Poly(a.chart, h))
-    # the heuristic gave up: primitive PRS in the last live variable
-    index = max(
-        i
-        for i in range(a.chart.dim)
-        if a.degree_in(i) > 0 or b.degree_in(i) > 0
-    )
-    ua, ub = _as_univariate(a, index), _as_univariate(b, index)
-    ca, pa = _content_and_primitive(ua, a.chart)
-    cb, pb = _content_and_primitive(ub, a.chart)
-    cont = poly_gcd(ca, cb)
-    # primitive PRS in x_index
-    f, g = (pa, pb) if max(pa) >= max(pb) else (pb, pa)
-    while g:
-        r = _pseudo_rem(f, g, a.chart, index)
-        f, g = g, _content_and_primitive(r, a.chart)[1] if r else {}
-    result = cont * _from_univariate(a.chart, index, f)
-    return _normalize_gcd(result)
+    if h is None:
+        raise _GcdTooExpensive
+    return _normalize_gcd(Poly(a.chart, h))
 
 
 # -- rational functions ------------------------------------------------------
@@ -617,7 +539,8 @@ def _descending(p: Poly) -> Poly:
 def _part_gcd(p: Poly, q: Poly) -> Poly | None:
     """gcd(p, q) for cancelling, or None when there is nothing to cancel: the
     gcd is 1, an operand is constant (or zero, which needs no gcd), or the
-    size guard abandoned the gcd, which leaves p and q exact but uncancelled."""
+    gcd was abandoned, by the size guard or by the heuristic giving up, which
+    leaves p and q exact but uncancelled."""
     if p.is_constant or q.is_constant:
         return None
     try:
@@ -647,8 +570,10 @@ class RatFunc:
     """Quotient of two polynomials over the same chart.
 
     The denominator is never the zero polynomial and its leading coefficient
-    is kept positive.  The pair is coprime unless ``poly_gcd``'s size guard
-    abandoned a gcd: the constructor reduces it by one gcd of the whole, and
+    is kept positive.  The pair is coprime unless a gcd was abandoned, by
+    ``poly_gcd``'s size guard or by the heuristic gcd giving up.  The
+    constructor reduces it by one exact division of num by den, which also
+    works above the size guard, or else by one gcd of the whole, and
     arithmetic cancels at the operands, so ``(a/b)*(c/d)`` divides out
     gcd(a, d) and gcd(c, b), and ``a/b + c/d`` cancels only gcd(t, g) from
     t = a*(d/g) + c*(b/g), with g = gcd(b, d); ``diff`` cancels with
@@ -670,9 +595,11 @@ class RatFunc:
     @staticmethod
     def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         if not num.is_zero and not den.is_constant:
-            q = _try_divexact(num, den)
-            if q is not None:
-                return q, Poly.const(num.chart, 1)
+            # den | num needs no gcd, and is found above the size guard too
+            try:
+                return poly_divexact(num, den), Poly.const(num.chart, 1)
+            except ExprError:
+                pass
             g = _part_gcd(num, den)
             if g is not None:
                 num, den = poly_divexact(num, g), poly_divexact(den, g)
@@ -680,7 +607,7 @@ class RatFunc:
 
     @staticmethod
     def _coprime(num: Poly, den: Poly) -> "RatFunc":
-        """The RatFunc of a pair already cancelled as far as the size guard
+        """The RatFunc of a pair already cancelled as far as ``poly_gcd``
         allows: coprime unless a gcd on the way was abandoned."""
         out = RatFunc.__new__(RatFunc)
         out.num, out.den = _normalized(num, den)
@@ -791,10 +718,9 @@ class RatFunc:
         coefficient).  The result (t/u) / ((d/u)*h) is therefore the pair
         ``RatFunc(n'd - nd', d*d)`` gives, term order included: descending
         graded-lex when a factor was cancelled, the products' own order when
-        g = 1.  A d free of x_k gives n'/d.  When the size guard abandons
-        gcd(d, d'), the bracket over d^2 is kept as it is; when it abandons
-        gcd(t, g), nothing is cancelled from t/(d*h).  Either way the value
-        is exact."""
+        g = 1.  A d free of x_k gives n'/d.  When gcd(d, d') is abandoned,
+        the bracket over d^2 is kept as it is; when gcd(t, g) is, nothing is
+        cancelled from t/(d*h).  Either way the value is exact."""
         if not 0 <= index < self.chart.dim:
             raise ExprError(f"variable index {index} out of range")
         n, d = self.num, self.den

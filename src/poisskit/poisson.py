@@ -467,18 +467,19 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
         dom_index = {b: i for i, b in enumerate(dom)}
         image = [{dom_index[key]: c for key, c in _d_pi_image(idx, mono, of_x, of_d).items()}
                  for idx, mono in _kvector_basis(chart, k - 1, d - delta + 1)]
-    dim_image = len(linalg.eliminate(image)[1])
+    # a row's independence depends only on the rows before it, so the
+    # independent image rows count the image, and the independent kernel rows
+    # after them are the representatives: they extend the image to a kernel basis
+    independent = linalg.eliminate(image + kernel)[1]
+    dim_image = sum(i < len(image) for i in independent)
     dim_kernel = len(kernel)
     dim_h = dim_kernel - dim_image
-    # representatives: the kernel vectors that, taken in order, extend the
-    # image to a kernel basis
     reps = []
-    if dim_h:
-        for i in linalg.eliminate(image + kernel)[1][dim_image:]:
-            mv = MultiVec.zero(chart, k)
-            for col, coef in sorted(kernel[i - len(image)].items()):
-                mv = mv + _basis_element(chart, *dom[col]).scale(coef)
-            reps.append(mv)
+    for i in independent[dim_image:]:
+        mv = MultiVec.zero(chart, k)
+        for col, coef in sorted(kernel[i - len(image)].items()):
+            mv = mv + _basis_element(chart, *dom[col]).scale(coef)
+        reps.append(mv)
     return CohomologyReport(k, d, dim_kernel, dim_image, dim_h, reps)
 
 

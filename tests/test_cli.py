@@ -132,6 +132,24 @@ def test_step_count_overflow_is_a_flow_failure(tmp_path, capsys):
     assert lines[0].startswith("FAIL flow step count inf exceeds max_steps")
 
 
+def test_overflowing_start_point_is_a_flow_failure(tmp_path, capsys):
+    doc = {**SO3, "tasks": [{"task": "flow", "h": "x^2 + y", "x0": ["1e400", "0", "0"]}]}
+    status, lines = _run(tmp_path, capsys, json.dumps(doc))
+    assert status == 1 and len(lines) == 1
+    assert lines[0].startswith("FAIL flow cannot read point ")
+
+
+@pytest.mark.parametrize("doc", [
+    {**SO3, "tasks": [{"task": "rank", "point": ["1/0", "0", "0"]}]},
+    {**SO3, "constraints": {"n": {"bivector": "pi", "psi": ["x"], "level": ["1/0"]}}},
+    {**SO3, "lie_algebras": {"g": {"dim": 3, "constants": [[0, 1, 2, "1/0"]]}}},
+], ids=["point", "level", "constant"])
+def test_bad_rational_is_a_manifest_error(tmp_path, capsys, doc):
+    status, lines = _run(tmp_path, capsys, json.dumps(doc))
+    assert status == 2
+    assert len(lines) == 1 and lines[0].startswith("FAIL manifest invalid rational '1/0'")
+
+
 def test_deeply_nested_json_is_a_manifest_error(tmp_path, capsys):
     path = tmp_path / "manifest.json"
     deep = "[" * 100_000 + "]" * 100_000

@@ -138,7 +138,7 @@ def test_transversal_induced_poisson_matches_dirac_bracket(ch4):
     )
     matrix = transversal_induced_poisson_at(structure, cs, [F(1), F(2)])
     assert matrix == [[0, 1], [-1, 0]]
-    bracket, _ = dirac_bracket(cs)
+    bracket = dirac_bracket(cs)
     assert bracket(parse_expr("q1", ch4), parse_expr("p1", ch4)) == RatFunc.const(plane, 1)
 
 

@@ -213,8 +213,8 @@ def test_gcd_cancels_common_factor():
 
 
 def test_gcd_where_the_prs_gives_up(ch3):
-    # a content gcd inside the primitive PRS reaches degree 17, past its size
-    # guard, so the PRS alone abandons this gcd and leaves the pair unreduced
+    # a primitive PRS abandons this gcd: a content gcd inside it reaches
+    # degree 17, past the size guard.  The heuristic reduces the pair
     a = parse_expr("(y^2*z + 1)*(y^2*z^2 + 1)", ch3).as_poly()
     b = parse_expr("(y^2*z + 1)*(x^2*y^2*z + x*z^2 + 1)", ch3).as_poly()
     assert str(poly_gcd(a, b)) == "y^2*z + 1"
@@ -222,7 +222,7 @@ def test_gcd_where_the_prs_gives_up(ch3):
 
 
 def test_gcd_of_an_unreduced_sum(ch3):
-    # numerator and denominator of 30 and 35 terms: the PRS alone ran for
+    # numerator and denominator of 30 and 35 terms: a primitive PRS runs for
     # minutes on this pair
     a = parse_expr("(48*x^2 + 24*x*y - 240*x*z - 96*x)/(60*x^2 + 27*x*y + 75/2*x*z - 60*y^2"
                    " + 93*y*z - 45/2*z^2 + 189*x + 144*y - 9*z + 108)", ch3)
@@ -266,22 +266,27 @@ def test_high_degree_results_are_reduced():
     assert str(parse_expr("x^9/(x^9*y)", ch)) == "1/(y)"
 
 
+def test_exact_division_reduces_above_the_size_guard():
+    ch = chart("x", "y")
+    p, q = (parse_expr(text, ch).as_poly() for text in ("(x + y + 1)^9", "(x - 2*y + 3)^9"))
+    assert (p * q).total_degree() == 18 > 2 * expr.GCD_DEGREE_CAP
+    with pytest.raises(expr._GcdTooExpensive):
+        poly_gcd(p * q, q)
+    e = RatFunc(p * q, q)
+    assert e.num == p and e.den == Poly.const(ch, 1)
+
+
 # -- operand-level cancellation --------------------------------------------------------------
 
 
-def _top_level_gcds(monkeypatch):
-    """Record the poly_gcd calls not made from inside poly_gcd."""
-    calls, depth = [], [0]
+def _recorded_gcds(monkeypatch):
+    """Record the poly_gcd calls; poly_gcd does not call itself."""
+    calls = []
     gcd = expr.poly_gcd
 
     def counted(a, b):
-        if not depth[0]:
-            calls.append((a, b))
-        depth[0] += 1
-        try:
-            return gcd(a, b)
-        finally:
-            depth[0] -= 1
+        calls.append((a, b))
+        return gcd(a, b)
 
     monkeypatch.setattr(expr, "poly_gcd", counted)
     return calls
@@ -293,7 +298,7 @@ def test_arithmetic_needs_no_gcd_of_the_whole_result(ch3, monkeypatch):
     expected = [parse_expr(text, ch3) for text in (
         "(-x - y)/(x*z + y + 1)", "(x + y)^2/(x*z + y + 1)^2",
         "((x^2 + z)*(x*z + y + 1) + x + y)/(x*z + y + 1)", "(x^2 + z)*(x + y)/(x*z + y + 1)")]
-    calls = _top_level_gcds(monkeypatch)
+    calls = _recorded_gcds(monkeypatch)
     results = [-f, f**2]
     assert calls == []
     results.append(p + f)
@@ -321,7 +326,7 @@ def test_diff_never_takes_the_gcd_of_the_whole_result(ch3, monkeypatch, text):
     f = parse_expr(text, ch3)
     square = f.den * f.den
     expected = [RatFunc(f.num.diff(i) * f.den - f.num * f.den.diff(i), square) for i in range(3)]
-    calls = _top_level_gcds(monkeypatch)
+    calls = _recorded_gcds(monkeypatch)
     assert [f.diff(i) for i in range(3)] == expected
     assert calls and not any(square in pair for pair in calls)
     assert len(calls) <= 6

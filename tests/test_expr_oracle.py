@@ -14,7 +14,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from poisskit import expr
 from poisskit.expr import (
@@ -49,7 +49,7 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero)
 # small enough that sympy.cancel stays quick and a gcd never leaves its cheap range
 small_polys = poly_strategy(1, 3)
 small_factors = small_polys.filter(lambda p: not p.is_zero)
-# gcd factors with squared variables, whose products the PRS alone abandoned
+# gcd factors with squared variables, so that products reach total degree 12
 gcd_factors = poly_strategy(2, 3).filter(lambda p: not p.is_zero)
 ratfuncs = st.builds(RatFunc, small_polys, small_factors)
 nonzero_coefficients = coefficients.filter(bool)
@@ -234,8 +234,17 @@ def test_diff_divides_d_by_the_cancelled_factor():
     assert str(parse_expr("(x + z)/(x*z)", CH).diff(0)) == "(-1)/(x^2)"
 
 
+def _poly(text):
+    return parse_expr(text, CH).as_poly()
+
+
 @ORACLE
 @given(gcd_factors, gcd_factors, gcd_factors)
+# the cofactors' values at every integer point share a fixed prime, so that
+# every image gcd is too large: the classic hard case for the heuristic gcd
+@example(*map(_poly, ("x + 1", "x^2 + x", "x^2 + x + 2")))
+@example(*map(_poly, ("2*x + 2", "x^4 + x^3 + x^2 + x", "x^4 + x^3 + x^2 + x + 24")))
+@example(*map(_poly, ("x + y*z", "x^2 + x", "x^2 + x + 2")))
 def test_gcd_matches_sympy(f, g, h):
     # a common factor f makes most gcds nontrivial
     a, b = f * g, f * h
@@ -251,22 +260,24 @@ def test_gcd_matches_sympy(f, g, h):
 
 @ORACLE
 @given(small_factors, small_factors, small_factors)
-def test_prs_fallback_gives_the_same_gcd(f, g, h):
-    # the heuristic gcd succeeds on every benchmark workload, so the primitive
-    # PRS behind it runs only here: made to give up, the heuristic hands
-    # every gcd, the PRS's inner ones included, to the PRS
+def test_heuristic_giving_up_abandons_the_gcd(f, g, h):
+    # a heuristic that gives up abandons the gcd as the size guard does:
+    # poly_gcd raises, and RatFunc and + keep an exact value, uncancelled
     a, b = f * g, f * h
-    expected = poly_gcd(a, b)
-    gave_up = []
-
-    def give_up(f, g):
-        gave_up.append((f, g))
-
-    with mock.patch.object(expr, "_heu_gcd", give_up):
-        fallback = poly_gcd(a, b)
-    assume(gave_up)
-    assert fallback == expected
-    assert obeys_rule(fallback)
+    assume(not a.is_constant and not b.is_constant)
+    one = Poly.const(CH, 1)
+    u, v = RatFunc(one, a), RatFunc(one, b)
+    assume(u.den != v.den)
+    with mock.patch.object(expr, "_heu_gcd", lambda f, g: None):
+        with pytest.raises(expr._GcdTooExpensive):
+            poly_gcd(a, b)
+        whole, total = RatFunc(a, b), u + v
+    sa, sb = to_sympy(a), to_sympy(b)
+    assert same_value(whole, sa / sb) and same_value(total, 1 / sa + 1 / sb)
+    assert obeys_rule(whole) and obeys_rule(total)
+    # b dividing a is found by exact division, which needs no gcd
+    assert whole.is_polynomial or whole.den.total_degree() == b.total_degree()
+    assert total.den.total_degree() == a.total_degree() + b.total_degree()
 
 
 @pytest.mark.parametrize("a,b", [
@@ -275,7 +286,7 @@ def test_prs_fallback_gives_the_same_gcd(f, g, h):
     ("x^3*y - 2*z", "x*y^2*z + x + 1"),
 ])
 def test_coprime_pair_takes_one_gcd_call(a, b):
-    # the heuristic never calls poly_gcd; the PRS calls it for every content
+    # poly_gcd does not call itself: one gcd is one call
     calls = []
     gcd = expr.poly_gcd
 
