@@ -217,15 +217,14 @@ def _get_bivector(manifest: Manifest, params: dict) -> MultiVec:
 
 
 def _task_is_poisson(manifest, params):
-    pi = _get_bivector(manifest, params)
-    ok, square = poisson.is_poisson(pi)
-    if ok:
+    ps = poisson.verify(_get_bivector(manifest, params))
+    if ps.verified:
         return TaskResult("is_poisson", True, ["PASS is_poisson [pi,pi]=0"],
                           {"verified": True})
     return TaskResult(
         "is_poisson", False,
-        [f"FAIL is_poisson [pi,pi] = {square}"],
-        {"verified": False, "schouten_square": str(square)},
+        [f"FAIL is_poisson [pi,pi] = {ps.schouten_square}"],
+        {"verified": False, "schouten_square": str(ps.schouten_square)},
     )
 
 
@@ -411,16 +410,14 @@ def run_tasks(manifest: Manifest, selected=None, extra_params=None):
     jobs = []
     for spec in tasks:
         name = spec.get("task")
-        if name not in TASKS:
-            raise ManifestError(f"unknown task {name!r}")
         params = dict(spec)
         params.update(extra_params)
-        jobs.append((name, params))
+        jobs.append((name, _named(TASKS, name, "task"), params))
 
     def execute(job):
-        name, params = job
+        name, task, params = job
         try:
-            return TASKS[name](manifest, params)
+            return task(manifest, params)
         except ManifestError:
             raise
         except ExprError as err:

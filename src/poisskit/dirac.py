@@ -11,6 +11,13 @@ one relation image {out u : into u in L}; kernel, range, induced forms and
 induced bivectors are read off the RREF of L, or of L with its covector
 coordinates first.
 
+One entry point per fact: the graph of pi# or of omega_flat at a point is
+``DiracSectionFamily.graph_of_bivector`` or ``graph_of_2form`` followed by
+``evaluate_at``; the range of pi# with its induced form is
+``kernel_and_range`` of that graph, inverted by ``reconstruct_from_range``.
+That phi pushes the graph of pi_1 onto the graph of pi_2 is the Poisson-map
+condition, checked by ``poisson.is_poisson_map``.
+
 Restriction to a constraint level set N is performed by exact substitution
 through a polynomial parametrization when one is supplied, and otherwise by
 exact evaluation at user-provided on-level sample points (results are then
@@ -107,26 +114,6 @@ class LinearLagrangian:
         return "span{" + "; ".join(rows) + "}"
 
 
-def from_bivector_at(structure, point) -> LinearLagrangian:
-    """Graph of pi# at a point: spanned by (pi#(dx_i), dx_i)."""
-    pi = poisson._pi_of(structure)
-    p = matrix_at(pi, point)
-    n = len(p)
-    basis = [list(p[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    return LinearLagrangian(n, basis)
-
-
-def from_2form_at(omega: DiffForm, point) -> LinearLagrangian:
-    """Graph of omega_flat at a point: spanned by (d/dx_i, i_{d/dx_i} omega)."""
-    if omega.degree != 2:
-        raise DiracError("need a 2-form")
-    w = matrix_at(omega, point)
-    n = len(w)
-    # (i_X omega)_j = sum_i X_i w_ij
-    basis = [[Fraction(1 if j == i else 0) for j in range(n)] + w[i] for i in range(n)]
-    return LinearLagrangian(n, basis)
-
-
 def _block_diag(a, b):
     """The block matrix diag(a, b) of two Fraction matrices."""
     za = [Fraction(0)] * len(a[0])
@@ -166,17 +153,6 @@ def forward_image(lag: LinearLagrangian, a_matrix) -> LinearLagrangian:
         _block_diag(a_matrix, linalg.identity(n_tgt)),
         n_tgt,
     )
-
-
-def forward_matches(phi: PolyMap, source_structure, target_structure, samples) -> bool:
-    """At each sample, does dphi push the source graph onto the target graph?"""
-    for point in samples:
-        jac = phi.jacobian_at(point)
-        l1 = from_bivector_at(source_structure, point)
-        l2 = from_bivector_at(target_structure, phi(point))
-        if forward_image(l1, jac) != l2:
-            return False
-    return True
 
 
 def gauge_at(lag: LinearLagrangian, b_matrix) -> LinearLagrangian:
@@ -297,8 +273,9 @@ class DiracSectionFamily:
         return LinearLagrangian(n, rows)
 
     @staticmethod
-    def graph_of_bivector(pi: MultiVec, samples=None) -> "DiracSectionFamily":
-        """Sections (pi#(dx_i), dx_i)."""
+    def graph_of_bivector(structure, samples=None) -> "DiracSectionFamily":
+        """Sections (pi#(dx_i), dx_i) of a PoissonStructure or a bivector."""
+        pi = poisson._pi_of(structure)
         chart = pi.chart
         n = chart.dim
         p = bivector_matrix(pi)
@@ -311,6 +288,7 @@ class DiracSectionFamily:
 
     @staticmethod
     def graph_of_2form(omega: DiffForm, samples=None) -> "DiracSectionFamily":
+        """Sections (d/dx_i, i_{d/dx_i} omega)."""
         chart = omega.chart
         n = chart.dim
         sections = []
@@ -534,6 +512,8 @@ def dual_pair_check(omega: DiffForm, phi1: PolyMap, phi2: PolyMap,
         raise ChartMismatchError("legs must start on the 2-form's chart")
     if s_chart.dim != phi1.target.dim + phi2.target.dim:
         return False
+    graph1 = DiracSectionFamily.graph_of_bivector(structure1)
+    graph2 = DiracSectionFamily.graph_of_bivector(structure2)
     for point in samples:
         w = matrix_at(omega, point)
         if linalg.det(w) == 0:
@@ -542,8 +522,8 @@ def dual_pair_check(omega: DiffForm, phi1: PolyMap, phi2: PolyMap,
         j2 = phi2.jacobian_at(point)
         if linalg.rank(j1) != phi1.target.dim or linalg.rank(j2) != phi2.target.dim:
             raise DiracError(f"a leg is not a submersion at {point}")
-        back1 = backward_image(from_bivector_at(structure1, phi1(point)), j1)
-        back2 = backward_image(from_bivector_at(structure2, phi2(point)), j2)
+        back1 = backward_image(graph1.evaluate_at(phi1(point)), j1)
+        back2 = backward_image(graph2.evaluate_at(phi2(point)), j2)
         if back1 != gauge_at(back2, w):
             return False
     return True
@@ -577,7 +557,8 @@ def transversal_induced_poisson_at(structure, cs: ConstraintSystem, parameter_po
         raise NotCosymplecticError(
             f"TN (+) TN^pi != TM at {ambient_point}: not cosymplectic there"
         )
-    lag = backward_image(from_bivector_at(structure, ambient_point), jac)
+    graph = DiracSectionFamily.graph_of_bivector(structure).evaluate_at(ambient_point)
+    lag = backward_image(graph, jac)
     m = phi.source.dim
     # with the covector coordinates first, a bivector graph has RREF (I | P)
     span = linalg.canonical_span([row[m:] + row[:m] for row in lag.canonical()])

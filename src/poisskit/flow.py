@@ -332,16 +332,25 @@ def _at_nodes(field: CompiledField, y0, nodes, cfg: FlowConfig, pole_msg, escape
         yield t, state[:m], np.array(state[m:]).reshape(m, m)
 
 
+_UNREADABLE = {ValueError: "not a rational number", ZeroDivisionError: "zero denominator",
+               OverflowError: "too large for a float"}
+
+
 def _point(x, n, message):
     """Coordinates as floats; anything but a float is read exactly first,
     so rational strings such as "1/2" are accepted as in CLI points."""
+    coords = []
     try:
-        x = [v if isinstance(v, float) else float(Fraction(v)) for v in x]
+        for v in x:
+            coords.append(v if isinstance(v, float) else float(Fraction(v)))
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
-        raise FlowError(f"cannot read point {x!r}: {err}") from None
-    if len(x) != n:
+        # named by index and reason only: a coordinate read exactly may be
+        # hundreds of digits long (1e400), and some errors' texts repeat it
+        reason = _UNREADABLE.get(type(err), "not a number")
+        raise FlowError(f"cannot read point coordinate {len(coords)}: {reason}") from None
+    if len(coords) != n:
         raise FlowError(message)
-    return x
+    return coords
 
 
 def compile_drifts(functions, n):

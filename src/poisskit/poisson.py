@@ -8,6 +8,12 @@ Matrix convention: the matrix of a bivector pi has entry (i,j) equal to
 
 With these choices {f,g} = dg(X_f) and [pi, f] = -X_f for the Schouten
 bracket of ``multivec``.
+
+One check per fact: ``verify`` is the only [pi,pi] = 0 test (the Jacobiator
+of the bracket is (1/2)[pi,pi] on differentials), and ``is_poisson_map`` the
+only Poisson-map test.  The characteristic data at a point, the range of
+pi# with its induced form, is read off the graph of pi# by
+``dirac.kernel_and_range``.
 """
 
 from __future__ import annotations
@@ -111,19 +117,13 @@ def _pi_of(obj) -> MultiVec:
 # -- verification --------------------------------------------------------------
 
 
-def is_poisson(bivector: MultiVec):
-    """(True, None) when [pi,pi] = 0 exactly, else (False, the trivector)."""
-    if bivector.degree != 2:
-        raise PoissonError("is_poisson needs a degree-2 multivector")
-    square = schouten(bivector, bivector)
-    if square.is_zero:
-        return True, None
-    return False, square
-
-
 def verify(bivector: MultiVec) -> PoissonStructure:
-    ok, square = is_poisson(bivector)
-    return PoissonStructure(bivector, ok, square)
+    """The [pi,pi] = 0 check: ``verified`` is True when the Schouten square
+    vanishes exactly; otherwise ``schouten_square`` holds that trivector."""
+    if bivector.degree != 2:
+        raise PoissonError("a Poisson structure needs a degree-2 multivector")
+    square = schouten(bivector, bivector)
+    return PoissonStructure(bivector, square.is_zero, None if square.is_zero else square)
 
 
 def require_poisson(bivector: MultiVec) -> PoissonStructure:
@@ -175,82 +175,11 @@ def casimir_check(structure, f: RatFunc) -> bool:
     return hamiltonian_vf(structure, f).is_zero
 
 
-# -- jacobiator ---------------------------------------------------------------
-
-
-def jacobiator(bivector, f: RatFunc, g: RatFunc, h: RatFunc) -> RatFunc:
-    """Cyclic sum {f,{g,h}} + {h,{f,g}} + {g,{h,f}}."""
-    b = _pi_of(bivector)
-    return (
-        bracket(b, f, bracket(b, g, h))
-        + bracket(b, h, bracket(b, f, g))
-        + bracket(b, g, bracket(b, h, f))
-    )
-
-
-def jacobiator_trivector(bivector) -> MultiVec:
-    """(1/2) [pi, pi]; contracts against (df,dg,dh) to the scalar jacobiator."""
-    b = _pi_of(bivector)
-    return schouten(b, b).scale(Fraction(1, 2))
-
-
-def trivector_on_differentials(t: MultiVec, f: RatFunc, g: RatFunc, h: RatFunc) -> RatFunc:
-    """Evaluate a trivector on (df, dg, dh)."""
-    if t.degree != 3:
-        raise PoissonError("need a degree-3 multivector")
-    chart = t.chart
-    dfs = [[w.diff(i) for i in range(chart.dim)] for w in (f, g, h)]
-    out = RatFunc.zero(chart)
-    for (i, j, k), c in t.coeffs.items():
-        det = RatFunc.zero(chart)
-        for perm, sign in (
-            ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-            ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
-        ):
-            a, b_, c_ = perm
-            term = dfs[a][i] * dfs[b_][j] * dfs[c_][k]
-            det = det + term if sign > 0 else det - term
-        out = out + c * det
-    return out
-
-
 # -- pointwise rank and symplectic data ----------------------------------------
 
 
 def rank_at(structure, point) -> int:
     return linalg.rank(matrix_at(_pi_of(structure), point))
-
-
-@dataclass
-class CharFiber:
-    """Pointwise characteristic fiber: a basis of R = im(pi#) and the induced
-    nondegenerate form with Omega(pi# a, pi# b) = pi(b, a)."""
-
-    base_point: list[Fraction]
-    r_basis: list[list[Fraction]]       # column vectors u_a = pi#(dx_{i_a})
-    omega_matrix: list[list[Fraction]]
-    covector_indices: list[int]
-
-    def reconstruct_matrix(self) -> list[list[Fraction]]:
-        """U Omega^{-1} U^T; must reproduce the evaluated pi matrix."""
-        if not self.r_basis:
-            n = len(self.base_point)
-            return [[Fraction(0)] * n for _ in range(n)]
-        u = linalg.transpose(self.r_basis)  # columns are basis vectors
-        o_inv = linalg.mat_inverse(self.omega_matrix)
-        return linalg.matmul(linalg.matmul(u, o_inv), linalg.transpose(u))
-
-
-def char_fiber(structure, point) -> CharFiber:
-    pi = _pi_of(structure)
-    p = matrix_at(pi, point)
-    n = pi.chart.dim
-    # columns of S = P^T are pi#(dx_i); pick independent ones via rref
-    s = linalg.transpose(p)
-    _, pivots = linalg.rref(s)
-    basis = [[p[i][j] for j in range(n)] for i in pivots]  # row i of P = pi#(dx_i)
-    omega = [[p[b][a] for b in pivots] for a in pivots]    # Omega_ab = pi(dx_b, dx_a)
-    return CharFiber(list(point), basis, omega, list(pivots))
 
 
 def darboux_basis_at(structure, point):

@@ -6,7 +6,7 @@ import pytest
 
 from poisskit import poisson
 from poisskit.expr import Poly, RatFunc, chart, parse_expr
-from poisskit.multivec import DiffForm, MultiVec
+from poisskit.multivec import DiffForm, MultiVec, schouten
 
 
 @pytest.fixture
@@ -109,3 +109,39 @@ def random_form(rng, ch, degree, max_degree=2):
 
 def rng_for(name):
     return random.Random(name)
+
+
+# -- the Jacobiator, an oracle for the Schouten bracket --------------------------
+
+
+def jacobiator(bivector, f, g, h):
+    """Cyclic sum {f,{g,h}} + {h,{f,g}} + {g,{h,f}}."""
+    bracket = poisson.bracket
+    return (
+        bracket(bivector, f, bracket(bivector, g, h))
+        + bracket(bivector, h, bracket(bivector, f, g))
+        + bracket(bivector, g, bracket(bivector, h, f))
+    )
+
+
+def jacobiator_trivector(bivector):
+    """(1/2) [pi, pi]; contracts against (df,dg,dh) to the scalar jacobiator."""
+    return schouten(bivector, bivector).scale(Fraction(1, 2))
+
+
+def trivector_on_differentials(t, f, g, h):
+    """Evaluate a trivector on (df, dg, dh)."""
+    chart = t.chart
+    dfs = [[w.diff(i) for i in range(chart.dim)] for w in (f, g, h)]
+    out = RatFunc.zero(chart)
+    for (i, j, k), c in t.coeffs.items():
+        det = RatFunc.zero(chart)
+        for perm, sign in (
+            ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+            ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1),
+        ):
+            a, b, c_ = perm
+            term = dfs[a][i] * dfs[b][j] * dfs[c_][k]
+            det = det + term if sign > 0 else det - term
+        out = out + c * det
+    return out

@@ -51,6 +51,8 @@ def _run(tmp_path, capsys, text):
     ({**SO3, "tasks": [{"task": "flow", "h": "x", "x0": "1,0,0", "casimirs": 5}]},
      "parameter 'casimirs' must be a JSON list"),
     ({**SO3, "expressions": {"f": "x^²"}}, "unexpected character '²' (at position 2)"),
+    ({**SO3, "tasks": [{"task": ["x"]}]}, "unknown task ['x']"),
+    ({**SO3, "tasks": [{"task": {"a": 1}}]}, "unknown task {'a': 1}"),
 ])
 def test_malformed_manifest(tmp_path, capsys, doc, message):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))
@@ -137,6 +139,8 @@ def test_overflowing_start_point_is_a_flow_failure(tmp_path, capsys):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))
     assert status == 1 and len(lines) == 1
     assert lines[0].startswith("FAIL flow cannot read point ")
+    assert lines[0] == "FAIL flow cannot read point coordinate 0: too large for a float"
+    assert len(lines[0]) < 120
 
 
 @pytest.mark.parametrize("doc", [

@@ -13,9 +13,6 @@ from poisskit.dirac import (
     dirac_bracket,
     dual_pair_check,
     forward_image,
-    forward_matches,
-    from_2form_at,
-    from_bivector_at,
     gauge_at,
     kernel_and_range,
     reconstruct_from_range,
@@ -23,9 +20,15 @@ from poisskit.dirac import (
 )
 from poisskit.expr import RatFunc, chart, parse_expr
 from poisskit.multivec import DiffForm, MultiVec, PolyMap
-from poisskit.poisson import gauge_transform, is_poisson_map, jacobiator_trivector, matrix_at
+from poisskit.poisson import gauge_transform, is_poisson_map, matrix_at
+
+from conftest import jacobiator_trivector, rng_for
 
 P = [F(1), F(2), F(3)]
+
+
+def _graph_at(structure, point):
+    return DiracSectionFamily.graph_of_bivector(structure).evaluate_at(point)
 
 
 def _form(ch, table):
@@ -42,24 +45,25 @@ def _bivector(ch, table):
 def test_graph_of_2form_is_gauge_of_zero(ch3):
     b = _form(ch3, {(0, 1): "z", (1, 2): "x"})
     zero = DiffForm.zero(ch3, 2)
-    assert from_2form_at(b, P) == gauge_at(from_2form_at(zero, P), matrix_at(b, P))
+    graph, graph_of_zero = (DiracSectionFamily.graph_of_2form(w).evaluate_at(P) for w in (b, zero))
+    assert graph == gauge_at(graph_of_zero, matrix_at(b, P))
 
 
 def test_gauge_at_matches_gauge_transform(ch3, so3_structure):
     b = _form(ch3, {(0, 1): "1", (1, 2): "2"})
-    lhs = gauge_at(from_bivector_at(so3_structure, P), matrix_at(b, P))
-    assert lhs == from_bivector_at(gauge_transform(so3_structure, b), P)
+    lhs = gauge_at(_graph_at(so3_structure, P), matrix_at(b, P))
+    assert lhs == _graph_at(gauge_transform(so3_structure, b), P)
 
 
 def test_reconstruct_from_range_inverts_kernel_and_range(so3_structure):
-    lag = from_bivector_at(so3_structure, P)
+    lag = _graph_at(so3_structure, P)
     assert reconstruct_from_range(kernel_and_range(lag), 3) == lag
 
 
 def test_reconstruct_from_range_is_one_elimination(so3_structure, monkeypatch):
     # the range of the so3 graph at P is 2-dimensional; every alpha_a comes
     # from one RREF, and the other two are canonical_span and the lagrangian check
-    lag = from_bivector_at(so3_structure, P)
+    lag = _graph_at(so3_structure, P)
     data = kernel_and_range(lag)
     assert len(data.range_basis) == 2
     calls = []
@@ -104,13 +108,23 @@ def test_dual_pair_check(chqp):
     assert not dual_pair_check(omega, q, p, zero, zero, samples)
 
 
-def test_forward_matches_agrees_with_is_poisson_map(ch3, so3_structure):
-    samples = [P, [F(0), F(1), F(-1)]]
-    identity = PolyMap.identity(ch3)
-    assert forward_matches(identity, so3_structure, so3_structure, samples)
-    double = PolyMap.linear(ch3, ch3, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
-    assert not forward_matches(double, so3_structure, so3_structure, samples)
-    assert is_poisson_map(double, so3_structure, so3_structure) == (False, "symbolic")
+def test_forward_image_of_graph_agrees_with_is_poisson_map(ch3, so3_structure):
+    # phi is Poisson exactly when dphi pushes the graph of pi at each point
+    # onto the graph of pi at its image; both sides are linear in the point
+    # for a linear phi on so3*, so three independent points decide it
+    samples = [P, [F(0), F(1), F(-1)], [F(1), F(0), F(1)]]
+    rng = rng_for("forward")
+    maps = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+            [[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]]
+    maps += [[[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)] for _ in range(26)]
+    verdicts = []
+    for matrix in maps:
+        phi = PolyMap.linear(ch3, ch3, matrix)
+        pushes = all(forward_image(_graph_at(so3_structure, p), phi.jacobian_at(p))
+                     == _graph_at(so3_structure, phi(p)) for p in samples)
+        assert is_poisson_map(phi, so3_structure, so3_structure) == (pushes, "symbolic")
+        verdicts.append(pushes)
+    assert verdicts[:4] == [True, True, True, False] and verdicts.count(False) > 4
 
 
 def test_coregularity_of_a_line_into_so3(ch3, so3_structure):
@@ -160,7 +174,7 @@ def _rows(m):
 
 
 def test_golden_images_gauge_and_sharp(so3_structure):
-    lag = from_bivector_at(so3_structure, P)
+    lag = _graph_at(so3_structure, P)
     assert str(lag) == "span{(1, 0, -1/3, 0, -1/3, 0); (0, 1, -2/3, 0, -2/3, -1); (0, 0, 0, 1, 2, 3)}"
     onto = [[F(1), F(0), F(0), F(1)], [F(0), F(1), F(0), F(0)], [F(0), F(0), F(1), F(0)]]
     assert str(backward_image(lag, onto)) == (
@@ -188,7 +202,7 @@ def test_golden_images_gauge_and_sharp(so3_structure):
      [["0", "0", "0"], ["0", "0", "-1"], ["0", "1", "0"]], [["1", "2", "3", "1"]]),
 ])
 def test_golden_kernel_and_range(so3_structure, which, kernel, range_basis, omega, annihilator):
-    lag = from_bivector_at(so3_structure, P)
+    lag = _graph_at(so3_structure, P)
     if which == "gauge":
         lag = gauge_at(lag, [[F(0), F(1), F(2)], [F(-1), F(0), F(3)], [F(-2), F(-3), F(0)]])
     elif which == "backward":

@@ -29,6 +29,8 @@ from poisskit.liealg import (
 from poisskit.multivec import DiffForm, MultiVec, wedge
 from poisskit.poisson import hamiltonian_vf, is_poisson_map, modular_vf
 
+from conftest import rng_for
+
 
 def so3():
     return lie_from_constants(3, [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1)])
@@ -170,6 +172,56 @@ def test_cocycle_book_negative():
 
 def test_cocycle_zero():
     assert is_2cocycle(so3(), AlgMultiVec.zero(so3(), 2))
+
+
+def aff1():
+    return lie_from_constants(2, [(0, 1, 1, 1)])
+
+
+def gl2():
+    # basis E11, E12, E21, E22 of 2x2 matrices, [A, B] = AB - BA
+    return lie_from_constants(4, [(0, 1, 1, 1), (0, 2, 2, -1), (1, 2, 0, 1),
+                                  (1, 2, 3, -1), (1, 3, 1, 1), (2, 3, 2, -1)])
+
+
+def _cyclic_sum_vanishes(g, lam):
+    """lam(u1,[u2,u3]) + lam(u3,[u1,u2]) + lam(u2,[u3,u1]) = 0 on all basis
+    triples, with lam evaluated as a 2-form on coefficient vectors."""
+    def value(u, v):
+        return sum((c * (u[a] * v[b] - u[b] * v[a]) for (a, b), c in lam.coeffs.items()), F(0))
+
+    basis = [[F(1 if i == j else 0) for j in range(g.dim)] for i in range(g.dim)]
+    return all(
+        value(u1, g.bracket(u2, u3)) + value(u3, g.bracket(u1, u2)) + value(u2, g.bracket(u3, u1)) == 0
+        for u1, u2, u3 in itertools.combinations(basis, 3)
+    )
+
+
+def test_cocycle_agrees_with_cyclic_sum_on_random_cochains():
+    rng = rng_for("cocycle")
+    verdicts = []
+    for make in (so3, book, aff1, heisenberg, gl2):
+        g = make()
+        for _ in range(40):
+            lam = AlgMultiVec(g, 2, {idx: F(rng.randint(-2, 2))
+                                     for idx in itertools.combinations(range(g.dim), 2)
+                                     if rng.random() < 0.5})
+            verdict = is_2cocycle(g, lam)
+            assert verdict == _cyclic_sum_vanishes(g, lam)
+            verdicts.append(verdict)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 20
+
+
+def test_elements_of_another_algebra_are_rejected():
+    r = AlgMultiVec(abelian(3), 2, {(0, 1): F(1)})
+    with pytest.raises(LieAlgebraError, match="another Lie algebra"):
+        cyb_check(so3(), r)
+    with pytest.raises(LieAlgebraError, match="another Lie algebra"):
+        alg_schouten(so3(), r, r)
+    lam = AlgMultiVec(abelian(4), 2, {(2, 3): F(1)})
+    for check in (is_2cocycle, affine_poisson):
+        with pytest.raises(LieAlgebraError, match="another Lie algebra"):
+            check(so3(), lam)
 
 
 def test_affine_trivial_cocycle():
@@ -388,8 +440,7 @@ def test_algebroid_identity_anchor_canonical():
     rho = [[RatFunc.const(base, 1), RatFunc.zero(base)],
            [RatFunc.zero(base), RatFunc.const(base, 1)]]
     pi = algebroid_dual_poisson(base, ["xi1", "xi2"], rho, {})
-    ok, _ = poisson.is_poisson(pi)
-    assert ok
+    assert poisson.verify(pi).verified
     assert poisson.rank_at(pi, [F(0)] * 4) == 4  # nondegenerate
 
 
@@ -403,8 +454,7 @@ def test_algebroid_point_base_recovers_lie_poisson():
         (2, 0, 1): RatFunc.const(base, 1),
     }
     pi = algebroid_dual_poisson(base, ["a", "b", "c"], rho, c)
-    ok, _ = poisson.is_poisson(pi)
-    assert ok
+    assert poisson.verify(pi).verified
     # fiber-fiber coefficients are the so(3) linear structure in (a, b, c)
     assert pi.coeff((1, 2)) == RatFunc.var(pi.chart, 3)
 
@@ -421,8 +471,7 @@ def test_algebroid_scaled_so3_is_still_poisson():
         (2, 0, 1): RatFunc.const(base, 1),
     }
     pi = algebroid_dual_poisson(base, ["a", "b", "c"], rho, c)
-    ok, _ = poisson.is_poisson(pi)
-    assert ok
+    assert poisson.verify(pi).verified
 
 
 def test_algebroid_detects_jacobi_failure():
@@ -436,8 +485,8 @@ def test_algebroid_detects_jacobi_failure():
         (1, 2, 0): RatFunc.const(base, 1),
     }
     pi = algebroid_dual_poisson(base, ["a", "b", "c"], rho, c)
-    ok, cert = poisson.is_poisson(pi)
-    assert not ok and cert is not None
+    ps = poisson.verify(pi)
+    assert not ps.verified and ps.schouten_square is not None
 
 
 def test_algebroid_anchor_compatibility_failure():
@@ -449,8 +498,7 @@ def test_algebroid_anchor_compatibility_failure():
     rho = [[one, zero]]
     c = {(0, 1, 0): parse_expr("x1", base)}
     pi = algebroid_dual_poisson(base, ["a", "b"], rho, c)
-    ok, _ = poisson.is_poisson(pi)
-    assert not ok
+    assert not poisson.verify(pi).verified
 
 
 # -- Lie homomorphisms and dual maps ---------------------------------------------------------------------

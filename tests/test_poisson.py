@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from poisskit import cli, fixtures, linalg, poisson
+from poisskit.dirac import DiracSectionFamily, kernel_and_range, reconstruct_from_range
 from poisskit.expr import RatFunc, chart, parse_expr
 from poisskit.liealg import lie_from_constants, lie_poisson
 from poisskit.multivec import DiffForm, MultiVec, PolyMap, wedge
@@ -11,17 +12,13 @@ from poisskit.poisson import (
     PoissonError,
     bracket,
     casimir_check,
-    char_fiber,
     cohomology,
     d_pi,
     darboux_basis_at,
     gauge_transform,
     hamiltonian_vf,
-    is_poisson,
     is_poisson_map,
     isotropy_bracket_at,
-    jacobiator,
-    jacobiator_trivector,
     log_degeneracy_check,
     matrix_at,
     modular_vf,
@@ -29,11 +26,16 @@ from poisskit.poisson import (
     require_poisson,
     sharp_at,
     top_power,
-    trivector_on_differentials,
     verify,
 )
 
-from conftest import random_poly, rng_for
+from conftest import (
+    jacobiator,
+    jacobiator_trivector,
+    random_poly,
+    rng_for,
+    trivector_on_differentials,
+)
 
 
 def coordinate_volume(ch):
@@ -114,21 +116,21 @@ def test_sharp_consistent_with_hamiltonian(ch3, so3_structure):
         assert sharp_at(so3_structure, pt, df) == [c.eval(pt) for c in xf.components()]
 
 
-# -- is_poisson -------------------------------------------------------------------------
+# -- verify -----------------------------------------------------------------------------
 
 
 def test_constant_bivector_poisson():
     ch = chart("a", "b", "c", "d")
     pi = MultiVec(ch, 2, {(0, 1): RatFunc.const(ch, 3), (1, 3): RatFunc.const(ch, -2)})
-    ok, cert = is_poisson(pi)
-    assert ok and cert is None
+    ps = verify(pi)
+    assert ps.verified and ps.schouten_square is None
 
 
 def test_any_2d_bivector_poisson(ch2):
     rng = rng_for("2d")
     for _ in range(10):
         pi = MultiVec(ch2, 2, {(0, 1): random_poly(rng, ch2, max_degree=3)})
-        assert is_poisson(pi)[0]
+        assert verify(pi).verified
 
 
 def test_s3_bracket_relations_poisson():
@@ -140,7 +142,7 @@ def test_s3_bracket_relations_poisson():
         (1, 2): parse_expr("x*z", ch),
         (1, 3): parse_expr("x*w", ch),
     })
-    assert is_poisson(pi)[0]
+    assert verify(pi).verified
 
 
 def test_non_poisson_certificate(ch3):
@@ -149,9 +151,9 @@ def test_non_poisson_certificate(ch3):
         (1, 2): parse_expr("y", ch3),
         (0, 2): parse_expr("z", ch3),
     })
-    ok, cert = is_poisson(bad)
-    assert not ok
-    assert cert.degree == 3 and not cert.is_zero
+    ps = verify(bad)
+    assert not ps.verified
+    assert ps.schouten_square.degree == 3 and not ps.schouten_square.is_zero
 
 
 # -- jacobiator ----------------------------------------------------------------------------
@@ -215,26 +217,35 @@ def test_rank_book_z_axis(book_structure):
     assert rank_at(book_structure, [F(1), F(0), F(0)]) == 2
 
 
+# the characteristic data at a point: the range of pi# with its induced form
+# Omega(pi# a, pi# b) = pi(b, a), read off the graph of pi# at that point
+
+
+def _characteristic_data(structure, point):
+    lag = DiracSectionFamily.graph_of_bivector(structure).evaluate_at(point)
+    return lag, kernel_and_range(lag)
+
+
 def test_char_fiber_zero(ch2):
-    cf = char_fiber(MultiVec.zero(ch2, 2), [F(0), F(0)])
-    assert cf.r_basis == [] and cf.omega_matrix == []
+    _, data = _characteristic_data(MultiVec.zero(ch2, 2), [F(0), F(0)])
+    assert data.range_basis == [] and data.omega == []
 
 
 def test_char_fiber_canonical(chqp, pican_structure):
-    cf = char_fiber(pican_structure, [F(0), F(0)])
-    assert len(cf.r_basis) == 2
-    assert cf.reconstruct_matrix() == matrix_at(pican_structure.pi, [F(0), F(0)])
+    lag, data = _characteristic_data(pican_structure, [F(0), F(0)])
+    assert len(data.range_basis) == 2
+    assert reconstruct_from_range(data, 2) == lag
     # Omega is the inverse canonical form: nondegenerate 2x2 antisymmetric
-    assert cf.omega_matrix[0][1] == -cf.omega_matrix[1][0] != 0
+    assert data.omega[0][1] == -data.omega[1][0] != 0
 
 
 def test_char_fiber_so3(so3_structure):
     pt = [F(0), F(0), F(1)]
-    cf = char_fiber(so3_structure, pt)
-    assert linalg.canonical_span(cf.r_basis) == [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
+    lag, data = _characteristic_data(so3_structure, pt)
+    assert data.range_basis == [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]
     # Omega(pi# dx, pi# dy) = pi(dy, dx) = -1 at this point (3x3 by hand)
-    assert cf.omega_matrix == [[F(0), F(-1)], [F(1), F(0)]]
-    assert cf.reconstruct_matrix() == matrix_at(so3_structure.pi, pt)
+    assert data.omega == [[F(0), F(-1)], [F(1), F(0)]]
+    assert reconstruct_from_range(data, 3) == lag
 
 
 def test_char_fiber_reconstruction_random(ch3):
@@ -245,8 +256,8 @@ def test_char_fiber_reconstruction_random(ch3):
             (1, 2): random_poly(rng, ch3, max_degree=1),
         })
         pt = [F(rng.randint(-2, 2)) for _ in range(3)]
-        cf = char_fiber(pi, pt)
-        assert cf.reconstruct_matrix() == matrix_at(pi, pt)
+        lag, data = _characteristic_data(pi, pt)
+        assert reconstruct_from_range(data, 3) == lag
 
 
 # -- darboux -------------------------------------------------------------------------------------
