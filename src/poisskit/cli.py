@@ -83,13 +83,13 @@ def _typed(value, kind, what):
 
 
 def _int(value, what) -> int:
-    if not isinstance(value, (int, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ManifestError(f"{what} must be an integer")
     return int(value)
 
 
 def _float(value, what) -> float:
-    if not isinstance(value, (int, float, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ManifestError(f"{what} must be a number")
     return float(value)
 

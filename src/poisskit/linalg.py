@@ -18,17 +18,20 @@ dense lists.
 
 The core eliminates over the integers (fraction-free, as in Bareiss, Math.
 Comp. 1968).  On entry each rational row (int or Fraction entries) is scaled
-to the primitive integer row on its line.  A step that cancels the entry f of
-a row against the pivot p of a pivot row takes row <- (p/g) row - (f/g)
-pivot_row with g = gcd(p, f), and then divides the row by its content, the
-gcd of its entries; so the loop builds no Fraction.  Rows with other entries
-(RatFunc) take the same loop with the step row <- row - (f/p) pivot_row and
-no content step.  Each pivot row is divided by its pivot once, through
-``_div``, at the end of ``eliminate``: the reduced row echelon form is
-unique, so the result is the one of dividing at every step, with Fraction
-entries for rational input.  On gl3 Lie-Poisson cohomology, H^2 at d = 3
-took 6.8 s instead of 28.5 s with Fraction steps, and H^2 at d = 2 took
-0.43 s instead of 1.76 s (2-core x86 VM, Python 3.11).
+to the primitive integer row on its line; a row of ints, as in Poisson
+cohomology with integral structure constants, only has its content divided
+out.  A step that cancels the entry f of a row against the pivot p of a
+pivot row takes row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f), and
+then divides the row by its content, the gcd of its entries; so the loop
+builds no Fraction, and it tests its sums for zero by their truth value.
+Rows with other entries (RatFunc) take the step row <- row - (f/p) pivot_row
+with no content step and zero tests through ``_is_zero``.  Each pivot row is
+divided by its pivot once, through ``_div``, at the end of ``eliminate``:
+the reduced row echelon form is unique, so the result is the one of dividing
+at every step, with Fraction entries for rational input.  On gl3
+Lie-Poisson cohomology, H^2 at d = 3 took 6.8 s instead of 28.5 s with
+Fraction steps, and H^2 at d = 2 took 0.43 s instead of 1.76 s (2-core x86
+VM, Python 3.11).
 
 ``mat_inverse`` and ``det`` stay dense loops over small square matrices,
 mostly of RatFuncs.  With ``mat_inverse`` routed through ``eliminate``, the
@@ -85,7 +88,7 @@ def eliminate(rows):
     for i, row in enumerate(rows):
         if not row:
             continue
-        row = _primitive(row) if _is_rational(row) else dict(row)
+        row = _primitive(row)
         for pc in [c for c in row if c in reduced]:
             _cancel(row, pc, reduced[pc])
         if not row:
@@ -102,12 +105,16 @@ def eliminate(rows):
     return reduced, independent
 
 
-def _is_rational(row) -> bool:
-    return all(type(x) is int or type(x) is Fraction for x in row.values())
-
-
 def _primitive(row):
-    """The integer row of content 1 on the line of a nonzero rational row."""
+    """A working copy of a nonzero row: the integer row of content 1 on its
+    line when its entries are rational, a plain copy for other entries.  A
+    row of ints takes only the content step."""
+    kinds = set(map(type, row.values()))
+    if kinds == {int}:
+        g = math.gcd(*row.values())
+        return {c: x // g for c, x in row.items()} if g != 1 else dict(row)
+    if not kinds <= {int, Fraction}:
+        return dict(row)
     scale = math.lcm(*(x.denominator for x in row.values()))
     row = {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
     g = math.gcd(*row.values())
@@ -120,15 +127,25 @@ def _cancel(row, pc, pivot_row):
     row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f) and are then
     divided by their content; other rows take row <- row - (f/p) pivot_row."""
     f, p = row[pc], pivot_row[pc]
-    integral = type(f) is int and type(p) is int
-    if integral:
+    if type(f) is int and type(p) is int:
         g = math.gcd(p, f)
         a, f = p // g, -(f // g)
         if a != 1:
             for c in row:
                 row[c] *= a
-    else:
-        f = -(f / p)
+        for c, x in pivot_row.items():
+            v = row.get(c, 0) + f * x
+            if v:
+                row[c] = v
+            else:
+                row.pop(c, None)
+        if row:
+            g = math.gcd(*row.values())
+            if g != 1:
+                for c in row:
+                    row[c] //= g
+        return
+    f = -(f / p)
     for c, x in pivot_row.items():
         v = row.get(c)
         v = f * x if v is None else v + f * x
@@ -136,11 +153,6 @@ def _cancel(row, pc, pivot_row):
             row.pop(c, None)
         else:
             row[c] = v
-    if integral and row:
-        g = math.gcd(*row.values())
-        if g != 1:
-            for c in row:
-                row[c] //= g
 
 
 def null_space(reduced, ncols):

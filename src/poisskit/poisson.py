@@ -19,6 +19,7 @@ pi# with its induced form, is read off the graph of pi# by
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -68,15 +69,25 @@ class PoissonStructure:
 
     @cached_property
     def generator_images(self):
-        """(of_x, of_d): the ``_terms`` of d_pi(x_j) and of d_pi(d/dx_j) for
-        each coordinate j, which ``cohomology`` builds d_pi from.  Taken on
-        first use and kept on the instance, outside the dataclass fields, so
+        """(of_x, of_d): d_pi(x_j) and d_pi(d/dx_j) for each coordinate j as
+        lists of (index tuple, exponent tuple, coefficient) terms, which
+        ``cohomology`` builds d_pi from.  They are read off pi's polynomial
+        terms, with the signs of ``multivec.schouten``: for P the matrix of pi,
+
+            [pi, x_j] = sum_a P[a][j] d/dx_a,    [pi, d/dx_j] = -d(pi)/dx_j,
+
+        the derivative taken coefficient by coefficient, so no bracket is
+        taken.  Kept on the instance, outside the dataclass fields, so
         equality and repr ignore it."""
-        chart = self.chart
-        of_x = [_terms(d_pi(self, MultiVec.from_scalar(RatFunc.var(chart, j))))
-                for j in range(chart.dim)]
-        of_d = [_terms(d_pi(self, MultiVec.basis_vector(chart, j)))
-                for j in range(chart.dim)]
+        n = self.chart.dim
+        of_x, of_d = [[] for _ in range(n)], [[] for _ in range(n)]
+        for (a, b), f in self.pi.coeffs.items():
+            for e, c in f.as_poly().terms.items():
+                of_x[b].append(((a,), e, c))
+                of_x[a].append(((b,), e, -c))
+                for j, ej in enumerate(e):
+                    if ej:
+                        of_d[j].append(((a, b), e[:j] + (ej - 1,) + e[j + 1 :], -ej * c))
         return of_x, of_d
 
 
@@ -320,37 +331,41 @@ def _basis_element(chart: Chart, idx, mono) -> MultiVec:
     )
 
 
-def _terms(mv: MultiVec):
-    """(index tuple, exponent tuple, coefficient) of each term of a
-    multivector with polynomial coefficients."""
-    return [
-        (idx, e, c) for idx, f in mv.coeffs.items() for e, c in f.as_poly().terms.items()
-    ]
-
-
-def _d_pi_image(idx, mono, of_x, of_d):
-    """d_pi(x^mono d/dx_idx) as {(index tuple, exponent tuple): coefficient},
-    from the generator images of_x[j] = _terms(d_pi(x_j)) and
-    of_d[j] = _terms(d_pi(d/dx_j))."""
-    out = {}
-
-    def add(gen_idx, rest, exps, coef):
+def _wedged(terms, rest, sign):
+    """The terms (index, e, c) of a generator image wedged with d/dx_rest and
+    scaled by sign, as (merged index, e, c); terms whose indices repeat drop."""
+    out = []
+    for gen_idx, e, c in terms:
         merged = _merge_indices(gen_idx, rest)
         if merged is not None:
-            sign, key_idx = merged
-            key = (key_idx, exps)
-            out[key] = out.get(key, 0) + (coef if sign > 0 else -coef)
+            out.append((merged[1], e, c if merged[0] == sign else -c))
+    return out
 
-    for j, mj in enumerate(mono):
-        if mj:
-            base = mono[:j] + (mj - 1,) + mono[j + 1 :]
-            for gen_idx, e, c in of_x[j]:
-                add(gen_idx, idx, tuple(a + b for a, b in zip(base, e)), mj * c)
-    for r, i in enumerate(idx):
-        rest = idx[:r] + idx[r + 1 :]
-        for gen_idx, e, c in of_d[i]:
-            add(gen_idx, rest, tuple(a + b for a, b in zip(mono, e)), -c if r % 2 else c)
-    return {key: c for key, c in out.items() if c}
+
+def _d_pi_images(basis, of_x, of_d):
+    """Yields d_pi(x^mono d/dx_idx) for each (idx, mono) of ``basis`` as
+    {(index tuple, exponent tuple): coefficient}, from the generator images
+    of ``PoissonStructure.generator_images``.  The index merges depend on
+    idx only, so they are made once per run of equal idx; each monomial then
+    only adds exponents."""
+    plan_idx = None
+    for idx, mono in basis:
+        if idx != plan_idx:
+            plan_idx = idx
+            via_x = [_wedged(terms, idx, 1) for terms in of_x]
+            via_d = [t for r, i in enumerate(idx)
+                     for t in _wedged(of_d[i], idx[:r] + idx[r + 1 :], -1 if r % 2 else 1)]
+        out = {}
+        for j, mj in enumerate(mono):
+            if mj:
+                base = mono[:j] + (mj - 1,) + mono[j + 1 :]
+                for key_idx, e, c in via_x[j]:
+                    key = (key_idx, tuple(map(operator.add, base, e)))
+                    out[key] = out.get(key, 0) + mj * c
+        for key_idx, e, c in via_d:
+            key = (key_idx, tuple(map(operator.add, mono, e)))
+            out[key] = out.get(key, 0) + c
+        yield {key: c for key, c in out.items() if c}
 
 
 def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
@@ -366,11 +381,11 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
         d_pi(x^m d_I) = sum_j m_j x^(m - e_j) d_pi(x_j) ^ d_I
                         + x^m sum_r (-1)^r d_pi(d_{i_r}) ^ d_{I without i_r}
 
-    (r counted from 0).  Only the 2n generator images d_pi(x_j) and
-    d_pi(d/dx_j) take a Schouten bracket, and they are taken once per
-    structure (``PoissonStructure.generator_images``), so a loop over k or d
-    on one structure brackets 2n times in all; the rest is index and
-    exponent bookkeeping on exact (int or Fraction) coefficients.
+    (r counted from 0).  The 2n generator images d_pi(x_j) and d_pi(d/dx_j)
+    are read off pi's terms once per structure
+    (``PoissonStructure.generator_images``), and no Schouten bracket is
+    taken; the rest is index and exponent bookkeeping on exact (int or
+    Fraction) coefficients, with the index merges made once per index tuple.
     """
     pi = _pi_of(structure)
     chart = pi.chart
@@ -386,16 +401,17 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     cod_index = {b: i for i, b in enumerate(cod)}
     # outgoing differential as sparse rows, one column per domain basis element
     out_rows = [{} for _ in cod]
-    for col, (idx, mono) in enumerate(dom):
-        for key, c in _d_pi_image(idx, mono, of_x, of_d).items():
+    for col, column in enumerate(_d_pi_images(dom, of_x, of_d)):
+        for key, c in column.items():
             out_rows[cod_index[key]][col] = c
     kernel = linalg.null_space(linalg.eliminate(out_rows)[0], len(dom))
     # incoming image, as sparse rows over the domain basis
     image = []
     if k >= 1 and d - delta + 1 >= 0:
         dom_index = {b: i for i, b in enumerate(dom)}
-        image = [{dom_index[key]: c for key, c in _d_pi_image(idx, mono, of_x, of_d).items()}
-                 for idx, mono in _kvector_basis(chart, k - 1, d - delta + 1)]
+        image = [{dom_index[key]: c for key, c in row.items()}
+                 for row in _d_pi_images(_kvector_basis(chart, k - 1, d - delta + 1),
+                                         of_x, of_d)]
     # a row's independence depends only on the rows before it, so the
     # independent image rows count the image, and the independent kernel rows
     # after them are the representatives: they extend the image to a kernel basis

@@ -114,6 +114,12 @@ def rng_for(name):
 # -- the Jacobiator, an oracle for the Schouten bracket --------------------------
 
 
+def multivec_terms(mv):
+    """{(index tuple, exponent tuple): coefficient} of a multivector with
+    polynomial coefficients."""
+    return {(idx, e): c for idx, f in mv.coeffs.items() for e, c in f.as_poly().terms.items()}
+
+
 def jacobiator(bivector, f, g, h):
     """Cyclic sum {f,{g,h}} + {h,{f,g}} + {g,{h,f}}."""
     bracket = poisson.bracket

@@ -53,6 +53,10 @@ def _run(tmp_path, capsys, text):
     ({**SO3, "expressions": {"f": "x^²"}}, "unexpected character '²' (at position 2)"),
     ({**SO3, "tasks": [{"task": ["x"]}]}, "unknown task ['x']"),
     ({**SO3, "tasks": [{"task": {"a": 1}}]}, "unknown task {'a': 1}"),
+    ({**SO3, "tasks": [{"task": "cohomology", "k": True}]}, "parameter 'k' must be an integer"),
+    ({**SO3, "tasks": [{"task": "cohomology", "k": 1, "d_max": False}]},
+     "parameter 'd_max' must be an integer"),
+    ({**SO3, "flow": {"dt": True}}, "flow 'dt' must be a number"),
 ])
 def test_malformed_manifest(tmp_path, capsys, doc, message):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from poisskit import linalg
 from poisskit.expr import RatFunc, chart, parse_expr
 
+from conftest import rng_for
+
 
 def test_rref_and_rank():
     m = [[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]
@@ -125,6 +127,34 @@ def test_cancel_removes_the_content():
         assert reduced == {0: {0: 1, 2: -1}, 1: {1: 1, 2: 2}}
         assert all(type(x) is F for row in reduced.values() for x in row.values())
 
+
+def _int_rows(rng, cols):
+    """Sparse int rows with a zero row, a repeated row, negative entries and
+    rows of content > 1 among them."""
+    rows = [{}]
+    for _ in range(rng.randint(2, 8)):
+        content = rng.choice([1, 2, 3, 6])
+        row = {c: content * rng.randint(-4, 4) for c in range(cols) if rng.random() < 0.6}
+        rows.append({c: x for c, x in row.items() if x})
+    rows.append(dict(rng.choice(rows[1:])))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_int_rows_eliminate_as_their_fractions():
+    # all-int rows take the integer-only path on entry, their Fraction copies
+    # the rational one; both give the same exact result
+    rng = rng_for("int rows")
+    for _ in range(60):
+        rows = _int_rows(rng, rng.randint(1, 7))
+        assert any(math.gcd(*r.values()) > 1 for r in rows if r)
+        snapshot = [dict(r) for r in rows]
+        reduced, independent = linalg.eliminate(rows)
+        assert rows == snapshot
+        assert all(type(x) is int for r in rows for x in r.values())
+        fractions = [{c: F(x) for c, x in r.items()} for r in rows]
+        assert (reduced, independent) == linalg.eliminate(fractions)
+        assert all(type(x) is F for row in reduced.values() for x in row.values())
 
 # three entries in four are zero, like the cohomology matrices' sparse rows
 _sparse_fraction = st.one_of(

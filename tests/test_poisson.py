@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
-from poisskit import cli, fixtures, linalg, poisson
+from poisskit import cli, fixtures, linalg, multivec, poisson
 from poisskit.dirac import DiracSectionFamily, kernel_and_range, reconstruct_from_range
 from poisskit.expr import RatFunc, chart, parse_expr
 from poisskit.liealg import lie_from_constants, lie_poisson
@@ -32,6 +33,7 @@ from poisskit.poisson import (
 from conftest import (
     jacobiator,
     jacobiator_trivector,
+    multivec_terms,
     random_poly,
     rng_for,
     trivector_on_differentials,
@@ -470,7 +472,7 @@ def _check_lie_poisson_report(structure, k, rep):
     dom = poisson._kvector_basis(chart, k, d)
 
     def vector(mv):
-        terms = {(idx, e): c for idx, e, c in poisson._terms(mv)}
+        terms = multivec_terms(mv)
         return [terms.get(b, F(0)) for b in dom]
 
     image = [vector(d_pi(structure, poisson._basis_element(chart, idx, mono)))
@@ -479,6 +481,51 @@ def _check_lie_poisson_report(structure, k, rep):
     assert all(d_pi(structure, r).is_zero for r in reps)
     assert linalg.rank(image) == rep.dim_image
     assert linalg.rank(image + [vector(r) for r in reps]) == rep.dim_image + rep.dim_h
+
+
+# serialize() of gl2 H^0..H^4 at d <= 2, representatives included, one
+# report after another; it pins the printed output of the cohomology path
+GL2_COHOMOLOGY = """\
+k=0 d=0 dim_ker=1 dim_im=0 dim_H=1
+  rep: 1
+k=0 d=1 dim_ker=1 dim_im=0 dim_H=1
+  rep: x1 + x4
+k=0 d=2 dim_ker=2 dim_im=0 dim_H=2
+  rep: x1*x4 - x2*x3
+  rep: x1^2 + 2*x2*x3 + x4^2
+k=1 d=0 dim_ker=1 dim_im=0 dim_H=1
+  rep: 1 d/dx1 + 1 d/dx4
+k=1 d=1 dim_ker=4 dim_im=3 dim_H=1
+  rep: (x1 + x4) d/dx1 + (x1 + x4) d/dx4
+k=1 d=2 dim_ker=10 dim_im=8 dim_H=2
+  rep: (x1*x4 - x2*x3) d/dx1 + (x1*x4 - x2*x3) d/dx4
+  rep: (x1^2 + 2*x2*x3 + x4^2) d/dx1 + (x1^2 + 2*x2*x3 + x4^2) d/dx4
+k=2 d=0 dim_ker=3 dim_im=3 dim_H=0
+k=2 d=1 dim_ker=12 dim_im=12 dim_H=0
+k=2 d=2 dim_ker=30 dim_im=30 dim_H=0
+k=3 d=0 dim_ker=4 dim_im=3 dim_H=1
+  rep: 1 d/dx1^d/dx2^d/dx3
+k=3 d=1 dim_ker=13 dim_im=12 dim_H=1
+  rep: x4 d/dx1^d/dx2^d/dx3
+k=3 d=2 dim_ker=32 dim_im=30 dim_H=2
+  rep: x4^2 d/dx1^d/dx2^d/dx3
+  rep: x2*x3 d/dx1^d/dx2^d/dx3
+k=4 d=0 dim_ker=1 dim_im=0 dim_H=1
+  rep: 1 d/dx1^d/dx2^d/dx3^d/dx4
+k=4 d=1 dim_ker=4 dim_im=3 dim_H=1
+  rep: x4 d/dx1^d/dx2^d/dx3^d/dx4
+k=4 d=2 dim_ker=10 dim_im=8 dim_H=2
+  rep: x4^2 d/dx1^d/dx2^d/dx3^d/dx4
+  rep: x2*x3 d/dx1^d/dx2^d/dx3^d/dx4
+"""
+
+
+def test_gl2_cohomology_text_is_pinned():
+    structure = _gl_lie_poisson(2)
+    text = "".join(cohomology(structure, k, d).serialize() + "\n"
+                   for k in range(5) for d in range(3))
+    assert len(text.encode()) == 1053
+    assert text == GL2_COHOMOLOGY
 
 
 # dim H^k(g; S^d g) = dim H^k(g) * dim (S^d g)^g for reductive g (Whitehead):
@@ -491,7 +538,7 @@ def _check_lie_poisson_report(structure, k, rep):
     ("gl2", 0, [1, 1, 2, 2]),
     ("gl2", 1, [1, 1, 2, 2]),
     ("gl2", 2, [0, 0, 0, 0]),
-    ("gl3", 1, [1, 1, 2]),
+    ("gl3", 1, [1, 1, 2, 3]),
     ("gl3", 3, [1, 1]),
     ("gl3", 2, [0, 0, 0]),
 ])
@@ -529,39 +576,55 @@ def _fixture_structure(name):
 
 @pytest.mark.parametrize("name", ["s3_standard", "book", "so3", "r2_xdxdy"])
 def test_d_pi_derivation_rule_matches_schouten(name):
-    # cohomology builds d_pi from the 2n generator images; the direct
-    # Schouten bracket on each basis element is the reference
+    # cohomology reads the 2n generator images off pi and builds d_pi from
+    # them; the direct Schouten bracket on each generator and on each basis
+    # element is the reference (compared as dicts: the term order differs)
     structure = _fixture_structure(name)
     chart = structure.chart
-    of_x = [poisson._terms(d_pi(structure, MultiVec.from_scalar(RatFunc.var(chart, j))))
-            for j in range(chart.dim)]
-    of_d = [poisson._terms(d_pi(structure, MultiVec.basis_vector(chart, j)))
-            for j in range(chart.dim)]
-    # the images cohomology reads are the cached ones
-    assert structure.generator_images == (of_x, of_d)
+
+    def as_dict(terms):
+        out = {(idx, e): c for idx, e, c in terms}
+        assert len(out) == len(terms)  # each (index, exponent) once
+        return out
+
+    of_x, of_d = structure.generator_images
+    for j in range(chart.dim):
+        bracket_x = d_pi(structure, MultiVec.from_scalar(RatFunc.var(chart, j)))
+        assert as_dict(of_x[j]) == multivec_terms(bracket_x)
+        assert as_dict(of_d[j]) == multivec_terms(d_pi(structure, MultiVec.basis_vector(chart, j)))
     count = 0
     for k in range(chart.dim + 1):
         for d in range(3):
-            for idx, mono in poisson._kvector_basis(chart, k, d):
+            basis = poisson._kvector_basis(chart, k, d)
+            images = poisson._d_pi_images(basis, of_x, of_d)
+            for (idx, mono), image in zip(basis, images, strict=True):
                 direct = d_pi(structure, poisson._basis_element(chart, idx, mono))
-                expected = {(i, e): c for i, e, c in poisson._terms(direct)}
-                assert poisson._d_pi_image(idx, mono, of_x, of_d) == expected
+                assert image == multivec_terms(direct)
                 count += 1
     assert count == 2 ** chart.dim * sum(
         len(poisson._monomials(chart, d)) for d in range(3))
 
 
 def test_cohomology_takes_the_generator_images_once(monkeypatch):
-    # a CLI cohomology task loops over d = 0..d_max on one structure; only
-    # its first degree brackets, 2n times
-    calls = []
-    original = poisson.d_pi
-    monkeypatch.setattr(poisson, "d_pi", lambda *a: calls.append(a) or original(*a))
+    # a CLI cohomology task loops over d = 0..d_max on one structure: it
+    # takes one Schouten square in verify, then no d_pi and no bracket, and
+    # reads the generator images off pi once
+    events = []
+    for module, name in ((poisson, "verify"), (poisson, "d_pi"), (poisson, "schouten"),
+                         (multivec, "schouten")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, name=name, original=original:
+                            events.append(name) or original(*a))
+    images = poisson.PoissonStructure.generator_images
+    counted = cached_property(lambda self: events.append("generator_images")
+                              or images.func(self))
+    counted.__set_name__(poisson.PoissonStructure, "generator_images")
+    monkeypatch.setattr(poisson.PoissonStructure, "generator_images", counted)
     doc = {**fixtures.fixture_manifest("so3"),
            "tasks": [{"task": "cohomology", "k": 1, "d_max": 3}]}
     [result] = cli.run_tasks(cli.load_manifest(doc))
     assert len(result.data["reports"]) == 4
-    assert len(calls) == 2 * 3
+    assert events == ["verify", "schouten", "generator_images"]
 
 
 def test_generator_images_stay_out_of_equality_and_repr(so3_structure):
