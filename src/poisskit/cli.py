@@ -195,7 +195,7 @@ def _get_expr(manifest: Manifest, params: dict, key: str) -> RatFunc:
         raise ManifestError(f"task needs parameter {key!r}")
     if isinstance(text, str) and text in manifest.expressions:
         return manifest.expressions[text]
-    if not isinstance(text, (str, int)):
+    if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise ManifestError(f"parameter {key!r} must be an expression or a name")
     return parse_expr(str(text), manifest.chart)
 
@@ -363,7 +363,7 @@ def _task_flow(manifest, params):
     x0 = _get_point(manifest, params, "x0")
     casimirs = []
     for name in _typed(params.get("casimirs", []), list, "parameter 'casimirs'"):
-        casimirs.append(_get_expr(manifest, {"f": name}, "f"))
+        casimirs.append(_get_expr(manifest, {"casimirs": name}, "casimirs"))
     traj = flow.integrate_hamiltonian(pi, h, x0, manifest.flow_config, casimirs=casimirs)
     tol = manifest.flow_config.tol
     worst = max([traj.h_drift] + traj.casimir_drifts)

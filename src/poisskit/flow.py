@@ -15,11 +15,13 @@ one compiled lambda that the stages call (see ``compile_field`` for why).
 repeated ``rk4_step`` calls in the same order, so the two give bit-identical
 states (the tests hold the loop to it).  The drifts of H and the Casimirs
 along a trajectory are taken by one generated pass over its states
-(``compile_drifts``).  The integrator is deliberately fixed-step RK4 (no
-adaptivity) so traces are reproducible; variational (Jacobian) equations are
-integrated alongside the base flow.  Trajectories are stored in a flat
-``array('d')`` and returned as numpy views; numpy is imported by the
-functions that return or use arrays, not with the module.
+(``compile_drifts``).  Both compute each power and term that their written-in
+entries repeat only once (``_shared_sources``, exact to the last bit).  The
+integrator is deliberately fixed-step RK4 (no adaptivity) so traces are
+reproducible; variational (Jacobian) equations are integrated alongside the
+base flow.  Trajectories are stored in a flat ``array('d')`` and returned
+as numpy views; numpy is imported by the functions that return or use
+arrays, not with the module.
 """
 
 from __future__ import annotations
@@ -71,15 +73,19 @@ class FlowConfig:
 # -- compiling exact expressions to float code -----------------------------------
 
 
+def _float(c) -> float:
+    try:
+        return float(c)
+    except OverflowError:
+        raise FlowError(f"coefficient of {len(str(c))} digits overflows a float") from None
+
+
 def _poly_source(poly, names) -> str:
     if poly.is_zero:
         return "0.0"
     parts = []
     for e, c in poly.terms.items():
-        try:
-            factors = [repr(float(c))]
-        except OverflowError:
-            raise FlowError(f"coefficient of {len(str(c))} digits overflows a float") from None
+        factors = [repr(_float(c))]
         for i, k in enumerate(e):
             if k == 1:
                 factors.append(names[i])
@@ -94,6 +100,59 @@ def _ratfunc_source(rf: RatFunc, names) -> str:
     if rf.den.is_constant:
         return f"({num_src})"
     return f"({num_src}) / ({_poly_source(rf.den, names)})"
+
+
+def _shared_sources(functions, names, local):
+    """(prelude, sources): float sources of the RatFuncs ``functions`` on
+    ``names``, and the lines that compute each power x**k and term |c|*x^m
+    that they would compute twice or more once, into local(0), local(1), ...
+
+    Otherwise the sources do the float operations of ``_ratfunc_source`` in
+    its order, with rewrites that are exact because rounding to nearest is
+    sign-symmetric: a term of coefficient -c is the +c term negated
+    ((-c*a)*b == -((c*a)*b), x + -t == x - t), and a coefficient 1.0 is left
+    out.  No sum is reordered and x**k stays a power (libm's pow(v, 2) is not
+    always v*v), so the values are bit-identical up to the sign of a nan.
+    """
+    uses, prelude = {}, {}
+
+    def count(key, make):
+        # a repeated term is made once, so only its first use counts its powers
+        uses[key] = uses.get(key, 0) + 1
+        return make() if uses[key] == 1 else ""
+
+    def share(key, make):
+        if uses[key] > 1 and key not in prelude:
+            text = make()
+            prelude[key] = local(len(prelude)), text
+        return prelude[key][0] if key in prelude else make()
+
+    def render(value):
+        def power(i, k):
+            text = f"{names[i]}**{k}"
+            return value(text, lambda: text)
+
+        def source(poly):
+            parts = []
+            for e, c in poly.terms.items():
+                c = _float(c)
+                xs = [(i, k) for i, k in enumerate(e) if k]
+                unit = abs(c) == 1.0 and bool(xs)
+
+                def term():
+                    factors = [names[i] if k == 1 else power(i, k) for i, k in xs]
+                    return "*".join(factors if unit else [repr(abs(c)), *factors])
+                text = value((abs(c), e), term) if len(xs) + (not unit) > 1 else term()
+                negative = math.copysign(1.0, c) < 0
+                parts.append(("- " if negative else "+ ") + text if parts
+                             else ("-" if negative else "") + text)
+            return " ".join(parts) or "0.0"
+        return [f"({source(f.num)})" if f.den.is_constant
+                else f"({source(f.num)}) / ({source(f.den)})" for f in functions]
+
+    render(count)
+    sources = render(share)
+    return [f"{name} = {text}" for name, text in prelude.values()], sources
 
 
 def _names(chart: Chart, time_var=None) -> list[str]:
@@ -143,14 +202,18 @@ def compile_field(components, time_var=None, variational=False) -> CompiledField
 
     The four stages of ``advance`` hold the field itself.  A component or
     entry of A with a constant denominator, and each entry of A J, is
-    written into every stage as an expression.  An entry with a nonconstant
-    denominator is compiled to a lambda by its own eval as soon as it is
-    derived, and each stage calls it: writing the rational entries in as
-    well would compile four copies of them, and the Moser gauge families
-    of the benchmark's ``rational`` workload have entries of up to 62/52
-    terms: that raised its peak RSS from 33.5 to 43.0 MB, against under 2%
-    for writing in the polynomial entries only.  ``rhs`` is the first
-    stage's text in a function of its own.
+    written into every stage as an expression.  Stage k first computes the
+    powers and terms that these entries repeat into c{k}_0, c{k}_1, ...:
+    the sharing is worked out once, on the template, and changes no bit,
+    since it relies on the sign symmetry of rounding and keeps every sum's
+    order and every ``**`` (``_shared_sources``).  An entry with a
+    nonconstant denominator is compiled to a lambda by its own eval, and
+    each stage calls it: writing the rational entries in as well would
+    compile four copies of them, and the Moser gauge families of the
+    benchmark's ``rational`` workload have entries of up to 62/52 terms:
+    that raised its peak RSS from 33.5 to 43.0 MB, against under 2% for
+    writing in the polynomial entries only.  ``rhs`` is the first stage's
+    text in a function of its own.
     """
     m = len(components)
     size = m + m * m if variational else m
@@ -159,28 +222,31 @@ def compile_field(components, time_var=None, variational=False) -> CompiledField
     names = [f"{{{i}}}" for i in range(components[0].chart.dim)]
     if time_var is not None:
         names[time_var] = "{t}"
+    jacobian = [[c.diff(col) for col in range(m)] for c in components] if variational else []
+    prelude, written = _shared_sources(
+        [e for e in [*components, *(a for row in jacobian for a in row if not a.is_zero)]
+         if e.den.is_constant], names, lambda j: f"c{{k}}_{j}")
+    written = iter(written)
     env = {}
 
     def source(rf):
         if rf.den.is_constant:
-            return _ratfunc_source(rf, names)
+            return next(written)
         name = f"f{len(env)}"
         env[name] = eval(f"lambda t, p: {_ratfunc_source(rf, _names(rf.chart, time_var))}")
         return f"{name}({{t}}, {{p}})"
 
-    body = [f"k{{k}}_{i} = {source(c)}" for i, c in enumerate(components)]
-    if variational:
-        for i, c in enumerate(components):
-            row = []
-            for col in range(m):
-                a = c.diff(col)
-                if not a.is_zero:
-                    body.append(f"a{i}_{col} = {source(a)}")
-                    row.append(col)
-            body += [f"k{{k}}_{m + i * m + j} = "
-                     + (" + ".join(f"a{i}_{col} * {{{m + col * m + j}}}" for col in row)
-                        or "0.0")
-                     for j in range(m)]
+    body = prelude + [f"k{{k}}_{i} = {source(c)}" for i, c in enumerate(components)]
+    for i, entries in enumerate(jacobian):
+        row = []
+        for col, a in enumerate(entries):
+            if not a.is_zero:
+                body.append(f"a{i}_{col} = {source(a)}")
+                row.append(col)
+        body += [f"k{{k}}_{m + i * m + j} = "
+                 + (" + ".join(f"a{i}_{col} * {{{m + col * m + j}}}" for col in row)
+                    or "0.0")
+                 for j in range(m)]
     guards = [eval(f"lambda t, p: {_poly_source(c.den, _names(c.chart, time_var))}")
               for c in components if not c.den.is_constant]
     env.update((f"g{i}", g) for i, g in enumerate(guards))
@@ -359,21 +425,25 @@ def compile_drifts(functions, n):
     n-coordinate states x_0, x_1, ...
 
     The generated pass walks the states once for all the functions, each
-    written in as an expression.  It keeps ``max``'s rule: the value at x_0
-    stands until a later one is strictly greater, so a nan there stays.  A
-    function that cannot be evaluated at a state (a pole, an overflowing
-    power) raises FlowError naming the function and the state.
+    written in as an expression after the powers and terms that they repeat
+    (``_shared_sources``: no sum is reordered and no ``**`` becomes a
+    product, so each drift is the one ``compile_ratfunc`` gives, to the last
+    bit).  It keeps ``max``'s rule: the value at x_0 stands until a later
+    one is strictly greater, so a nan there stays.  A function that cannot
+    be evaluated at a state (a pole, an overflowing power) raises FlowError
+    naming the function and the state.
     """
     if not functions:
         return lambda states: []
     xs = [f"x{i}" for i in range(n)]
     point = f"({', '.join(xs)},)"
-    values = [_ratfunc_source(f, xs) for f in functions]
-    first = "".join(f"        f{i} = {v}\n        b{i} = abs(f{i} - f{i})\n"
-                    for i, v in enumerate(values))
-    walk = "".join(f"            d = abs({v} - f{i})\n"
-                   f"            if d > b{i}:\n"
-                   f"                b{i} = d\n" for i, v in enumerate(values))
+    prelude, values = _shared_sources(functions, xs, lambda j: f"c{j}")
+    first = "".join(f"        {line}\n" for line in prelude) + "".join(
+        f"        f{i} = {v}\n        b{i} = abs(f{i} - f{i})\n" for i, v in enumerate(values))
+    walk = "".join(f"            {line}\n" for line in prelude) + "".join(
+        f"            d = abs({v} - f{i})\n"
+        f"            if d > b{i}:\n"
+        f"                b{i} = d\n" for i, v in enumerate(values))
 
     def undefined(state, err):
         import numpy as np
@@ -466,6 +536,15 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
                      compile_drifts(casimirs, n)(points), taken)
 
 
+def _times(values, what):
+    """``values`` as sorted floats; FlowError names one that is not finite."""
+    times = [float(t) for t in values]
+    for t in times:
+        if not math.isfinite(t):
+            raise FlowError(f"{what} {t} is not finite")
+    return sorted(times)
+
+
 # -- Moser-path verification --------------------------------------------------------
 
 
@@ -522,7 +601,7 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     field = compile_field(x_t, time_var=n, variational=True)
     p_t_fn = compile_matrix([row[:n] for row in p_t[:n]])
 
-    grid = sorted(float(t) for t in t_grid)
+    grid = _times(t_grid, "t_grid time")
     if any(t < 0 for t in grid):
         raise FlowError("t_grid times must be nonnegative")
     starts = [_point(s, n, f"samples need {n} coordinates") for s in samples]
@@ -586,7 +665,7 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     if isinstance(quad_nodes, numbers.Integral):
         quad_nodes = np.linspace(0.0, 1.0, max(int(quad_nodes), 0))
     try:
-        nodes = sorted(float(t) for t in quad_nodes)
+        nodes = _times(quad_nodes, "quadrature node")
     except (TypeError, ValueError):
         raise FlowError(f"quad_nodes must be a node count or a sequence of at least two "
                         f"quadrature nodes, not {quad_nodes!r}") from None

@@ -57,6 +57,10 @@ def _run(tmp_path, capsys, text):
     ({**SO3, "tasks": [{"task": "cohomology", "k": 1, "d_max": False}]},
      "parameter 'd_max' must be an integer"),
     ({**SO3, "flow": {"dt": True}}, "flow 'dt' must be a number"),
+    ({**SO3, "tasks": [{"task": "flow", "h": True, "x0": "1,0,0"}]},
+     "parameter 'h' must be an expression or a name"),
+    ({**SO3, "tasks": [{"task": "flow", "h": "x", "x0": "1,0,0", "casimirs": ["x", False]}]},
+     "parameter 'casimirs' must be an expression or a name"),
 ])
 def test_malformed_manifest(tmp_path, capsys, doc, message):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))

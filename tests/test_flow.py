@@ -1,7 +1,10 @@
+import functools
 import json
 import math
+import operator
 import sys
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +34,17 @@ SL2R_QUADRATIC = {
     ],
 }
 
-# Reference output of the two manifests: the text lines, and the drifts of
+# H's components share powers and terms across components and up to sign
+SO3_SHARED = {
+    "chart": ["x", "y", "z"],
+    "bivectors": {"pi": {"0,1": "z", "1,2": "x", "0,2": "-y"}},
+    "expressions": {"h": "2*x^2 + 2*x*y + 2*x*z + 3*y^2 + 4*y*z + 3*z^2",
+                    "casimir": "x^2+y^2+z^2"},
+    "flow": {"dt": 0.005, "t_max": 5.0, "tol": 1e-6},
+    "tasks": [{"task": "flow", "h": "h", "x0": ["1/3", "-1/2", "1/4"], "casimirs": ["casimir"]}],
+}
+
+# Reference output of the three manifests: the text lines, and the drifts of
 # --json to the last bit, which pins every RK4 step.
 GOLDEN = [
     (SO3_RATIONAL,
@@ -42,6 +55,9 @@ GOLDEN = [
       "PASS flow h_drift=1.296e-12 casimir_drifts=['1.296e-12']"],
      [(6.882827641163658e-12, [7.817579916746809e-12]),
       (1.2956302697375577e-12, [1.2956302697375577e-12])]),
+    (SO3_SHARED,
+     ["PASS flow h_drift=1.212e-11 casimir_drifts=['1.207e-11']"],
+     [(1.2120804360193915e-11, [1.207334232589119e-11])]),
 ]
 
 
@@ -105,6 +121,15 @@ def test_moser_deviation_falls_at_fourth_order(so3_structure, ch3):
     assert devs[-1] < 1e-7
     for coarse, fine in zip(devs, devs[1:]):
         assert coarse / fine >= 12
+
+
+@pytest.mark.parametrize("t_grid", [["nan"], [0.5, math.nan], [math.inf, 0.5]])
+def test_moser_rejects_a_time_that_is_not_finite(so3_structure, ch3, t_grid):
+    alpha = DiffForm(ch3, 1, {(0,): parse_expr("y", ch3)})
+    bad = next(t for t in map(float, t_grid) if not math.isfinite(t))
+    with pytest.raises(flow.FlowError, match=f"^t_grid time {bad} is not finite$"):
+        flow.moser_verify(so3_structure, alpha, t_grid, [[0.5, 0.3, -0.25]],
+                          flow.FlowConfig(dt=0.1, t_max=1.0))
 
 
 def test_spray_realization_deviation_falls_at_second_order(so3_structure):
@@ -174,6 +199,14 @@ def test_spray_needs_two_quadrature_nodes(so3_structure, nodes):
     cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
     with pytest.raises(flow.FlowError, match="at least two quadrature nodes"):
         flow.spray_realization(so3_structure, [[0.3, -0.2, 0.1, 0.2, 0.1, -0.3]], nodes, cfg)
+
+
+@pytest.mark.parametrize("nodes", [[0.0, math.nan, 1.0], [0.0, 1.0, -math.inf]])
+def test_spray_rejects_a_node_that_is_not_finite(so3_structure, nodes):
+    bad = next(t for t in nodes if not math.isfinite(t))
+    with pytest.raises(flow.FlowError, match=f"^quadrature node {bad} is not finite$"):
+        flow.spray_realization(so3_structure, [[0.3, -0.2, 0.1, 0.2, 0.1, -0.3]], nodes,
+                               flow.FlowConfig(dt=0.01, t_max=1.0))
 
 
 def test_spray_node_count_may_be_any_integer(so3_structure):
@@ -276,6 +309,61 @@ def test_generated_loop_is_bit_identical_on_written_in_and_called_entries(compon
     assert array("d", [t, *y]).tobytes() == array("d", [ref_t, *ref[-len(y0):]]).tobytes()
 
 
+def _unshared_rhs(components, variational):
+    """The rhs of ``compile_field(components, time_var=m, variational)`` from
+    one ``compile_ratfunc`` per component and entry of A, so that it shares
+    no power or term between them."""
+    m = len(components)
+    fs = [flow.compile_ratfunc(c) for c in components]
+    rows = [[(k, flow.compile_ratfunc(c.diff(k))) for k in range(m) if not c.diff(k).is_zero]
+            for c in components]
+
+    def rhs(t, p):
+        point = [*p[:m], t]
+        out = [f(point) for f in fs]
+        if variational:
+            for row in rows:
+                a = [(k, g(point)) for k, g in row]
+                for j in range(m):
+                    terms = [v * p[m + k * m + j] for k, v in a]
+                    out.append(functools.reduce(operator.add, terms) if terms else 0.0)
+        return out
+    return rhs
+
+
+STAGE_CHART = chart("x", "y", "z", "t")
+# monomials of total degree at most 3 in x, y, z and the time t: squares,
+# cubes, and t, t^2, ... as factors
+_monomials = st.tuples(*[st.integers(0, 3)] * 4).filter(lambda e: sum(e) <= 3)
+_terms = st.tuples(_monomials, st.sampled_from([1, 2, 3, Fraction(1, 2)]))
+
+
+def _field_from(pool):
+    """Three components made of terms of ``pool``, each with either sign,
+    so that components repeat terms and terms up to sign."""
+    component = st.dictionaries(st.sampled_from(pool), st.sampled_from([1, -1]), max_size=5).map(
+        lambda picks: RatFunc.from_poly(Poly(STAGE_CHART, {
+            e: sign * c for (e, c), sign in picks.items()})))
+    return st.lists(component, min_size=3, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_terms, min_size=1, max_size=5).flatmap(_field_from),
+       st.booleans(), st.lists(st.floats(-1, 1), min_size=4, max_size=4))
+def test_generated_loop_is_bit_identical_to_an_unshared_reference(components, variational,
+                                                                   start):
+    m = len(components)
+    field = flow.compile_field(components, time_var=m, variational=variational)
+    t0, y0 = start[m], start[:m]
+    if variational:
+        y0 = y0 + [float(i == j) for i in range(m) for j in range(m)]
+    got = array("d", y0)
+    t, y = field.advance(t0, y0, 0.01, 10, flow.FlowConfig(), "pole {}", out=got)
+    ref_t, ref = _rk4_states(_unshared_rhs(components, variational), t0, y0, 0.01, 10)
+    assert got.tobytes() == ref.tobytes()
+    assert array("d", [t, *y]).tobytes() == array("d", [ref_t, *ref[-len(y0):]]).tobytes()
+
+
 def _calls_per_step(field, y0):
     """Python function calls per step of ``field.advance``, counted by
     sys.setprofile as the difference between runs of 20 and 40 steps."""
@@ -357,12 +445,17 @@ _denominators = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
     lambda ab: RatFunc.from_poly(Poly(DRIFT_CHART, {(0, 0, 0): 1, (2, 0, 0): ab[0],
                                                     (0, 2, 2): ab[1]})))
 _functions = st.one_of(_polys, st.builds(lambda a, b: a / b, _polys, _denominators))
+# lists whose functions share terms up to sign: f beside -f, f + 1 or 2 - f
+_relatives = st.sampled_from([lambda f: -f, lambda f: f + 1, lambda f: 2 - f])
+_function_lists = st.lists(_functions, max_size=3).flatmap(
+    lambda fs: st.lists(st.tuples(st.sampled_from(fs), _relatives), max_size=2).map(
+        lambda extra: fs + [relative(f) for f, relative in extra]) if fs else st.just(fs))
 _coordinates = st.one_of(st.floats(-4, 4), st.floats(allow_nan=False),
                          st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 1e200]))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_functions, max_size=3),
+@given(_function_lists,
        st.integers(1, 6).flatmap(lambda k: st.lists(_coordinates, min_size=3 * k,
                                                     max_size=3 * k)))
 def test_drift_pass_matches_max_over_the_states(functions, coordinates):
