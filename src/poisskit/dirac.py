@@ -123,7 +123,7 @@ def _block_diag(a, b):
 
 def _relation_image(lag: LinearLagrangian, into, out, dim: int) -> LinearLagrangian:
     """{out u : into u in L}, a lagrangian subspace of dimension ``dim``."""
-    sols = linalg.preimage_span(into, lag.canonical(), ncols=len(into[0]))
+    sols = linalg.preimage_span(into, lag.canonical())
     return LinearLagrangian(dim, linalg.canonical_span([linalg.matvec(out, u) for u in sols]))
 
 
@@ -251,7 +251,6 @@ class DiracSectionFamily:
     chart: Chart
     sections: list
     samples: list = field(default_factory=list)
-    regular_locus: str = ""
 
     def __post_init__(self):
         n = self.chart.dim
@@ -284,7 +283,7 @@ class DiracSectionFamily:
             vec = MultiVec(chart, 1, {(j,): p[i][j] for j in range(n)})
             form = DiffForm.basis_form(chart, i)
             sections.append((vec, form))
-        return DiracSectionFamily(chart, sections, samples or [], "entire chart")
+        return DiracSectionFamily(chart, sections, samples or [])
 
     @staticmethod
     def graph_of_2form(omega: DiffForm, samples=None) -> "DiracSectionFamily":
@@ -296,7 +295,7 @@ class DiracSectionFamily:
             vec = MultiVec.basis_vector(chart, i)
             form = contract(omega, vec)
             sections.append((vec, form))
-        return DiracSectionFamily(chart, sections, samples or [], "entire chart")
+        return DiracSectionFamily(chart, sections, samples or [])
 
 
 def courant_tensor(family: DiracSectionFamily) -> dict:
@@ -380,8 +379,7 @@ class DiracBracket:
         if not cs.samples and cs.parametrization is None:
             raise DiracError("no parametrization and no samples")
         c_upper = constraint_bracket_matrix(cs)
-        one = RatFunc.const(cs.structure.chart, 1)
-        c_lower = linalg.mat_inverse(c_upper, one=one) if c_upper else []
+        c_lower = linalg.mat_inverse(c_upper) if c_upper else []
         if c_upper and c_lower is None:
             pretty = "[" + "; ".join(
                 ", ".join(str(e) for e in row) for row in c_upper
@@ -447,7 +445,7 @@ def classify_submanifold(cs: ConstraintSystem) -> SubmanifoldFlags:
     elif cs.parametrization is not None:
         comps = list(cs.parametrization.components)
         restricted = [[e.subst(comps) for e in row] for row in c_upper]
-        d = linalg.det(restricted, one=RatFunc.const(cs.parametrization.source, 1))
+        d = linalg.det(restricted)
         cosym = not d.is_zero
     else:
         cosym = all(

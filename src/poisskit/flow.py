@@ -19,7 +19,10 @@ along a trajectory are taken by one generated pass over its states
 entries repeat only once (``_shared_sources``, exact to the last bit).  The
 integrator is deliberately fixed-step RK4 (no adaptivity) so traces are
 reproducible; variational (Jacobian) equations are integrated alongside the
-base flow.  Trajectories are stored in a flat ``array('d')`` and returned
+base flow.  Three fixed limits stop a flow: a pole guard below
+``POLE_THRESHOLD`` (1e-9) in absolute value, a state coordinate beyond
+``ESCAPE_RADIUS`` (1e9) or not finite, and a step count above ``MAX_STEPS``
+(10^7).  Trajectories are stored in a flat ``array('d')`` and returned
 as numpy views; numpy is imported by the functions that return or use
 arrays, not with the module.
 """
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,14 +53,16 @@ class PoleProximityError(FlowError):
     pass
 
 
+POLE_THRESHOLD = 1e-9
+ESCAPE_RADIUS = 1e9
+MAX_STEPS = 10_000_000
+
+
 @dataclass
 class FlowConfig:
     dt: float = 1e-3
     t_max: float = 10.0
     tol: float = 1e-6
-    pole_threshold: float = 1e-9
-    escape_radius: float = 1e9
-    max_steps: int = 10_000_000
 
     def __post_init__(self):
         for name in ("dt", "t_max", "tol"):
@@ -195,7 +199,7 @@ def compile_field(components, time_var=None, variational=False) -> CompiledField
     skipping the zero entries of A.  ``guards`` are callables ``g(t, p)`` for
     the nonconstant denominators of the components.
 
-    ``advance(t, y, h, steps, cfg, pole_msg, escape_msg=None, out=None)`` is
+    ``advance(t, y, h, steps, pole_msg, escape_msg=None, out=None)`` is
     the field's generated RK4 loop (see ``_advance_source``): it takes
     ``steps`` steps of size h from the state y at time t and returns the new
     (t, y), y as a list.
@@ -250,8 +254,8 @@ def compile_field(components, time_var=None, variational=False) -> CompiledField
     guards = [eval(f"lambda t, p: {_poly_source(c.den, _names(c.chart, time_var))}")
               for c in components if not c.den.is_constant]
     env.update((f"g{i}", g) for i, g in enumerate(guards))
-    env.update(FLOAT_MAX=sys.float_info.max, FlowError=FlowError,
-               PoleProximityError=PoleProximityError, state_error=_state_error)
+    env.update(FlowError=FlowError, PoleProximityError=PoleProximityError,
+               state_error=_state_error)
     exec(_rhs_source(size, body), env)
     exec(_advance_source(size, m, body, len(guards)), env)
     return CompiledField(env["rhs"], guards, env["advance"])
@@ -304,13 +308,14 @@ def _advance_source(size, m, body, guard_count):
     on its point, the state tuple p or the tuple q of the first m stage
     locals, which it builds only then.
 
-    Before each step every guard g0, g1, ... must be at least the pole
-    threshold in absolute value.  The stages keep ``rk4_step``'s operations
-    in its order: the stage points are y + h2*k and, last, y + h*k; the
+    Before each step every guard g0, g1, ... must be at least
+    ``POLE_THRESHOLD`` in absolute value.  The stages keep ``rk4_step``'s
+    operations in its order: the stage points are y + h2*k and, last, y + h*k; the
     stage times t + h2 and t + h; the update y + h6*(k1 + 2*k2 + 2*k3 + k4),
     its 2 written 2.0 (the same product, with no int operand to convert).
-    After each step, if ``escape_msg`` is given, the state must be finite
-    and inside the escape radius, and it is appended to ``out`` if given.
+    After each step, if ``escape_msg`` is given, every coordinate must lie
+    within ``ESCAPE_RADIUS`` (which fails for inf and nan), and the state is
+    appended to ``out`` if given.  Both limits are written in as literals.
     The messages are format templates for the state; when a float operation
     fails, that is the last completed state.
     """
@@ -332,19 +337,15 @@ def _advance_source(size, m, body, guard_count):
 
     update = "".join(f"y{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i}), "
                      for i in range(size))
-    inside = " and ".join(f"low <= {y} <= radius" for y in ys)
-    guards = "".join(f"            if abs(g{g}(t, p)) < threshold:\n"
+    inside = " and ".join(f"{-ESCAPE_RADIUS!r} <= {y} <= {ESCAPE_RADIUS!r}" for y in ys)
+    guards = "".join(f"            if abs(g{g}(t, p)) < {POLE_THRESHOLD!r}:\n"
                      f"                raise state_error(PoleProximityError, pole_msg, p)\n"
                      for g in range(guard_count))
     return (
-        "def advance(t, y, h, steps, cfg, pole_msg, escape_msg=None, out=None):\n"
+        "def advance(t, y, h, steps, pole_msg, escape_msg=None, out=None):\n"
         f"    {state} = y\n"
         "    h2 = h / 2\n"
         "    h6 = h / 6\n"
-        "    threshold = cfg.pole_threshold\n"
-        "    # the test is False for nan, and for inf once the radius is finite\n"
-        "    radius = float(min(cfg.escape_radius, FLOAT_MAX))\n"
-        "    low = -radius\n"
         "    try:\n"
         "        for _ in range(steps):\n"
         + (f"            p = {state}\n" if guard_count or calls else "")
@@ -376,10 +377,10 @@ def _state_error(cls, template, state):
 
 def _step_count(span: float, cfg: FlowConfig) -> int:
     """round(span / dt) RK4 steps, at least one.  The ratio is held against
-    max_steps while it is a float, so that no overflowing count reaches int()."""
+    MAX_STEPS while it is a float, so that no overflowing count reaches int()."""
     ratio = span / cfg.dt
-    if ratio > cfg.max_steps:
-        raise FlowError(f"step count {ratio:.4g} exceeds max_steps ({cfg.max_steps})")
+    if ratio > MAX_STEPS:
+        raise FlowError(f"step count {ratio:.4g} exceeds max_steps ({MAX_STEPS})")
     return max(1, round(ratio))
 
 
@@ -394,7 +395,7 @@ def _at_nodes(field: CompiledField, y0, nodes, cfg: FlowConfig, pole_msg, escape
         gap = node - t
         if gap > 0:
             steps = _step_count(gap, cfg)
-            t, state = field.advance(t, state, gap / steps, steps, cfg, pole_msg, escape_msg)
+            t, state = field.advance(t, state, gap / steps, steps, pole_msg, escape_msg)
         yield t, state[:m], np.array(state[m:]).reshape(m, m)
 
 
@@ -402,18 +403,32 @@ _UNREADABLE = {ValueError: "not a rational number", ZeroDivisionError: "zero den
                OverflowError: "too large for a float"}
 
 
-def _point(x, n, message):
-    """Coordinates as floats; anything but a float is read exactly first,
-    so rational strings such as "1/2" are accepted as in CLI points."""
-    coords = []
+def _read(v, what):
+    """A coordinate or time ``v`` as a float.  A float keeps its value, as a
+    plain float (a numpy float64 in the RK4 loop would make each of its
+    operations a numpy call); anything else is read exactly through
+    Fraction, so "1/2" reads as in CLI points, and only what Fraction
+    rejects ("nan", "inf", a numpy float32) is read by float().  FlowError
+    names ``what`` and the reason, not the value, which may be hundreds of
+    digits long (1e400)."""
+    if isinstance(v, float):
+        return float(v)
     try:
-        for v in x:
-            coords.append(v if isinstance(v, float) else float(Fraction(v)))
+        try:
+            return float(Fraction(v))
+        except (TypeError, ValueError):
+            return float(v)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as err:
-        # named by index and reason only: a coordinate read exactly may be
-        # hundreds of digits long (1e400), and some errors' texts repeat it
         reason = _UNREADABLE.get(type(err), "not a number")
-        raise FlowError(f"cannot read point coordinate {len(coords)}: {reason}") from None
+        raise FlowError(f"cannot read {what}: {reason}") from None
+
+
+def _point(x, n, message):
+    """Coordinates as floats, each read by ``_read``."""
+    try:
+        coords = [_read(v, f"point coordinate {i}") for i, v in enumerate(x)]
+    except TypeError:  # x is not a sequence
+        raise FlowError("cannot read point: not a sequence") from None
     if len(coords) != n:
         raise FlowError(message)
     return coords
@@ -491,8 +506,8 @@ def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
     steps = _step_count(cfg.t_max, cfg)
     x = _point(x0, n, f"x0 needs {n} coordinates")
     xs = array("d", x)
-    field.advance(0.0, x, cfg.dt, steps, cfg,
-                  "denominator below threshold near {}", "trajectory escaped near {}", xs)
+    field.advance(0.0, x, cfg.dt, steps, "denominator below threshold near {}",
+                  "trajectory escaped near {}", xs)
     h_drift, *drifts = compile_drifts([hamiltonian, *casimirs], n)(xs)
     return Trajectory(np.arange(len(xs) // n) * cfg.dt, np.frombuffer(xs).reshape(-1, n),
                       h_drift, drifts, steps)
@@ -501,7 +516,6 @@ def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
 @dataclass
 class LeafTrace:
     points: np.ndarray
-    hamiltonians: list
     casimir_drifts: list
     steps: int                   # RK4 steps taken, over the whole schedule
 
@@ -517,28 +531,29 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
     x = _point(x0, n, f"x0 needs {n} coordinates")
     points = array("d", x)
     taken = 0
-    for gen_index, t_total in schedule:
+    for k, (gen_index, t_total) in enumerate(schedule):
         if gen_index not in range(len(fields)):
             raise FlowError(f"schedule names generator {gen_index!r}; "
                             f"the indices run from 0 to {len(fields) - 1}")
-        t_abs = abs(float(t_total))
-        if t_abs == 0.0:
+        t = _read(t_total, f"the time of schedule entry {k}")
+        if t == 0.0:
             continue
-        if not math.isfinite(t_abs):
-            raise FlowError(f"schedule time {t_total!r} is not finite")
-        steps = _step_count(t_abs, cfg)
-        h = (t_abs / steps) * (1.0 if t_total > 0 else -1.0)
-        _, x = fields[gen_index].advance(0.0, x, h, steps, cfg,
+        if not math.isfinite(t):
+            raise FlowError(f"schedule time {t!r} is not finite")
+        steps = _step_count(abs(t), cfg)
+        h = math.copysign(abs(t) / steps, t)
+        _, x = fields[gen_index].advance(0.0, x, h, steps,
                                          "denominator below threshold near {}",
                                          "trajectory escaped near {}", points)
         taken += steps
-    return LeafTrace(np.frombuffer(points).reshape(-1, n), list(generators),
+    return LeafTrace(np.frombuffer(points).reshape(-1, n),
                      compile_drifts(casimirs, n)(points), taken)
 
 
 def _times(values, what):
-    """``values`` as sorted floats; FlowError names one that is not finite."""
-    times = [float(t) for t in values]
+    """``values`` read by ``_read`` and sorted; FlowError names one that is
+    unreadable, by its index, or not finite."""
+    times = [_read(t, f"{what} at index {i}") for i, t in enumerate(values)]
     for t in times:
         if not math.isfinite(t):
             raise FlowError(f"{what} {t} is not finite")
@@ -591,7 +606,7 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     pi_lift = MultiVec(
         big, 2, {idx: c.lift(big) for idx, c in structure.pi.coeffs.items()}
     )
-    p_t = poisson.gauge_matrix(bivector_matrix(pi_lift), bivector_matrix(b_t), big)
+    p_t = poisson.gauge_matrix(bivector_matrix(pi_lift), bivector_matrix(b_t))
     if p_t is None:
         raise FlowError("Id + B_t_flat pi# singular along the requested family")
     # X_t = pi_t#(alpha)
@@ -609,7 +624,7 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     for s, x0 in zip(samples, starts):
         for t in grid:
             for g in field.guards:
-                if abs(g(t, x0)) < cfg.pole_threshold:
+                if abs(g(t, x0)) < POLE_THRESHOLD:
                     raise FlowError(f"gauge family degenerate at sample {s}, t={t}")
 
     p0_fn = compile_matrix(bivector_matrix(structure.pi))
@@ -666,7 +681,7 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
         quad_nodes = np.linspace(0.0, 1.0, max(int(quad_nodes), 0))
     try:
         nodes = _times(quad_nodes, "quadrature node")
-    except (TypeError, ValueError):
+    except TypeError:  # quad_nodes is not a sequence
         raise FlowError(f"quad_nodes must be a node count or a sequence of at least two "
                         f"quadrature nodes, not {quad_nodes!r}") from None
     if len(nodes) < 2:

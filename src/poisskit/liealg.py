@@ -169,10 +169,8 @@ def alg_schouten(g: LieAlgebra, a: AlgMultiVec, b: AlgMultiVec) -> AlgMultiVec:
 # -- Lie-Poisson and coadjoint structures -----------------------------------------
 
 
-def dual_chart(g: LieAlgebra, var_names=None) -> Chart:
-    if var_names is None:
-        var_names = tuple(f"x{i + 1}" for i in range(g.dim))
-    return make_chart(*var_names)
+def dual_chart(g: LieAlgebra) -> Chart:
+    return make_chart(*(f"x{i + 1}" for i in range(g.dim)))
 
 
 def lie_poisson(g: LieAlgebra, chart: Chart | None = None) -> PoissonStructure:

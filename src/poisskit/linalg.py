@@ -1,4 +1,5 @@
-"""Exact linear algebra over Fraction or RatFunc entries.
+"""Exact linear algebra over the rationals, and over RatFuncs for inverses
+and determinants.
 
 Matrices are lists of lists.  Subspaces are represented by lists of spanning
 row vectors; their canonical form is the reduced row echelon form with zero
@@ -16,34 +17,28 @@ cohomology calls the two directly and builds no dense matrix.  ``rref`` and
 ``solve`` and ``preimage_span`` run on ``rref``; all of these take and return
 dense lists.
 
-The core eliminates over the integers (fraction-free, as in Bareiss, Math.
-Comp. 1968).  On entry each rational row (int or Fraction entries) is scaled
-to the primitive integer row on its line; a row of ints, as in Poisson
-cohomology with integral structure constants, only has its content divided
-out.  A step that cancels the entry f of a row against the pivot p of a
-pivot row takes row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f), and
-then divides the row by its content, the gcd of its entries; so the loop
+The core takes rational entries (int or Fraction) and eliminates over the
+integers (fraction-free, as in Bareiss, Math. Comp. 1968).  On entry each
+row is scaled to the primitive integer row on its line; a row of ints, as in
+Poisson cohomology with integral structure constants, only has its content
+divided out.  A step that cancels the entry f of a row against the pivot p
+of a pivot row takes row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f),
+and then divides the row by its content, the gcd of its entries; so the loop
 builds no Fraction, and it tests its sums for zero by their truth value.
-Rows with other entries (RatFunc) take the step row <- row - (f/p) pivot_row
-with no content step and zero tests through ``_is_zero``.  Each pivot row is
-divided by its pivot once, through ``_div``, at the end of ``eliminate``:
+Each pivot row is divided by its pivot once, at the end of ``eliminate``:
 the reduced row echelon form is unique, so the result is the one of dividing
-at every step, with Fraction entries for rational input.  On gl3
-Lie-Poisson cohomology, H^2 at d = 3 took 6.8 s instead of 28.5 s with
-Fraction steps, and H^2 at d = 2 took 0.43 s instead of 1.76 s (2-core x86
-VM, Python 3.11).
+at every step, with Fraction entries.  On gl3 Lie-Poisson cohomology, H^2 at
+d = 3 took 6.8 s instead of 28.5 s with Fraction steps, and H^2 at d = 2
+took 0.43 s instead of 1.76 s (2-core x86 VM, Python 3.11).
 
-``mat_inverse`` and ``det`` stay dense loops over small square matrices,
-mostly of RatFuncs.  With ``mat_inverse`` routed through ``eliminate``, the
-``rational`` benchmark jobs at seeds 1 and 2 took 33.2 s instead of 14.5 s
-(2-core x86 VM, Python 3.11), and their output changed: a Moser
-``max_deviation`` moved in its fifth significant digit.
-
-Everything works for any entry type supporting +, -, *, /, a truthy zero
-test via ``_is_zero`` and an explicit multiplicative identity (needed when a
-matrix over RatFuncs must be inverted).  Entries may also be ints (the
-integral coefficients of ``Poly``); every division goes through ``_div``,
-which keeps ``int / int`` exact.
+``mat_inverse`` and ``det`` are generic, since gauge transformations and
+Dirac brackets need them over RatFuncs: dense loops over small square
+matrices of any entry type with +, -, * and /, which take their 0 and 1 from
+the matrix (``_zero_of``), test for zero through ``_is_zero`` and divide
+through ``_div``, which keeps ``int / int`` exact.  With ``mat_inverse``
+routed through ``eliminate``, the ``rational`` benchmark jobs at seeds 1 and
+2 took 33.2 s instead of 14.5 s (2-core x86 VM, Python 3.11), and their
+output changed: a Moser ``max_deviation`` moved in its fifth significant digit.
 """
 
 from __future__ import annotations
@@ -66,10 +61,6 @@ def _div(x, y):
     if type(x) is int and type(y) is int:
         return Fraction(x, y)
     return x / y
-
-
-def mat_copy(m):
-    return [list(row) for row in m]
 
 
 def eliminate(rows):
@@ -101,20 +92,16 @@ def eliminate(rows):
         independent.append(i)
     for pc, row in reduced.items():
         pv = row[pc]
-        reduced[pc] = {c: _div(x, pv) for c, x in row.items()}
+        reduced[pc] = {c: Fraction(x, pv) for c, x in row.items()}
     return reduced, independent
 
 
 def _primitive(row):
-    """A working copy of a nonzero row: the integer row of content 1 on its
-    line when its entries are rational, a plain copy for other entries.  A
-    row of ints takes only the content step."""
-    kinds = set(map(type, row.values()))
-    if kinds == {int}:
+    """A working copy of a nonzero rational row: the integer row of content 1
+    on its line.  A row of ints takes only the content step."""
+    if all(type(x) is int for x in row.values()):
         g = math.gcd(*row.values())
         return {c: x // g for c, x in row.items()} if g != 1 else dict(row)
-    if not kinds <= {int, Fraction}:
-        return dict(row)
     scale = math.lcm(*(x.denominator for x in row.values()))
     row = {c: x.numerator * (scale // x.denominator) for c, x in row.items()}
     g = math.gcd(*row.values())
@@ -122,37 +109,27 @@ def _primitive(row):
 
 
 def _cancel(row, pc, pivot_row):
-    """Cancels the entry f of ``row`` at column pc against the pivot p of
-    ``pivot_row``, in place, dropping zeros.  Integer rows take
-    row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f) and are then
-    divided by their content; other rows take row <- row - (f/p) pivot_row."""
+    """Cancels the entry f of the integer ``row`` at column pc against the
+    pivot p of ``pivot_row``, in place, dropping zeros:
+    row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f), then divided by
+    its content."""
     f, p = row[pc], pivot_row[pc]
-    if type(f) is int and type(p) is int:
-        g = math.gcd(p, f)
-        a, f = p // g, -(f // g)
-        if a != 1:
-            for c in row:
-                row[c] *= a
-        for c, x in pivot_row.items():
-            v = row.get(c, 0) + f * x
-            if v:
-                row[c] = v
-            else:
-                row.pop(c, None)
-        if row:
-            g = math.gcd(*row.values())
-            if g != 1:
-                for c in row:
-                    row[c] //= g
-        return
-    f = -(f / p)
+    g = math.gcd(p, f)
+    a, f = p // g, -(f // g)
+    if a != 1:
+        for c in row:
+            row[c] *= a
     for c, x in pivot_row.items():
-        v = row.get(c)
-        v = f * x if v is None else v + f * x
-        if _is_zero(v):
-            row.pop(c, None)
-        else:
+        v = row.get(c, 0) + f * x
+        if v:
             row[c] = v
+        else:
+            row.pop(c, None)
+    if row:
+        g = math.gcd(*row.values())
+        if g != 1:
+            for c in row:
+                row[c] //= g
 
 
 def null_space(reduced, ncols):
@@ -172,7 +149,7 @@ def _zero_of(matrix):
 
 
 def _sparse_rows(matrix):
-    return [{c: x for c, x in enumerate(dense) if not _is_zero(x)} for dense in matrix]
+    return [{c: x for c, x in enumerate(dense) if x} for dense in matrix]
 
 
 def rref(matrix):
@@ -184,8 +161,7 @@ def rref(matrix):
     cols = len(matrix[0])
     reduced, _ = eliminate(_sparse_rows(matrix))
     pivots = sorted(reduced)
-    zero = _zero_of(matrix)
-    rows = [[zero] * cols for _ in matrix]
+    rows = [[Fraction(0)] * cols for _ in matrix]
     for dense, pc in zip(rows, pivots):
         for c, x in reduced[pc].items():
             dense[c] = x
@@ -207,10 +183,9 @@ def canonical_span(vectors):
 def kernel_basis(matrix, ncols=None):
     """Basis of the right null space {v : matrix @ v = 0}, ``null_space`` made dense."""
     cols = ncols if ncols is not None else len(matrix[0]) if matrix else 0
-    zero = _zero_of(matrix)
     basis = null_space(eliminate(_sparse_rows(matrix))[0], cols)
-    # zero + x turns null_space's Fraction(1) at each free column into the entry type
-    return [[zero + v[c] if c in v else zero for c in range(cols)] for v in basis]
+    zero = Fraction(0)
+    return [[v.get(c, zero) for c in range(cols)] for v in basis]
 
 
 def _dot(row, col):
@@ -235,16 +210,17 @@ def transpose(m):
     return [list(row) for row in zip(*m)]
 
 
-def identity(n, one=Fraction(1)):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def mat_inverse(m, one=Fraction(1)):
-    """Inverse by Gauss-Jordan; returns None when the matrix is singular."""
+def mat_inverse(m):
+    """Inverse by Gauss-Jordan over the entry type of m; returns None when
+    the matrix is singular."""
     n = len(m)
-    zero = one - one
-    aug = [list(row) + list(idrow) for row, idrow in zip(mat_copy(m), identity(n, one))]
+    zero = _zero_of(m)
+    one = zero + 1
+    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m)]
     r = 0
     for c in range(n):
         pivot = next((i for i in range(r, n) if not _is_zero(aug[i][c])), None)
@@ -261,14 +237,16 @@ def mat_inverse(m, one=Fraction(1)):
     return [row[n:] for row in aug]
 
 
-def det(m, one=Fraction(1)):
+def det(m):
+    """Determinant over the entry type of m, by Gaussian elimination."""
     n = len(m)
-    a = mat_copy(m)
-    result = one
+    a = [list(row) for row in m]
+    zero = _zero_of(m)
+    one = result = zero + 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if not _is_zero(a[i][c])), None)
         if pivot is None:
-            return one - one
+            return zero
         if pivot != c:
             a[c], a[pivot] = a[pivot], a[c]
             result = -result
@@ -290,15 +268,15 @@ def solve(matrix, rhs):
     m, pivots = rref(aug)
     if cols in pivots:
         return None  # pivot in the rhs column
-    v = [_zero_of(matrix)] * cols
+    v = [Fraction(0)] * cols
     for r, pc in enumerate(pivots):
         v[pc] = m[r][cols]
     return v
 
 
-def preimage_span(matrix, span, ncols=None):
+def preimage_span(matrix, span):
     """{v : matrix @ v in row-span(span)} as a canonical row span."""
-    cols = ncols if ncols is not None else len(matrix[0])
+    cols = len(matrix[0])
     # Solve matrix @ v - span^T c = 0 for (v, c), then project to v.
     big = [list(row) + [-s[i] for s in span] for i, row in enumerate(matrix)]
     sols = kernel_basis(big, ncols=cols + len(span))

@@ -431,14 +431,12 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
 # -- gauge transformations -------------------------------------------------------
 
 
-def gauge_matrix(p, w, chart: Chart):
+def gauge_matrix(p, w):
     """(I + P W)^-1 P, or None when I + P W is singular as a RatFunc matrix."""
-    n = chart.dim
-    one = RatFunc.const(chart, 1)
-    zero = RatFunc.zero(chart)
-    pw = linalg.matmul(p, w)
-    m = [[pw[i][j] + (one if i == j else zero) for j in range(n)] for i in range(n)]
-    m_inv = linalg.mat_inverse(m, one=one)
+    m = linalg.matmul(p, w)
+    for i, row in enumerate(m):
+        row[i] = row[i] + 1
+    m_inv = linalg.mat_inverse(m)
     if m_inv is None:
         return None
     return linalg.matmul(m_inv, p)
@@ -457,7 +455,7 @@ def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     db = exterior_derivative(b_form)
     if not db.is_zero:
         raise NotClosedError(f"2-form is not closed; dB = {db}")
-    pb = gauge_matrix(bivector_matrix(pi), bivector_matrix(b_form), chart)
+    pb = gauge_matrix(bivector_matrix(pi), bivector_matrix(b_form))
     if pb is None:
         raise PoissonError("Id + B_flat pi# singular as a rational-function matrix")
     return verify(bivector_from_matrix(chart, pb))

@@ -1,7 +1,7 @@
 """Every name a poisskit module imports is used in that module, every
 function, class and method it defines is referenced somewhere, and every
 name the benchmark's tracer wraps exists; importing the CLI does not
-import numpy."""
+import numpy; and the benchmark's self-test passes against this source."""
 
 import ast
 import importlib
@@ -14,7 +14,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "poisskit"
 TESTS = Path(__file__).resolve().parent
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _unused_imports(tree):
@@ -131,3 +132,14 @@ def test_cli_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_benchmark_selftest_passes():
+    # one job of every oracle kind, run through the benchmark's own runners
+    # and oracles (about 1 s), which import poisskit from ./src
+    pytest.importorskip("sympy")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.rstrip().endswith("selftest ok")

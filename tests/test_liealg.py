@@ -508,7 +508,7 @@ def test_identity_hom_and_dual_poisson_map():
     g = so3()
     t = [[F(1 if i == j else 0) for j in range(3)] for i in range(3)]
     assert is_lie_hom(g, g, t)
-    ch_g = dual_chart(g, ("x", "y", "z"))
+    ch_g = chart("x", "y", "z")
     phi = dual_map(t, ch_g, ch_g)
     ok, mode = is_poisson_map(phi, lie_poisson(g, ch_g), lie_poisson(g, ch_g))
     assert ok and mode == "symbolic"

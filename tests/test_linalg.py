@@ -26,10 +26,10 @@ def test_int_entries_stay_exact():
     assert rows == [[1, 0], [0, 1]] and pivots == [0, 1] and _no_floats(rows)
     ker = linalg.kernel_basis([[2, 1]])
     assert ker == [[F(-1, 2), 1]] and _no_floats(ker)
-    inv = linalg.mat_inverse([[2, 1], [4, 3]], one=1)
+    inv = linalg.mat_inverse([[2, 1], [4, 3]])
     assert inv == [[F(3, 2), F(-1, 2)], [-2, 1]] and _no_floats(inv)
-    assert linalg.det([[2, 1], [1, 2]], one=1) == 3
-    assert linalg.det([[3, 1], [1, 1]], one=1) == 2
+    assert linalg.det([[2, 1], [1, 2]]) == 3
+    assert linalg.det([[3, 1], [1, 1]]) == 2
     assert linalg.solve([[2, 0], [0, 4]], [1, 1]) == [F(1, 2), F(1, 4)]
 
 
@@ -57,7 +57,7 @@ def test_ratfunc_matrix_inverse():
     x = parse_expr("x", ch)
     one = RatFunc.const(ch, 1)
     m = [[one + x, one], [RatFunc.zero(ch), one]]
-    inv = linalg.mat_inverse(m, one=one)
+    inv = linalg.mat_inverse(m)
     prod = linalg.matmul(m, inv)
     assert prod[0][0] == one and prod[1][1] == one
     assert prod[0][1].is_zero and prod[1][0].is_zero
@@ -92,24 +92,28 @@ def test_solve():
     assert linalg.solve([[F(1), F(0)], [F(1), F(0)]], [F(0), F(1)]) is None
 
 
-def test_rref_keeps_the_entry_type():
+def test_inverse_and_det_keep_the_entry_type():
+    # 0 and 1 come from the matrix: RatFunc and Fraction matrices give
+    # entries of their own type, int matrices exact Fractions from divisions
     ch = chart("x")
     x, one, zero = parse_expr("x", ch), RatFunc.const(ch, 1), RatFunc.zero(ch)
-    rows, pivots = linalg.rref([[zero, x, x], [zero, one, zero], [zero, zero, zero]])
-    assert pivots == [1, 2]
-    assert rows == [[zero, one, zero], [zero, zero, one], [zero, zero, zero]]
-    assert all(isinstance(e, RatFunc) for row in rows for e in row)
-
-
-def test_kernel_and_solve_keep_the_entry_type():
-    ch = chart("x")
-    x, one, zero = parse_expr("x", ch), RatFunc.const(ch, 1), RatFunc.zero(ch)
-    ker = linalg.kernel_basis([[zero, x, x]])
-    assert ker == [[one, zero, zero], [zero, -one, one]]
-    assert all(isinstance(e, RatFunc) for v in ker for e in v)
-    v = linalg.solve([[x, zero, zero], [zero, one, zero]], [x, x])
-    assert v == [one, x, zero]
-    assert all(isinstance(e, RatFunc) for e in v)
+    inv = linalg.mat_inverse([[x, one], [zero, one]])
+    assert inv == [[one / x, -one / x], [zero, one]]
+    assert all(isinstance(e, RatFunc) for row in inv for e in row)
+    d = linalg.det([[x, one], [one, x]])
+    assert isinstance(d, RatFunc) and d == x * x - 1
+    # a singular RatFunc matrix has a RatFunc zero determinant
+    d = linalg.det([[x, one], [x * x, x]])
+    assert isinstance(d, RatFunc) and d.is_zero
+    assert linalg.mat_inverse([[x, one], [x * x, x]]) is None
+    for entry in (F, int):
+        m = [[entry(2), entry(1)], [entry(4), entry(3)]]
+        inv = linalg.mat_inverse(m)
+        assert inv == [[F(3, 2), F(-1, 2)], [-2, 1]]
+        assert all(type(e) is F for row in inv for e in row)
+        assert linalg.det(m) == 2 and type(linalg.det(m)) in (entry, F)
+        singular = [[entry(1), entry(2)], [entry(2), entry(4)]]
+        assert linalg.det(singular) == 0 and type(linalg.det(singular)) is entry
 
 
 def test_cancel_removes_the_content():
