@@ -423,6 +423,14 @@ def _read(v, what):
         raise FlowError(f"cannot read {what}: {reason}") from None
 
 
+def _sequence(values, what) -> list:
+    """``values`` as a list; FlowError names ``what`` when it is not iterable."""
+    try:
+        return list(values)
+    except TypeError:
+        raise FlowError(f"{what} must be a sequence, not {values!r}") from None
+
+
 def _point(x, n, message):
     """Coordinates as floats, each read by ``_read``."""
     try:
@@ -502,6 +510,7 @@ def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
     import numpy as np
 
     n = hamiltonian.chart.dim
+    casimirs = _sequence(casimirs, "casimirs")
     field = compile_field(hamiltonian_vf(structure, hamiltonian).components())
     steps = _step_count(cfg.t_max, cfg)
     x = _point(x0, n, f"x0 needs {n} coordinates")
@@ -527,11 +536,18 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
     import numpy as np
 
     n = _pi_of(structure).chart.dim
-    fields = [compile_field(hamiltonian_vf(structure, g).components()) for g in generators]
+    casimirs = _sequence(casimirs, "casimirs")
+    fields = [compile_field(hamiltonian_vf(structure, g).components())
+              for g in _sequence(generators, "generators")]
     x = _point(x0, n, f"x0 needs {n} coordinates")
     points = array("d", x)
     taken = 0
-    for k, (gen_index, t_total) in enumerate(schedule):
+    for k, entry in enumerate(_sequence(schedule, "schedule")):
+        try:
+            gen_index, t_total = entry
+        except (TypeError, ValueError):
+            raise FlowError(f"schedule entry {k} must be a (generator index, time) pair, "
+                            f"not {entry!r}") from None
         if gen_index not in range(len(fields)):
             raise FlowError(f"schedule names generator {gen_index!r}; "
                             f"the indices run from 0 to {len(fields) - 1}")
@@ -616,9 +632,10 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     field = compile_field(x_t, time_var=n, variational=True)
     p_t_fn = compile_matrix([row[:n] for row in p_t[:n]])
 
-    grid = _times(t_grid, "t_grid time")
+    grid = _times(_sequence(t_grid, "t_grid"), "t_grid time")
     if any(t < 0 for t in grid):
         raise FlowError("t_grid times must be nonnegative")
+    samples = _sequence(samples, "samples")
     starts = [_point(s, n, f"samples need {n} coordinates") for s in samples]
     # invertibility at the samples across the grid (precondition check)
     for s, x0 in zip(samples, starts):
@@ -693,7 +710,7 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     w_can[n:, :n] = -np.eye(n)
 
     out = []
-    for s in samples:
+    for s in _sequence(samples, "samples"):
         y0 = _point(s, 2 * n, "samples live in the cotangent chart (length 2n)")
         values = [j.T @ w_can @ j for _, _, j in _at_nodes(
             field, y0, nodes, cfg, "spray flow hit a pole",

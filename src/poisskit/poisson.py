@@ -11,7 +11,10 @@ bracket of ``multivec``.
 
 One check per fact: ``verify`` is the only [pi,pi] = 0 test (the Jacobiator
 of the bracket is (1/2)[pi,pi] on differentials), and ``is_poisson_map`` the
-only Poisson-map test.  The characteristic data at a point, the range of
+only Poisson-map test.  They are also the Lie-algebra checks: a bracket table
+satisfies Jacobi exactly when its Lie-Poisson bivector passes ``verify``, and
+a linear map of Lie algebras is a morphism exactly when its transpose passes
+``is_poisson_map``.  The characteristic data at a point, the range of
 pi# with its induced form, is read off the graph of pi# by
 ``dirac.kernel_and_range``.
 """

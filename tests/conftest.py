@@ -151,3 +151,21 @@ def trivector_on_differentials(t, f, g, h):
             det = det + term if sign > 0 else det - term
         out = out + c * det
     return out
+
+
+# -- the Jacobiator of a structure-constant table, an oracle for lie_from_constants --
+
+
+def jacobi_failure(dim, triples):
+    """The first (i, j, k, m), in ``itertools.product`` order, at which the
+    table completed by c_jik = -c_ijk has
+    sum_l c_ijl c_lkm + c_kil c_ljm + c_jkl c_lim != 0, or None."""
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, val in triples:
+        c[i][j][k] += Fraction(val)
+        c[j][i][k] -= Fraction(val)
+    for i, j, k, m in itertools.product(range(dim), repeat=4):
+        if sum(c[i][j][l] * c[l][k][m] + c[k][i][l] * c[l][j][m] + c[j][k][l] * c[l][i][m]
+               for l in range(dim)):
+            return i, j, k, m
+    return None

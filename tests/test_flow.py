@@ -234,6 +234,32 @@ def test_leaf_trace_rejects_a_generator_index_out_of_range(so3_structure, ch3):
             flow.leaf_trace(so3_structure, gens, [0.6, -0.2, 0.3], [(0, 0.1), (index, 0.5)], cfg)
 
 
+@pytest.mark.parametrize("call,argument", [
+    ("moser_verify", "t_grid"), ("moser_verify", "samples"), ("spray_realization", "samples"),
+    ("leaf_trace", "schedule"), ("leaf_trace", "generators"), ("leaf_trace", "casimirs"),
+    ("integrate_hamiltonian", "casimirs"),
+])
+def test_container_arguments_that_are_none_are_named(so3_structure, ch3, call, argument):
+    h, x0 = parse_expr("x + 2*y", ch3), [0.6, -0.2, 0.3]
+    args = {
+        "moser_verify": {"alpha": DiffForm(ch3, 1, {(0,): parse_expr("y", ch3)}),
+                         "t_grid": [0.5], "samples": [x0]},
+        "spray_realization": {"samples": [[0.3, -0.2, 0.1, 0.2, 0.1, -0.3]], "quad_nodes": 5},
+        "leaf_trace": {"generators": [h], "x0": x0, "schedule": [(0, 0.1)], "casimirs": [h]},
+        "integrate_hamiltonian": {"hamiltonian": h, "x0": x0, "casimirs": [h]},
+    }[call]
+    with pytest.raises(flow.FlowError, match=f"^{argument} must be a sequence, not None$"):
+        getattr(flow, call)(so3_structure, **{**args, argument: None},
+                            cfg=flow.FlowConfig(dt=0.1, t_max=1.0))
+
+
+def test_leaf_trace_rejects_a_schedule_entry_that_is_not_a_pair(so3_structure, ch3):
+    with pytest.raises(flow.FlowError, match="^schedule entry 1 must be a "
+                                             "\\(generator index, time\\) pair, not \\(0,\\)$"):
+        flow.leaf_trace(so3_structure, [parse_expr("x", ch3)], [0.6, -0.2, 0.3],
+                        [(0, 0.1), (0,)], flow.FlowConfig(dt=0.1, t_max=1.0))
+
+
 @pytest.mark.parametrize("nodes", [[], [0.0], 1, 0, -3, np.int64(1), 5.0])
 def test_spray_needs_two_quadrature_nodes(so3_structure, nodes):
     cfg = flow.FlowConfig(dt=0.01, t_max=1.0)

@@ -608,7 +608,11 @@ def test_d_pi_derivation_rule_matches_schouten(name):
 def test_cohomology_takes_the_generator_images_once(monkeypatch):
     # a CLI cohomology task loops over d = 0..d_max on one structure: it
     # takes one Schouten square in verify, then no d_pi and no bracket, and
-    # reads the generator images off pi once
+    # reads the generator images off pi once; the manifest is loaded first,
+    # as checking its Lie algebra takes a Schouten square of its own
+    doc = {**fixtures.fixture_manifest("so3"),
+           "tasks": [{"task": "cohomology", "k": 1, "d_max": 3}]}
+    manifest = cli.load_manifest(doc)
     events = []
     for module, name in ((poisson, "verify"), (poisson, "d_pi"), (poisson, "schouten"),
                          (multivec, "schouten")):
@@ -620,9 +624,7 @@ def test_cohomology_takes_the_generator_images_once(monkeypatch):
                               or images.func(self))
     counted.__set_name__(poisson.PoissonStructure, "generator_images")
     monkeypatch.setattr(poisson.PoissonStructure, "generator_images", counted)
-    doc = {**fixtures.fixture_manifest("so3"),
-           "tasks": [{"task": "cohomology", "k": 1, "d_max": 3}]}
-    [result] = cli.run_tasks(cli.load_manifest(doc))
+    [result] = cli.run_tasks(manifest)
     assert len(result.data["reports"]) == 4
     assert events == ["verify", "schouten", "generator_images"]
 
