@@ -380,7 +380,12 @@ def dual_map(t, h_chart: Chart, g_chart: Chart) -> PolyMap:
 
 
 def _closed(g: LieAlgebra, left, indices) -> bool:
-    """Is [e_i, e_j] in span(e_k : k in indices) for i in left, j in indices?"""
+    """Is [e_i, e_j] in span(e_k : k in indices) for i in left, j in indices?
+    Raises LieAlgebraError on an index outside 0 ... dim - 1."""
+    for i in indices:
+        if not 0 <= i < g.dim:
+            raise LieAlgebraError(f"basis index {i} out of range for dimension {g.dim}",
+                                  indices=(i,))
     inside = set(indices)
     return not any(c for i in left for j in indices
                    for k, c in enumerate(g.constants[i][j]) if k not in inside)

@@ -1,5 +1,5 @@
-"""Exact linear algebra over the rationals, and over RatFuncs for inverses
-and determinants.
+"""Exact linear algebra over the rationals, and over RatFuncs for solves,
+inverses and determinants.
 
 Matrices are lists of lists.  Subspaces are represented by lists of spanning
 row vectors; their canonical form is the reduced row echelon form with zero
@@ -31,36 +31,22 @@ at every step, with Fraction entries.  On gl3 Lie-Poisson cohomology, H^2 at
 d = 3 took 6.8 s instead of 28.5 s with Fraction steps, and H^2 at d = 2
 took 0.43 s instead of 1.76 s (2-core x86 VM, Python 3.11).
 
-``mat_inverse`` and ``det`` are generic, since gauge transformations and
-Dirac brackets need them over RatFuncs: dense loops over small square
-matrices of any entry type with +, -, * and /, which take their 0 and 1 from
-the matrix (``_zero_of``), test for zero through ``_is_zero`` and divide
-through ``_div``, which keeps ``int / int`` exact.  With ``mat_inverse``
-routed through ``eliminate``, the ``rational`` benchmark jobs at seeds 1 and
-2 took 33.2 s instead of 14.5 s (2-core x86 VM, Python 3.11), and their
-output changed: a Moser ``max_deviation`` moved in its fifth significant digit.
+``mat_solve`` solves m X = r for a small square m of RatFuncs (gauge, Dirac
+brackets) or rationals by Bareiss's elimination in Gauss-Jordan form, on the
+rows of [m | r] cleared of denominators; ``mat_inverse`` and ``det`` are views
+of it.  Step k takes row_i <- (p_k row_i - a_ik row_k) / p_(k-1), an exact
+division, so no gcd runs until each entry of delta m^-1 r (delta a multiple
+of det m) is built once, as ``Fraction(x, delta)`` or ``RatFunc(x, delta)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from fractions import Fraction
 
-
-def _is_zero(x) -> bool:
-    if type(x) is int or type(x) is Fraction:
-        return not x
-    z = getattr(x, "is_zero", None)
-    if z is not None:
-        return z
-    return x == 0
-
-
-def _div(x, y):
-    """x / y, exact (a Fraction) when both are ints."""
-    if type(x) is int and type(y) is int:
-        return Fraction(x, y)
-    return x / y
+from .expr import Poly, RatFunc, _part_gcd, poly_divexact
 
 
 def eliminate(rows):
@@ -143,11 +129,6 @@ def null_space(reduced, ncols):
     return list(basis.values())
 
 
-def _zero_of(matrix):
-    """The zero of the matrix's entry type; Fraction(0) for an empty matrix."""
-    return matrix[0][0] - matrix[0][0] if matrix and matrix[0] else Fraction(0)
-
-
 def _sparse_rows(matrix):
     return [{c: x for c, x in enumerate(dense) if x} for dense in matrix]
 
@@ -174,8 +155,6 @@ def rank(matrix) -> int:
 
 def canonical_span(vectors):
     """Canonical basis (rref rows, zero rows dropped) of the row span."""
-    if not vectors:
-        return []
     m, pivots = rref(vectors)
     return [m[i] for i in range(len(pivots))]
 
@@ -184,17 +163,11 @@ def kernel_basis(matrix, ncols=None):
     """Basis of the right null space {v : matrix @ v = 0}, ``null_space`` made dense."""
     cols = ncols if ncols is not None else len(matrix[0]) if matrix else 0
     basis = null_space(eliminate(_sparse_rows(matrix))[0], cols)
-    zero = Fraction(0)
-    return [[v.get(c, zero) for c in range(cols)] for v in basis]
+    return [[v.get(c, Fraction(0)) for c in range(cols)] for v in basis]
 
 
 def _dot(row, col):
-    it = iter(zip(row, col))
-    x, y = next(it)
-    acc = x * y
-    for x, y in it:
-        acc = acc + x * y
-    return acc
+    return functools.reduce(operator.add, map(operator.mul, row, col))
 
 
 def matvec(m, v):
@@ -214,49 +187,76 @@ def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def mat_inverse(m):
-    """Inverse by Gauss-Jordan over the entry type of m; returns None when
-    the matrix is singular."""
-    n = len(m)
-    zero = _zero_of(m)
-    one = zero + 1
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m)]
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if not _is_zero(aug[i][c])), None)
-        if pivot is None:
+def _cleared(row):
+    """(row * scale, scale) for the scale that clears the row's denominators: the
+    lcm of a rational row's, or for RatFuncs the lcm of the denominators (as far
+    as ``_part_gcd`` finds common factors) times that of the coefficients'."""
+    if not isinstance(row[0], RatFunc):
+        scale = math.lcm(*(x.denominator for x in row))
+        return [x.numerator * (scale // x.denominator) for x in row], scale
+    scale = Poly.const(row[0].chart, 1)
+    for d in (e.den for e in row if not e.den.is_constant):
+        g = d if d == scale else _part_gcd(scale, d)
+        scale = scale * (d if g is None else poly_divexact(d, g))
+    row = [e.num if e.den == scale else e.num * poly_divexact(scale, e.den) for e in row]
+    c = math.lcm(*(x.denominator for p in row for x in p.terms.values()))
+    return ([p * c for p in row], scale * c) if c > 1 else (row, scale)
+
+
+def _fraction_free(m, r):
+    """Bareiss Gauss-Jordan on the cleared rows of [m | r], m square: (delta,
+    delta m^-1 r, scale) with det m = delta / scale, or None when m is singular.
+    Each step drops the pivot column from the rows, leaving the right block."""
+    cleared = [_cleared(list(a) + list(b)) for a, b in zip(m, r)]
+    rows = [row for row, _ in cleared]
+    scale = math.prod(s for _, s in cleared)
+    poly = bool(m) and isinstance(m[0][0], RatFunc)
+    divide = poly_divexact if poly else operator.floordiv
+    prev = 1
+    for k in range(len(rows)):
+        i = next((i for i in range(k, len(rows))
+                  if not (rows[i][0].is_zero if poly else rows[i][0] == 0)), None)
+        if i is None:
             return None
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [_div(x, pv) for x in aug[r]]
-        for i in range(n):
-            if i != r and not _is_zero(aug[i][c]):
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        r += 1
-    return [row[n:] for row in aug]
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            scale = -scale
+        top = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                row = [top[0] * x - row[0] * y for x, y in zip(row[1:], top[1:])]
+                rows[i] = [divide(v, prev) for v in row] if k else row
+        prev, rows[k] = top[0], top[1:]
+    return prev, rows, scale
+
+
+def mat_solve(m, r):
+    """X with m @ X = r for a square m and an r of m's entry type: RatFuncs
+    for RatFuncs, Fractions for rationals; None when m is singular."""
+    out = _fraction_free(m, r)
+    if out is None:
+        return None
+    delta, right, _ = out
+    if not isinstance(delta, Poly):
+        return [[Fraction(x, delta) for x in row] for row in right]
+    c = Fraction(1, math.gcd(*delta.terms.values()))  # a primitive denominator
+    delta = delta * c
+    return [[RatFunc(x * c, delta) for x in row] for row in right]
+
+
+def mat_inverse(m):
+    """``mat_solve`` with the identity on the right; None when m is singular."""
+    zero = m[0][0] * 0 if m else 0
+    return mat_solve(m, [[zero + int(i == j) for j in range(len(m))] for i in range(len(m))])
 
 
 def det(m):
-    """Determinant over the entry type of m, by Gaussian elimination."""
-    n = len(m)
-    a = [list(row) for row in m]
-    zero = _zero_of(m)
-    one = result = zero + 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not _is_zero(a[i][c])), None)
-        if pivot is None:
-            return zero
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            result = -result
-        result = result * a[c][c]
-        inv = _div(one, a[c][c])
-        for i in range(c + 1, n):
-            if not _is_zero(a[i][c]):
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result
+    """delta / scale of ``_fraction_free``; m's zero when m is singular."""
+    out = _fraction_free(m, [[] for _ in m])
+    if out is None:
+        return m[0][0] * 0
+    delta, _, scale = out
+    return RatFunc(delta, scale) if isinstance(delta, Poly) else Fraction(delta, scale)
 
 
 def solve(matrix, rhs):

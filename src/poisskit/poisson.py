@@ -435,14 +435,13 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
 
 
 def gauge_matrix(p, w):
-    """(I + P W)^-1 P, or None when I + P W is singular as a RatFunc matrix."""
+    """(I + P W)^-1 P by ``linalg.mat_solve``, fraction-free (for polynomial P
+    and W, one gcd per entry), or None when I + P W is singular as a RatFunc
+    matrix."""
     m = linalg.matmul(p, w)
     for i, row in enumerate(m):
         row[i] = row[i] + 1
-    m_inv = linalg.mat_inverse(m)
-    if m_inv is None:
-        return None
-    return linalg.matmul(m_inv, p)
+    return linalg.mat_solve(m, p)
 
 
 def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:

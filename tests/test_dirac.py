@@ -7,7 +7,10 @@ from poisskit.dirac import (
     ConstraintSystem,
     DiracError,
     DiracSectionFamily,
+    SubmanifoldFlags,
     backward_image,
+    classify_submanifold,
+    constraint_bracket_matrix,
     coregularity_check,
     courant_tensor,
     dirac_bracket,
@@ -154,6 +157,33 @@ def test_transversal_induced_poisson_matches_dirac_bracket(ch4):
     assert matrix == [[0, 1], [-1, 0]]
     bracket = dirac_bracket(cs)
     assert bracket(parse_expr("q1", ch4), parse_expr("p1", ch4)) == RatFunc.const(plane, 1)
+
+
+def test_dirac_bracket_through_polynomial_denominators():
+    # psi2 = p2/(1 + q1^2) gives {psi1, psi2} = 1/(q1^2 + 1): the constraint
+    # matrix, and the one restricted to N, have polynomial denominators.
+    # The printed values are the ones RatFunc Gauss-Jordan gave.
+    ch4 = chart("q1", "p1", "q2", "p2")
+    structure = poisson.require_poisson(_bivector(ch4, {(0, 1): "1", (2, 3): "1"}))
+    plane = chart("a", "b")
+    a, b = parse_expr("a", plane), parse_expr("b", plane)
+    cs = ConstraintSystem(
+        structure, [parse_expr("q2 - q1^2", ch4), parse_expr("p2/(1 + q1^2)", ch4)], [0, 0],
+        parametrization=PolyMap(plane, ch4, (a, b, a * a, RatFunc.zero(plane))))
+    bracket = dirac_bracket(cs)
+    assert _rows(bracket.c_lower) == [["0", "-q1^2 - 1"], ["q1^2 + 1", "0"]]
+    p1, p2 = parse_expr("p1", ch4), parse_expr("p2", ch4)
+    assert str(bracket.ambient(p1, p2)) == "(-2*q1*p2)/(q1^2 + 1)"
+    assert bracket(p1, p2).is_zero
+    f, g = parse_expr("p1*q2", ch4), parse_expr("q1 + p2", ch4)
+    assert str(bracket.ambient(f, g)) == "(-q1^2*q2 - 2*q1*q2*p2 - q2)/(q1^2 + 1)"
+    assert str(bracket(f, g)) == "-a^2"
+    restricted = [[e.subst([a, b, a * a, RatFunc.zero(plane)]) for e in row]
+                  for row in constraint_bracket_matrix(cs)]
+    assert _rows(restricted) == [["0", "1/(a^2 + 1)"], ["(-1)/(a^2 + 1)", "0"]]
+    assert str(linalg.det(restricted)) == "1/(a^4 + 2*a^2 + 1)"
+    assert classify_submanifold(cs) == SubmanifoldFlags(
+        poisson=False, coisotropic=False, cosymplectic=True, mode="exact")
 
 
 def test_constraint_and_level_counts_must_match(ch3, so3_structure):

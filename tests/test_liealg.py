@@ -565,6 +565,14 @@ def test_book_quotient_by_ideal():
     assert is_basis_span_subalgebra(g, [1, 2])
     assert not is_basis_span_ideal(g, [0])
     assert is_basis_span_subalgebra(g, [0])
+    # an index outside 0 ... dim - 1 is an error, not a Python list index:
+    # -1 would otherwise read as e3, whose span is an ideal
+    assert is_basis_span_ideal(g, [2])
+    for check in (is_basis_span_ideal, is_basis_span_subalgebra):
+        for bad in (-1, 3):
+            with pytest.raises(LieAlgebraError, match=f"basis index {bad} out of range") as err:
+                check(g, [1, bad])
+            assert err.value.indices == (bad,)
     # projection onto g/span(e2,e3) = R is a Lie hom
     r1 = abelian(1)
     t = [[F(1), F(0), F(0)]]

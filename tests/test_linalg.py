@@ -4,8 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisskit import linalg
-from poisskit.expr import RatFunc, chart, parse_expr
+from poisskit import linalg, poisson
+from poisskit.expr import Poly, RatFunc, chart, parse_expr
 
 from conftest import rng_for
 
@@ -209,3 +209,124 @@ def test_rref_matches_sympy(matrix):
     assert independent == linalg.eliminate(sparse)[1]
     assert all(type(x) is F for row in reduced.values() for x in row.values())
     assert linalg.kernel_basis(ints) == kernel and _no_floats(linalg.rref(ints)[0])
+
+
+# -- mat_solve, mat_inverse and det against sympy -------------------------------------
+#
+# Square matrices of sizes 1-4, over the rationals and over QQ(x, y, z), half of
+# them singular (the last row a combination of the others), and RatFunc
+# entries with polynomial denominators, so that rows are cleared before the
+# elimination.  sympy is an oracle only: every comparison is by value, in
+# sympy's field QQ(x, y, z), and a RatFunc solve X of m X = r is checked as
+# m X = r there, which fixes X when sympy's det m is nonzero.
+
+XYZ = chart("x", "y", "z")
+_rationals = st.one_of(st.integers(-5, 5),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=4))
+_polys = st.dictionaries(st.tuples(*[st.integers(0, 1)] * 3), _rationals.filter(bool),
+                         max_size=2).map(lambda t: Poly(XYZ, t))
+_ratfuncs = st.one_of(_polys.map(RatFunc.from_poly), _polys.map(RatFunc.from_poly),
+                      st.builds(RatFunc, _polys, _polys.filter(lambda p: not p.is_zero)))
+
+
+@st.composite
+def _square(draw, entries, zero):
+    n = draw(st.integers(1, 4))
+    m = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+        m[-1] = [sum((w * row[j] for w, row in zip(weights, m)), zero) for j in range(n)]
+    return m
+
+
+def _sympy_matrix(m):
+    """m as a sympy DomainMatrix over QQ(x, y, z), whose elements compare by value."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.QQ.frac_field(*sympy.symbols("x y z"))
+    ring = field.field.ring
+
+    def convert(e):
+        if isinstance(e, RatFunc):
+            return convert(e.num) / convert(e.den)
+        if isinstance(e, Poly):
+            return field.field(ring.from_dict(
+                {exps: sympy.QQ(c.numerator, c.denominator) for exps, c in e.terms.items()}))
+        return field.field(sympy.QQ(e.numerator, e.denominator))
+
+    return DomainMatrix([[convert(e) for e in row] for row in m], (len(m), len(m)), field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square(_rationals, 0))
+def test_rational_inverse_and_det_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    sym = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in m])
+    d = linalg.det(m)
+    assert d == sym.det() and type(d) in (int, F)
+    inv = linalg.mat_inverse(m)
+    if d == 0:
+        assert inv is None
+    else:
+        assert inv == [[F(int(e.p), int(e.q)) for e in sym.inv().row(i)] for i in range(len(m))]
+        assert all(type(e) is F for row in inv for e in row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_square(_ratfuncs, RatFunc.zero(XYZ)))
+def test_ratfunc_inverse_and_det_match_sympy(m):
+    sym = _sympy_matrix(m)
+    d = linalg.det(m)
+    assert isinstance(d, RatFunc) and _sympy_matrix([[d]]).det() == sym.det()
+    inv = linalg.mat_inverse(m)
+    if not sym.det():
+        assert inv is None
+        return
+    assert all(isinstance(e, RatFunc) for row in inv for e in row)
+    # sym is invertible, so this pins inv down to sympy's inverse
+    assert sym * _sympy_matrix(inv) == _sympy_matrix(linalg.identity(len(m)))
+
+
+@st.composite
+def _gauge_pair(draw):
+    """Antisymmetric P over QQ(x, y, z) and W over QQ[x, y, z], as after a
+    first gauge by a polynomial form; for n = 2 and one draw in two,
+    W = -P^-1, which makes I + P W zero."""
+    n = draw(st.integers(2, 4))
+    zero = RatFunc.zero(XYZ)
+    p, w = ([[zero] * n for _ in range(n)] for _ in range(2))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for matrix, entries in ((p, _ratfuncs), (w, _polys.map(RatFunc.from_poly))):
+                e = draw(entries)
+                matrix[i][j], matrix[j][i] = e, -e
+    if n == 2 and not p[0][1].is_zero and draw(st.booleans()):
+        w[0][1], w[1][0] = 1 / p[0][1], -1 / p[0][1]
+    return p, w
+
+
+@settings(max_examples=25, deadline=None)
+@given(_gauge_pair())
+def test_gauge_matrix_matches_sympy(pw):
+    p, w = pw
+    sym_p = _sympy_matrix(p)
+    m = _sympy_matrix(linalg.identity(len(p))) + sym_p * _sympy_matrix(w)
+    ours = poisson.gauge_matrix(p, w)
+    if not m.det():
+        assert ours is None
+        return
+    assert m * _sympy_matrix(ours) == sym_p
+
+
+def test_mat_solve_clears_polynomial_denominators():
+    # outputs recorded from the RatFunc Gauss-Jordan this solver replaced
+    x, y = parse_expr("x", XYZ), parse_expr("y", XYZ)
+    m = [[1 / (1 + x), y], [x, 1 / (y - 1)]]
+    den = "(x^2*y^2 - x^2*y + x*y^2 - x*y - 1)"
+    assert [[str(e) for e in row] for row in linalg.mat_inverse(m)] == [
+        [f"(-x - 1)/{den}", f"(x*y^2 - x*y + y^2 - y)/{den}"],
+        [f"(x^2*y - x^2 + x*y - x)/{den}", f"(-y + 1)/{den}"]]
+    assert str(linalg.det(m)) == "(-x^2*y^2 + x^2*y - x*y^2 + x*y + 1)/(x*y - x + y - 1)"
+    assert linalg.mat_solve(m, [[x], [y]]) == [[e] for e in linalg.matvec(
+        linalg.mat_inverse(m), [x, y])]

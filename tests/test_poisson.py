@@ -1,9 +1,10 @@
 from fractions import Fraction as F
 from functools import cached_property
+from unittest import mock
 
 import pytest
 
-from poisskit import cli, fixtures, linalg, multivec, poisson
+from poisskit import cli, expr, fixtures, linalg, multivec, poisson
 from poisskit.dirac import DiracSectionFamily, kernel_and_range, reconstruct_from_range
 from poisskit.expr import RatFunc, chart, parse_expr
 from poisskit.liealg import lie_from_constants, lie_poisson
@@ -661,6 +662,58 @@ def test_gauge_involution(ch2, xdxdy_structure):
     assert forward.verified
     back = gauge_transform(forward, DiffForm(ch2, 2, {(0, 1): parse_expr("-y", ch2)}))
     assert back.pi == xdxdy_structure.pi
+    # the backward gauge clears the denominator of P; both outputs are the
+    # ones RatFunc Gauss-Jordan printed
+    assert (str(forward.pi), str(back.pi)) == ("((-x)/(x*y - 1)) d/dx^d/dy", "x d/dx^d/dy")
+
+
+def test_gauges_compose_through_polynomial_denominators(ch3, so3_structure):
+    # gauging by B1, then B2 is gauging by B1 + B2; the second gauge starts
+    # from a P with the denominator x*z - 1 in every entry
+    b1 = {(0, 1): "x"}
+    b2 = {(1, 2): "z", (0, 2): "2"}
+
+    def gauge(structure, table):
+        return gauge_transform(structure, DiffForm(ch3, 2, {
+            idx: parse_expr(text, ch3) for idx, text in table.items()}))
+
+    once = gauge(so3_structure, b1)
+    twice = gauge(once, b2)
+    assert str(once.pi) == ("((-z)/(x*z - 1)) d/dx^d/dy + (y/(x*z - 1)) d/dx^d/dz"
+                            " + ((-x)/(x*z - 1)) d/dy^d/dz")
+    den = "(2*x*z - 2*y - 1)"
+    assert str(twice.pi) == (f"((-z)/{den}) d/dx^d/dy + (y/{den}) d/dx^d/dz"
+                             f" + ((-x)/{den}) d/dy^d/dz")
+    assert twice.pi == gauge(so3_structure, {**b1, **b2}).pi
+
+
+def test_gauge_denominators_are_primitive(ch3, so3_structure):
+    # a form with non-integral coefficients: the common denominator of P_B
+    # is printed primitive, with integer coefficients (it was 1/2*x*z - 1)
+    b = DiffForm(ch3, 2, {(0, 1): parse_expr("1/2*x", ch3)})
+    assert str(gauge_transform(so3_structure, b).pi) == (
+        "((-2*z)/(x*z - 2)) d/dx^d/dy + (2*y/(x*z - 2)) d/dx^d/dz"
+        " + ((-2*x)/(x*z - 2)) d/dy^d/dz")
+
+
+@pytest.mark.parametrize("fixture,alpha", [
+    ("so3", {0: "3*y*z", 1: "-2*x^2"}),
+    ("book", {0: "x*y - 2*z^2", 1: "3*x*z", 2: "y^2"}),
+    ("s3_standard", {2: "2*x*y"}),
+])
+def test_gauge_matrix_takes_one_gcd_per_entry(fixture, alpha):
+    # the gauge shapes of the rational benchmark workload: fraction-free
+    # elimination runs no gcd, and each of the n^2 entries of P_B is
+    # reduced by at most one
+    manifest = cli.load_manifest(fixtures.fixture_manifest(fixture))
+    pi, ch = manifest.bivectors["pi"], manifest.chart
+    b = multivec.exterior_derivative(DiffForm(ch, 1, {
+        (i,): parse_expr(text, ch) for i, text in alpha.items()}))
+    gcd = expr.poly_gcd
+    with mock.patch.object(expr, "poly_gcd", side_effect=gcd) as counted:
+        pb = poisson.gauge_matrix(poisson.bivector_matrix(pi), poisson.bivector_matrix(b))
+    assert pb is not None and any(not e.is_polynomial for row in pb for e in row)
+    assert 0 < counted.call_count <= ch.dim ** 2
 
 
 def test_gauge_rejects_nonclosed():
