@@ -22,27 +22,24 @@ reproducible; variational (Jacobian) equations are integrated alongside the
 base flow.  Three fixed limits stop a flow: a pole guard below
 ``POLE_THRESHOLD`` (1e-9) in absolute value, a state coordinate beyond
 ``ESCAPE_RADIUS`` (1e9) or not finite, and a step count above ``MAX_STEPS``
-(10^7).  Trajectories are stored in a flat ``array('d')`` and returned
-as numpy views; numpy is imported by the functions that return or use
-arrays, not with the module.
+(10^7).  A trajectory is a 2-D ``memoryview`` over the flat ``array('d')``
+that the loop fills, and pointwise linear algebra goes through ``linalg``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
-from . import poisson
+from . import linalg, poisson
 from .expr import Chart, ExprError, RatFunc, chart as make_chart
 from .multivec import DiffForm, MultiVec, exterior_derivative
 from .poisson import PoissonStructure, _pi_of, bivector_matrix, hamiltonian_vf
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class FlowError(ExprError):
@@ -173,12 +170,9 @@ def compile_ratfunc(rf: RatFunc):
 
 
 def compile_matrix(entries):
-    import numpy as np
-
+    """Compile a matrix of RatFuncs to a callable that returns its float rows."""
     fns = [[compile_ratfunc(c) for c in row] for row in entries]
-    def matrix(p):
-        return np.array([[f(p) for f in row] for row in fns])
-    return matrix
+    return lambda p: [[f(p) for f in row] for row in fns]
 
 
 class CompiledField(NamedTuple):
@@ -255,7 +249,7 @@ def compile_field(components, time_var=None, variational=False) -> CompiledField
               for c in components if not c.den.is_constant]
     env.update((f"g{i}", g) for i, g in enumerate(guards))
     env.update(FlowError=FlowError, PoleProximityError=PoleProximityError,
-               state_error=_state_error)
+               state_text=_state_text)
     exec(_rhs_source(size, body), env)
     exec(_advance_source(size, m, body, len(guards)), env)
     return CompiledField(env["rhs"], guards, env["advance"])
@@ -339,7 +333,7 @@ def _advance_source(size, m, body, guard_count):
                      for i in range(size))
     inside = " and ".join(f"{-ESCAPE_RADIUS!r} <= {y} <= {ESCAPE_RADIUS!r}" for y in ys)
     guards = "".join(f"            if abs(g{g}(t, p)) < {POLE_THRESHOLD!r}:\n"
-                     f"                raise state_error(PoleProximityError, pole_msg, p)\n"
+                     f"                raise PoleProximityError(pole_msg.format(state_text(p)))\n"
                      for g in range(guard_count))
     return (
         "def advance(t, y, h, steps, pole_msg, escape_msg=None, out=None):\n"
@@ -357,22 +351,19 @@ def _advance_source(size, m, body, guard_count):
         + f"            {state} = ({update})\n"
         "            t += h\n"
         f"            if escape_msg is not None and not ({inside}):\n"
-        f"                raise state_error(FlowError, escape_msg, {state})\n"
+        f"                raise FlowError(escape_msg.format(state_text({state})))\n"
         "            if out is not None:\n"
         f"                out.extend({state})\n"
         "    except ArithmeticError:  # a float power overflowed, or a stage hit a pole\n"
-        "        raise state_error(FlowError, escape_msg or 'flow overflowed near {}',\n"
-        f"                          {state}) from None\n"
+        "        raise FlowError((escape_msg or 'flow overflowed near {}').format(\n"
+        f"            state_text({state}))) from None\n"
         f"    return t, [{', '.join(ys)}]\n"
     )
 
 
-def _state_error(cls, template, state):
-    """``cls`` with its message: ``template`` formatted with the state as an
-    array."""
-    import numpy as np
-
-    return cls(template.format(np.array(state)))
+def _state_text(state) -> str:
+    """A state in an error message: the list of its floats' reprs."""
+    return str([float(v) for v in state])
 
 
 def _step_count(span: float, cfg: FlowConfig) -> int:
@@ -386,9 +377,7 @@ def _step_count(span: float, cfg: FlowConfig) -> int:
 
 def _at_nodes(field: CompiledField, y0, nodes, cfg: FlowConfig, pole_msg, escape_msg=None):
     """Flow y0 with its variational matrix J (J = I at t = 0) through the
-    increasing times ``nodes``; yields (t, y, J) at each node."""
-    import numpy as np
-
+    increasing times ``nodes``; yields (t, y, J) at each node, J as rows."""
     m = len(y0)
     t, state = 0.0, y0 + [float(i == j) for i in range(m) for j in range(m)]
     for node in nodes:
@@ -396,7 +385,7 @@ def _at_nodes(field: CompiledField, y0, nodes, cfg: FlowConfig, pole_msg, escape
         if gap > 0:
             steps = _step_count(gap, cfg)
             t, state = field.advance(t, state, gap / steps, steps, pole_msg, escape_msg)
-        yield t, state[:m], np.array(state[m:]).reshape(m, m)
+        yield t, state[:m], [state[m + i * m:m + i * m + m] for i in range(m)]
 
 
 _UNREADABLE = {ValueError: "not a rational number", ZeroDivisionError: "zero denominator",
@@ -405,12 +394,12 @@ _UNREADABLE = {ValueError: "not a rational number", ZeroDivisionError: "zero den
 
 def _read(v, what):
     """A coordinate or time ``v`` as a float.  A float keeps its value, as a
-    plain float (a numpy float64 in the RK4 loop would make each of its
-    operations a numpy call); anything else is read exactly through
-    Fraction, so "1/2" reads as in CLI points, and only what Fraction
-    rejects ("nan", "inf", a numpy float32) is read by float().  FlowError
-    names ``what`` and the reason, not the value, which may be hundreds of
-    digits long (1e400)."""
+    plain float (a float subclass in the RK4 loop would make each of its
+    operations a call of the subclass); anything else is read exactly
+    through Fraction, so "1/2" reads as in CLI points, and only what
+    Fraction rejects ("nan", "inf", an object with only ``__float__``) is
+    read by float().  FlowError names ``what`` and the reason, not the
+    value, which may be hundreds of digits long (1e400)."""
     if isinstance(v, float):
         return float(v)
     try:
@@ -469,13 +458,11 @@ def compile_drifts(functions, n):
         f"                b{i} = d\n" for i, v in enumerate(values))
 
     def undefined(state, err):
-        import numpy as np
-
         for f in functions:
             try:
                 compile_ratfunc(f)(state)
             except ArithmeticError as failure:
-                return FlowError(f"cannot evaluate {f} at {np.array(state)}: {failure}")
+                return FlowError(f"cannot evaluate {f} at {_state_text(state)}: {failure}")
         return err
 
     env = {"undefined": undefined}
@@ -497,8 +484,7 @@ def compile_drifts(functions, n):
 
 @dataclass
 class Trajectory:
-    ts: np.ndarray
-    xs: np.ndarray
+    xs: memoryview               # states x_k at t = k dt, k = 0 ... steps, one per row
     h_drift: float
     casimir_drifts: list
     steps: int                   # RK4 steps taken
@@ -507,8 +493,6 @@ class Trajectory:
 def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
                           casimirs=()) -> Trajectory:
     """RK4 trajectory of X_H with H- and Casimir-drift reporting."""
-    import numpy as np
-
     n = hamiltonian.chart.dim
     casimirs = _sequence(casimirs, "casimirs")
     field = compile_field(hamiltonian_vf(structure, hamiltonian).components())
@@ -518,13 +502,12 @@ def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
     field.advance(0.0, x, cfg.dt, steps, "denominator below threshold near {}",
                   "trajectory escaped near {}", xs)
     h_drift, *drifts = compile_drifts([hamiltonian, *casimirs], n)(xs)
-    return Trajectory(np.arange(len(xs) // n) * cfg.dt, np.frombuffer(xs).reshape(-1, n),
-                      h_drift, drifts, steps)
+    return Trajectory(memoryview(xs).cast("B").cast("d", (steps + 1, n)), h_drift, drifts, steps)
 
 
 @dataclass
 class LeafTrace:
-    points: np.ndarray
+    points: memoryview           # the start, then the state after each RK4 step, one per row
     casimir_drifts: list
     steps: int                   # RK4 steps taken, over the whole schedule
 
@@ -533,8 +516,6 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
                casimirs=()) -> LeafTrace:
     """Compose Hamiltonian flows of the generators per the schedule
     [(generator index, time), ...]; negative times flow backwards."""
-    import numpy as np
-
     n = _pi_of(structure).chart.dim
     casimirs = _sequence(casimirs, "casimirs")
     fields = [compile_field(hamiltonian_vf(structure, g).components())
@@ -562,7 +543,7 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
                                          "denominator below threshold near {}",
                                          "trajectory escaped near {}", points)
         taken += steps
-    return LeafTrace(np.frombuffer(points).reshape(-1, n),
+    return LeafTrace(memoryview(points).cast("B").cast("d", (taken + 1, n)),
                      compile_drifts(casimirs, n)(points), taken)
 
 
@@ -574,6 +555,11 @@ def _times(values, what):
         if not math.isfinite(t):
             raise FlowError(f"{what} {t} is not finite")
     return sorted(times)
+
+
+def _max_gap(a, b) -> float:
+    """The largest |a_ij - b_ij| of two float matrices of one shape."""
+    return max(abs(x - y) for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b))
 
 
 # -- Moser-path verification --------------------------------------------------------
@@ -605,8 +591,6 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     integrated with RK4 and the pushforward J P_0 J^T is compared against the
     exact pi_t matrix at the endpoint, at every requested grid time.
     """
-    import numpy as np
-
     chart = structure.chart
     n = chart.dim
     if alpha.degree != 1 or alpha.chart != chart:
@@ -646,14 +630,12 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
 
     p0_fn = compile_matrix(bivector_matrix(structure.pi))
     per_sample = []
-    overall = 0.0
     for x0 in starts:
         p0 = p0_fn(x0)
-        devs = [float(np.max(np.abs(j @ p0 @ j.T - p_t_fn(x + [t]))))
-                for t, x, j in _at_nodes(field, x0, grid, cfg, "flow hit a gauge pole")]
-        per_sample.append(devs)
-        overall = max(overall, max(devs))
-    return MoserReport(overall, per_sample)
+        per_sample.append([
+            _max_gap(linalg.matmul(linalg.matmul(j, p0), linalg.transpose(j)), p_t_fn(x + [t]))
+            for t, x, j in _at_nodes(field, x0, grid, cfg, "flow hit a gauge pole")])
+    return MoserReport(max([0.0, *map(max, per_sample)]), per_sample)
 
 
 # -- spray realization ----------------------------------------------------------------
@@ -661,15 +643,14 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
 
 @dataclass
 class RealizationSample:
-    point: np.ndarray            # (x, xi) in the cotangent chart
-    omega: np.ndarray            # 2n x 2n matrix of the averaged 2-form
-    antisym_error: float
-    det: float
-    condition: float
+    point: list                  # (x, xi) in the cotangent chart
+    omega: list                  # 2n x 2n matrix of the averaged 2-form, a list of rows
+    antisym_error: float         # largest |omega_ab + omega_ba|
+    det: float                   # det omega, exact on omega's floats, rounded once
 
     @property
     def nondegenerate(self) -> bool:
-        return self.det != 0 and math.isfinite(self.condition)
+        return self.det != 0
 
 
 def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
@@ -681,8 +662,6 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
     omega_can = sum_i dx_i ^ dxi_i, for which the chart projection of the
     resulting symplectic form is a Poisson map onto pi (realization_check).
     """
-    import numpy as np
-
     pi = _pi_of(structure)
     chart = pi.chart
     n = chart.dim
@@ -694,8 +673,31 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
              for j in range(n)]
     field = compile_field(spray + [RatFunc.zero(big)] * n, variational=True)
 
+    nodes = _quadrature_nodes(quad_nodes)
+    out = []
+    for s in _sequence(samples, "samples"):
+        y0 = _point(s, 2 * n, "samples live in the cotangent chart (length 2n)")
+        values = [_pullback(j, n) for _, _, j in _at_nodes(
+            field, y0, nodes, cfg, "spray flow hit a pole",
+            f"spray flow escaped for sample {s}")]
+        acc = [[0.0] * (2 * n) for _ in range(2 * n)]
+        for k in range(len(nodes) - 1):
+            w = 0.5 * (nodes[k + 1] - nodes[k])
+            acc = [[x + w * (u + v) for x, u, v in zip(*rows)]
+                   for rows in zip(acc, values[k], values[k + 1])]
+        antisym = max(abs(x + y) for row, col in zip(acc, zip(*acc)) for x, y in zip(row, col))
+        det = float(linalg.det([[Fraction(x) for x in row] for row in acc]))
+        out.append(RealizationSample(y0, acc, antisym, det))
+    return out
+
+
+def _quadrature_nodes(quad_nodes):
+    """The trapezoid rule's sorted nodes, two or more spanning [0, 1]: the
+    sequence ``quad_nodes``, or for an integer k the k nodes i * (1.0 / (k - 1))
+    for i < k - 1, then 1.0."""
     if isinstance(quad_nodes, numbers.Integral):
-        quad_nodes = np.linspace(0.0, 1.0, max(int(quad_nodes), 0))
+        k = int(quad_nodes)  # k < 2 leaves the one node 1.0
+        quad_nodes = [i * (1.0 / (k - 1)) for i in range(k - 1)] + [1.0]
     try:
         nodes = _times(quad_nodes, "quadrature node")
     except TypeError:  # quad_nodes is not a sequence
@@ -705,41 +707,30 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
         raise FlowError("the trapezoid rule needs at least two quadrature nodes")
     if nodes[0] != 0.0 or nodes[-1] != 1.0:
         raise FlowError("quadrature nodes must span [0, 1]")
-    w_can = np.zeros((2 * n, 2 * n))
-    w_can[:n, n:] = np.eye(n)
-    w_can[n:, :n] = -np.eye(n)
+    return nodes
 
-    out = []
-    for s in _sequence(samples, "samples"):
-        y0 = _point(s, 2 * n, "samples live in the cotangent chart (length 2n)")
-        values = [j.T @ w_can @ j for _, _, j in _at_nodes(
-            field, y0, nodes, cfg, "spray flow hit a pole",
-            f"spray flow escaped for sample {s}")]
-        acc = np.zeros((2 * n, 2 * n))
-        for k in range(len(nodes) - 1):
-            acc += 0.5 * (nodes[k + 1] - nodes[k]) * (values[k] + values[k + 1])
-        antisym = float(np.max(np.abs(acc + acc.T)))
-        det = float(np.linalg.det(acc))
-        cond = float(np.linalg.cond(acc)) if det != 0 else float("inf")
-        out.append(RealizationSample(np.array(y0), acc, antisym, det, cond))
-    return out
+
+def _pullback(j, n):
+    """J^T W J for W the matrix of omega_can: entry (a, b) is the sum over
+    k < n, in order, of J_ka J_(k+n)b - J_(k+n)a J_kb."""
+    terms = [[[x * v - u * y for y, v in zip(top, bottom)] for x, u in zip(top, bottom)]
+             for top, bottom in zip(j[:n], j[n:])]
+    return functools.reduce(
+        lambda p, q: [[s + t for s, t in zip(a, b)] for a, b in zip(p, q)], terms)
 
 
 def realization_check(realization_samples, structure) -> float:
     """Invert each omega to a bivector on the cotangent chart, push it down
     the projection (the [I 0] block), and compare with pi at the base point;
-    returns the max entrywise deviation."""
-    import numpy as np
-
+    returns the max entrywise deviation of the exact inverse, rounded."""
     pi = _pi_of(structure)
     n = pi.chart.dim
     p_fn = compile_matrix(bivector_matrix(pi))
     worst = 0.0
     for sample in realization_samples:
-        if sample.det == 0:
+        inv = linalg.mat_inverse([[Fraction(x) for x in row] for row in sample.omega])
+        if inv is None:
             raise FlowError("singular omega in realization_check")
-        inv = np.linalg.inv(sample.omega)
-        pushed = inv[:n, :n]
-        target = p_fn(sample.point[:n])
-        worst = max(worst, float(np.max(np.abs(pushed - target))))
+        pushed = [[float(x) for x in row[:n]] for row in inv[:n]]
+        worst = max(worst, _max_gap(pushed, p_fn(sample.point[:n])))
     return worst

@@ -8,7 +8,8 @@ Exterior-algebra elements (``AlgMultiVec``) are the alternating core of
 All algebras carry an explicit ordered basis e_0, ..., e_{m-1} with
 [e_i, e_j] = sum_k c[i][j][k] e_k.  Antisymmetry holds by construction, and
 the Jacobi identity is checked as [pi_g, pi_g] = 0 for the Lie-Poisson
-bivector pi_g (``lie_poisson``).  T: g -> h is a morphism exactly when
+bivector pi_g (``lie_poisson``), once, by ``lie_from_constants``; the
+other uses of pi_g skip it.  T: g -> h is a morphism exactly when
 ``poisson.is_poisson_map`` holds for ``dual_map`` of T.
 
 Every element passed with an algebra g must have ``parent`` g.  A 2-cochain
@@ -148,6 +149,18 @@ def lie_poisson(g: LieAlgebra, chart: Chart | None = None) -> PoissonStructure:
     Its ``verify`` is the Jacobi check: [pi,pi] has (i,j,k) coefficient
     -2 sum_m J_ijk^m x_m for J the Jacobiator, read at its least (i,j,k,m).
     """
+    ps = verify(_lie_bivector(g, chart))
+    if not ps.verified:
+        square = ps.schouten_square.coeffs
+        i, j, k = min(square)
+        m = min(e.index(1) for e in square[i, j, k].as_poly().terms)
+        raise LieAlgebraError(f"Jacobi identity fails at (i,j,k,m)=({i},{j},{k},{m})",
+                              indices=(i, j, k, m))
+    return ps
+
+
+def _lie_bivector(g: LieAlgebra, chart: Chart | None = None) -> MultiVec:
+    """The bivector of ``lie_poisson``, not verified."""
     ch = chart if chart is not None else dual_chart(g)
     if ch.dim != g.dim:
         raise LieAlgebraError("chart dimension must match the algebra")
@@ -161,26 +174,19 @@ def lie_poisson(g: LieAlgebra, chart: Chart | None = None) -> PoissonStructure:
                     acc = acc + RatFunc.const(ch, cijk) * RatFunc.var(ch, k)
             if not acc.is_zero:
                 coeffs[(i, j)] = acc
-    ps = verify(MultiVec(ch, 2, coeffs))
-    if not ps.verified:
-        square = ps.schouten_square.coeffs
-        i, j, k = min(square)
-        m = min(e.index(1) for e in square[i, j, k].as_poly().terms)
-        raise LieAlgebraError(f"Jacobi identity fails at (i,j,k,m)=({i},{j},{k},{m})",
-                              indices=(i, j, k, m))
-    return ps
+    return MultiVec(ch, 2, coeffs)
 
 
 def coadjoint_vf(g: LieAlgebra, u, chart: Chart | None = None) -> MultiVec:
     """Linear coadjoint field of u in g: the Hamiltonian field of the linear
     function u on the dual chart."""
-    ps = lie_poisson(g, chart)
-    ch = ps.chart
+    pi = _lie_bivector(g, chart)
+    ch = pi.chart
     f = RatFunc.zero(ch)
     for i, ui in enumerate(u):
         if ui:
             f = f + RatFunc.const(ch, ui) * RatFunc.var(ch, i)
-    return poisson.hamiltonian_vf(ps, f)
+    return poisson.hamiltonian_vf(pi, f)
 
 
 # -- cocycles and affine structures ------------------------------------------------
@@ -192,7 +198,7 @@ def _affine_bivector(g: LieAlgebra, lam: AlgMultiVec, chart: Chart | None = None
         raise LieAlgebraError("cocycle check needs a degree-2 element")
     if lam.parent != g:
         raise LieAlgebraError("the 2-cochain belongs to another Lie algebra")
-    pi = lie_poisson(g, chart).pi
+    pi = _lie_bivector(g, chart)
     return pi + MultiVec(pi.chart, 2, {idx: RatFunc.const(pi.chart, c)
                                        for idx, c in lam.coeffs.items()})
 

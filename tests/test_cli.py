@@ -183,4 +183,4 @@ def test_drift_at_a_pole_is_a_flow_failure(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert status == 1 and err == ""
     assert out.splitlines() == ["FAIL flow cannot evaluate 1/(x) at "
-                                "[ 0.          0.33333333 -0.25      ]: float division by zero"]
+                                "[0.0, 0.3333333333333333, -0.25]: float division by zero"]

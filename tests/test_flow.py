@@ -104,8 +104,8 @@ def test_rk4_global_error_is_fourth_order(qp_canonical):
     for dt in (0.1, 0.05, 0.025):
         traj = flow.integrate_hamiltonian(pi, h, [q0, p0], flow.FlowConfig(dt=dt, t_max=t))
         assert traj.xs.shape == (round(t / dt) + 1, 2)
-        assert traj.ts[-1] == pytest.approx(t)
-        errors.append(float(np.max(np.abs(traj.xs[-1] - exact))))
+        assert traj.steps * dt == pytest.approx(t)
+        errors.append(float(np.max(np.abs(np.asarray(traj.xs)[-1] - exact))))
     for coarse, fine in zip(errors, errors[1:]):
         assert 14 < coarse / fine < 18
 
@@ -147,7 +147,7 @@ def test_times_are_read_exactly(so3_structure, ch3):
     exact = flow.spray_realization(so3_structure, spray, ["0", "1/2", "1"], cfg)
     floats = flow.spray_realization(so3_structure, spray, [0.0, 0.5, 1.0], cfg)
     assert np.array_equal(exact[0].omega, floats[0].omega)
-    # numpy floats, as from a node count, become plain floats for the RK4 loop
+    # a float subclass, such as numpy's float64, becomes a plain float for the RK4 loop
     assert type(flow._read(np.float64(0.5), "a time")) is float
 
 
@@ -181,6 +181,81 @@ def test_spray_realization_deviation_falls_at_second_order(so3_structure):
         assert 3.5 < coarse / fine < 4.5
 
 
+SL2R_PI = {(0, 1): "-z", (1, 2): "x", (0, 2): "-y"}
+
+
+def _record_nodes(monkeypatch):
+    """The list that flow._at_nodes's (t, y, J) go into, from now on."""
+    nodes, at_nodes = [], flow._at_nodes
+
+    def recording(*args):
+        for node in at_nodes(*args):
+            nodes.append(node)
+            yield node
+    monkeypatch.setattr(flow, "_at_nodes", recording)
+    return nodes
+
+
+@pytest.mark.parametrize("nodes", [11, [0.0, 0.2, 0.7, 1.0]])
+def test_spray_matches_numpy(monkeypatch, so3_structure, ch3, nodes):
+    # omega against the trapezoid sum of numpy's J^T W J; det and the
+    # inverse, exact on omega's floats, against numpy's LU-based det and inv,
+    # which agree to the rounding of a well-conditioned 6 x 6 solve
+    sl2r = poisson.require_poisson(
+        MultiVec(ch3, 2, {idx: parse_expr(c, ch3) for idx, c in SL2R_PI.items()}))
+    samples = [[0.3, -0.2, 0.1, 0.2, 0.1, -0.3], [0.1, 0.2, -0.2, -0.1, 0.3, 0.2]]
+    cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
+    w_can = np.block([[np.zeros((3, 3)), np.eye(3)], [-np.eye(3), np.zeros((3, 3))]])
+    grid = flow._quadrature_nodes(nodes)
+    for structure in (so3_structure, sl2r):
+        recorded = _record_nodes(monkeypatch)
+        realization = flow.spray_realization(structure, samples, nodes, cfg)
+        p_fn = flow.compile_matrix(poisson.bivector_matrix(structure.pi))
+        worst = 0.0
+        for k, sample in enumerate(realization):
+            values = [np.array(j).T @ w_can @ np.array(j)
+                      for _, _, j in recorded[k * len(grid):(k + 1) * len(grid)]]
+            acc = sum(0.5 * (b - a) * (u + v)
+                      for a, b, u, v in zip(grid, grid[1:], values, values[1:]))
+            omega = np.array(sample.omega)
+            assert np.max(np.abs(omega - acc)) <= 1e-14
+            assert abs(sample.det - np.linalg.det(omega)) <= 1e-12 * abs(sample.det)
+            pushed = np.linalg.inv(omega)[:3, :3]
+            worst = max(worst, float(np.max(np.abs(pushed - p_fn(sample.point[:3])))))
+        assert abs(flow.realization_check(realization, structure) - worst) <= 1e-12
+
+
+def test_a_node_count_gives_the_nodes_of_linspace():
+    for k in range(2, 61):
+        nodes = flow._quadrature_nodes(k)
+        assert array("d", nodes).tobytes() == np.linspace(0.0, 1.0, k).tobytes()
+
+
+def test_moser_deviations_match_numpy(monkeypatch, so3_structure, ch3):
+    # record the nodes and the two compiled matrices that moser_verify uses,
+    # then recompute each deviation as numpy's max |J P0 J^T - P_t|
+    nodes, matrices, compile_matrix = _record_nodes(monkeypatch), {}, flow.compile_matrix
+
+    def recording_compile_matrix(entries):
+        matrices[entries[0][0].chart.dim] = compile_matrix(entries)
+        return matrices[entries[0][0].chart.dim]
+
+    monkeypatch.setattr(flow, "compile_matrix", recording_compile_matrix)
+    alpha = DiffForm(ch3, 1, {(0,): parse_expr("y", ch3), (1,): parse_expr("2*x + z", ch3)})
+    samples = [[0.5, 0.3, -0.25], [-0.3, 0.2, 0.4]]
+    report = flow.moser_verify(so3_structure, alpha, [0.25, 0.5, 1.0], samples,
+                               flow.FlowConfig(dt=0.05, t_max=1.0))
+    p0_fn, p_t_fn = matrices[3], matrices[4]
+    recorded = iter(nodes)
+    for x0, devs in zip(samples, report.per_sample):
+        p0 = np.array(p0_fn(x0))
+        for dev in devs:
+            t, x, j = next(recorded)
+            j = np.array(j)
+            assert abs(dev - np.max(np.abs(j @ p0 @ j.T - p_t_fn(x + [t])))) <= 1e-15
+    assert next(recorded, None) is None and len(nodes) == 6
+
+
 def test_pole_proximity(ch2):
     # X_H = -(1 + 2y/x) d/dx - y^2/x^2 d/dy keeps y = 0 and runs x into the
     # pole at unit speed, to within 1e-15 of it at t = 1
@@ -191,7 +266,7 @@ def test_pole_proximity(ch2):
         flow.integrate_hamiltonian(pi, h, [1.0, 0.0], cfg)
     # the message gives the last state before the step
     assert str(info.value) == ("denominator below threshold near "
-                               "[-7.52869989e-16  0.00000000e+00]")
+                               "[-7.528699885739343e-16, 0.0]")
 
 
 # p' = p^2 blows up at t = 1 and leaves the escape radius on the way; for
@@ -199,9 +274,9 @@ def test_pole_proximity(ch2):
 # reported with the last completed state), and for H = q^3*p^3 a step ends
 # in a state that is not finite
 ESCAPES = {
-    ("q*p^2", 0.01): ([0.5, 1.0], "[4.03144572e+07 1.01005215e+13]"),
-    ("q*p^40", 0.01): ([0.5, 1e8], "[5.e-01 1.e+08]"),
-    ("q^3*p^3", 0.1): ([1e3, 1e3], "[nan inf]"),
+    ("q*p^2", 0.01): ([0.5, 1.0], "[40314457.22352435, 10100521457889.361]"),
+    ("q*p^40", 0.01): ([0.5, 1e8], "[0.5, 100000000.0]"),
+    ("q^3*p^3", 0.1): ([1e3, 1e3], "[nan, inf]"),
 }
 
 
@@ -222,7 +297,7 @@ def test_leaf_trace_there_and_back(so3_structure, ch3):
                             flow.FlowConfig(dt=1e-3, t_max=1.0),
                             casimirs=[parse_expr("x^2+y^2+z^2", ch3)])
     assert trace.points.shape == (2 * (1500 + 700) + 1, 3)
-    assert np.allclose(trace.points[-1], x0, rtol=0, atol=1e-10)
+    assert np.allclose(np.asarray(trace.points)[-1], x0, rtol=0, atol=1e-10)
     assert trace.casimir_drifts[0] < 1e-10
 
 
@@ -473,13 +548,13 @@ def test_drift_pass_raises_at_a_pole(so3_structure, ch3):
     with pytest.raises(flow.FlowError) as info:
         flow.leaf_trace(so3_structure, [parse_expr("x", ch3)], [0, 1 / 3, -1 / 4], [(0, 0.5)],
                         cfg, casimirs=[parse_expr("x^2", ch3), parse_expr("1/x", ch3)])
-    assert str(info.value) == ("cannot evaluate 1/(x) at [ 0.          0.33333333 -0.25      ]: "
+    assert str(info.value) == ("cannot evaluate 1/(x) at [0.0, 0.3333333333333333, -0.25]: "
                                "float division by zero")
     drifts = flow.compile_drifts([parse_expr("y", ch3), parse_expr("z/x", ch3)], 3)
     assert drifts(array("d", [1, 2, 3, 2, 2, 3])) == [0.0, 1.5]
     with pytest.raises(flow.FlowError) as info:
         drifts(array("d", [1, 2, 3, 0, 2, 3, 2, 2, 3]))
-    assert str(info.value) == "cannot evaluate z/(x) at [0. 2. 3.]: float division by zero"
+    assert str(info.value) == "cannot evaluate z/(x) at [0.0, 2.0, 3.0]: float division by zero"
 
 
 def test_drift_pass_keeps_the_first_state_until_a_strictly_greater_one(ch3):
@@ -541,7 +616,7 @@ def test_overflow_message_without_escape_test():
     field = flow.compile_field([parse_expr("x^2", x)])
     with pytest.raises(flow.FlowError) as info:
         field.advance(0.0, [1.0], 0.01, 1000, "pole {}")
-    assert str(info.value) == "flow overflowed near [4.77517763e+173]"
+    assert str(info.value) == "flow overflowed near [4.7751776308164157e+173]"
 
 
 def test_step_counts(tmp_path, capsys, so3_structure, ch3):

@@ -1,7 +1,8 @@
 """Every name a poisskit module imports is used in that module, every
 function, class and method it defines is referenced somewhere, and every
-name the benchmark's tracer wraps exists; importing the CLI does not
-import numpy; and the benchmark's self-test passes against this source."""
+name the benchmark's tracer wraps exists; neither importing the CLI nor
+running the numeric checks imports numpy; and the benchmark's self-test
+passes against this source."""
 
 import ast
 import importlib
@@ -131,6 +132,42 @@ def test_cli_import_leaves_numpy_out():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+NUMERIC_CHECKS = """
+import sys
+from poisskit import cli, flow, poisson
+from poisskit.expr import chart, parse_expr
+from poisskit.multivec import DiffForm, MultiVec
+
+doc = {"chart": ["x", "y", "z"], "bivectors": {"pi": {"0,1": "z", "1,2": "x", "0,2": "-y"}},
+       "flow": {"dt": 0.01, "t_max": 1.0, "tol": 1e-6},
+       "tasks": [{"task": "flow", "h": "x^2 + 2*y^2 + 3*z^2", "x0": ["1/2", "1/3", "-1/4"],
+                  "casimirs": ["x^2+y^2+z^2"]}]}
+assert [r.passed for r in cli.run_tasks(cli.load_manifest(doc))] == [True]
+ch = chart("x", "y", "z")
+so3 = poisson.require_poisson(MultiVec(ch, 2, {(0, 1): parse_expr("z", ch),
+                                               (1, 2): parse_expr("x", ch),
+                                               (0, 2): parse_expr("-y", ch)}))
+cfg = flow.FlowConfig(dt=0.05, t_max=1.0)
+flow.leaf_trace(so3, [parse_expr("x + 2*y", ch)], [0.6, -0.2, 0.3], [(0, 0.5)], cfg,
+                casimirs=[parse_expr("x^2+y^2+z^2", ch)])
+flow.moser_verify(so3, DiffForm(ch, 1, {(0,): parse_expr("y", ch)}), [0.5, 1.0],
+                  [[0.5, 0.3, -0.25]], cfg)
+samples = flow.spray_realization(so3, [[0.3, -0.2, 0.1, 0.2, 0.1, -0.3]], 5, cfg)
+assert flow.realization_check(samples, so3) < 0.1
+print(sorted(m for m in sys.modules if m.startswith("numpy")))
+"""
+
+
+def test_numeric_checks_leave_numpy_out():
+    # a CLI flow task, a leaf trace, a Moser check and a spray realization
+    # with its check run on the standard library alone
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", NUMERIC_CHECKS], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
 

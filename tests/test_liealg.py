@@ -288,6 +288,21 @@ def test_affine_rejects_non_cocycle():
         affine_poisson(g, AlgMultiVec(g, 2, {(1, 2): F(1)}))
 
 
+def test_an_algebra_is_squared_once(monkeypatch):
+    # lie_from_constants checks Jacobi; the calls on the algebra it returns
+    # square only the bivector they are about, or nothing
+    g = so3()
+    squares = []
+    real = poisson.schouten
+    monkeypatch.setattr(poisson, "schouten", lambda a, b: squares.append(a) or real(a, b))
+    assert is_2cocycle(g, AlgMultiVec(g, 2, {(0, 1): F(1)}))
+    assert len(squares) == 1
+    affine_poisson(g, AlgMultiVec(g, 2, {(0, 1): F(1)}))
+    assert len(squares) == 2
+    coadjoint_vf(g, [F(0), F(0), F(1)])
+    assert len(squares) == 2
+
+
 # -- exterior algebra elements ------------------------------------------------------------
 
 
