@@ -620,6 +620,8 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     if any(t < 0 for t in grid):
         raise FlowError("t_grid times must be nonnegative")
     samples = _sequence(samples, "samples")
+    if not grid or not samples:
+        raise FlowError(f"{'samples' if grid else 't_grid'} is empty: there is nothing to check")
     starts = [_point(s, n, f"samples need {n} coordinates") for s in samples]
     # invertibility at the samples across the grid (precondition check)
     for s, x0 in zip(samples, starts):
@@ -645,7 +647,6 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
 class RealizationSample:
     point: list                  # (x, xi) in the cotangent chart
     omega: list                  # 2n x 2n matrix of the averaged 2-form, a list of rows
-    antisym_error: float         # largest |omega_ab + omega_ba|
     det: float                   # det omega, exact on omega's floats, rounded once
 
     @property
@@ -685,9 +686,8 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
             w = 0.5 * (nodes[k + 1] - nodes[k])
             acc = [[x + w * (u + v) for x, u, v in zip(*rows)]
                    for rows in zip(acc, values[k], values[k + 1])]
-        antisym = max(abs(x + y) for row, col in zip(acc, zip(*acc)) for x, y in zip(row, col))
         det = float(linalg.det([[Fraction(x) for x in row] for row in acc]))
-        out.append(RealizationSample(y0, acc, antisym, det))
+        out.append(RealizationSample(y0, acc, det))
     return out
 
 

@@ -9,8 +9,10 @@ Matrix convention: the matrix of a bivector pi has entry (i,j) equal to
 With these choices {f,g} = dg(X_f) and [pi, f] = -X_f for the Schouten
 bracket of ``multivec``.
 
-One check per fact: ``verify`` is the only [pi,pi] = 0 test (the Jacobiator
-of the bracket is (1/2)[pi,pi] on differentials), and ``is_poisson_map`` the
+One check per fact: ``verify`` is the [pi,pi] = 0 test and the one report of
+a failed square (the Jacobiator of the bracket is (1/2)[pi,pi] on
+differentials; ``gauge_transform`` decides its result's square over a common
+denominator and hands a failure to ``verify``), and ``is_poisson_map`` is the
 only Poisson-map test.  They are also the Lie-algebra checks: a bracket table
 satisfies Jacobi exactly when its Lie-Poisson bivector passes ``verify``, and
 a linear map of Lie algebras is a morphism exactly when its transpose passes
@@ -105,14 +107,6 @@ def bivector_matrix(pi) -> list[list[RatFunc]]:
         m[i][j] = c
         m[j][i] = -c
     return m
-
-
-def bivector_from_matrix(chart: Chart, m) -> MultiVec:
-    coeffs = {}
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            coeffs[(i, j)] = m[i][j]
-    return MultiVec(chart, 2, coeffs)
 
 
 def matrix_at(pi, point) -> list[list[Fraction]]:
@@ -434,21 +428,32 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
 # -- gauge transformations -------------------------------------------------------
 
 
+def _id_plus(p, w):
+    """I + P W."""
+    return [[e + 1 if i == j else e for j, e in enumerate(row)]
+            for i, row in enumerate(linalg.matmul(p, w))]
+
+
 def gauge_matrix(p, w):
     """(I + P W)^-1 P by ``linalg.mat_solve``, fraction-free (for polynomial P
     and W, one gcd per entry), or None when I + P W is singular as a RatFunc
-    matrix."""
-    m = linalg.matmul(p, w)
-    for i, row in enumerate(m):
-        row[i] = row[i] + 1
-    return linalg.mat_solve(m, p)
+    matrix.  All n^2 entries are built: ``flow.moser_verify`` reads them."""
+    return linalg.mat_solve(_id_plus(p, w), p)
 
 
 def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     """Gauge transformation by a closed 2-form: pi_B# = pi# (Id + B_flat pi#)^-1.
 
-    In matrices (P the pi matrix, W the form matrix) this is
-    P_B = (I + P W)^-1 P.
+    In matrices (P the pi matrix, W the form matrix), P_B = (I + P W)^-1 P,
+    which ``linalg.mat_solve_pair`` gives as X / delta, X antisymmetric and
+    delta != 0; each entry above the diagonal is built as RatFunc(X_ij, delta).
+    The square is taken on polynomials, with no gcd, by the Leibniz rule
+
+        delta^3 [pi_B, pi_B] = delta [X, X] + 2 V ^ X,   V = X#(d delta),
+
+    exact because polynomials have no zero divisors; V ^ X vanishes
+    identically in dimension 3, as X_i0 X_12 - X_i1 X_02 + X_i2 X_01 = 0 for
+    each i.  A nonzero square is reported by ``verify``.
     """
     pi = _pi_of(structure)
     chart = pi.chart
@@ -457,10 +462,27 @@ def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     db = exterior_derivative(b_form)
     if not db.is_zero:
         raise NotClosedError(f"2-form is not closed; dB = {db}")
-    pb = gauge_matrix(bivector_matrix(pi), bivector_matrix(b_form))
-    if pb is None:
+    p = bivector_matrix(pi)
+    pair = linalg.mat_solve_pair(_id_plus(p, bivector_matrix(b_form)), p)
+    if pair is None:
         raise PoissonError("Id + B_flat pi# singular as a rational-function matrix")
-    return verify(bivector_from_matrix(chart, pb))
+    x, delta = pair
+    upper = list(itertools.combinations(range(chart.dim), 2))
+    pi_b = MultiVec(chart, 2, {(i, j): RatFunc(x[i][j], delta) for i, j in upper})
+    x_mv = MultiVec(chart, 2, {(i, j): RatFunc.from_poly(x[i][j]) for i, j in upper})
+    if _cleared_square(x_mv, delta).is_zero:
+        return PoissonStructure(pi_b, True, None)
+    return verify(pi_b)
+
+
+def _cleared_square(x, delta):
+    """delta^3 [x/delta, x/delta] for a bivector x with polynomial coefficients
+    and a polynomial delta != 0, on polynomials (see ``gauge_transform``)."""
+    d = RatFunc.from_poly(delta)
+    square = schouten(x, x).scale(d)
+    if x.chart.dim > 3:
+        square = square + wedge(hamiltonian_vf(x, d), x).scale(2)
+    return square
 
 
 # -- Poisson map check -----------------------------------------------------------

@@ -98,6 +98,13 @@ def test_failed_task_is_reported_per_task(tmp_path, capsys):
     assert lines[1] == "INFO rank 2"
 
 
+def test_gauge_of_a_bivector_that_is_not_poisson_fails(tmp_path, capsys):
+    doc = {"chart": ["x", "y", "z", "w"],
+           "bivectors": {"pi": {"0,1": "z", "2,3": "x", "1,2": "w"}},
+           "forms": {"B": {"0,1": "1"}}, "tasks": [{"task": "gauge", "form": "B"}]}
+    assert _run(tmp_path, capsys, json.dumps(doc)) == (1, ["FAIL gauge result not Poisson"])
+
+
 # pi = x d/dx^d/dy has the modular vector field -d/dy for dx^dy
 def _modular(expect):
     return json.dumps({"chart": ["x", "y"], "bivectors": {"pi": {"0,1": "x"}},

@@ -132,6 +132,18 @@ def test_moser_rejects_a_time_that_is_not_finite(so3_structure, ch3, t_grid):
                           flow.FlowConfig(dt=0.1, t_max=1.0))
 
 
+@pytest.mark.parametrize("t_grid,samples,argument", [
+    ([], [[0.5, 0.3, -0.25]], "t_grid"), ([0.5], [], "samples"), ([], [], "t_grid"),
+])
+def test_moser_rejects_an_empty_grid_or_sample_list(so3_structure, ch3, t_grid, samples,
+                                                     argument):
+    # an empty t_grid or sample list leaves nothing to check
+    alpha = DiffForm(ch3, 1, {(0,): parse_expr("y", ch3)})
+    with pytest.raises(flow.FlowError, match=f"^{argument} is empty: there is nothing to check$"):
+        flow.moser_verify(so3_structure, alpha, t_grid, samples,
+                          flow.FlowConfig(dt=0.1, t_max=1.0))
+
+
 def test_times_are_read_exactly(so3_structure, ch3):
     # a time that is not a float is read through Fraction, as points are
     cfg = flow.FlowConfig(dt=0.1, t_max=1.0)
@@ -175,7 +187,9 @@ def test_spray_realization_deviation_falls_at_second_order(so3_structure):
     devs = []
     for nodes in (11, 21, 41):
         realization = flow.spray_realization(so3_structure, samples, nodes, cfg)
-        assert all(s.nondegenerate and s.antisym_error < 1e-12 for s in realization)
+        for s in realization:
+            assert s.nondegenerate
+            assert all(s.omega[a][b] == -s.omega[b][a] for a in range(6) for b in range(6))
         devs.append(flow.realization_check(realization, so3_structure))
     for coarse, fine in zip(devs, devs[1:]):
         assert 3.5 < coarse / fine < 4.5

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 from functools import cached_property
 from unittest import mock
@@ -35,6 +36,7 @@ from conftest import (
     jacobiator,
     jacobiator_trivector,
     multivec_terms,
+    random_multivec,
     random_poly,
     rng_for,
     trivector_on_differentials,
@@ -696,24 +698,127 @@ def test_gauge_denominators_are_primitive(ch3, so3_structure):
         " + ((-2*x)/(x*z - 2)) d/dy^d/dz")
 
 
-@pytest.mark.parametrize("fixture,alpha", [
+# the gauge shapes of the rational benchmark workload
+GAUGE_SHAPES = pytest.mark.parametrize("fixture,alpha", [
     ("so3", {0: "3*y*z", 1: "-2*x^2"}),
     ("book", {0: "x*y - 2*z^2", 1: "3*x*z", 2: "y^2"}),
     ("s3_standard", {2: "2*x*y"}),
 ])
-def test_gauge_matrix_takes_one_gcd_per_entry(fixture, alpha):
-    # the gauge shapes of the rational benchmark workload: fraction-free
-    # elimination runs no gcd, and each of the n^2 entries of P_B is
-    # reduced by at most one
+
+
+def _gauge_case(fixture, alpha):
+    """(pi, chart, d(alpha)) for a fixture's bivector and a 1-form table."""
     manifest = cli.load_manifest(fixtures.fixture_manifest(fixture))
-    pi, ch = manifest.bivectors["pi"], manifest.chart
-    b = multivec.exterior_derivative(DiffForm(ch, 1, {
+    ch = manifest.chart
+    return manifest.bivectors["pi"], ch, multivec.exterior_derivative(DiffForm(ch, 1, {
         (i,): parse_expr(text, ch) for i, text in alpha.items()}))
+
+
+@GAUGE_SHAPES
+def test_gauge_matrix_takes_one_gcd_per_entry(fixture, alpha):
+    # fraction-free elimination runs no gcd, and each of the n^2 entries of
+    # P_B is reduced by at most one
+    pi, ch, b = _gauge_case(fixture, alpha)
     gcd = expr.poly_gcd
     with mock.patch.object(expr, "poly_gcd", side_effect=gcd) as counted:
         pb = poisson.gauge_matrix(poisson.bivector_matrix(pi), poisson.bivector_matrix(b))
     assert pb is not None and any(not e.is_polynomial for row in pb for e in row)
     assert 0 < counted.call_count <= ch.dim ** 2
+
+
+@GAUGE_SHAPES
+def test_gauge_transform_takes_one_gcd_per_upper_entry_and_no_verify(fixture, alpha):
+    # only the n(n-1)/2 entries above the diagonal are built, and the square
+    # of a Poisson result is decided without verify
+    pi, ch, b = _gauge_case(fixture, alpha)
+    pi = verify(pi)
+    gcd = expr.poly_gcd
+    with mock.patch.object(expr, "poly_gcd", side_effect=gcd) as counted, \
+            mock.patch.object(poisson, "verify", side_effect=verify) as verified:
+        out = gauge_transform(pi, b)
+    assert out.verified and out.schouten_square is None
+    assert any(not c.is_polynomial for c in out.pi.coeffs.values())
+    assert 0 < counted.call_count <= ch.dim * (ch.dim - 1) // 2
+    assert verified.call_count == 0
+
+
+def _poisson_gauge_pairs(rng, ch, pi):
+    """(X, delta) of the gauge of the Poisson bivector pi by d(alpha) for two
+    seeded random polynomial 1-forms alpha: X / delta is Poisson."""
+    p, pairs = poisson.bivector_matrix(pi), []
+    while len(pairs) < 2:
+        alpha = DiffForm(ch, 1, {(i,): random_poly(rng, ch, 2) for i in range(ch.dim)})
+        b = multivec.exterior_derivative(alpha)
+        pair = linalg.mat_solve_pair(poisson._id_plus(p, poisson.bivector_matrix(b)), p)
+        if pair is not None and not pair[1].is_constant:
+            pairs.append(pair)
+    return pairs
+
+
+BASE_PI = {
+    3: {(0, 1): "z", (1, 2): "x", (0, 2): "-y"},
+    4: {(0, 1): "1", (2, 3): "1"},
+    5: {(0, 1): "z", (1, 2): "x", (0, 2): "-y", (3, 4): "1"},
+}
+
+
+def _bivector_pairs(n):
+    """Seeded (X, delta, expected) on an n-dimensional chart, where expected
+    says whether X / delta is Poisson: two gauges of the Poisson bivector
+    BASE_PI[n] (Poisson), a random X over a random delta (not checked), and
+    BASE_PI[n] over a random delta, Poisson in dimension 3 only."""
+    rng = rng_for(f"cleared-square/{n}")
+    ch = chart(*"xyzuv"[:n])
+    pi = MultiVec(ch, 2, {idx: parse_expr(text, ch) for idx, text in BASE_PI[n].items()})
+    out = [(x, delta, True) for x, delta in _poisson_gauge_pairs(rng, ch, pi)]
+    for x, expected in ((random_multivec(rng, ch, 2), None), (pi, n == 3)):
+        delta = expr.Poly.const(ch, 5)
+        while delta.is_constant:
+            delta = random_poly(rng, ch, 2).as_poly() + expr.Poly.const(ch, 5)
+        out.append(([[e.as_poly() for e in row] for row in poisson.bivector_matrix(x)],
+                    delta, expected))
+    return ch, out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cleared_square_identity_against_schouten(n):
+    # delta^3 [X/delta, X/delta] = delta [X, X] + 2 V ^ X with
+    # V_j = sum_i d(delta)/dx_i X_ij, checked against the Schouten bracket of
+    # the rational bivector; V ^ X vanishes in dimension 3, and the gauge
+    # check is zero exactly when [X/delta, X/delta] is
+    ch, pairs = _bivector_pairs(n)
+    upper = list(itertools.combinations(range(n), 2))
+    seen = set()
+    for x, delta, expected in pairs:
+        pi = MultiVec(ch, 2, {(i, j): RatFunc(x[i][j], delta) for i, j in upper})
+        x_mv = MultiVec(ch, 2, {(i, j): RatFunc.from_poly(x[i][j]) for i, j in upper})
+        d = RatFunc.from_poly(delta)
+        v = MultiVec(ch, 1, {(j,): RatFunc.from_poly(sum(
+            (delta.diff(i) * x[i][j] for i in range(n)), expr.Poly.zero(ch))) for j in range(n)})
+        cleared, v_x = multivec.schouten(pi, pi).scale(d ** 3), wedge(v, x_mv)
+        assert cleared == multivec.schouten(x_mv, x_mv).scale(d) + v_x.scale(2)
+        assert v_x.is_zero or n > 3
+        check = poisson._cleared_square(x_mv, delta)
+        assert check == cleared
+        assert expected in (None, check.is_zero)
+        seen.add(check.is_zero)
+    assert seen == {True, False}
+
+
+def test_gauge_failure_is_verifys_report():
+    # a 4-D bivector that is not Poisson, gauged by a constant closed B: the
+    # result reports the Schouten square exactly as verify does
+    ch = chart("x", "y", "z", "w")
+    pi = MultiVec(ch, 2, {(0, 1): parse_expr("z", ch), (2, 3): parse_expr("x", ch),
+                          (1, 2): parse_expr("w", ch)})
+    assert not verify(pi).verified
+    out = gauge_transform(pi, DiffForm(ch, 2, {(0, 1): RatFunc.const(ch, 1)}))
+    assert any(not c.is_polynomial for c in out.pi.coeffs.values())
+    report = verify(out.pi)
+    assert out.verified is False and out.schouten_square is not None
+    assert out.schouten_square == report.schouten_square
+    assert str(out.schouten_square) == str(report.schouten_square)
+    assert out == report
 
 
 def test_gauge_rejects_nonclosed():
