@@ -365,9 +365,8 @@ def _task_flow(manifest, params):
     for name in _typed(params.get("casimirs", []), list, "parameter 'casimirs'"):
         casimirs.append(_get_expr(manifest, {"casimirs": name}, "casimirs"))
     traj = flow.integrate_hamiltonian(pi, h, x0, manifest.flow_config, casimirs=casimirs)
-    tol = manifest.flow_config.tol
-    worst = max([traj.h_drift] + traj.casimir_drifts)
-    ok = worst < tol
+    # all, not max: a nan drift fails, and max([d, nan]) is d
+    ok = all(d < manifest.flow_config.tol for d in [traj.h_drift, *traj.casimir_drifts])
     line = (
         f"{'PASS' if ok else 'FAIL'} flow h_drift={traj.h_drift:.3e} "
         f"casimir_drifts={[f'{d:.3e}' for d in traj.casimir_drifts]}"

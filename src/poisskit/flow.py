@@ -4,26 +4,26 @@ realization by quadrature.
 
 All symbolic data is converted to 64-bit floats on entry: each vector field
 is compiled to generated scalar Python code (``compile_field``), both its
-right-hand side and one generated RK4 loop, ``advance``, that keeps the state
-in scalar locals and runs the pole guards, the escape test and the recording
-of states inside the loop.  The four stages of the loop hold the field
-itself: polynomial entries (components, Jacobian entries and the entries of
-J' = A J) are written in as expressions, so a step of a polynomial field
-makes no Python call, while each entry with a nonconstant denominator stays
-one compiled lambda that the stages call (see ``compile_field`` for why).
-``rk4_step`` is the reference step: the loop does the float operations of
-repeated ``rk4_step`` calls in the same order, so the two give bit-identical
-states (the tests hold the loop to it).  The drifts of H and the Casimirs
-along a trajectory are taken by one generated pass over its states
-(``compile_drifts``).  Both compute each power and term that their written-in
-entries repeat only once (``_shared_sources``, exact to the last bit).  The
-integrator is deliberately fixed-step RK4 (no adaptivity) so traces are
+right-hand side and one generated RK4 loop, ``advance``, that keeps the
+state in scalar locals and runs the pole guards, the escape test and the
+drifts of H and the Casimirs inside the loop.  The four stages hold the
+field itself: polynomial entries (components, Jacobian entries and the
+entries of J' = A J) are written in as expressions, so a step of a
+polynomial field makes no Python call, while each entry with a nonconstant
+denominator stays one compiled lambda that the stages call (see
+``compile_field`` for why).  ``rk4_step`` is the reference step: the loop
+does the float operations of repeated ``rk4_step`` calls in the same order,
+so the two give bit-identical states (the tests hold the loop to it).  H and
+the Casimirs are written in too, after each step, and the loop keeps their
+largest |f(x_k) - f(x_0)|: no trajectory is stored, and a flow returns its
+final state and these drifts.  Stages and drifts compute each power and term
+that they repeat only once (``_shared_sources``, exact to the last bit).
+The integrator is deliberately fixed-step RK4 (no adaptivity) so traces are
 reproducible; variational (Jacobian) equations are integrated alongside the
 base flow.  Three fixed limits stop a flow: a pole guard below
 ``POLE_THRESHOLD`` (1e-9) in absolute value, a state coordinate beyond
 ``ESCAPE_RADIUS`` (1e9) or not finite, and a step count above ``MAX_STEPS``
-(10^7).  A trajectory is a 2-D ``memoryview`` over the flat ``array('d')``
-that the loop fills, and pointwise linear algebra goes through ``linalg``.
+(10^7).  Pointwise linear algebra goes through ``linalg``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -181,7 +180,7 @@ class CompiledField(NamedTuple):
     advance: Callable
 
 
-def compile_field(components, time_var=None, variational=False) -> CompiledField:
+def compile_field(components, time_var=None, variational=False, watch=()) -> CompiledField:
     """Compile the vector field p' = X(t, p) to its ``rhs``, ``guards`` and
     ``advance``.
 
@@ -193,10 +192,11 @@ def compile_field(components, time_var=None, variational=False) -> CompiledField
     skipping the zero entries of A.  ``guards`` are callables ``g(t, p)`` for
     the nonconstant denominators of the components.
 
-    ``advance(t, y, h, steps, pole_msg, escape_msg=None, out=None)`` is
+    ``advance(t, y, h, steps, pole_msg, escape_msg=None, drifts=None)`` is
     the field's generated RK4 loop (see ``_advance_source``): it takes
     ``steps`` steps of size h from the state y at time t and returns the new
-    (t, y), y as a list.
+    (t, y), y as a list.  It stores no state, and takes the drifts of
+    ``watch``, RatFuncs on the m coordinates, into their ``_Drifts`` ``drifts``.
 
     The four stages of ``advance`` hold the field itself.  A component or
     entry of A with a constant denominator, and each entry of A J, is
@@ -250,8 +250,9 @@ def compile_field(components, time_var=None, variational=False) -> CompiledField
     env.update((f"g{i}", g) for i, g in enumerate(guards))
     env.update(FlowError=FlowError, PoleProximityError=PoleProximityError,
                state_text=_state_text)
+    watched = _shared_sources(watch, [f"y{i}" for i in range(m)], lambda j: f"w{j}")
     exec(_rhs_source(size, body), env)
-    exec(_advance_source(size, m, body, len(guards)), env)
+    exec(_advance_source(size, m, body, len(guards), *watched), env)
     return CompiledField(env["rhs"], guards, env["advance"])
 
 
@@ -291,7 +292,7 @@ def _rhs_source(size, body):
             + f"    return ({', '.join(f'k1_{i}' for i in range(size))},)\n")
 
 
-def _advance_source(size, m, body, guard_count):
+def _advance_source(size, m, body, guard_count, watch_prelude, watched):
     """Source of ``advance``, the RK4 loop of ``rk4_step`` on a state of
     ``size`` floats held in the locals y0, y1, ...
 
@@ -308,10 +309,13 @@ def _advance_source(size, m, body, guard_count):
     stage times t + h2 and t + h; the update y + h6*(k1 + 2*k2 + 2*k3 + k4),
     its 2 written 2.0 (the same product, with no int operand to convert).
     After each step, if ``escape_msg`` is given, every coordinate must lie
-    within ``ESCAPE_RADIUS`` (which fails for inf and nan), and the state is
-    appended to ``out`` if given.  Both limits are written in as literals.
-    The messages are format templates for the state; when a float operation
-    fails, that is the last completed state.
+    within ``ESCAPE_RADIUS`` (which fails for inf and nan).  Both limits are
+    written in as literals.  The messages are format templates for the state;
+    when a float operation fails, that is the last completed state.  Then
+    ``watch_prelude`` and ``watched`` (``_shared_sources``, into w0, w1, ...)
+    evaluate the watched functions, and drift b_i takes |f_i(x) - f_i(x_0)|
+    if strictly greater (``max``'s rule).  The first state where one fails
+    ends the drifts, not the loop: a later guard, escape or overflow wins.
     """
     ys = [f"y{i}" for i in range(size)]
     qs = [f"q{i}" for i in range(size)]
@@ -335,10 +339,16 @@ def _advance_source(size, m, body, guard_count):
     guards = "".join(f"            if abs(g{g}(t, p)) < {POLE_THRESHOLD!r}:\n"
                      f"                raise PoleProximityError(pole_msg.format(state_text(p)))\n"
                      for g in range(guard_count))
+    starts, worst = (", ".join(f"{v}{i}" for i in range(len(watched))) for v in "vb")
+    drift = "".join(f"                    {line}\n" for line in watch_prelude) + "".join(
+        f"                    d = abs({v} - v{i})\n"
+        f"                    if d > b{i}: b{i} = d\n" for i, v in enumerate(watched))
     return (
-        "def advance(t, y, h, steps, pole_msg, escape_msg=None, out=None):\n"
+        "def advance(t, y, h, steps, pole_msg, escape_msg=None, drifts=None):\n"
         f"    {state} = y\n"
-        "    h2 = h / 2\n"
+        + (f"    ({starts},) = drifts.start\n    ({worst},) = drifts.worst\n"
+           if watched else "")
+        + "    h2 = h / 2\n"
         "    h6 = h / 6\n"
         "    try:\n"
         "        for _ in range(steps):\n"
@@ -352,12 +362,17 @@ def _advance_source(size, m, body, guard_count):
         "            t += h\n"
         f"            if escape_msg is not None and not ({inside}):\n"
         f"                raise FlowError(escape_msg.format(state_text({state})))\n"
-        "            if out is not None:\n"
-        f"                out.extend({state})\n"
-        "    except ArithmeticError:  # a float power overflowed, or a stage hit a pole\n"
+        + ("            if drifts.failure is None:\n"
+           "                try:\n"
+           f"{drift}"
+           "                except ArithmeticError:  # a pole, an overflowing power\n"
+           f"                    drifts.failure = [{', '.join(ys[:m])}]\n"
+           if watched else "")
+        + "    except ArithmeticError:  # a float power overflowed, or a stage hit a pole\n"
         "        raise FlowError((escape_msg or 'flow overflowed near {}').format(\n"
         f"            state_text({state}))) from None\n"
-        f"    return t, [{', '.join(ys)}]\n"
+        + (f"    drifts.worst = [{worst}]\n" if watched else "")
+        + f"    return t, [{', '.join(ys)}]\n"
     )
 
 
@@ -420,6 +435,14 @@ def _sequence(values, what) -> list:
         raise FlowError(f"{what} must be a sequence, not {values!r}") from None
 
 
+def _nonempty(values, what) -> list:
+    """``values`` as a list (``_sequence``), with at least one to check."""
+    values = _sequence(values, what)
+    if not values:
+        raise FlowError(f"{what} is empty: there is nothing to check")
+    return values
+
+
 def _point(x, n, message):
     """Coordinates as floats, each read by ``_read``."""
     try:
@@ -431,52 +454,32 @@ def _point(x, n, message):
     return coords
 
 
-def compile_drifts(functions, n):
-    """Compile ``drifts(states)``: for each of ``functions``, RatFuncs on an
-    n-dimensional chart, the max of |f(x) - f(x_0)| over the flat array of
-    n-coordinate states x_0, x_1, ...
+@dataclass
+class _Drifts:
+    """The drifts of ``functions``, carried by the ``advance`` loops of a flow."""
+    functions: list
+    start: list                  # f(x_0) for each f
+    worst: list                  # the max of |f(x_k) - f(x_0)| so far
+    failure: list | None         # the first state where an f cannot be evaluated
 
-    The generated pass walks the states once for all the functions, each
-    written in as an expression after the powers and terms that they repeat
-    (``_shared_sources``: no sum is reordered and no ``**`` becomes a
-    product, so each drift is the one ``compile_ratfunc`` gives, to the last
-    bit).  It keeps ``max``'s rule: the value at x_0 stands until a later
-    one is strictly greater, so a nan there stays.  A function that cannot
-    be evaluated at a state (a pole, an overflowing power) raises FlowError
-    naming the function and the state.
-    """
-    if not functions:
-        return lambda states: []
-    xs = [f"x{i}" for i in range(n)]
-    point = f"({', '.join(xs)},)"
-    prelude, values = _shared_sources(functions, xs, lambda j: f"c{j}")
-    first = "".join(f"        {line}\n" for line in prelude) + "".join(
-        f"        f{i} = {v}\n        b{i} = abs(f{i} - f{i})\n" for i, v in enumerate(values))
-    walk = "".join(f"            {line}\n" for line in prelude) + "".join(
-        f"            d = abs({v} - f{i})\n"
-        f"            if d > b{i}:\n"
-        f"                b{i} = d\n" for i, v in enumerate(values))
+    @classmethod
+    def at(cls, functions, x) -> _Drifts:
+        """At x_0 = x each drift is |f(x_0) - f(x_0)|: 0.0, or a nan that stands."""
+        try:
+            start = [compile_ratfunc(f)(x) for f in functions]
+        except ArithmeticError:
+            return cls(functions, [0.0] * len(functions), [0.0] * len(functions), x)
+        return cls(functions, start, [abs(v - v) for v in start], None)
 
-    def undefined(state, err):
-        for f in functions:
+    def result(self) -> list:
+        """The drifts; FlowError names the first state and function that fail."""
+        for f in self.functions if self.failure is not None else ():
             try:
-                compile_ratfunc(f)(state)
-            except ArithmeticError as failure:
-                return FlowError(f"cannot evaluate {f} at {_state_text(state)}: {failure}")
-        return err
-
-    env = {"undefined": undefined}
-    exec("def drifts(states):\n"
-         f"    {point} = states[:{n}]\n"
-         "    try:\n"
-         f"{first}"
-         "        it = iter(states)\n"
-         f"        for {point} in zip({', '.join(['it'] * n)}):\n"
-         f"{walk}"
-         "    except ArithmeticError as err:\n"
-         f"        raise undefined({point}, err) from None\n"
-         f"    return [{', '.join(f'b{i}' for i in range(len(values)))}]\n", env)
-    return env["drifts"]
+                compile_ratfunc(f)(self.failure)
+            except ArithmeticError as err:
+                raise FlowError(f"cannot evaluate {f} at {_state_text(self.failure)}: "
+                                f"{err}") from None
+        return self.worst
 
 
 # -- Hamiltonian trajectories ------------------------------------------------------
@@ -484,7 +487,7 @@ def compile_drifts(functions, n):
 
 @dataclass
 class Trajectory:
-    xs: memoryview               # states x_k at t = k dt, k = 0 ... steps, one per row
+    final: list                  # the state x_steps at t = steps * dt
     h_drift: float
     casimir_drifts: list
     steps: int                   # RK4 steps taken
@@ -494,21 +497,21 @@ def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
                           casimirs=()) -> Trajectory:
     """RK4 trajectory of X_H with H- and Casimir-drift reporting."""
     n = hamiltonian.chart.dim
-    casimirs = _sequence(casimirs, "casimirs")
-    field = compile_field(hamiltonian_vf(structure, hamiltonian).components())
+    watched = [hamiltonian, *_sequence(casimirs, "casimirs")]
+    field = compile_field(hamiltonian_vf(structure, hamiltonian).components(), watch=watched)
     steps = _step_count(cfg.t_max, cfg)
     x = _point(x0, n, f"x0 needs {n} coordinates")
-    xs = array("d", x)
-    field.advance(0.0, x, cfg.dt, steps, "denominator below threshold near {}",
-                  "trajectory escaped near {}", xs)
-    h_drift, *drifts = compile_drifts([hamiltonian, *casimirs], n)(xs)
-    return Trajectory(memoryview(xs).cast("B").cast("d", (steps + 1, n)), h_drift, drifts, steps)
+    drifts = _Drifts.at(watched, x)
+    _, x = field.advance(0.0, x, cfg.dt, steps, "denominator below threshold near {}",
+                         "trajectory escaped near {}", drifts)
+    h_drift, *casimir_drifts = drifts.result()
+    return Trajectory(x, h_drift, casimir_drifts, steps)
 
 
 @dataclass
 class LeafTrace:
-    points: memoryview           # the start, then the state after each RK4 step, one per row
-    casimir_drifts: list
+    final: list                  # the state after the last RK4 step
+    casimir_drifts: list         # over the start and the state after each step
     steps: int                   # RK4 steps taken, over the whole schedule
 
 
@@ -518,10 +521,10 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
     [(generator index, time), ...]; negative times flow backwards."""
     n = _pi_of(structure).chart.dim
     casimirs = _sequence(casimirs, "casimirs")
-    fields = [compile_field(hamiltonian_vf(structure, g).components())
-              for g in _sequence(generators, "generators")]
+    fields = [compile_field(hamiltonian_vf(structure, g).components(), watch=casimirs)
+              for g in _nonempty(generators, "generators")]
     x = _point(x0, n, f"x0 needs {n} coordinates")
-    points = array("d", x)
+    drifts = _Drifts.at(casimirs, x)
     taken = 0
     for k, entry in enumerate(_sequence(schedule, "schedule")):
         try:
@@ -541,10 +544,9 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
         h = math.copysign(abs(t) / steps, t)
         _, x = fields[gen_index].advance(0.0, x, h, steps,
                                          "denominator below threshold near {}",
-                                         "trajectory escaped near {}", points)
+                                         "trajectory escaped near {}", drifts)
         taken += steps
-    return LeafTrace(memoryview(points).cast("B").cast("d", (taken + 1, n)),
-                     compile_drifts(casimirs, n)(points), taken)
+    return LeafTrace(x, drifts.result(), taken)
 
 
 def _times(values, what):
@@ -616,12 +618,10 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
     field = compile_field(x_t, time_var=n, variational=True)
     p_t_fn = compile_matrix([row[:n] for row in p_t[:n]])
 
-    grid = _times(_sequence(t_grid, "t_grid"), "t_grid time")
+    grid = _times(_nonempty(t_grid, "t_grid"), "t_grid time")
     if any(t < 0 for t in grid):
         raise FlowError("t_grid times must be nonnegative")
-    samples = _sequence(samples, "samples")
-    if not grid or not samples:
-        raise FlowError(f"{'samples' if grid else 't_grid'} is empty: there is nothing to check")
+    samples = _nonempty(samples, "samples")
     starts = [_point(s, n, f"samples need {n} coordinates") for s in samples]
     # invertibility at the samples across the grid (precondition check)
     for s, x0 in zip(samples, starts):
@@ -676,7 +676,7 @@ def spray_realization(structure, samples, quad_nodes, cfg: FlowConfig):
 
     nodes = _quadrature_nodes(quad_nodes)
     out = []
-    for s in _sequence(samples, "samples"):
+    for s in _nonempty(samples, "samples"):
         y0 = _point(s, 2 * n, "samples live in the cotangent chart (length 2n)")
         values = [_pullback(j, n) for _, _, j in _at_nodes(
             field, y0, nodes, cfg, "spray flow hit a pole",
@@ -727,7 +727,7 @@ def realization_check(realization_samples, structure) -> float:
     n = pi.chart.dim
     p_fn = compile_matrix(bivector_matrix(pi))
     worst = 0.0
-    for sample in realization_samples:
+    for sample in _nonempty(realization_samples, "realization_samples"):
         inv = linalg.mat_inverse([[Fraction(x) for x in row] for row in sample.omega])
         if inv is None:
             raise FlowError("singular omega in realization_check")

@@ -103,9 +103,9 @@ def test_rk4_global_error_is_fourth_order(qp_canonical):
     errors = []
     for dt in (0.1, 0.05, 0.025):
         traj = flow.integrate_hamiltonian(pi, h, [q0, p0], flow.FlowConfig(dt=dt, t_max=t))
-        assert traj.xs.shape == (round(t / dt) + 1, 2)
+        assert traj.steps == round(t / dt) and len(traj.final) == 2
         assert traj.steps * dt == pytest.approx(t)
-        errors.append(float(np.max(np.abs(np.asarray(traj.xs)[-1] - exact))))
+        errors.append(float(np.max(np.abs(np.asarray(traj.final) - exact))))
     for coarse, fine in zip(errors, errors[1:]):
         assert 14 < coarse / fine < 18
 
@@ -144,6 +144,18 @@ def test_moser_rejects_an_empty_grid_or_sample_list(so3_structure, ch3, t_grid, 
                           flow.FlowConfig(dt=0.1, t_max=1.0))
 
 
+def test_spray_and_realization_check_reject_an_empty_sample_list(so3_structure):
+    # no samples leave nothing to check, as for moser_verify
+    cfg = flow.FlowConfig(dt=0.1, t_max=1.0)
+    with pytest.raises(flow.FlowError, match="^samples is empty: there is nothing to check$"):
+        flow.spray_realization(so3_structure, [], 5, cfg)
+    with pytest.raises(flow.FlowError,
+                       match="^realization_samples is empty: there is nothing to check$"):
+        flow.realization_check([], so3_structure)
+    with pytest.raises(flow.FlowError, match="^realization_samples must be a sequence, not None$"):
+        flow.realization_check(None, so3_structure)
+
+
 def test_times_are_read_exactly(so3_structure, ch3):
     # a time that is not a float is read through Fraction, as points are
     cfg = flow.FlowConfig(dt=0.1, t_max=1.0)
@@ -152,9 +164,11 @@ def test_times_are_read_exactly(so3_structure, ch3):
     assert (flow.moser_verify(so3_structure, alpha, ["1/2", 1], sample, cfg)
             == flow.moser_verify(so3_structure, alpha, [0.5, 1.0], sample, cfg))
     gens, x0 = [parse_expr("x + 2*y", ch3)], [0.6, -0.2, 0.3]
-    exact = flow.leaf_trace(so3_structure, gens, x0, [(0, "1/2"), (0, Fraction(-1, 4))], cfg)
-    floats = flow.leaf_trace(so3_structure, gens, x0, [(0, 0.5), (0, -0.25)], cfg)
-    assert np.array_equal(exact.points, floats.points) and exact.steps == floats.steps == 7
+    casimirs = [parse_expr("x^2 + y^2 + z^2", ch3)]
+    exact = flow.leaf_trace(so3_structure, gens, x0, [(0, "1/2"), (0, Fraction(-1, 4))], cfg,
+                            casimirs)
+    floats = flow.leaf_trace(so3_structure, gens, x0, [(0, 0.5), (0, -0.25)], cfg, casimirs)
+    assert exact == floats and exact.steps == 7
     spray = [[0.3, -0.2, 0.1, 0.2, 0.1, -0.3]]
     exact = flow.spray_realization(so3_structure, spray, ["0", "1/2", "1"], cfg)
     floats = flow.spray_realization(so3_structure, spray, [0.0, 0.5, 1.0], cfg)
@@ -307,12 +321,33 @@ def test_escape(qp_canonical, h, dt):
 def test_leaf_trace_there_and_back(so3_structure, ch3):
     x0 = [0.6, -0.2, 0.3]
     gens = [parse_expr("x + 2*y", ch3), parse_expr("y*z", ch3)]
-    trace = flow.leaf_trace(so3_structure, gens, x0, [(1, 1.5), (0, 0.7), (0, -0.7), (1, -1.5)],
-                            flow.FlowConfig(dt=1e-3, t_max=1.0),
-                            casimirs=[parse_expr("x^2+y^2+z^2", ch3)])
-    assert trace.points.shape == (2 * (1500 + 700) + 1, 3)
-    assert np.allclose(np.asarray(trace.points)[-1], x0, rtol=0, atol=1e-10)
+    schedule = [(1, 1.5), (0, 0.7), (0, -0.7), (1, -1.5)]
+    casimirs = [parse_expr("x^2+y^2+z^2", ch3), parse_expr("x*z - y", ch3)]
+    trace = flow.leaf_trace(so3_structure, gens, x0, schedule,
+                            flow.FlowConfig(dt=1e-3, t_max=1.0), casimirs=casimirs)
+    assert trace.steps == 2 * (1500 + 700)
+    assert np.allclose(trace.final, x0, rtol=0, atol=1e-10)
     assert trace.casimir_drifts[0] < 1e-10
+    # the drifts run on across the segments, to the last bit of the max over
+    # the states of one-step calls of each generator's loop
+    states, y = array("d", x0), x0
+    for index, t in schedule:
+        field = flow.compile_field(poisson.hamiltonian_vf(so3_structure, gens[index]).components())
+        _, segment = _advance_states(field, 0.0, y, t / round(abs(t) / 1e-3), round(abs(t) / 1e-3))
+        states.extend(segment[3:])
+        y = segment[-3:].tolist()
+    assert array("d", trace.final).tobytes() == states[-3:].tobytes()
+    assert (array("d", trace.casimir_drifts).tobytes()
+            == array("d", _drift_reference(casimirs, states, 3)).tobytes())
+
+
+@pytest.mark.parametrize("schedule", [[(0, 0.5)], []])
+def test_leaf_trace_without_generators_says_so(so3_structure, ch3, schedule):
+    # no generators leave nothing to flow and nothing to check
+    with pytest.raises(flow.FlowError, match="^generators is empty: there is nothing to check$"):
+        flow.leaf_trace(so3_structure, [], [0.6, -0.2, 0.3], schedule,
+                        flow.FlowConfig(dt=0.01, t_max=1.0),
+                        casimirs=[parse_expr("x^2+y^2+z^2", ch3)])
 
 
 def test_leaf_trace_rejects_a_generator_index_out_of_range(so3_structure, ch3):
@@ -393,6 +428,15 @@ def _rk4_states(rhs, t, y, h, steps):
     return t, states
 
 
+def _advance_states(field, t, y, h, steps):
+    """``steps`` one-step calls of ``field.advance``, every state kept."""
+    states = array("d", y)
+    for _ in range(steps):
+        t, y = field.advance(t, y, h, 1, "pole {}")
+        states.extend(y)
+    return t, states
+
+
 def test_generated_loop_is_bit_identical_to_rk4_step():
     # each component of X_H has the nonconstant denominator (1 + z^2)^2, so
     # the loop checks three pole guards per step
@@ -401,12 +445,17 @@ def test_generated_loop_is_bit_identical_to_rk4_step():
                                          (1, 2): parse_expr("x", ch),
                                          (0, 2): parse_expr("-y", ch)}))
     h = parse_expr("(x^2 + 2*y^2 + 3*z^2)/(1 + z^2)", ch)
+    casimir = parse_expr("x^2 + y^2 + z^2", ch)
     field = flow.compile_field(poisson.hamiltonian_vf(pi, h).components())
     assert len(field.guards) == 3
-    cfg = flow.FlowConfig(dt=0.01, t_max=5.0)
-    traj = flow.integrate_hamiltonian(pi, h, [0.5, 1 / 3, -0.25], cfg)
-    _, states = _rk4_states(field.rhs, 0.0, [0.5, 1 / 3, -0.25], cfg.dt, 500)
-    assert traj.xs.tobytes() == states.tobytes()
+    cfg, x0 = flow.FlowConfig(dt=0.01, t_max=5.0), [0.5, 1 / 3, -0.25]
+    traj = flow.integrate_hamiltonian(pi, h, x0, cfg, casimirs=[casimir])
+    _, states = _rk4_states(field.rhs, 0.0, x0, cfg.dt, 500)
+    assert _advance_states(field, 0.0, x0, cfg.dt, 500)[1].tobytes() == states.tobytes()
+    # the loop's final state, and the drifts it takes, to the last bit
+    assert array("d", traj.final).tobytes() == states[-3:].tobytes()
+    assert (array("d", [traj.h_drift, *traj.casimir_drifts]).tobytes()
+            == array("d", _drift_reference([h, casimir], states, 3)).tobytes())
 
 
 def test_generated_variational_loop_is_bit_identical_to_rk4_step():
@@ -417,13 +466,15 @@ def test_generated_variational_loop_is_bit_identical_to_rk4_step():
     components = [parse_expr("y*t/(2 + x^2)", ch), parse_expr("t^2*y - x + x*y", ch)]
     field = flow.compile_field(components, time_var=2, variational=True)
     y0 = [0.3, -0.7, 1.0, 0.0, 0.0, 1.0]
-    got = array("d", y0)
-    t, y = field.advance(0.3, y0, 0.07, 20, "pole {}", out=got)
-    t, y = field.advance(t, y, 1 / 30, 15, "pole {}", out=got)
+    t, y = field.advance(0.3, y0, 0.07, 20, "pole {}")
+    t, y = field.advance(t, y, 1 / 30, 15, "pole {}")
+    got_t, got = _advance_states(field, 0.3, y0, 0.07, 20)
+    got_t, tail = _advance_states(field, got_t, got[-6:].tolist(), 1 / 30, 15)
+    got.extend(tail[6:])
     ref_t, ref = _rk4_states(field.rhs, 0.3, y0, 0.07, 20)
     ref_t, tail = _rk4_states(field.rhs, ref_t, ref[-6:].tolist(), 1 / 30, 15)
     ref.extend(tail[6:])
-    assert got.tobytes() == ref.tobytes()
+    assert got.tobytes() == ref.tobytes() and got_t == ref_t
     assert array("d", [t, *y]).tobytes() == array("d", [ref_t, *ref[-6:]]).tobytes()
 
 
@@ -455,8 +506,8 @@ def test_generated_loop_is_bit_identical_on_written_in_and_called_entries(compon
     field = flow.compile_field(components, variational=variational)
     if variational:
         y0 = y0 + [float(i == j) for i in range(m) for j in range(m)]
-    got = array("d", y0)
-    t, y = field.advance(0.0, y0, 0.01, 150, "pole {}", out=got)
+    t, y = field.advance(0.0, y0, 0.01, 150, "pole {}")
+    _, got = _advance_states(field, 0.0, y0, 0.01, 150)
     ref_t, ref = _rk4_states(field.rhs, 0.0, y0, 0.01, 150)
     assert len(y) == len(y0)
     assert got.tobytes() == ref.tobytes()
@@ -511,74 +562,159 @@ def test_generated_loop_is_bit_identical_to_an_unshared_reference(components, va
     t0, y0 = start[m], start[:m]
     if variational:
         y0 = y0 + [float(i == j) for i in range(m) for j in range(m)]
-    got = array("d", y0)
-    t, y = field.advance(t0, y0, 0.01, 10, "pole {}", out=got)
+    t, y = field.advance(t0, y0, 0.01, 10, "pole {}")
+    _, got = _advance_states(field, t0, y0, 0.01, 10)
     ref_t, ref = _rk4_states(_unshared_rhs(components, variational), t0, y0, 0.01, 10)
     assert got.tobytes() == ref.tobytes()
     assert array("d", [t, *y]).tobytes() == array("d", [ref_t, *ref[-len(y0):]]).tobytes()
 
 
-def _calls_per_step(field, y0):
-    """Python function calls per step of ``field.advance``, counted by
-    sys.setprofile as the difference between runs of 20 and 40 steps."""
+def _calls_per_step(field, y0, watch=()):
+    """Python function calls per step of ``field.advance``, watching
+    ``watch``, counted by sys.setprofile as the difference between runs of
+    20 and 40 steps."""
     def calls(steps):
         count = 0
+        drifts = flow._Drifts.at(watch, y0)
 
         def profile(frame, event, arg):
             nonlocal count
             count += event == "call"
         sys.setprofile(profile)
         try:
-            field.advance(0.0, y0, 0.01, steps, "pole {}")
+            field.advance(0.0, y0, 0.01, steps, "pole {}", None, drifts)
         finally:
             sys.setprofile(None)
+        assert drifts.failure is None
         return count
     return (calls(40) - calls(20)) / 20
 
 
-@pytest.mark.parametrize("components,variational,y0", [
-    (_spray_field(), False, [0.3, -0.2, 0.1, 0.2, 0.1, -0.3]),
-    (_spray_field(), True, [0.3, -0.2, 0.1, 0.2, 0.1, -0.3]),
-    (_mixed_field(), False, [0.4, -0.3, 0.2]),
-    (_mixed_field(), True, [0.4, -0.3, 0.2]),
-], ids=["spray", "spray-variational", "mixed", "mixed-variational"])
-def test_a_step_calls_only_the_rational_entries_and_the_guards(components, variational, y0):
+def _watched_sl2r():
+    """X_H of SL2R_QUADRATIC's H, and H and the Casimir to watch."""
+    ch = chart("x", "y", "z")
+    pi = MultiVec(ch, 2, {idx: parse_expr(c, ch) for idx, c in SL2R_PI.items()})
+    h, casimir = (parse_expr(SL2R_QUADRATIC["expressions"][k], ch) for k in ("h", "casimir"))
+    return poisson.hamiltonian_vf(pi, h).components(), [h, casimir]
+
+
+_SL2R_FIELD, _SL2R_WATCHED = _watched_sl2r()
+_MIXED_WATCHED = [parse_expr("x/(1 + y^2)", chart("x", "y", "z")),
+                  parse_expr("x^2 + y^2", chart("x", "y", "z"))]
+
+
+@pytest.mark.parametrize("components,variational,y0,watch", [
+    (_spray_field(), False, [0.3, -0.2, 0.1, 0.2, 0.1, -0.3], []),
+    (_spray_field(), True, [0.3, -0.2, 0.1, 0.2, 0.1, -0.3], []),
+    (_mixed_field(), False, [0.4, -0.3, 0.2], []),
+    (_mixed_field(), True, [0.4, -0.3, 0.2], []),
+    (_SL2R_FIELD, False, [0.125, -0.375, 0.625], _SL2R_WATCHED),
+    (_mixed_field(), False, [0.4, -0.3, 0.2], _MIXED_WATCHED),
+], ids=["spray", "spray-variational", "mixed", "mixed-variational", "hamiltonian-watching",
+        "mixed-watching"])
+def test_a_step_calls_only_the_rational_entries_and_the_guards(components, variational, y0,
+                                                               watch):
     # polynomial entries are written into the loop; each rational entry is
-    # one call per stage, and each pole guard one call per step
+    # one call per stage, and each pole guard one call per step; the watched
+    # functions, rational or not, are written in after the step, so a
+    # polynomial field watching a polynomial H and Casimir makes no call
     m = len(components)
-    field = flow.compile_field(components, variational=variational)
+    field = flow.compile_field(components, variational=variational, watch=watch)
     entries = list(components)
     if variational:
         entries += [c.diff(k) for c in components for k in range(m)]
         y0 = y0 + [float(i == j) for i in range(m) for j in range(m)]
     rational = sum(not e.den.is_constant for e in entries)
-    assert _calls_per_step(field, y0) == 4 * rational + len(field.guards)
+    assert _calls_per_step(field, y0, watch) == 4 * rational + len(field.guards)
+
+
+def _drifts_by_steps(functions, field, t, y, h, steps):
+    """The reference drifts of ``functions`` along ``steps`` flow.rk4_step
+    calls of ``field.rhs``: (drifts, None), or (None, the FlowError text)
+    when the flow overflows (before the drifts are taken) or a function
+    cannot be evaluated at a state (the first such state)."""
+    states = array("d", y)
+    try:
+        for _ in range(steps):
+            y = flow.rk4_step(field.rhs, t, y, h)
+            t += h
+            states.extend(y)
+    except ArithmeticError:
+        return None, f"flow overflowed near {flow._state_text(y)}"
+    m = len(y)
+    for state in zip(*[iter(states)] * m):
+        for f in functions:
+            try:
+                flow.compile_ratfunc(f)(state)
+            except ArithmeticError as err:
+                return None, f"cannot evaluate {f} at {flow._state_text(state)}: {err}"
+    return _drift_reference(functions, states, m), None
+
+
+def _fused_drifts(functions, field, t, y, h, steps):
+    """The drifts that ``field.advance`` takes in its loop, as
+    ``_drifts_by_steps`` gives them."""
+    drifts = flow._Drifts.at(functions, y)
+    try:
+        field.advance(t, y, h, steps, "pole {}", None, drifts)
+        return drifts.result(), None
+    except flow.FlowError as err:
+        return None, str(err)
 
 
 def test_drift_pass_raises_at_a_pole(so3_structure, ch3):
-    # 1/x has a pole at the first state of the trace, and at the second state
-    # handed to the pass
+    # 1/x has a pole at the first state of the trace
     cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
     with pytest.raises(flow.FlowError) as info:
         flow.leaf_trace(so3_structure, [parse_expr("x", ch3)], [0, 1 / 3, -1 / 4], [(0, 0.5)],
                         cfg, casimirs=[parse_expr("x^2", ch3), parse_expr("1/x", ch3)])
     assert str(info.value) == ("cannot evaluate 1/(x) at [0.0, 0.3333333333333333, -0.25]: "
                                "float division by zero")
-    drifts = flow.compile_drifts([parse_expr("y", ch3), parse_expr("z/x", ch3)], 3)
-    assert drifts(array("d", [1, 2, 3, 2, 2, 3])) == [0.0, 1.5]
+    # z/(x - c) has a pole at the state after step 7, and at no earlier one
+    h, x0 = parse_expr("x + 2*y", ch3), [0.6, -0.2, 0.3]
+    field = flow.compile_field(poisson.hamiltonian_vf(so3_structure, h).components())
+    _, states = _rk4_states(field.rhs, 0.0, x0, cfg.dt, 100)
+    c = states[7 * 3]
+    assert c not in states[0:7 * 3:3]
+    pole = parse_expr("z", ch3) / (RatFunc.var(ch3, 0) - RatFunc.const(ch3, Fraction(c)))
+    functions = [parse_expr("y", ch3), pole]
+    message = f"cannot evaluate {pole} at {flow._state_text(states[21:24])}: float division by zero"
+    assert _drifts_by_steps(functions, field, 0.0, x0, cfg.dt, 100) == (None, message)
     with pytest.raises(flow.FlowError) as info:
-        drifts(array("d", [1, 2, 3, 0, 2, 3, 2, 2, 3]))
-    assert str(info.value) == "cannot evaluate z/(x) at [0.0, 2.0, 3.0]: float division by zero"
+        flow.integrate_hamiltonian(so3_structure, h, x0, cfg, casimirs=functions)
+    assert str(info.value) == message
 
 
-def test_drift_pass_keeps_the_first_state_until_a_strictly_greater_one(ch3):
-    # x*y is nan at (inf, 0, 0), and no later drift is greater than nan
-    functions = [parse_expr("x*y", ch3), parse_expr("y + z", ch3)]
-    states = array("d", [math.inf, 0.0, 0.0, 1.0, 2.0, 3.0, -1.0, 0.0, 5.0])
-    got = flow.compile_drifts(functions, 3)(states)
-    assert math.isnan(got[0]) and got[1] == 5.0
-    assert array("d", got).tobytes() == array("d", _drift_reference(functions, states, 3)).tobytes()
-    assert flow.compile_drifts([], 3)(states) == []
+def test_drift_pass_keeps_the_first_state_until_a_strictly_greater_one(tmp_path, capsys, ch3):
+    # the overflow manifest: its Casimir is inf - inf = nan at x0, and no
+    # later drift is greater than nan, so the task fails (max([0.0, nan])
+    # would pass it)
+    doc = {"chart": ["x", "y", "z"], "bivectors": {"pi": {"0,1": "-z", "1,2": "x", "0,2": "-y"}},
+           "expressions": {"h": "x^2+y^2-z^2", "casimir": "10^300*x^2*y - 10^300*x^2*z"},
+           "flow": {"dt": 0.01, "t_max": 1.0, "tol": 1e-6},
+           "tasks": [{"task": "flow", "h": "h", "x0": ["1000", "1000", "1000"],
+                      "casimirs": ["casimir"]}]}
+    status, out = _run(tmp_path, capsys, doc)
+    assert (status, out) == (1, "FAIL flow h_drift=0.000e+00 casimir_drifts=['nan']\n")
+    # on a moving flow through the same x0, against the max over the states
+    sl2r = MultiVec(ch3, 2, {idx: parse_expr(c, ch3) for idx, c in SL2R_PI.items()})
+    h = parse_expr(SL2R_QUADRATIC["expressions"]["h"], ch3)
+    functions = [h, parse_expr(doc["expressions"]["casimir"], ch3), parse_expr("y + z", ch3)]
+    cfg = flow.FlowConfig(dt=1e-6, t_max=1e-4)
+    traj = flow.integrate_hamiltonian(sl2r, h, [1000, 1000, 1000], cfg, casimirs=functions[1:])
+    field = flow.compile_field(poisson.hamiltonian_vf(sl2r, h).components())
+    expected, _ = _drifts_by_steps(functions, field, 0.0, [1000.0] * 3, cfg.dt, traj.steps)
+    got = [traj.h_drift, *traj.casimir_drifts]
+    assert math.isnan(got[1]) and 0.0 < got[2] < math.inf
+    assert array("d", got).tobytes() == array("d", expected).tobytes()
+    # and a nan after x0 never replaces a drift: x*y - x*z is 0 at x0, and
+    # inf - inf once x' = 10^308 x has run x to inf (with no escape test)
+    grow = [parse_expr("10^308*x", ch3), RatFunc.zero(ch3), RatFunc.zero(ch3)]
+    functions = [parse_expr("x*y - x*z", ch3), parse_expr("x - y", ch3)]
+    field = flow.compile_field(grow, watch=functions)
+    expected = ([0.0, math.inf], None)
+    assert _drifts_by_steps(functions, field, 0.0, [1.0, 1.0, 1.0], 1.0, 3) == expected
+    assert _fused_drifts(functions, field, 0.0, [1.0, 1.0, 1.0], 1.0, 3) == expected
 
 
 def _drift_reference(functions, states, n):
@@ -609,19 +745,42 @@ _coordinates = st.one_of(st.floats(-4, 4), st.floats(allow_nan=False),
 
 
 @settings(max_examples=150, deadline=None)
-@given(_function_lists,
-       st.integers(1, 6).flatmap(lambda k: st.lists(_coordinates, min_size=3 * k,
-                                                    max_size=3 * k)))
-def test_drift_pass_matches_max_over_the_states(functions, coordinates):
-    states = array("d", coordinates)
-    try:
-        expected = _drift_reference(functions, states, 3)
-    except ArithmeticError:
+@given(_function_lists, st.lists(_terms, min_size=1, max_size=5).flatmap(_field_from),
+       st.lists(_coordinates, min_size=3, max_size=3), st.integers(1, 6))
+def test_drift_pass_matches_max_over_the_states(functions, components, x0, steps):
+    # the fields of the stage test, with no escape test, so that the states
+    # run through inf and nan; the flow's overflow comes first, then the
+    # first state at which a function fails, else the drifts to the last bit
+    field = flow.compile_field(components, time_var=3, watch=functions)
+    expected = _drifts_by_steps(functions, field, 0.0, x0, 0.25, steps)
+    got = _fused_drifts(functions, field, 0.0, x0, 0.25, steps)
+    if expected[0] is None:
+        assert got == expected
+    else:
+        assert array("d", got[0]).tobytes() == array("d", expected[0]).tobytes()
+
+
+def test_escape_wins_over_a_casimir_pole(qp_canonical):
+    # the Casimir 1/(2q - 1) has a pole at x0, and 1/(q - c) at the state
+    # after step 30: both drifts fail before the flow escapes, and the
+    # escape is what is reported
+    qp, pi = qp_canonical
+    h = parse_expr("q*p^2", qp)
+    x0, state = ESCAPES["q*p^2", 0.01]
+    field = flow.compile_field(poisson.hamiltonian_vf(pi, h).components())
+    _, states = _rk4_states(field.rhs, 0.0, x0, 0.01, 30)
+    c = states[-2]
+    assert c not in states[0::2][:-1]
+    later = RatFunc.const(qp, 1) / (RatFunc.var(qp, 0) - RatFunc.const(qp, Fraction(c)))
+    for casimir in (parse_expr("1/(2*q - 1)", qp), later):
+        with pytest.raises(flow.FlowError) as info:
+            flow.integrate_hamiltonian(pi, h, x0, flow.FlowConfig(dt=0.01, t_max=10.0),
+                                       casimirs=[casimir])
+        assert str(info.value) == f"trajectory escaped near {state}"
+        # without the escape, the pole is reported
         with pytest.raises(flow.FlowError, match="^cannot evaluate "):
-            flow.compile_drifts(functions, 3)(states)
-        return
-    got = flow.compile_drifts(functions, 3)(states)
-    assert array("d", got).tobytes() == array("d", expected).tobytes()
+            flow.integrate_hamiltonian(pi, h, x0, flow.FlowConfig(dt=0.01, t_max=0.5),
+                                       casimirs=[casimir])
 
 
 def test_overflow_message_without_escape_test():
@@ -635,14 +794,17 @@ def test_overflow_message_without_escape_test():
 
 def test_step_counts(tmp_path, capsys, so3_structure, ch3):
     cfg = flow.FlowConfig(dt=0.003, t_max=1.0)
-    traj = flow.integrate_hamiltonian(so3_structure, parse_expr("x^2 + 2*y^2", ch3),
-                                      [0.1, 0.2, 0.3], cfg)
-    assert traj.steps == round(cfg.t_max / cfg.dt) == len(traj.xs) - 1
+    h = parse_expr("x^2 + 2*y^2", ch3)
+    traj = flow.integrate_hamiltonian(so3_structure, h, [0.1, 0.2, 0.3], cfg)
+    assert traj.steps == round(cfg.t_max / cfg.dt)
+    # the final state is the one after that many steps
+    field = flow.compile_field(poisson.hamiltonian_vf(so3_structure, h).components())
+    _, states = _advance_states(field, 0.0, [0.1, 0.2, 0.3], cfg.dt, traj.steps)
+    assert array("d", traj.final).tobytes() == states[-3:].tobytes()
     schedule = [(0, 0.5), (1, -0.25), (0, 0.0), (1, 0.1)]
     trace = flow.leaf_trace(so3_structure, [parse_expr("x", ch3), parse_expr("y*z", ch3)],
                             [0.6, -0.2, 0.3], schedule, cfg)
     assert trace.steps == sum(max(1, round(abs(t) / cfg.dt)) for _, t in schedule if t)
-    assert trace.steps == len(trace.points) - 1
     status, out = _run(tmp_path, capsys, SO3_RATIONAL, "--json")
     assert status == 0 and json.loads(out)[0]["data"]["steps"] == 500
 
