@@ -443,6 +443,18 @@ def _nonempty(values, what) -> list:
     return values
 
 
+def _casimirs(structure, casimirs) -> list:
+    """``casimirs`` as a list (``_sequence``); FlowError names one that is not
+    a function on the structure's chart."""
+    chart = _pi_of(structure).chart
+    casimirs = _sequence(casimirs, "casimirs")
+    for k, c in enumerate(casimirs):
+        if getattr(c, "chart", None) != chart:
+            raise FlowError(f"Casimir {k}, {c}, is not a function on the structure's "
+                            f"chart {chart!r}")
+    return casimirs
+
+
 def _point(x, n, message):
     """Coordinates as floats, each read by ``_read``."""
     try:
@@ -497,7 +509,7 @@ def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
                           casimirs=()) -> Trajectory:
     """RK4 trajectory of X_H with H- and Casimir-drift reporting."""
     n = hamiltonian.chart.dim
-    watched = [hamiltonian, *_sequence(casimirs, "casimirs")]
+    watched = [hamiltonian, *_casimirs(structure, casimirs)]
     field = compile_field(hamiltonian_vf(structure, hamiltonian).components(), watch=watched)
     steps = _step_count(cfg.t_max, cfg)
     x = _point(x0, n, f"x0 needs {n} coordinates")
@@ -520,7 +532,7 @@ def leaf_trace(structure, generators, x0, schedule, cfg: FlowConfig,
     """Compose Hamiltonian flows of the generators per the schedule
     [(generator index, time), ...]; negative times flow backwards."""
     n = _pi_of(structure).chart.dim
-    casimirs = _sequence(casimirs, "casimirs")
+    casimirs = _casimirs(structure, casimirs)
     fields = [compile_field(hamiltonian_vf(structure, g).components(), watch=casimirs)
               for g in _nonempty(generators, "generators")]
     x = _point(x0, n, f"x0 needs {n} coordinates")

@@ -1,9 +1,6 @@
-"""Finite-dimensional Lie algebras by structure constants, the algebraic
-Schouten calculus on the exterior algebra, Lie-Poisson structures on the
-dual chart, r-matrices, cobrackets, and Lie-algebroid dual charts.
-
-Exterior-algebra elements (``AlgMultiVec``) are the alternating core of
-``multivec`` over Fraction coefficients, with its ``wedge`` and index merge.
+"""Finite-dimensional Lie algebras by structure constants, Lie-Poisson
+structures on the dual chart, 2-cocycles, Lie bialgebras, r-matrices, and
+Lie-algebroid dual charts.
 
 All algebras carry an explicit ordered basis e_0, ..., e_{m-1} with
 [e_i, e_j] = sum_k c[i][j][k] e_k.  Antisymmetry holds by construction, and
@@ -12,21 +9,33 @@ bivector pi_g (``lie_poisson``), once, by ``lie_from_constants``; the
 other uses of pi_g skip it.  T: g -> h is a morphism exactly when
 ``poisson.is_poisson_map`` holds for ``dual_map`` of T.
 
-Every element passed with an algebra g must have ``parent`` g.  A 2-cochain
-lam is a 2-cocycle exactly when the affine bivector lie_poisson(g) + lam
-passes ``poisson.verify``; ``is_2cocycle`` and ``affine_poisson`` both build
-that bivector and verify it once, and nothing else checks the cocycle
-condition.
+The other Lie-theoretic checks are Jacobi identities in disguise, and each is
+one ``poisson.verify``, or none:
+
+* a 2-cochain lam, a {(i, j): value} table, is a 2-cocycle exactly when the
+  affine bivector pi_g + lam is Poisson (``affine_poisson``);
+* (g, delta) is a Lie bialgebra exactly when the bracket of its Drinfeld
+  double g + g* is a Lie bracket (Drinfeld, Soviet Math. Dokl. 27, 1983).
+  ``bialgebra_check`` squares the double's Lie-Poisson bivector once and
+  reads the Jacobi identity of g* and the cocycle condition on delta off
+  where the square has terms;
+* r in wedge^2 g, a {(a, b): value} table, gives the r-bracket
+  [xi, eta]_r = ad*_{r#xi} eta - ad*_{r#eta} xi on g*, the transpose of
+  delta_r = ad r.  [r, r] = 0 exactly when r#: g* -> g maps the r-bracket
+  onto g's bracket, and delta_r is a Lie bialgebra exactly when [r, r] is
+  ad-invariant (Chari-Pressley, A Guide to Quantum Groups, Prop. 2.1.2):
+  ``cyb_check`` decides the first by rational arithmetic and the second by
+  ``bialgebra_check``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from . import poisson
 from .expr import Chart, ExprError, RatFunc, chart as make_chart
-from .multivec import MultiVec, PolyMap, _accumulate, _Alternating, _merge_indices
+from .multivec import MultiVec, PolyMap, _accumulate
 from .poisson import PoissonStructure, verify
 
 
@@ -44,18 +53,14 @@ class LieAlgebra:
     def c(self, i: int, j: int, k: int) -> Fraction:
         return self.constants[i][j][k]
 
-    def bracket_basis(self, i: int, j: int) -> list[Fraction]:
-        return list(self.constants[i][j])
 
-
-def lie_from_constants(dim: int, triples) -> LieAlgebra:
-    """Build and verify a Lie algebra from sparse triples (i, j, k, value).
-
-    Omitted entries are zero; the antisymmetric completion c_jik = -c_ijk is
-    applied automatically.  Raises LieAlgebraError with the violating indices
-    on an index out of range, a nonzero [e_i, e_i], or a Jacobi failure, which
-    ``lie_poisson`` finds.
-    """
+def _table(dim: int, triples) -> LieAlgebra:
+    """The algebra of the sparse triples (i, j, k, value), completed by
+    c_jik = -c_ijk, with its Jacobi identity unchecked.  Raises
+    LieAlgebraError on a negative dimension, and with the violating indices
+    on an index out of range or a nonzero [e_i, e_i]."""
+    if dim < 0:
+        raise LieAlgebraError(f"Lie algebra dimension {dim} is negative")
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, k, val in triples:
         if not all(0 <= t < dim for t in (i, j, k)):
@@ -68,75 +73,34 @@ def lie_from_constants(dim: int, triples) -> LieAlgebra:
             )
         c[i][j][k] += Fraction(val)
         c[j][i][k] -= Fraction(val)
-    g = LieAlgebra(dim, tuple(tuple(tuple(row) for row in plane) for plane in c))
+    return LieAlgebra(dim, tuple(tuple(tuple(row) for row in plane) for plane in c))
+
+
+def lie_from_constants(dim: int, triples) -> LieAlgebra:
+    """Build and verify a Lie algebra from sparse triples (i, j, k, value).
+
+    Omitted entries are zero; the antisymmetric completion c_jik = -c_ijk is
+    applied automatically.  Raises LieAlgebraError on the input errors of
+    ``_table``, and with the violating indices on a Jacobi failure, which
+    ``lie_poisson`` finds.
+    """
+    g = _table(dim, triples)
     if dim:
         lie_poisson(g)
     return g
 
 
-# -- constant multivectors on the algebra ---------------------------------------
+def _pairs(g: LieAlgebra, table) -> dict:
+    """A {(a, b): value} table on g's basis, values as Fractions; raises
+    LieAlgebraError naming a key that is not a pair a < b in range."""
+    for key in table:
+        if not (isinstance(key, tuple) and len(key) == 2 and 0 <= key[0] < key[1] < g.dim):
+            raise LieAlgebraError(f"key {key!r} is not a basis pair (a, b) with "
+                                  f"0 <= a < b < {g.dim}", indices=key)
+    return {key: Fraction(value) for key, value in table.items()}
 
 
-class AlgMultiVec(_Alternating):
-    """Element of the exterior algebra of ``parent`` in its fixed basis: the
-    alternating core of ``multivec`` with Fraction coefficients."""
-
-    __slots__ = ()
-
-    @property
-    def parent(self) -> LieAlgebra:
-        return self.chart
-
-    def _coerce(self, value) -> Fraction:
-        return Fraction(value)
-
-    @staticmethod
-    def _is_zero(c) -> bool:
-        return not c
-
-    def _term(self, c, idx) -> str:
-        basis = "^".join(f"e{i + 1}" for i in idx)
-        return basis if c == 1 else f"{c}*{basis}"
-
-    @staticmethod
-    def basis(parent: LieAlgebra, i: int) -> "AlgMultiVec":
-        return AlgMultiVec(parent, 1, {(i,): Fraction(1)})
-
-
-def alg_schouten(g: LieAlgebra, a: AlgMultiVec, b: AlgMultiVec) -> AlgMultiVec:
-    """Algebraic Schouten bracket on the exterior algebra:
-
-        [a_1^...^a_k, b_1^...^b_l] =
-            sum_{p,q} (-1)^{p+q} [a_p, b_q] ^ a_{\\p} ^ b_{\\q}
-    """
-    a._check_compat(b, same_degree=False)
-    if a.parent != g:
-        raise LieAlgebraError("bracket arguments belong to another Lie algebra")
-    k, l = a.degree, b.degree
-    degree = k + l - 1
-    if k == 0 or l == 0:
-        return AlgMultiVec.zero(g, max(degree, 0))
-    out = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            for p, i in enumerate(ia):
-                for q, j in enumerate(ib):
-                    rest = _merge_indices(ia[:p] + ia[p + 1 :], ib[:q] + ib[q + 1 :])
-                    if rest is None:
-                        continue
-                    sign, rest_idx = rest
-                    if (p + q) % 2:  # (-1)^{(p+1)+(q+1)}
-                        sign = -sign
-                    for k_idx, coef in enumerate(g.constants[i][j]):
-                        if not coef:
-                            continue
-                        merged = _merge_indices((k_idx,), rest_idx)
-                        if merged is not None:
-                            _accumulate(out, merged[1], sign * merged[0] * ca * cb * coef)
-    return AlgMultiVec(g, degree, out)
-
-
-# -- Lie-Poisson and coadjoint structures -----------------------------------------
+# -- Lie-Poisson and affine structures ---------------------------------------------
 
 
 def dual_chart(g: LieAlgebra) -> Chart:
@@ -153,10 +117,15 @@ def lie_poisson(g: LieAlgebra, chart: Chart | None = None) -> PoissonStructure:
     if not ps.verified:
         square = ps.schouten_square.coeffs
         i, j, k = min(square)
-        m = min(e.index(1) for e in square[i, j, k].as_poly().terms)
+        m = _least_variable(square[i, j, k])
         raise LieAlgebraError(f"Jacobi identity fails at (i,j,k,m)=({i},{j},{k},{m})",
                               indices=(i, j, k, m))
     return ps
+
+
+def _least_variable(linear: RatFunc) -> int:
+    """The least index of a variable in a linear function."""
+    return min(e.index(1) for e in linear.as_poly().terms)
 
 
 def _lie_bivector(g: LieAlgebra, chart: Chart | None = None) -> MultiVec:
@@ -177,114 +146,21 @@ def _lie_bivector(g: LieAlgebra, chart: Chart | None = None) -> MultiVec:
     return MultiVec(ch, 2, coeffs)
 
 
-def coadjoint_vf(g: LieAlgebra, u, chart: Chart | None = None) -> MultiVec:
-    """Linear coadjoint field of u in g: the Hamiltonian field of the linear
-    function u on the dual chart."""
+def affine_poisson(g: LieAlgebra, lam, chart: Chart | None = None) -> PoissonStructure:
+    """lie_poisson(g) plus the constant bivector lam, a {(i, j): value} table
+    with i < j; raises LieAlgebraError unless lam is a 2-cocycle.
+
+    [pi_g + lam, pi_g + lam] = 2 [pi_g, lam], and [pi_g, lam] is, up to sign,
+    the Chevalley-Eilenberg differential of lam."""
     pi = _lie_bivector(g, chart)
-    ch = pi.chart
-    f = RatFunc.zero(ch)
-    for i, ui in enumerate(u):
-        if ui:
-            f = f + RatFunc.const(ch, ui) * RatFunc.var(ch, i)
-    return poisson.hamiltonian_vf(pi, f)
-
-
-# -- cocycles and affine structures ------------------------------------------------
-
-
-def _affine_bivector(g: LieAlgebra, lam: AlgMultiVec, chart: Chart | None = None) -> MultiVec:
-    """lie_poisson(g).pi plus lam as a constant bivector on the dual chart."""
-    if lam.degree != 2:
-        raise LieAlgebraError("cocycle check needs a degree-2 element")
-    if lam.parent != g:
-        raise LieAlgebraError("the 2-cochain belongs to another Lie algebra")
-    pi = _lie_bivector(g, chart)
-    return pi + MultiVec(pi.chart, 2, {idx: RatFunc.const(pi.chart, c)
-                                       for idx, c in lam.coeffs.items()})
-
-
-def is_2cocycle(g: LieAlgebra, lam: AlgMultiVec) -> bool:
-    """lam in wedge^2 g* is a 2-cocycle exactly when the affine bivector
-    lie_poisson(g) + lam is Poisson: [pi_g + lam, pi_g + lam] = 2 [pi_g, lam],
-    and [pi_g, lam] is, up to sign, the Chevalley-Eilenberg differential of
-    lam."""
-    return verify(_affine_bivector(g, lam)).verified
-
-
-def affine_poisson(g: LieAlgebra, lam: AlgMultiVec, chart: Chart | None = None) -> PoissonStructure:
-    """lie_poisson(g) plus the constant bivector lam; needs lam a 2-cocycle."""
-    ps = verify(_affine_bivector(g, lam, chart))
+    ps = verify(pi + MultiVec(pi.chart, 2, {idx: RatFunc.const(pi.chart, c)
+                                            for idx, c in _pairs(g, lam).items()}))
     if not ps.verified:
         raise LieAlgebraError("not a 2-cocycle; affine structure would fail Jacobi")
     return ps
 
 
-# -- classical Yang-Baxter ----------------------------------------------------------
-
-
-def cyb_check(g: LieAlgebra, r: AlgMultiVec) -> str:
-    """Classify r in wedge^2 g: 'triangular' ([r,r]=0), 'coboundary'
-    ([r,r] ad-invariant), else 'neither'."""
-    rr = alg_schouten(g, r, r)
-    if rr.is_zero:
-        return "triangular"
-    for i in range(g.dim):
-        if not alg_schouten(g, AlgMultiVec.basis(g, i), rr).is_zero:
-            return "neither"
-    return "coboundary"
-
-
-# -- cobrackets and Lie bialgebras ---------------------------------------------------
-
-
-@dataclass
-class Cobracket:
-    """Linear map g -> wedge^2 g, stored as the image of each basis vector."""
-
-    parent: LieAlgebra
-    images: tuple
-
-    def __post_init__(self):
-        if len(self.images) != self.parent.dim:
-            raise LieAlgebraError("cobracket needs one image per basis vector")
-        for img in self.images:
-            if img.degree != 2:
-                raise LieAlgebraError("cobracket images must have degree 2")
-
-    @staticmethod
-    def zero(g: LieAlgebra) -> "Cobracket":
-        return Cobracket(g, tuple(AlgMultiVec.zero(g, 2) for _ in range(g.dim)))
-
-    @staticmethod
-    def from_dual_algebra(g: LieAlgebra, g_star: LieAlgebra) -> "Cobracket":
-        """delta(e_c) = sum_{a<b} c*_abc e_a ^ e_b for the bracket on g*."""
-        if g_star.dim != g.dim:
-            raise LieAlgebraError("dual algebra dimension mismatch")
-        images = []
-        for c in range(g.dim):
-            coeffs = {}
-            for a in range(g.dim):
-                for b in range(a + 1, g.dim):
-                    val = g_star.c(a, b, c)
-                    if val:
-                        coeffs[(a, b)] = val
-            images.append(AlgMultiVec(g, 2, coeffs))
-        return Cobracket(g, tuple(images))
-
-    def of(self, u) -> AlgMultiVec:
-        out = AlgMultiVec.zero(self.parent, 2)
-        for i, ui in enumerate(u):
-            if ui:
-                out = out + self.images[i].scale(ui)
-        return out
-
-    def dual_constants(self):
-        """Structure-constant triples of the would-be bracket on g*."""
-        triples = []
-        for c in range(self.parent.dim):
-            for (a, b), val in self.images[c].coeffs.items():
-                triples.append((a, b, c, val))
-        return triples
+# -- Lie bialgebras and the classical Yang-Baxter equation ---------------------------
 
 
 @dataclass
@@ -298,26 +174,66 @@ class BialgebraReport:
         return self.dual_jacobi and self.compat
 
 
-def bialgebra_check(g: LieAlgebra, delta: Cobracket) -> BialgebraReport:
-    """Check that (g, delta) is a Lie bialgebra: the transpose of delta is a
-    Lie bracket on g*, and delta([u,v]) = ad_u(delta v) - ad_v(delta u)."""
+def bialgebra_check(g: LieAlgebra, triples) -> BialgebraReport:
+    """Is (g, delta) a Lie bialgebra?  delta: g -> wedge^2 g is given by the
+    triples (a, b, c, value) of its transpose, f^ab_c = value the eps^c
+    coefficient of [eps^a, eps^b] on g*, in the format of ``lie_from_constants``.
+
+    The double g + g* has the basis e_0, ..., e_{m-1}, eps^0, ..., eps^{m-1}
+    (indices m, ..., 2m - 1), the brackets of g and of g*, and
+    [e_i, eps^a] = -sum_k c_ik^a eps^k + sum_b f^ab_i e_b.  The square of its
+    Lie-Poisson bivector has an (i, j, k) term exactly where the Jacobiator
+    of the basis triple is nonzero.  At triples inside g* that Jacobiator is
+    g*'s, and at triples with two indices in g it is the failure of
+    delta([u, v]) = u.delta(v) - v.delta(u).  The triples with one index in g
+    are not read: they fail also when only g*'s Jacobi identity does.
+    """
+    m = g.dim
+    f = _table(m, triples).constants
+    pairs = list(combinations(range(m), 2))
+    rows = [(i, j, k, g.c(i, j, k)) for i, j in pairs for k in range(m)]
+    rows += [(m + a, m + b, m + c, f[a][b][c]) for a, b in pairs for c in range(m)]
+    for i in range(m):
+        for a in range(m):
+            rows += [(i, m + a, m + k, -g.c(i, k, a)) for k in range(m)]
+            rows += [(i, m + a, b, f[a][b][i]) for b in range(m)]
+    square = verify(_lie_bivector(_table(2 * m, rows))).schouten_square if m else None
+    terms = sorted(square.coeffs) if square is not None else []
+    dual = [t for t in terms if t[0] >= m]
+    compat = [t for t in terms if t[1] < m <= t[2]]
     failure = ""
-    try:
-        lie_from_constants(g.dim, delta.dual_constants())
-        dual_jacobi = True
-    except LieAlgebraError as err:
-        dual_jacobi = False
-        failure = str(err)
-    compat = True
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = delta.of(g.bracket_basis(i, j))
-            rhs = alg_schouten(g, AlgMultiVec.basis(g, i), delta.images[j]) - \
-                alg_schouten(g, AlgMultiVec.basis(g, j), delta.images[i])
-            if not (lhs - rhs).is_zero:
-                compat = False
-                failure = failure or f"compatibility fails on basis pair ({i},{j})"
-    return BialgebraReport(dual_jacobi, compat, failure)
+    if dual:
+        a, b, c = (t - m for t in dual[0])
+        failure = (f"Jacobi identity fails at (i,j,k,m)=({a},{b},{c},"
+                   f"{_least_variable(square.coeffs[dual[0]]) - m})")
+    elif compat:
+        failure = f"compatibility fails on basis pair ({compat[0][0]},{compat[0][1]})"
+    return BialgebraReport(not dual, not compat, failure)
+
+
+def cyb_check(g: LieAlgebra, r) -> str:
+    """Classify r = sum_{a<b} R^ab e_a ^ e_b, a {(a, b): value} table:
+    'triangular' when [r, r] = 0, 'coboundary' when [r, r] is ad-invariant,
+    else 'neither'.
+
+    The r-bracket [eps^a, eps^b]_r = sum_i f^ab_i eps^i has
+    f^ab_i = sum_k c_ik^a R^kb + c_ik^b R^ak; [r, r] = 0 exactly when
+    r#(eps^a) = sum_b R^ab e_b maps it onto g's bracket.
+    """
+    m = g.dim
+    R = [[Fraction(0)] * m for _ in range(m)]
+    for (a, b), value in _pairs(g, r).items():
+        R[a][b], R[b][a] = value, -value
+    f = {(a, b): [sum(g.c(i, k, a) * R[k][b] + g.c(i, k, b) * R[a][k] for k in range(m))
+                  for i in range(m)]
+         for a, b in combinations(range(m), 2)}
+    if all([sum(f[a, b][i] * R[i][n] for i in range(m)) for n in range(m)]
+           == [sum(R[a][k] * R[b][l] * g.c(k, l, n) for k in range(m) for l in range(m))
+               for n in range(m)]
+           for a, b in f):
+        return "triangular"
+    delta = [(a, b, i, value) for (a, b), row in f.items() for i, value in enumerate(row)]
+    return "coboundary" if bialgebra_check(g, delta).ok else "neither"
 
 
 # -- modular character ----------------------------------------------------------------
@@ -328,6 +244,8 @@ def modular_character(g: LieAlgebra) -> list[Fraction]:
     return [
         sum((g.c(i, k, k) for k in range(g.dim)), Fraction(0)) for i in range(g.dim)
     ]
+
+
 
 
 # -- Lie algebroid dual chart ----------------------------------------------------------

@@ -1,12 +1,11 @@
 """Alternating tensor calculus: one core for multivector fields and forms on
-a chart, and for the exterior algebra of a Lie algebra.
+a chart.
 
 The core (``_Alternating``) stores a degree-k object sparsely: a map from
-strictly increasing index tuples (i1 < ... < ik) to nonzero coefficients.
-Degree 0 is a single coefficient keyed by the empty tuple.  ``MultiVec`` and
-``DiffForm`` have RatFunc coefficients on a chart; ``liealg.AlgMultiVec`` has
-Fraction coefficients on a Lie algebra's basis and overrides only the
-coercion and zero test of its coefficients (and its printed basis symbol).
+strictly increasing index tuples (i1 < ... < ik) to nonzero RatFunc
+coefficients on the chart.  Degree 0 is a single coefficient keyed by the
+empty tuple.  ``MultiVec`` and ``DiffForm`` differ only in their printed
+basis symbol.
 
 Sign conventions (fixed once, all tests written against them):
 
@@ -62,12 +61,8 @@ def _accumulate(out: dict, key, term) -> None:
 
 
 class _Alternating:
-    """Sparse alternating object of one degree over a space of dimension
-    ``chart.dim``: a Chart here, a LieAlgebra for ``liealg.AlgMultiVec``.
-
-    Coefficients are RatFuncs on the chart unless a subclass overrides
-    ``_coerce`` and ``_is_zero``.
-    """
+    """Sparse alternating object of one degree on a chart, with RatFunc
+    coefficients; a number given as a coefficient becomes a constant."""
 
     __slots__ = ("chart", "degree", "coeffs")
 
@@ -84,19 +79,11 @@ class _Alternating:
                 raise ExprError(f"index tuple {idx} not strictly increasing of length {degree}")
             if any(i < 0 or i >= chart.dim for i in idx):
                 raise ExprError(f"index tuple {idx} out of range for dimension {chart.dim}")
-            c = self._coerce(c)
-            if not self._is_zero(c):
+            if not isinstance(c, RatFunc):
+                c = RatFunc.const(chart, c)
+            if not c.is_zero:
                 clean[idx] = c
         self.coeffs = clean
-
-    # -- coefficient ring --------------------------------------------------
-
-    def _coerce(self, value) -> RatFunc:
-        return value if isinstance(value, RatFunc) else RatFunc.const(self.chart, value)
-
-    @staticmethod
-    def _is_zero(c) -> bool:
-        return c.is_zero
 
     # -- constructors --------------------------------------------------
 
@@ -114,7 +101,7 @@ class _Alternating:
 
     def coeff(self, idx: Index):
         c = self.coeffs.get(tuple(idx))
-        return self._coerce(0) if c is None else c
+        return RatFunc.zero(self.chart) if c is None else c
 
     def scalar(self):
         if self.degree != 0:
@@ -156,7 +143,8 @@ class _Alternating:
         return self + (-other)
 
     def scale(self, f) -> "_Alternating":
-        f = self._coerce(f)
+        if not isinstance(f, RatFunc):
+            f = RatFunc.const(self.chart, f)
         return type(self)(
             self.chart, self.degree, {i: f * c for i, c in self.coeffs.items()}
         )

@@ -16,7 +16,10 @@ denominator and hands a failure to ``verify``), and ``is_poisson_map`` is the
 only Poisson-map test.  They are also the Lie-algebra checks: a bracket table
 satisfies Jacobi exactly when its Lie-Poisson bivector passes ``verify``, and
 a linear map of Lie algebras is a morphism exactly when its transpose passes
-``is_poisson_map``.  The characteristic data at a point, the range of
+``is_poisson_map``.  So are the checks of a Lie bialgebra, one ``verify`` of
+the Lie-Poisson bivector of its Drinfeld double, and of the classical
+Yang-Baxter equation, which needs that ``verify`` only when [r, r] != 0 (see
+``liealg``).  The characteristic data at a point, the range of
 pi# with its induced form, is read off the graph of pi# by
 ``dirac.kernel_and_range``.
 """

@@ -169,3 +169,90 @@ def jacobi_failure(dim, triples):
                for l in range(dim)):
             return i, j, k, m
     return None
+
+
+# -- the algebraic Schouten calculus, an oracle for liealg's bialgebra and -------
+# -- classical Yang-Baxter checks --------------------------------------------------
+#
+# An element of the exterior algebra of a Lie algebra is a {index tuple:
+# Fraction} dict with strictly increasing keys and no zero values; a Lie
+# algebra is its ``constants`` table, c[i][j][k] the e_k coefficient of
+# [e_i, e_j].
+
+
+def sorted_sign(indices):
+    """(sign, sorted indices) of e_{i_1} ^ ... ^ e_{i_k}, or None on a repeat."""
+    if len(set(indices)) < len(indices):
+        return None
+    inversions = sum(a > b for a, b in itertools.combinations(indices, 2))
+    return (-1) ** inversions, tuple(sorted(indices))
+
+
+def _add(out, idx, value):
+    out[idx] = out.get(idx, 0) + value
+    if not out[idx]:
+        del out[idx]
+
+
+def ext_wedge(x, y):
+    out = {}
+    for ia, ca in x.items():
+        for ib, cb in y.items():
+            merged = sorted_sign(ia + ib)
+            if merged is not None:
+                _add(out, merged[1], merged[0] * ca * cb)
+    return out
+
+
+def alg_schouten(c, x, y):
+    """[a_1^...^a_k, b_1^...^b_l] = sum_{p,q} (-1)^{p+q} [a_p, b_q] ^ a_{\\p} ^ b_{\\q}."""
+    out = {}
+    for ia, ca in x.items():
+        for ib, cb in y.items():
+            for p, i in enumerate(ia):
+                for q, j in enumerate(ib):
+                    rest = ia[:p] + ia[p + 1:] + ib[:q] + ib[q + 1:]
+                    for k, coef in enumerate(c[i][j]):
+                        merged = sorted_sign((k,) + rest) if coef else None
+                        if merged is not None:
+                            _add(out, merged[1], (-1) ** (p + q) * merged[0] * ca * cb * coef)
+    return out
+
+
+def bialgebra_oracle(c, triples):
+    """(dual_jacobi, compat, failure) for the cobracket delta(e_k) =
+    sum_{a<b} f^ab_k e_a ^ e_b given by the triples (a, b, k, f^ab_k):
+    ``jacobi_failure`` on the triples, and delta([e_i, e_j]) =
+    [e_i, delta(e_j)] - [e_j, delta(e_i)] on each basis pair i < j."""
+    dim = len(c)
+    delta = [{} for _ in range(dim)]
+    for a, b, k, value in triples:
+        sign, pair = sorted_sign((a, b))
+        _add(delta[k], pair, sign * Fraction(value))
+    broken = []
+    for i, j in itertools.combinations(range(dim), 2):
+        lhs = {}
+        for k, ck in enumerate(c[i][j]):
+            for idx, value in delta[k].items():
+                _add(lhs, idx, ck * value)
+        rhs = alg_schouten(c, {(i,): 1}, delta[j])
+        for idx, value in alg_schouten(c, {(j,): 1}, delta[i]).items():
+            _add(rhs, idx, -value)
+        if lhs != rhs:
+            broken.append((i, j))
+    dual = jacobi_failure(dim, triples)
+    failure = ("Jacobi identity fails at (i,j,k,m)=({},{},{},{})".format(*dual) if dual
+               else "compatibility fails on basis pair ({},{})".format(*broken[0]) if broken
+               else "")
+    return dual is None, not broken, failure
+
+
+def cyb_oracle(c, r):
+    """'triangular' when [r, r] = 0, 'coboundary' when [r, r] is ad-invariant,
+    else 'neither', for r a {(a, b): value} table."""
+    rr = alg_schouten(c, r, r)
+    if not rr:
+        return "triangular"
+    if all(not alg_schouten(c, {(i,): 1}, rr) for i in range(len(c))):
+        return "coboundary"
+    return "neither"

@@ -61,6 +61,8 @@ def _run(tmp_path, capsys, text):
      "parameter 'h' must be an expression or a name"),
     ({**SO3, "tasks": [{"task": "flow", "h": "x", "x0": "1,0,0", "casimirs": ["x", False]}]},
      "parameter 'casimirs' must be an expression or a name"),
+    ({**SO3, "lie_algebras": {"g": {"dim": -2, "constants": []}}},
+     "Lie algebra dimension -2 is negative"),
 ])
 def test_malformed_manifest(tmp_path, capsys, doc, message):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))

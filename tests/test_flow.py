@@ -377,6 +377,32 @@ def test_container_arguments_that_are_none_are_named(so3_structure, ch3, call, a
                             cfg=flow.FlowConfig(dt=0.1, t_max=1.0))
 
 
+def _flow_watching(call, structure, ch3, casimir):
+    h, x0, cfg = parse_expr("x + 2*y", ch3), [0.5, 0.3, -0.2], flow.FlowConfig(dt=0.01, t_max=0.5)
+    if call == "leaf_trace":
+        return flow.leaf_trace(structure, [h], x0, [(0, 0.5)], cfg, casimirs=[casimir])
+    return flow.integrate_hamiltonian(structure, h, x0, cfg, casimirs=[casimir])
+
+
+@pytest.mark.parametrize("call", ["integrate_hamiltonian", "leaf_trace"])
+def test_a_casimir_on_a_smaller_chart_is_named(so3_structure, ch3, call):
+    # x^2 + y^2 on the chart (x, y) would be compiled as a function of the
+    # first two coordinates, and its drift reported for the wrong function
+    casimir = parse_expr("x^2+y^2", chart("x", "y"))
+    with pytest.raises(flow.FlowError, match=r"^Casimir 0, x\^2 \+ y\^2, is not a function on "
+                                             r"the structure's chart Chart\(x, y, z\)$"):
+        _flow_watching(call, so3_structure, ch3, casimir)
+
+
+@pytest.mark.parametrize("call", ["integrate_hamiltonian", "leaf_trace"])
+def test_a_casimir_on_a_larger_chart_is_named(so3_structure, ch3, call):
+    # x^2 + w^2 reads a fourth coordinate that the flow does not have
+    casimir = parse_expr("x^2+w^2", chart("x", "y", "z", "w"))
+    with pytest.raises(flow.FlowError, match="^Casimir 0, .*, is not a function on "
+                                             "the structure's chart"):
+        _flow_watching(call, so3_structure, ch3, casimir)
+
+
 def test_leaf_trace_rejects_a_schedule_entry_that_is_not_a_pair(so3_structure, ch3):
     with pytest.raises(flow.FlowError, match="^schedule entry 1 must be a "
                                              "\\(generator index, time\\) pair, not \\(0,\\)$"):

@@ -925,9 +925,9 @@ def test_log_degeneracy_rejects_off_locus(ch2, xdxdy_structure):
 def test_isotropy_so3_at_origin(so3_structure):
     g = isotropy_bracket_at(so3_structure, [F(0)] * 3)
     assert g.dim == 3
-    assert g.bracket_basis(0, 1) == [F(0), F(0), F(1)]
-    assert g.bracket_basis(1, 2) == [F(1), F(0), F(0)]
-    assert g.bracket_basis(2, 0) == [F(0), F(1), F(0)]
+    assert g.constants[0][1] == (F(0), F(0), F(1))
+    assert g.constants[1][2] == (F(1), F(0), F(0))
+    assert g.constants[2][0] == (F(0), F(1), F(0))
 
 
 def test_isotropy_trivial_on_symplectic(pican_structure):
@@ -940,7 +940,7 @@ def test_isotropy_abelian(ch2):
     g = isotropy_bracket_at(pi, [F(0), F(0)])
     assert g.dim == 2
     assert all(
-        g.bracket_basis(i, j) == [F(0), F(0)] for i in range(2) for j in range(2)
+        g.constants[i][j] == (F(0), F(0)) for i in range(2) for j in range(2)
     )
 
 
