@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import dirac, fixtures, flow, liealg, poisson
-from .expr import Chart, ExprError, RatFunc, chart as make_chart, parse_expr
+from .expr import Chart, ExprError, ParseError, RatFunc, chart as make_chart, parse_expr
 from .multivec import DiffForm, MultiVec
 
 
@@ -94,6 +94,12 @@ def _float(value, what) -> float:
     return float(value)
 
 
+def _required(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise ManifestError(f"{what} needs {key!r}")
+    return spec[key]
+
+
 def _named(table: dict, name, what: str):
     """The entry of a manifest table that ``name`` refers to."""
     if not isinstance(name, str) or name not in table:
@@ -140,20 +146,23 @@ def load_manifest(doc: dict) -> Manifest:
         forms[name] = DiffForm(chart, 2, _parse_table(table, chart, 2))
     algebras = {}
     for name, spec in _section(doc, "lie_algebras").items():
-        _typed(spec, dict, f"Lie algebra {name!r}")
-        constants = _typed(spec["constants"], list, f"Lie algebra {name!r} 'constants'")
+        what = f"Lie algebra {name!r}"
+        _typed(spec, dict, what)
+        constants = _typed(_required(spec, "constants", what), list, f"{what} 'constants'")
         triples = [_structure_constant(entry, name) for entry in constants]
         algebras[name] = liealg.lie_from_constants(
-            _int(spec["dim"], f"Lie algebra {name!r} 'dim'"), triples)
+            _int(_required(spec, "dim", what), f"{what} 'dim'"), triples)
     constraints = {}
     for name, spec in _section(doc, "constraints").items():
-        pi_name = _typed(spec, dict, f"constraint system {name!r}")["bivector"]
-        if not isinstance(pi_name, str) or pi_name not in bivectors:
-            raise ManifestError(f"constraint system {name!r} references unknown bivector {pi_name!r}")
-        structure = poisson.verify(bivectors[pi_name])
         what = f"constraint system {name!r}"
-        psi = [parse_expr(str(t), chart) for t in _typed(spec["psi"], list, f"{what} 'psi'")]
-        level = [_parse_fraction(v) for v in _typed(spec["level"], list, f"{what} 'level'")]
+        pi_name = _required(_typed(spec, dict, what), "bivector", what)
+        if not isinstance(pi_name, str) or pi_name not in bivectors:
+            raise ManifestError(f"{what} references unknown bivector {pi_name!r}")
+        structure = poisson.verify(bivectors[pi_name])
+        psi = [parse_expr(str(t), chart)
+               for t in _typed(_required(spec, "psi", what), list, f"{what} 'psi'")]
+        level = [_parse_fraction(v)
+                 for v in _typed(_required(spec, "level", what), list, f"{what} 'level'")]
         samples = [_parse_point(p, chart)
                    for p in _typed(spec.get("samples", []), list, f"{what} 'samples'")]
         constraints[name] = dirac.ConstraintSystem(structure, psi, level, samples)
@@ -197,7 +206,10 @@ def _get_expr(manifest: Manifest, params: dict, key: str) -> RatFunc:
         return manifest.expressions[text]
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise ManifestError(f"parameter {key!r} must be an expression or a name")
-    return parse_expr(str(text), manifest.chart)
+    try:
+        return parse_expr(str(text), manifest.chart)
+    except ParseError as err:
+        raise ManifestError(f"parameter {key!r}: {err}") from None
 
 
 def _get_point(manifest: Manifest, params: dict, key: str):
@@ -285,6 +297,8 @@ def _task_cohomology(manifest, params):
     d_max = _int(params.get("d_max", params.get("d", 0)), "parameter 'd_max'")
     if d_max < 0:  # an empty range of degrees, rejected as cohomology rejects d < 0
         raise poisson.PoissonError("invalid (k, d)")
+    expect = params.get("expect_dim")
+    expected = None if expect is None else _int(expect, "parameter 'expect_dim'")
     total = 0
     lines = []
     reports = []
@@ -293,10 +307,9 @@ def _task_cohomology(manifest, params):
         total += rep.dim_h
         reports.append(rep.serialize())
     lines.append(f"INFO cohomology H^{k} cumulative dim (d<= {d_max}) = {total}")
-    expect = params.get("expect_dim")
     passed = None
-    if expect is not None:
-        passed = total == _int(expect, "parameter 'expect_dim'")
+    if expected is not None:
+        passed = total == expected
         lines.append("PASS cohomology" if passed else
                      f"FAIL cohomology dim {total} != {expect}")
     return TaskResult("cohomology", passed, lines,

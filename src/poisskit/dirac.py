@@ -5,11 +5,11 @@ sets, and submanifold classification.
 
 Pointwise objects live in Q^(2n) with the vector coordinates first and the
 covector coordinates last; the pairing is <(X,a),(Y,b)> = b(X) + a(Y).
-Subspaces are compared through their reduced row echelon form, which is
-canonical for the fixed column order.  Backward and forward images are both
-one relation image {out u : into u in L}; kernel, range, induced forms and
-induced bivectors are read off the RREF of L, or of L with its covector
-coordinates first.
+A ``LinearLagrangian`` stores its reduced row echelon form, canonical for the
+fixed column order, so equality and printing are structural.  Backward and
+forward images are both one relation image {out u : into u in L}; kernel,
+range, induced forms and induced bivectors are read off the RREF of L, or of
+L with its covector coordinates first.
 
 One entry point per fact: the graph of pi# or of omega_flat at a point is
 ``DiracSectionFamily.graph_of_bivector`` or ``graph_of_2form`` followed by
@@ -26,9 +26,8 @@ labeled "sampled").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg, poisson
 from .expr import Chart, ChartMismatchError, ExprError, RatFunc
@@ -58,59 +57,29 @@ class DiracError(ExprError):
 # -- pointwise lagrangian subspaces ------------------------------------------
 
 
-def pairing(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    """<(X,a),(Y,b)> = b(X) + a(Y) on 2n-vectors."""
-    n = len(u) // 2
-    total = Fraction(0)
-    for i in range(n):
-        total += v[n + i] * u[i] + u[n + i] * v[i]
-    return total
-
-
-def is_lagrangian(basis: Sequence[Sequence[Fraction]]) -> bool:
-    if not basis:
-        return False
-    n2 = len(basis[0])
-    if n2 % 2:
-        return False
-    n = n2 // 2
-    if linalg.rank([list(v) for v in basis]) != n or len(basis) != n:
-        return False
-    return all(
-        pairing(basis[a], basis[b]) == 0
-        for a in range(n)
-        for b in range(a, n)
-    )
-
-
 @dataclass
 class LinearLagrangian:
-    """Lagrangian subspace of V + V*, dim V = n, spanned by n row vectors."""
+    """Lagrangian subspace of V + V*, dim V = n, given by n spanning row
+    vectors; ``basis`` holds its canonical span.  Lagrangian means rank n and
+    a zero Gram matrix of the pairing, B times the transpose of B with its
+    V and V* halves swapped."""
 
     dim: int
     basis: list
 
     def __post_init__(self):
-        self.basis = [[Fraction(x) for x in row] for row in self.basis]
-        if any(len(row) != 2 * self.dim for row in self.basis):
+        n = self.dim
+        rows = [[Fraction(x) for x in row] for row in self.basis]
+        if any(len(row) != 2 * n for row in rows):
             raise DiracError("basis vectors must have length 2n")
-        if not is_lagrangian(self.basis):
+        self.basis = linalg.canonical_span(rows)
+        swapped = [row[n:] + row[:n] for row in self.basis]
+        if (not rows or len(rows) != n or len(self.basis) != n
+                or any(any(g) for g in linalg.matmul(self.basis, linalg.transpose(swapped)))):
             raise DiracError("basis does not span a lagrangian subspace")
 
-    def canonical(self):
-        return linalg.canonical_span(self.basis)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearLagrangian)
-            and self.dim == other.dim
-            and self.canonical() == other.canonical()
-        )
-
-    __hash__ = None
-
     def __str__(self):
-        rows = ["(" + ", ".join(str(x) for x in row) + ")" for row in self.canonical()]
+        rows = ["(" + ", ".join(str(x) for x in row) + ")" for row in self.basis]
         return "span{" + "; ".join(rows) + "}"
 
 
@@ -123,7 +92,7 @@ def _block_diag(a, b):
 
 def _relation_image(lag: LinearLagrangian, into, out, dim: int) -> LinearLagrangian:
     """{out u : into u in L}, a lagrangian subspace of dimension ``dim``."""
-    sols = linalg.preimage_span(into, lag.canonical())
+    sols = linalg.preimage_span(into, lag.basis)
     return LinearLagrangian(dim, linalg.canonical_span([linalg.matvec(out, u) for u in sols]))
 
 
@@ -181,7 +150,7 @@ def kernel_and_range(lag: LinearLagrangian) -> KernelRangeData:
     canonical basis of R; the rest are (0, Ann(R)), also canonical.  With the
     covector coordinates first, the rows (0, X) give ker(L) the same way."""
     n = lag.dim
-    span = lag.canonical()
+    span = lag.basis
     heads = [row for row in span if any(row[:n])]
     rng = [row[:n] for row in heads]
     ann = [row[n:] for row in span if not any(row[:n])]
@@ -216,7 +185,7 @@ def reconstruct_from_range(data: KernelRangeData, dim: int) -> LinearLagrangian:
             rows.append(list(r) + alpha)
     for ann in data.annihilator:
         rows.append([Fraction(0)] * n + list(ann))
-    return LinearLagrangian(n, linalg.canonical_span(rows))
+    return LinearLagrangian(n, rows)
 
 
 # -- Courant-Dorfman bracket -----------------------------------------------------
@@ -464,30 +433,34 @@ class CoregularityReport:
     constant: bool
 
 
+def _tn_pi_rows(cs: ConstraintSystem, point):
+    """The rows (d psi_i) P at a point, P = ``matrix_at``: they span
+    TN^pi = pi#(Ann(TN)) there."""
+    dpsi = [[psi.diff(i).eval(point) for i in range(cs.structure.chart.dim)]
+            for psi in cs.constraints]
+    return linalg.matmul(dpsi, matrix_at(poisson._pi_of(cs.structure), point))
+
+
 def coregularity_check(structure, data, samples=None) -> CoregularityReport:
     """Sampled constant-dimension check.
 
-    With a ConstraintSystem: rank of TN^pi = pi#(Ann(TN)) across samples.
+    With a ConstraintSystem over ``structure``: rank of TN^pi = pi#(Ann(TN))
+    across its samples, or across ``samples``, which must lie on N.
     With a PolyMap phi into the structure's chart: dim(Im(dphi) + R) across
     the given samples of the source chart.
     """
+    pi = poisson._pi_of(structure)
     if isinstance(data, ConstraintSystem):
-        cs = data
-        pts = samples if samples is not None else cs.samples
-        if len(pts) < 2:
+        if pi != poisson._pi_of(data.structure):
+            raise DiracError("the constraint system lies over another structure")
+        cs = data if samples is None else replace(data, samples=samples)
+        if len(cs.samples) < 2:
             raise DiracError("need at least 2 samples")
-        dims = []
-        for point in pts:
-            rows = []
-            for psi in cs.constraints:
-                dpsi = [psi.diff(i).eval(point) for i in range(cs.structure.chart.dim)]
-                rows.append(poisson.sharp_at(cs.structure, point, dpsi))
-            dims.append(linalg.rank(rows))
+        dims = [linalg.rank(_tn_pi_rows(cs, point)) for point in cs.samples]
     elif isinstance(data, PolyMap):
         phi = data
         if samples is None or len(samples) < 2:
             raise DiracError("need at least 2 samples")
-        pi = poisson._pi_of(structure)
         dims = []
         for point in samples:
             # the columns of dphi span Im(dphi), the rows of P span R
@@ -530,9 +503,9 @@ def dual_pair_check(omega: DiffForm, phi1: PolyMap, phi2: PolyMap,
 # -- transverse induced structure ------------------------------------------------------
 
 
-def transversal_induced_poisson_at(structure, cs: ConstraintSystem, parameter_point):
-    """Matrix of the induced Poisson structure at a point of a cosymplectic
-    level set, in parametrization coordinates.
+def transversal_induced_poisson_at(cs: ConstraintSystem, parameter_point):
+    """Matrix of the Poisson structure induced by ``cs.structure`` at a point
+    of the cosymplectic level set, in parametrization coordinates.
 
     Computed as the backward image of the graph of pi under the inclusion;
     the cosymplectic condition TN + TN^pi = TM with trivial intersection is
@@ -542,24 +515,19 @@ def transversal_induced_poisson_at(structure, cs: ConstraintSystem, parameter_po
         raise DiracError("needs a parametrization of the level set")
     phi = cs.parametrization
     ambient_point = phi(parameter_point)
-    pi = poisson._pi_of(structure)
-    n = pi.chart.dim
+    n = cs.structure.chart.dim
     jac = phi.jacobian_at(parameter_point)
     tn = linalg.canonical_span(linalg.transpose(jac))
-    tnpi_rows = []
-    for psi in cs.constraints:
-        dpsi = [psi.diff(i).eval(ambient_point) for i in range(n)]
-        tnpi_rows.append(poisson.sharp_at(structure, ambient_point, dpsi))
-    tnpi = linalg.canonical_span(tnpi_rows)
+    tnpi = linalg.canonical_span(_tn_pi_rows(cs, ambient_point))
     if not len(tn) + len(tnpi) == n == linalg.rank(tn + tnpi):
         raise NotCosymplecticError(
             f"TN (+) TN^pi != TM at {ambient_point}: not cosymplectic there"
         )
-    graph = DiracSectionFamily.graph_of_bivector(structure).evaluate_at(ambient_point)
+    graph = DiracSectionFamily.graph_of_bivector(cs.structure).evaluate_at(ambient_point)
     lag = backward_image(graph, jac)
     m = phi.source.dim
     # with the covector coordinates first, a bivector graph has RREF (I | P)
-    span = linalg.canonical_span([row[m:] + row[:m] for row in lag.canonical()])
+    span = linalg.canonical_span([row[m:] + row[:m] for row in lag.basis])
     if [row[:m] for row in span] != linalg.identity(m):
         raise NotCosymplecticError("induced subspace is not a bivector graph")
     matrix = [row[m:] for row in span]

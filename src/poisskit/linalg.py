@@ -13,9 +13,9 @@ One sparse core does the elimination: ``eliminate`` takes rows as
 nonzeros (the Poisson cohomology matrices have densities of about 1%), and
 ``null_space`` reads a sparse kernel basis off its result.  Poisson
 cohomology calls the two directly and builds no dense matrix.  ``rref`` and
-``kernel_basis`` are their dense views, and ``canonical_span``, ``rank``,
-``solve`` and ``preimage_span`` run on ``rref``; all of these take and return
-dense lists.
+``kernel_basis`` are their dense views, and ``canonical_span``, ``rank`` and
+``preimage_span`` run on ``rref``; all of these take and return dense lists.
+A vector in the span of RREF rows has its coordinates at their pivots.
 
 The core takes rational entries (int or Fraction) and eliminates over the
 integers (fraction-free, as in Bareiss, Math. Comp. 1968).  On entry each
@@ -271,21 +271,6 @@ def det(m):
         return m[0][0] * 0
     delta, _, scale = out
     return RatFunc(delta, scale) if isinstance(delta, Poly) else Fraction(delta, scale)
-
-
-def solve(matrix, rhs):
-    """One solution of matrix @ v = rhs, or None if inconsistent."""
-    if not matrix:
-        return None
-    rows, cols = len(matrix), len(matrix[0])
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    m, pivots = rref(aug)
-    if cols in pivots:
-        return None  # pivot in the rhs column
-    v = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        v[pc] = m[r][cols]
-    return v
 
 
 def preimage_span(matrix, span):

@@ -22,6 +22,10 @@ Sign conventions (fixed once, all tests written against them):
 
 A wedge whose degree exceeds the dimension of the space is the canonical zero
 object rather than an error.
+
+A ``PolyMap`` between charts pulls forms back; there is no pushforward of
+bivectors, since whether phi carries pi_1 to pi_2 is the exact check
+``poisson.is_poisson_map``.
 """
 
 from __future__ import annotations
@@ -437,10 +441,6 @@ class PolyMap:
     def jacobian_at(self, point) -> list[list[Fraction]]:
         return [[e.eval(point) for e in row] for row in self.jacobian()]
 
-    @property
-    def is_polynomial(self) -> bool:
-        return all(c.is_polynomial for c in self.components)
-
 
 def pullback_form(phi: PolyMap, form: DiffForm) -> DiffForm:
     """phi^* form, by substitution and chain rule."""
@@ -462,11 +462,3 @@ def pullback_form(phi: PolyMap, form: DiffForm) -> DiffForm:
             piece = wedge(piece, dphi[i])
         out = out + piece
     return out
-
-
-def pushforward_bivector_at(phi: PolyMap, pi_matrix, point):
-    """J pi J^T for J the Jacobian of phi at the point."""
-    from . import linalg
-
-    j = phi.jacobian_at(point)
-    return linalg.matmul(linalg.matmul(j, pi_matrix), linalg.transpose(j))

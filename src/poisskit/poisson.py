@@ -19,9 +19,11 @@ a linear map of Lie algebras is a morphism exactly when its transpose passes
 ``is_poisson_map``.  So are the checks of a Lie bialgebra, one ``verify`` of
 the Lie-Poisson bivector of its Drinfeld double, and of the classical
 Yang-Baxter equation, which needs that ``verify`` only when [r, r] != 0 (see
-``liealg``).  The characteristic data at a point, the range of
-pi# with its induced form, is read off the graph of pi# by
-``dirac.kernel_and_range``.
+``liealg``).  ``is_poisson_map`` is exact on rational data too, as
+``RatFunc.subst`` and ``is_zero`` are.  Pointwise checks (rank, Darboux
+basis, isotropy) read ``matrix_at``, whose row alpha P is pi#(alpha); the
+characteristic data at a point, the range of pi# with its induced form, is
+read off the graph of pi# by ``dirac.kernel_and_range``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .multivec import (
     _accumulate,
     _merge_indices,
     exterior_derivative,
-    pushforward_bivector_at,
     schouten,
     wedge,
 )
@@ -171,15 +172,6 @@ def hamiltonian_vf(structure, f: RatFunc) -> MultiVec:
         _accumulate(comps, j, c * f.diff(i))
         _accumulate(comps, i, -(c * f.diff(j)))
     return MultiVec(pi.chart, 1, {(k,): v for k, v in comps.items()})
-
-
-def sharp_at(structure, point, covector) -> list[Fraction]:
-    """pi#(alpha) at a point: the row vector alpha times the pi matrix.
-
-    Oriented so that sharp_at(pi, p, df|_p) equals X_f(p) exactly.
-    """
-    p = matrix_at(_pi_of(structure), point)
-    return linalg.matvec(linalg.transpose(p), [Fraction(a) for a in covector])
 
 
 def casimir_check(structure, f: RatFunc) -> bool:
@@ -491,41 +483,20 @@ def _cleared_square(x, delta):
 # -- Poisson map check -----------------------------------------------------------
 
 
-def is_poisson_map(phi: PolyMap, source_structure, target_structure, samples=None):
-    """Check pi2# = dphi pi1# (dphi)* along phi.
-
-    Symbolic (exact substitution) whenever everything is polynomial;
-    otherwise exact evaluation at the supplied sample points, reported as
-    sampled evidence.  Returns (bool, mode).
-    """
+def is_poisson_map(phi: PolyMap, source_structure, target_structure) -> bool:
+    """pi2 = dphi pi1 (dphi)* along phi: with J the Jacobian of phi, the
+    entries of pi2's matrix with phi substituted equal those of J P1 J^T.
+    Exact on rational data: ``RatFunc.subst`` and ``is_zero`` are."""
     pi1 = _pi_of(source_structure)
     pi2 = _pi_of(target_structure)
     if pi1.chart != phi.source or pi2.chart != phi.target:
         raise ChartMismatchError("charts do not match the map")
-    p1 = bivector_matrix(pi1)
-    p2 = bivector_matrix(pi2)
     jac = phi.jacobian()
-    symbolic = phi.is_polynomial and all(
-        c.is_polynomial for row in (p1 + p2) for c in row
-    )
-    if symbolic:
-        push = linalg.matmul(linalg.matmul(jac, p1), linalg.transpose(jac))
-        comps = list(phi.components)
-        for i in range(phi.target.dim):
-            for j in range(phi.target.dim):
-                lhs = p2[i][j].subst(comps)
-                if not (lhs - push[i][j]).is_zero:
-                    return False, "symbolic"
-        return True, "symbolic"
-    if not samples:
-        raise PoissonError("non-polynomial data: sample points required")
-    for point in samples:
-        push = pushforward_bivector_at(phi, matrix_at(pi1, point), point)
-        target_point = phi(point)
-        tgt = matrix_at(pi2, target_point)
-        if push != tgt:
-            return False, "sampled"
-    return True, "sampled"
+    push = linalg.matmul(linalg.matmul(jac, bivector_matrix(pi1)), linalg.transpose(jac))
+    p2 = bivector_matrix(pi2)
+    comps = list(phi.components)
+    n = phi.target.dim
+    return all((p2[i][j].subst(comps) - push[i][j]).is_zero for i in range(n) for j in range(n))
 
 
 # -- top power / log degeneracy ---------------------------------------------------
@@ -591,7 +562,7 @@ def isotropy_bracket_at(structure, point):
     if m == 0:
         return lie_from_constants(0, [])
     pmat = bivector_matrix(pi)
-    kernel_rows = linalg.canonical_span(kernel)
+    kernel_rows, pivots = linalg.rref(kernel)
     triples = []
     for a in range(m):
         for b in range(a + 1, m):
@@ -605,8 +576,8 @@ def isotropy_bracket_at(structure, point):
                         if alpha[i] and beta[j]:
                             acc += alpha[i] * beta[j] * pmat[i][j].diff(k).eval(point)
                 comps.append(acc)
-            coords = linalg.solve(linalg.transpose(kernel_rows), comps)
-            if coords is None:
+            coords = [comps[pc] for pc in pivots]
+            if linalg.matvec(linalg.transpose(kernel_rows), coords) != comps:
                 raise PoissonError(
                     "transverse bracket left the conormal space (implementation bug)"
                 )

@@ -63,12 +63,42 @@ def _run(tmp_path, capsys, text):
      "parameter 'casimirs' must be an expression or a name"),
     ({**SO3, "lie_algebras": {"g": {"dim": -2, "constants": []}}},
      "Lie algebra dimension -2 is negative"),
+    ({**SO3, "tasks": [{"task": "bracket", "f": "x+", "g": "y"}]},
+     "parameter 'f': unexpected token '' (at position 2)"),
+    ({**SO3, "tasks": [{"task": "flow", "h": "x", "x0": "1,0,0", "casimirs": ["u"]}]},
+     "parameter 'casimirs': unknown identifier 'u' (at position 0)"),
+    ({**SO3, "constraints": {"n": {"bivector": "pi", "level": ["1"]}}},
+     "constraint system 'n' needs 'psi'"),
+    ({**SO3, "constraints": {"n": {"psi": ["x"], "level": ["1"]}}},
+     "constraint system 'n' needs 'bivector'"),
+    ({**SO3, "constraints": {"n": {"bivector": "pi", "psi": ["x"]}}},
+     "constraint system 'n' needs 'level'"),
+    ({**SO3, "lie_algebras": {"g": {"constants": []}}}, "Lie algebra 'g' needs 'dim'"),
+    ({**SO3, "lie_algebras": {"g": {"dim": 3}}}, "Lie algebra 'g' needs 'constants'"),
 ])
 def test_malformed_manifest(tmp_path, capsys, doc, message):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))
     assert status == 2
     assert len(lines) == 1 and lines[0].startswith("FAIL manifest ")
     assert message in lines[0]
+
+
+def test_unparsable_f_option_is_a_manifest_error(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(SO3))
+    status = cli.main(["run", str(path), "--task", "casimir", "--f", "x+"])
+    assert status == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL manifest parameter 'f': unexpected token '' (at position 2)"]
+
+
+def test_expect_dim_is_read_before_any_degree(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.poisson, "cohomology", lambda *args: calls.append(args))
+    doc = {**SO3, "tasks": [{"task": "cohomology", "k": 1, "d_max": 2, "expect_dim": "two"}]}
+    status, lines = _run(tmp_path, capsys, json.dumps(doc))
+    assert status == 2 and lines[0].startswith("FAIL manifest invalid literal for int()")
+    assert calls == []
 
 
 def test_unreadable_manifest(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from poisskit.dirac import (
     ConstraintSystem,
     DiracError,
     DiracSectionFamily,
+    LinearLagrangian,
     SubmanifoldFlags,
     backward_image,
     classify_submanifold,
@@ -45,6 +47,29 @@ def _bivector(ch, table):
 # -- pointwise graphs and the gauge action ----------------------------------------
 
 
+def test_linear_lagrangian_accepts_spans_and_rejects_the_rest():
+    # the graph of [[0, 1], [-1, 0]], given by two different spanning sets
+    graph = LinearLagrangian(2, [[1, 0, 0, 1], [0, 1, -1, 0]])
+    assert graph == LinearLagrangian(2, [[1, 1, -1, 1], [F(1, 2), 0, 0, F(1, 2)]])
+    assert graph != LinearLagrangian(2, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert str(graph) == "span{(1, 0, 0, 1); (0, 1, -1, 0)}"
+    assert str(LinearLagrangian(2, [[0, 0, 2, 4], [0, 0, 0, 3]])) == \
+        "span{(0, 0, 1, 0); (0, 0, 0, 1)}"
+    assert LinearLagrangian(1, [[0, 5]]) == LinearLagrangian(1, [[0, 1]])
+    with pytest.raises(DiracError, match="basis vectors must have length 2n"):
+        LinearLagrangian(2, [[1, 0, 0, 1], [0, 1, -1]])
+    for dim, basis in [
+        (2, []),                                          # empty
+        (0, []),                                          # empty at dim 0
+        (2, [[1, 0, 0, 1], [0, 1, -1, 0], [1, 1, -1, 1]]),  # n + 1 rows of rank n
+        (2, [[1, 0, 0, 1], [2, 0, 0, 2]]),                # rank n - 1
+        (2, [[1, 0, 0, 1], [0, 1, 1, 0]]),                # not isotropic
+        (1, [[1, 1]]),                                    # <v, v> = 2
+    ]:
+        with pytest.raises(DiracError, match="basis does not span a lagrangian subspace"):
+            LinearLagrangian(dim, basis)
+
+
 def test_graph_of_2form_is_gauge_of_zero(ch3):
     b = _form(ch3, {(0, 1): "z", (1, 2): "x"})
     zero = DiffForm.zero(ch3, 2)
@@ -65,7 +90,7 @@ def test_reconstruct_from_range_inverts_kernel_and_range(so3_structure):
 
 def test_reconstruct_from_range_is_one_elimination(so3_structure, monkeypatch):
     # the range of the so3 graph at P is 2-dimensional; every alpha_a comes
-    # from one RREF, and the other two are canonical_span and the lagrangian check
+    # from one RREF, and the other is the canonical span LinearLagrangian stores
     lag = _graph_at(so3_structure, P)
     data = kernel_and_range(lag)
     assert len(data.range_basis) == 2
@@ -73,7 +98,7 @@ def test_reconstruct_from_range_is_one_elimination(so3_structure, monkeypatch):
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or rref(m))
     result = reconstruct_from_range(data, 3)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert result == lag
 
 
@@ -125,7 +150,7 @@ def test_forward_image_of_graph_agrees_with_is_poisson_map(ch3, so3_structure):
         phi = PolyMap.linear(ch3, ch3, matrix)
         pushes = all(forward_image(_graph_at(so3_structure, p), phi.jacobian_at(p))
                      == _graph_at(so3_structure, phi(p)) for p in samples)
-        assert is_poisson_map(phi, so3_structure, so3_structure) == (pushes, "symbolic")
+        assert is_poisson_map(phi, so3_structure, so3_structure) is pushes
         verdicts.append(pushes)
     assert verdicts[:4] == [True, True, True, False] and verdicts.count(False) > 4
 
@@ -143,20 +168,41 @@ def test_coregularity_of_a_line_into_so3(ch3, so3_structure):
 # -- constraint systems -----------------------------------------------------------------
 
 
-def test_transversal_induced_poisson_matches_dirac_bracket(ch4):
+def _symplectic_plane_system(ch4):
     structure = poisson.require_poisson(_bivector(ch4, {(0, 1): "1", (2, 3): "1"}))
     plane = chart("a", "b")
     a, b, zero = parse_expr("a", plane), parse_expr("b", plane), RatFunc.zero(plane)
-    cs = ConstraintSystem(
-        structure,
-        [parse_expr("q2", ch4), parse_expr("p2", ch4)],
-        [0, 0],
-        parametrization=PolyMap(plane, ch4, (a, b, zero, zero)),
-    )
-    matrix = transversal_induced_poisson_at(structure, cs, [F(1), F(2)])
+    return ConstraintSystem(structure, [parse_expr("q2", ch4), parse_expr("p2", ch4)], [0, 0],
+                            [[F(1), F(2), F(0), F(0)], [F(0), F(0), F(0), F(0)]],
+                            PolyMap(plane, ch4, (a, b, zero, zero)))
+
+
+def test_transversal_induced_poisson_matches_dirac_bracket(ch4):
+    cs = _symplectic_plane_system(ch4)
+    matrix = transversal_induced_poisson_at(cs, [F(1), F(2)])
     assert matrix == [[0, 1], [-1, 0]]
     bracket = dirac_bracket(cs)
-    assert bracket(parse_expr("q1", ch4), parse_expr("p1", ch4)) == RatFunc.const(plane, 1)
+    assert bracket(parse_expr("q1", ch4), parse_expr("p1", ch4)) == \
+        RatFunc.const(cs.parametrization.source, 1)
+
+
+def test_transversal_induced_poisson_reads_the_systems_structure(ch4):
+    cs = _symplectic_plane_system(ch4)
+    doubled = poisson.require_poisson(_bivector(ch4, {(0, 1): "2", (2, 3): "1"}))
+    assert transversal_induced_poisson_at(replace(cs, structure=doubled), [F(1), F(2)]) == \
+        [[0, 2], [-2, 0]]
+
+
+def test_coregularity_of_a_system_takes_its_structure_and_level_set(ch4):
+    cs = _symplectic_plane_system(ch4)
+    assert coregularity_check(cs.structure, cs).dims == [2, 2]
+    on_n = [[F(3), F(-1), F(0), F(0)], [F(0), F(5), F(0), F(0)]]
+    assert coregularity_check(cs.structure, cs, on_n).dims == [2, 2]
+    with pytest.raises(DiracError, match="is not on the level set"):
+        coregularity_check(cs.structure, cs, [[F(1), F(2), F(5), F(7)], [F(0), F(0), F(3), F(3)]])
+    doubled = poisson.require_poisson(_bivector(ch4, {(0, 1): "2", (2, 3): "1"}))
+    with pytest.raises(DiracError, match="lies over another structure"):
+        coregularity_check(doubled, cs)
 
 
 def test_dirac_bracket_through_polynomial_denominators():
@@ -219,7 +265,9 @@ def test_golden_images_gauge_and_sharp(so3_structure):
     assert str(gauge_at(lag, b)) == (
         "span{(1, 0, -1/3, 0, 1/3, 0); (0, 1, -2/3, 0, 2/3, 1); (0, 0, 0, 1, 2, 3)}"
     )
-    assert poisson.sharp_at(so3_structure, P, [1, -1, 2]) == [7, 1, -3]
+    # pi#(alpha) for alpha = d(x - y + 2z) is X_f for f = x - y + 2z
+    xf = poisson.hamiltonian_vf(so3_structure, parse_expr("x - y + 2*z", so3_structure.chart))
+    assert [c.eval(P) for c in xf.components()] == [7, 1, -3]
 
 
 @pytest.mark.parametrize("which,kernel,range_basis,omega,annihilator", [
@@ -267,7 +315,7 @@ def test_golden_transversal_induced_poisson(ch4):
         [0, 0],
         parametrization=PolyMap(plane, ch4, (2 * a, 3 * b, zero, 2 * a)),
     )
-    assert _rows(transversal_induced_poisson_at(structure, cs, [F(3), F(-1)])) == [
+    assert _rows(transversal_induced_poisson_at(cs, [F(3), F(-1)])) == [
         ["0", "1/6"], ["-1/6", "0"]]
     coordinate_planes = ConstraintSystem(
         structure,
@@ -276,7 +324,7 @@ def test_golden_transversal_induced_poisson(ch4):
         parametrization=PolyMap(plane, ch4, (zero, a, zero, b)),
     )
     with pytest.raises(poisson.NotCosymplecticError) as err:
-        transversal_induced_poisson_at(structure, coordinate_planes, [F(1), F(2)])
+        transversal_induced_poisson_at(coordinate_planes, [F(1), F(2)])
     assert str(err.value) == (
         "TN (+) TN^pi != TM at [Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), "
         "Fraction(2, 1)]: not cosymplectic there"

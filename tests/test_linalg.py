@@ -30,7 +30,6 @@ def test_int_entries_stay_exact():
     assert inv == [[F(3, 2), F(-1, 2)], [-2, 1]] and _no_floats(inv)
     assert linalg.det([[2, 1], [1, 2]]) == 3
     assert linalg.det([[3, 1], [1, 1]]) == 2
-    assert linalg.solve([[2, 0], [0, 4]], [1, 1]) == [F(1, 2), F(1, 4)]
 
 
 def test_kernel_basis():
@@ -83,13 +82,6 @@ def test_preimage_span():
     assert len(pre) == 2
     for v in pre:
         assert v[2] == 0
-
-
-def test_solve():
-    m = [[F(1), F(1)], [F(0), F(1)]]
-    v = linalg.solve(m, [F(3), F(1)])
-    assert linalg.matvec(m, v) == [F(3), F(1)]
-    assert linalg.solve([[F(1), F(0)], [F(1), F(0)]], [F(0), F(1)]) is None
 
 
 def test_inverse_and_det_keep_the_entry_type():

@@ -11,7 +11,6 @@ from poisskit.multivec import (
     exterior_derivative,
     lie_derivative,
     pullback_form,
-    pushforward_bivector_at,
     schouten,
     wedge,
 )
@@ -278,48 +277,25 @@ def test_pullback_functorial():
             pullback_form(phi.compose(psi), w)
 
 
-def test_pushforward_identity(ch2):
-    phi = PolyMap.identity(ch2)
-    m = [[F(0), F(2)], [F(-2), F(0)]]
-    assert pushforward_bivector_at(phi, m, [F(1), F(3)]) == m
-
-
-def test_pushforward_linear():
-    src = chart("x", "y")
-    tgt = chart("u", "v")
-    a = [[F(1), F(2)], [F(0), F(1)]]
-    phi = PolyMap.linear(src, tgt, a)
-    m = [[F(0), F(1)], [F(-1), F(0)]]
-    out = pushforward_bivector_at(phi, m, [F(0), F(0)])
-    from poisskit import linalg
-    assert out == linalg.matmul(linalg.matmul(a, m), linalg.transpose(a))
-
-
 def test_pushforward_addition_map_lie_poisson(ch3, so3_structure):
-    # the addition map g* x g* -> g* is Poisson for linear structures: the
-    # pushforward at (xi, eta) equals the structure matrix at xi + eta
-    from poisskit.poisson import matrix_at
+    # the addition map g* x g* -> g* pushes the product of Lie-Poisson
+    # structures forward onto g*, and so does the projection onto a factor
+    from poisskit.poisson import is_poisson_map, verify
 
     big = chart("x1", "y1", "z1", "x2", "y2", "z2")
-    comps = tuple(
-        parse_expr(f"{a}1+{a}2", big) for a in ("x", "y", "z")
-    )
-    add = PolyMap(big, ch3, comps)
-    rng = rng_for("addition")
-    for _ in range(5):
-        xi = [F(rng.randint(-3, 3)) for _ in range(3)]
-        eta = [F(rng.randint(-3, 3)) for _ in range(3)]
-        # product structure matrix at (xi, eta) is block diagonal
-        p1 = matrix_at(so3_structure.pi, xi)
-        p2 = matrix_at(so3_structure.pi, eta)
-        block = [[F(0)] * 6 for _ in range(6)]
-        for i in range(3):
-            for j in range(3):
-                block[i][j] = p1[i][j]
-                block[3 + i][3 + j] = p2[i][j]
-        pushed = pushforward_bivector_at(add, block, xi + eta)
-        target = matrix_at(so3_structure.pi, [a + b for a, b in zip(xi, eta)])
-        assert pushed == target
+    first = [RatFunc.var(big, i) for i in range(3)]
+    second = [RatFunc.var(big, 3 + i) for i in range(3)]
+    coeffs = so3_structure.pi.coeffs.items()
+    product = verify(MultiVec(big, 2, {
+        **{(i, j): c.subst(first) for (i, j), c in coeffs},
+        **{(3 + i, 3 + j): c.subst(second) for (i, j), c in coeffs},
+    }))
+    assert product.verified
+    add = PolyMap(big, ch3, tuple(a + b for a, b in zip(first, second)))
+    assert is_poisson_map(add, product, so3_structure)
+    assert is_poisson_map(PolyMap(big, ch3, tuple(second)), product, so3_structure)
+    difference = PolyMap(big, ch3, tuple(a - b for a, b in zip(first, second)))
+    assert not is_poisson_map(difference, product, so3_structure)
 
 
 # -- canonical rendering ----------------------------------------------------------------------------

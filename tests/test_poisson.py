@@ -27,7 +27,6 @@ from poisskit.poisson import (
     modular_vf,
     rank_at,
     require_poisson,
-    sharp_at,
     top_power,
     verify,
 )
@@ -91,34 +90,20 @@ def test_hamiltonian_casimir_so3(ch3, so3_structure):
     assert hamiltonian_vf(so3_structure, f).is_zero
 
 
-# -- sharp_at ------------------------------------------------------------------------
-
-
-def test_sharp_zero_structure(ch2):
-    zero = MultiVec.zero(ch2, 2)
-    assert sharp_at(zero, [F(1), F(1)], [F(1), F(0)]) == [F(0), F(0)]
-
-
-def test_sharp_canonical(chqp, pican_structure):
-    # covector dp maps to the d/dq direction
-    assert sharp_at(pican_structure, [F(0), F(0)], [F(0), F(1)]) == [F(1), F(0)]
-
-
-def test_sharp_so3(ch3, so3_structure):
-    # evaluated by hand from the coefficient matrix at (0,0,1); the value is
-    # (0, 1, 0) under the convention sharp_at(p, df|_p) = X_f(p)
-    assert sharp_at(so3_structure, [F(0), F(0), F(1)], [F(1), F(0), F(0)]) == \
-        [F(0), F(1), F(0)]
+# -- pi# at a point -------------------------------------------------------------------
 
 
 def test_sharp_consistent_with_hamiltonian(ch3, so3_structure):
+    # the row alpha P of the evaluated matrix is pi#(alpha): with alpha = df
+    # at a point it is X_f there, the orientation the pointwise checks use
     rng = rng_for("sharp")
     for _ in range(10):
         f = random_poly(rng, ch3)
         pt = [F(rng.randint(-3, 3)) for _ in range(3)]
         df = [f.diff(i).eval(pt) for i in range(3)]
         xf = hamiltonian_vf(so3_structure, f)
-        assert sharp_at(so3_structure, pt, df) == [c.eval(pt) for c in xf.components()]
+        assert linalg.matmul([df], matrix_at(so3_structure.pi, pt)) == \
+            [[c.eval(pt) for c in xf.components()]]
 
 
 # -- verify -----------------------------------------------------------------------------
@@ -849,13 +834,11 @@ def test_projection_is_poisson_map(ch3, so3_structure):
         coeffs[(i, j)] = c.subst([RatFunc.var(big, k) for k in range(3)])
     product = verify(MultiVec(big, 2, coeffs))
     proj = PolyMap(big, ch3, tuple(RatFunc.var(big, i) for i in range(3)))
-    ok, mode = is_poisson_map(proj, product, so3_structure)
-    assert ok and mode == "symbolic"
+    assert is_poisson_map(proj, product, so3_structure)
 
 
 def test_identity_is_poisson_map(ch3, so3_structure):
-    ok, _ = is_poisson_map(PolyMap.identity(ch3), so3_structure, so3_structure)
-    assert ok
+    assert is_poisson_map(PolyMap.identity(ch3), so3_structure, so3_structure)
 
 
 def test_diagonal_not_poisson_map(ch2, xdxdy_structure):
@@ -867,17 +850,22 @@ def test_diagonal_not_poisson_map(ch2, xdxdy_structure):
         parse_expr("x", ch2), parse_expr("y", ch2),
         parse_expr("x", ch2), parse_expr("y", ch2),
     ))
-    ok, _ = is_poisson_map(diag, xdxdy_structure, product)
-    assert not ok
+    assert not is_poisson_map(diag, xdxdy_structure, product)
 
 
-def test_sampled_poisson_map_mode(ch2, xdxdy_structure):
-    # rational (non-polynomial) map falls back to sample evaluation
-    phi = PolyMap(ch2, ch2, (parse_expr("x", ch2), parse_expr("y/(1+x^2)", ch2)))
-    samples = [[F(i), F(j)] for i in range(-2, 3) for j in range(-2, 3)]
-    ok, mode = is_poisson_map(phi, xdxdy_structure, xdxdy_structure, samples)
-    assert mode == "sampled"
-    assert not ok
+def test_rational_poisson_map(ch2, xdxdy_structure):
+    # on pi = x d/dx ^ d/dy, phi = (x, y + g(x)) keeps {x, y} = x for any g,
+    # and (x, y/(1 + x^2)) scales it; decided exactly, with no sample points
+    x = parse_expr("x", ch2)
+    shear = PolyMap(ch2, ch2, (x, parse_expr("y + 1/(1+x^2)", ch2)))
+    assert is_poisson_map(shear, xdxdy_structure, xdxdy_structure) is True
+    scaled = PolyMap(ch2, ch2, (x, parse_expr("y/(1+x^2)", ch2)))
+    assert is_poisson_map(scaled, xdxdy_structure, xdxdy_structure) is False
+    # the same verdicts on {x, y} = 1/(1+x^2): both brackets depend on x
+    # alone, and det(dphi) is 1 for the shear and 1/(1+x^2) for the scaling
+    rational = verify(MultiVec(ch2, 2, {(0, 1): parse_expr("1/(1+x^2)", ch2)}))
+    assert is_poisson_map(shear, rational, rational) is True
+    assert is_poisson_map(scaled, rational, rational) is False
 
 
 # -- top power and log degeneracy -----------------------------------------------------------------------
