@@ -1,10 +1,12 @@
-"""Dirac geometry: pointwise lagrangian subspaces of V + V*, the
-Courant-Dorfman bracket and Courant tensor on chart-level section families,
-backward/forward images, gauge action, Dirac brackets on constraint level
-sets, and submanifold classification.
+"""Dirac geometry: pointwise lagrangian subspaces of V + V*, section
+families of TM + T*M and their Courant tensor, backward/forward images,
+gauge action, Dirac brackets on constraint level sets, and submanifold
+classification.
 
 Pointwise objects live in Q^(2n) with the vector coordinates first and the
 covector coordinates last; the pairing is <(X,a),(Y,b)> = b(X) + a(Y).
+A ``DiracSectionFamily`` holds n sections as rows of 2n RatFuncs in this
+layout; its Courant tensor is the Cartan expansion of the Dorfman bracket.
 A ``LinearLagrangian`` stores its reduced row echelon form, canonical for the
 fixed column order, so equality and printing are structural.  Backward and
 forward images are both one relation image {out u : into u in L}; kernel,
@@ -26,20 +28,13 @@ labeled "sampled").
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import linalg, poisson
-from .expr import Chart, ChartMismatchError, ExprError, RatFunc
-from .multivec import (
-    DiffForm,
-    MultiVec,
-    PolyMap,
-    contract,
-    exterior_derivative,
-    lie_derivative,
-    schouten,
-)
+from .expr import Chart, ChartMismatchError, ExprError, RatFunc, format_point
+from .multivec import DiffForm, PolyMap
 from .poisson import (
     NotCosymplecticError,
     PoissonStructure,
@@ -91,7 +86,8 @@ def _block_diag(a, b):
 
 
 def _relation_image(lag: LinearLagrangian, into, out, dim: int) -> LinearLagrangian:
-    """{out u : into u in L}, a lagrangian subspace of dimension ``dim``."""
+    """{out u : into u in L}, a lagrangian subspace of dimension ``dim``.
+    ``out`` may map the spanning preimage rows to dependent ones."""
     sols = linalg.preimage_span(into, lag.basis)
     return LinearLagrangian(dim, linalg.canonical_span([linalg.matvec(out, u) for u in sols]))
 
@@ -188,100 +184,82 @@ def reconstruct_from_range(data: KernelRangeData, dim: int) -> LinearLagrangian:
     return LinearLagrangian(n, rows)
 
 
-# -- Courant-Dorfman bracket -----------------------------------------------------
+# -- section families and the Courant tensor ----------------------------------
 
 
-Section = tuple[MultiVec, DiffForm]
-
-
-def courant_dorfman(e1: Section, e2: Section) -> Section:
-    """[[ (X,a), (Y,b) ]] = ([X,Y], L_X b - i_Y da)."""
-    x, alpha = e1
-    y, beta = e2
-    if x.chart != y.chart:
-        raise ChartMismatchError("chart mismatch in courant_dorfman")
-    vec = schouten(x, y)
-    da = exterior_derivative(alpha)
-    form = lie_derivative(x, beta) - contract(da, y)
-    return vec, form
-
-
-def section_pairing(e1: Section, e2: Section) -> RatFunc:
-    """<e1, e2> = b(X) + a(Y)."""
-    x, alpha = e1
-    y, beta = e2
-    return beta.apply_vector(x) + alpha.apply_vector(y)
+def _unit_rows(chart: Chart) -> list:
+    return [[RatFunc.const(chart, e) for e in row] for row in linalg.identity(chart.dim)]
 
 
 @dataclass
 class DiracSectionFamily:
-    """n spanning sections (vector field, 1-form) with RatFunc coefficients."""
+    """n sections (X_a | alpha_a) of TM + T*M on a chart, as rows of 2n
+    RatFuncs with the vector components first, as in ``LinearLagrangian``."""
 
     chart: Chart
-    sections: list
+    rows: list
     samples: list = field(default_factory=list)
 
     def __post_init__(self):
         n = self.chart.dim
-        if len(self.sections) != n:
-            raise DiracError("need exactly n spanning sections")
-        for x, alpha in self.sections:
-            if x.degree != 1 or alpha.degree != 1:
-                raise DiracError("sections must be (vector field, 1-form) pairs")
-            if x.chart != self.chart or alpha.chart != self.chart:
-                raise ChartMismatchError("section charts mismatch")
+        if len(self.rows) != n or any(len(row) != 2 * n for row in self.rows):
+            raise DiracError("need exactly n sections, each a row of 2n entries")
+        if not all(isinstance(e, RatFunc) and e.chart == self.chart
+                   for row in self.rows for e in row):
+            raise ChartMismatchError("section entries must be RatFuncs on the chart")
 
     def evaluate_at(self, point) -> LinearLagrangian:
-        n = self.chart.dim
-        rows = []
-        for x, alpha in self.sections:
-            row = [x.coeff((i,)).eval(point) for i in range(n)]
-            row += [alpha.coeff((i,)).eval(point) for i in range(n)]
-            rows.append(row)
-        return LinearLagrangian(n, rows)
+        return LinearLagrangian(self.chart.dim, [[e.eval(point) for e in row] for row in self.rows])
 
     @staticmethod
     def graph_of_bivector(structure, samples=None) -> "DiracSectionFamily":
         """Sections (pi#(dx_i), dx_i) of a PoissonStructure or a bivector."""
         pi = poisson._pi_of(structure)
-        chart = pi.chart
-        n = chart.dim
-        p = bivector_matrix(pi)
-        sections = []
-        for i in range(n):
-            vec = MultiVec(chart, 1, {(j,): p[i][j] for j in range(n)})
-            form = DiffForm.basis_form(chart, i)
-            sections.append((vec, form))
-        return DiracSectionFamily(chart, sections, samples or [])
+        rows = [p + e for p, e in zip(bivector_matrix(pi), _unit_rows(pi.chart))]
+        return DiracSectionFamily(pi.chart, rows, samples or [])
 
     @staticmethod
     def graph_of_2form(omega: DiffForm, samples=None) -> "DiracSectionFamily":
         """Sections (d/dx_i, i_{d/dx_i} omega)."""
-        chart = omega.chart
-        n = chart.dim
-        sections = []
-        for i in range(n):
-            vec = MultiVec.basis_vector(chart, i)
-            form = contract(omega, vec)
-            sections.append((vec, form))
-        return DiracSectionFamily(chart, sections, samples or [])
+        if omega.degree != 2:
+            raise DiracError("graph_of_2form needs a 2-form")
+        rows = [e + w for e, w in zip(_unit_rows(omega.chart), bivector_matrix(omega))]
+        return DiracSectionFamily(omega.chart, rows, samples or [])
+
+
+def _pair(u, v, zero: RatFunc) -> RatFunc:
+    """sum_k u_k v_k over the k where neither entry is zero."""
+    terms = [s * t for s, t in zip(u, v) if not (s.is_zero or t.is_zero)]
+    return sum(terms[1:], terms[0]) if terms else zero
 
 
 def courant_tensor(family: DiracSectionFamily) -> dict:
-    """All (n choose 3) values <[[e_a, e_b]], e_c>; the family is integrable
-    iff all vanish identically.  Verifies lagrangianity at the family's
-    sample points first."""
+    """{(a, b, c): <[[e_a, e_b]], e_c>} for a < b < c, with the Dorfman bracket
+    [[(X, a), (Y, b)]] = ([X, Y], L_X b - i_Y da); the family is integrable
+    iff all vanish identically.  With p_ab = alpha_a(X_b), Cartan's formula
+    expands it to alpha_c[X_a, X_b] - alpha_b[X_a, X_c] + alpha_a[X_b, X_c]
+    + X_a(p_bc) - X_b(p_ac) + X_c(p_ab), which takes [X_a, X_b] and the
+    gradient of p_ab once for each a < b.  Checks lagrangianity at the
+    family's samples first."""
     for point in family.samples:
-        lag = family.evaluate_at(point)  # raises if not lagrangian
-        del lag
+        family.evaluate_at(point)  # raises if not lagrangian
     n = family.chart.dim
-    out = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            bracket_ab = courant_dorfman(family.sections[a], family.sections[b])
-            for c in range(b + 1, n):
-                out[(a, b, c)] = section_pairing(bracket_ab, family.sections[c])
-    return out
+    zero = RatFunc.zero(family.chart)
+    vecs, forms = [row[:n] for row in family.rows], [row[n:] for row in family.rows]
+    # grads[a][k] = the gradient of X_a^k
+    grads = [[[e.diff(j) for j in range(n)] for e in x] for x in vecs]
+    brackets, dp = {}, {}
+    for a, b in itertools.combinations(range(n), 2):
+        brackets[a, b] = [_pair(vecs[a], grads[b][k], zero) - _pair(vecs[b], grads[a][k], zero)
+                          for k in range(n)]
+        p_ab = _pair(forms[a], vecs[b], zero)
+        dp[a, b] = [p_ab.diff(j) for j in range(n)]
+    return {
+        (a, b, c): _pair(forms[c], brackets[a, b], zero) - _pair(forms[b], brackets[a, c], zero)
+        + _pair(forms[a], brackets[b, c], zero) + _pair(vecs[a], dp[b, c], zero)
+        - _pair(vecs[b], dp[a, c], zero) + _pair(vecs[c], dp[a, b], zero)
+        for a, b, c in itertools.combinations(range(n), 3)
+    }
 
 
 # -- constraint systems and Dirac brackets ------------------------------------------
@@ -308,7 +286,7 @@ class ConstraintSystem:
         for point in self.samples:
             for psi, r in zip(self.constraints, self.level):
                 if psi.eval(point) != r:
-                    raise DiracError(f"sample {point} is not on the level set")
+                    raise DiracError(f"sample {format_point(point)} is not on the level set")
         if self.parametrization is not None:
             if self.parametrization.target != ch:
                 raise ChartMismatchError("parametrization must land in the ambient chart")
@@ -459,6 +437,8 @@ def coregularity_check(structure, data, samples=None) -> CoregularityReport:
         dims = [linalg.rank(_tn_pi_rows(cs, point)) for point in cs.samples]
     elif isinstance(data, PolyMap):
         phi = data
+        if phi.target != pi.chart:
+            raise ChartMismatchError("the map must land in the structure's chart")
         if samples is None or len(samples) < 2:
             raise DiracError("need at least 2 samples")
         dims = []
@@ -479,20 +459,23 @@ def dual_pair_check(omega: DiffForm, phi1: PolyMap, phi2: PolyMap,
     """dim S = dim M1 + dim M2 and phi1^! L_pi1 = tau_omega(phi2^! L_pi2) at
     every sample."""
     s_chart = omega.chart
+    pi1, pi2 = poisson._pi_of(structure1), poisson._pi_of(structure2)
     if phi1.source != s_chart or phi2.source != s_chart:
         raise ChartMismatchError("legs must start on the 2-form's chart")
+    if pi1.chart != phi1.target or pi2.chart != phi2.target:
+        raise ChartMismatchError("each structure must live on its leg's target chart")
     if s_chart.dim != phi1.target.dim + phi2.target.dim:
         return False
-    graph1 = DiracSectionFamily.graph_of_bivector(structure1)
-    graph2 = DiracSectionFamily.graph_of_bivector(structure2)
+    graph1 = DiracSectionFamily.graph_of_bivector(pi1)
+    graph2 = DiracSectionFamily.graph_of_bivector(pi2)
     for point in samples:
         w = matrix_at(omega, point)
         if linalg.det(w) == 0:
-            raise DiracError(f"2-form degenerate at sample {point}")
+            raise DiracError(f"2-form degenerate at sample {format_point(point)}")
         j1 = phi1.jacobian_at(point)
         j2 = phi2.jacobian_at(point)
         if linalg.rank(j1) != phi1.target.dim or linalg.rank(j2) != phi2.target.dim:
-            raise DiracError(f"a leg is not a submersion at {point}")
+            raise DiracError(f"a leg is not a submersion at {format_point(point)}")
         back1 = backward_image(graph1.evaluate_at(phi1(point)), j1)
         back2 = backward_image(graph2.evaluate_at(phi2(point)), j2)
         if back1 != gauge_at(back2, w):
@@ -521,7 +504,7 @@ def transversal_induced_poisson_at(cs: ConstraintSystem, parameter_point):
     tnpi = linalg.canonical_span(_tn_pi_rows(cs, ambient_point))
     if not len(tn) + len(tnpi) == n == linalg.rank(tn + tnpi):
         raise NotCosymplecticError(
-            f"TN (+) TN^pi != TM at {ambient_point}: not cosymplectic there"
+            f"TN (+) TN^pi != TM at {format_point(ambient_point)}: not cosymplectic there"
         )
     graph = DiracSectionFamily.graph_of_bivector(cs.structure).evaluate_at(ambient_point)
     lag = backward_image(graph, jac)

@@ -108,6 +108,11 @@ def chart(*names: str) -> Chart:
     return Chart(tuple(names))
 
 
+def format_point(point) -> str:
+    """A point as error texts print it: (0, 1/2, -3)."""
+    return "(" + ", ".join(map(str, point)) + ")"
+
+
 def _check_same_chart(a, b):
     if a.chart != b.chart:
         raise ChartMismatchError(f"chart mismatch: {a.chart} vs {b.chart}")
@@ -742,7 +747,7 @@ class RatFunc:
     def eval(self, point: Sequence[Fraction]) -> Fraction:
         dv = self.den.eval(point)
         if dv == 0:
-            raise PoleError(f"denominator vanishes at {tuple(point)}")
+            raise PoleError(f"denominator vanishes at {format_point(point)}")
         return self.num.eval(point) / dv
 
     def subst(self, values: Sequence["RatFunc"]) -> "RatFunc":

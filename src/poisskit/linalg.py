@@ -13,8 +13,9 @@ One sparse core does the elimination: ``eliminate`` takes rows as
 nonzeros (the Poisson cohomology matrices have densities of about 1%), and
 ``null_space`` reads a sparse kernel basis off its result.  Poisson
 cohomology calls the two directly and builds no dense matrix.  ``rref`` and
-``kernel_basis`` are their dense views, and ``canonical_span``, ``rank`` and
-``preimage_span`` run on ``rref``; all of these take and return dense lists.
+``kernel_basis`` are their dense views; ``canonical_span`` and ``rank`` run
+on ``rref``, and ``preimage_span`` on ``kernel_basis``, returning a spanning
+set rather than a canonical one.  All of these take and return dense lists.
 A vector in the span of RREF rows has its coordinates at their pivots.
 
 The core takes rational entries (int or Fraction) and eliminates over the
@@ -274,9 +275,9 @@ def det(m):
 
 
 def preimage_span(matrix, span):
-    """{v : matrix @ v in row-span(span)} as a canonical row span."""
+    """Rows spanning {v : matrix @ v in row-span(span)}: the kernel of
+    [matrix | -span^T] projected to v, a basis when the rows of ``span`` are
+    independent, since then v determines the coefficients c."""
     cols = len(matrix[0])
-    # Solve matrix @ v - span^T c = 0 for (v, c), then project to v.
     big = [list(row) + [-s[i] for s in span] for i, row in enumerate(matrix)]
-    sols = kernel_basis(big, ncols=cols + len(span))
-    return canonical_span([s[:cols] for s in sols])
+    return [s[:cols] for s in kernel_basis(big, ncols=cols + len(span))]

@@ -18,14 +18,13 @@ Sign conventions (fixed once, all tests written against them):
 
   This choice satisfies graded antisymmetry, the Leibniz rule, [Z,-] = L_Z
   for vector fields, and gives [pi, f] = -X_f.
-* i_X(a ^ b) = (i_X a) ^ b + (-1)^deg(a) a ^ (i_X b).
 
 A wedge whose degree exceeds the dimension of the space is the canonical zero
 object rather than an error.
 
-A ``PolyMap`` between charts pulls forms back; there is no pushforward of
-bivectors, since whether phi carries pi_1 to pi_2 is the exact check
-``poisson.is_poisson_map``.
+A ``PolyMap`` between charts gives its values and its Jacobian; there is no
+pushforward of bivectors, since whether phi carries pi_1 to pi_2 is the
+exact check ``poisson.is_poisson_map``.
 """
 
 from __future__ import annotations
@@ -203,15 +202,6 @@ class MultiVec(_Alternating):
             raise ExprError("components() needs a vector field")
         return [self.coeff((i,)) for i in range(self.chart.dim)]
 
-    def apply_to(self, f: RatFunc) -> RatFunc:
-        """Vector field acting on a function as a derivation."""
-        if self.degree != 1:
-            raise ExprError("apply_to() needs a vector field")
-        out = RatFunc.zero(self.chart)
-        for (i,), c in self.coeffs.items():
-            out = out + c * f.diff(i)
-        return out
-
 
 class DiffForm(_Alternating):
     """Differential k-form on a chart."""
@@ -221,19 +211,6 @@ class DiffForm(_Alternating):
     @staticmethod
     def basis_form(chart: Chart, i: int) -> "DiffForm":
         return DiffForm(chart, 1, {(i,): RatFunc.const(chart, 1)})
-
-    @staticmethod
-    def d_of(f: RatFunc) -> "DiffForm":
-        return exterior_derivative(DiffForm.from_scalar(f))
-
-    def apply_vector(self, vec: MultiVec) -> RatFunc:
-        """Pair a 1-form with a vector field."""
-        if self.degree != 1 or vec.degree != 1:
-            raise ExprError("pairing needs degree-1 arguments")
-        out = RatFunc.zero(self.chart)
-        for (i,), c in self.coeffs.items():
-            out = out + c * vec.coeff((i,))
-        return out
 
 
 # -- wedge --------------------------------------------------------------------
@@ -258,31 +235,7 @@ def wedge(a, b):
     return cls(a.chart, degree, out)
 
 
-# -- interior product and exterior derivative --------------------------------
-
-
-def contract(form: DiffForm, vec: MultiVec) -> DiffForm:
-    """Interior product i_vec(form) for a degree-1 multivector."""
-    if not isinstance(form, DiffForm) or not isinstance(vec, MultiVec):
-        raise ExprError("contract expects (DiffForm, MultiVec)")
-    if vec.degree != 1:
-        raise ExprError("contraction vector must have degree 1")
-    if form.degree == 0:
-        raise ExprError("cannot contract a degree-0 form")
-    if form.chart != vec.chart:
-        raise ChartMismatchError("chart mismatch in contract")
-    out: dict[Index, RatFunc] = {}
-    for idx, c in form.coeffs.items():
-        for pos, i in enumerate(idx):
-            v = vec.coeff((i,))
-            if v.is_zero:
-                continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = c * v
-            if pos % 2:
-                term = -term
-            _accumulate(out, rest, term)
-    return DiffForm(form.chart, form.degree - 1, out)
+# -- exterior derivative -------------------------------------------------------
 
 
 def exterior_derivative(form: DiffForm) -> DiffForm:
@@ -370,24 +323,6 @@ def schouten(x: MultiVec, y: MultiVec) -> MultiVec:
     return result
 
 
-def lie_derivative(x: MultiVec, t):
-    """Lie derivative along a vector field: Cartan on forms, Schouten on
-    multivectors."""
-    if x.degree != 1:
-        raise ExprError("lie_derivative needs a degree-1 multivector")
-    if isinstance(t, DiffForm):
-        if t.chart != x.chart:
-            raise ChartMismatchError("chart mismatch in lie_derivative")
-        if t.degree == 0:
-            return DiffForm.from_scalar(x.apply_to(t.scalar()))
-        return contract(exterior_derivative(t), x) + exterior_derivative(contract(t, x))
-    if isinstance(t, MultiVec):
-        return schouten(x, t)
-    if isinstance(t, RatFunc):
-        return x.apply_to(t)
-    raise ExprError(f"cannot take a Lie derivative of {type(t).__name__}")
-
-
 # -- polynomial maps between charts -------------------------------------------
 
 
@@ -426,13 +361,6 @@ class PolyMap:
     def __call__(self, point):
         return [c.eval(point) for c in self.components]
 
-    def compose(self, inner: "PolyMap") -> "PolyMap":
-        """self after inner."""
-        if inner.target != self.source:
-            raise ChartMismatchError("composition chart mismatch")
-        comps = tuple(c.subst(list(inner.components)) for c in self.components)
-        return PolyMap(inner.source, self.target, comps)
-
     def jacobian(self) -> list[list[RatFunc]]:
         return [
             [c.diff(j) for j in range(self.source.dim)] for c in self.components
@@ -440,25 +368,3 @@ class PolyMap:
 
     def jacobian_at(self, point) -> list[list[Fraction]]:
         return [[e.eval(point) for e in row] for row in self.jacobian()]
-
-
-def pullback_form(phi: PolyMap, form: DiffForm) -> DiffForm:
-    """phi^* form, by substitution and chain rule."""
-    if form.chart != phi.target:
-        raise ChartMismatchError("form must live on the target chart")
-    src = phi.source
-    if form.degree > src.dim:
-        return DiffForm.zero(src, form.degree)
-    comps = list(phi.components)
-    jac = phi.jacobian()
-    dphi = [
-        DiffForm(src, 1, {(j,): jac[i][j] for j in range(src.dim)})
-        for i in range(phi.target.dim)
-    ]
-    out = DiffForm.zero(src, form.degree)
-    for idx, c in form.coeffs.items():
-        piece = DiffForm.from_scalar(c.subst(comps))
-        for i in idx:
-            piece = wedge(piece, dphi[i])
-        out = out + piece
-    return out

@@ -35,7 +35,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from . import linalg
-from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc
+from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc, format_point
 from .multivec import (
     DiffForm,
     MultiVec,
@@ -535,7 +535,7 @@ def log_degeneracy_check(structure, samples) -> LogDegeneracyReport:
     good, bad = [], []
     for point in samples:
         if f.eval(point) != 0:
-            raise PoissonError(f"sample {point} is not on the zero locus")
+            raise PoissonError(f"sample {format_point(point)} is not on the zero locus")
         grad = [f.diff(i).eval(point) for i in range(n)]
         (good if any(g != 0 for g in grad) else bad).append(list(point))
     return LogDegeneracyReport(f, good, bad)

@@ -153,6 +153,55 @@ def trivector_on_differentials(t, f, g, h):
     return out
 
 
+# -- the Dorfman bracket in components, an oracle for dirac.courant_tensor -------
+#
+# A vector field or a 1-form is the list of its RatFunc components.
+
+
+def _sum(terms, chart):
+    return sum(terms, RatFunc.zero(chart))
+
+
+def vector_on(x, f):
+    """X(f) = sum_j X^j d_j f."""
+    return _sum((c * f.diff(j) for j, c in enumerate(x)), f.chart)
+
+
+def commutator(x, y):
+    """[X, Y]^k = X(Y^k) - Y(X^k)."""
+    return [vector_on(x, b) - vector_on(y, a) for a, b in zip(x, y)]
+
+
+def lie_derivative_of_1form(x, beta):
+    """(L_X beta)_k = sum_j X^j d_j beta_k + beta_j d_k X^j."""
+    return [_sum((x[j] * beta[k].diff(j) + beta[j] * x[j].diff(k) for j in range(len(x))),
+                 beta[k].chart) for k in range(len(x))]
+
+
+def contract_d(y, alpha):
+    """(i_Y d alpha)_k = sum_j Y^j (d_j alpha_k - d_k alpha_j)."""
+    return [_sum((y[j] * (alpha[k].diff(j) - alpha[j].diff(k)) for j in range(len(y))),
+                 alpha[k].chart) for k in range(len(y))]
+
+
+def courant_oracle(rows):
+    """{(a, b, c): <[[e_a, e_b]], e_c>} for a < b < c, from the definition:
+    e_a = (X_a | alpha_a) is a row of 2n components, the Dorfman bracket is
+    [[(X, alpha), (Y, beta)]] = ([X, Y], L_X beta - i_Y d alpha), and the
+    pairing is <(V, phi), (Y, beta)> = beta(V) + phi(Y)."""
+    n = len(rows)
+    vecs, forms = [row[:n] for row in rows], [row[n:] for row in rows]
+    chart = rows[0][0].chart
+    out = {}
+    for a, b, c in itertools.combinations(range(n), 3):
+        vec = commutator(vecs[a], vecs[b])
+        form = [l - i for l, i in zip(lie_derivative_of_1form(vecs[a], forms[b]),
+                                      contract_d(vecs[b], forms[a]))]
+        out[a, b, c] = _sum((forms[c][k] * vec[k] + form[k] * vecs[c][k] for k in range(n)),
+                            chart)
+    return out
+
+
 # -- the Jacobiator of a structure-constant table, an oracle for lie_from_constants --
 
 

@@ -201,6 +201,18 @@ def test_bad_rational_is_a_manifest_error(tmp_path, capsys, doc):
     assert len(lines) == 1 and lines[0].startswith("FAIL manifest invalid rational '1/0'")
 
 
+@pytest.mark.parametrize("doc,status,line", [
+    ({"chart": ["x", "y", "z"], "bivectors": {"pi": {"0,1": "1/x"}},
+      "tasks": [{"task": "rank", "point": ["0", "0", "0"]}]},
+     1, "FAIL rank denominator vanishes at (0, 0, 0)"),
+    ({**SO3, "constraints": {"n": {"bivector": "pi", "psi": ["y"], "level": ["1"],
+                                   "samples": [["1", "0", "1/2"]]}}},
+     2, "FAIL manifest sample (1, 0, 1/2) is not on the level set"),
+], ids=["pole", "off-level"])
+def test_error_texts_print_points_as_rationals(tmp_path, capsys, doc, status, line):
+    assert _run(tmp_path, capsys, json.dumps(doc)) == (status, [line])
+
+
 def test_deeply_nested_json_is_a_manifest_error(tmp_path, capsys):
     path = tmp_path / "manifest.json"
     deep = "[" * 100_000 + "]" * 100_000

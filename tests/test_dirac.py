@@ -23,11 +23,18 @@ from poisskit.dirac import (
     reconstruct_from_range,
     transversal_induced_poisson_at,
 )
-from poisskit.expr import RatFunc, chart, parse_expr
-from poisskit.multivec import DiffForm, MultiVec, PolyMap
+from poisskit.expr import ChartMismatchError, RatFunc, chart, parse_expr
+from poisskit.multivec import DiffForm, MultiVec, PolyMap, exterior_derivative
 from poisskit.poisson import gauge_transform, is_poisson_map, matrix_at
 
-from conftest import jacobiator_trivector, rng_for
+from conftest import (
+    courant_oracle,
+    jacobiator_trivector,
+    random_form,
+    random_multivec,
+    random_poly,
+    rng_for,
+)
 
 P = [F(1), F(2), F(3)]
 
@@ -122,6 +129,70 @@ def test_courant_tensor_of_2form_graph_is_d_omega(ch3):
     assert courant_tensor(DiracSectionFamily.graph_of_2form(closed))[(0, 1, 2)].is_zero
 
 
+def _random_entry(rng, ch):
+    """Zero, a polynomial, or a polynomial over 1 + c x_i^2."""
+    if rng.random() < 0.25:
+        return RatFunc.zero(ch)
+    num = random_poly(rng, ch)
+    if rng.random() < 0.3:
+        x = RatFunc.var(ch, rng.randrange(ch.dim))
+        num = num / (1 + rng.randint(1, 3) * x * x)
+    return num
+
+
+@pytest.mark.parametrize("names", ["xyz", "xyzw"])
+def test_courant_tensor_of_general_families_matches_the_definition(names):
+    # rows that are in general neither isotropic nor spanning: the expansion
+    # must agree with the Dorfman bracket and pairing of the definition
+    ch = chart(*names)
+    n = ch.dim
+    rng = rng_for(f"courant {names}")
+    nonzero = 0
+    for _ in range(12 if n == 3 else 4):
+        rows = [[_random_entry(rng, ch) for _ in range(2 * n)] for _ in range(n)]
+        tensor = courant_tensor(DiracSectionFamily(ch, rows))
+        assert tensor == courant_oracle(rows)
+        nonzero += sum(not v.is_zero for v in tensor.values())
+    assert nonzero > 10
+
+
+@pytest.mark.parametrize("names", ["xyz", "xyzw"])
+def test_courant_tensor_of_random_graphs(names):
+    # graph of pi: the jacobiator (1/2)[pi, pi]; graph of omega: d omega
+    ch = chart(*names)
+    rng = rng_for(f"graphs {names}")
+    for _ in range(4):
+        pi = random_multivec(rng, ch, 2)
+        jacobiator = jacobiator_trivector(pi)
+        tensor = courant_tensor(DiracSectionFamily.graph_of_bivector(pi))
+        assert tensor == {idx: jacobiator.coeff(idx) for idx in tensor}
+        assert any(not v.is_zero for v in tensor.values())
+        omega = random_form(rng, ch, 2)
+        d_omega = exterior_derivative(omega)
+        tensor = courant_tensor(DiracSectionFamily.graph_of_2form(omega))
+        assert tensor == {idx: d_omega.coeff(idx) for idx in tensor}
+        assert any(not v.is_zero for v in tensor.values())
+
+
+def test_section_family_checks_its_rows(ch3):
+    x, one = parse_expr("x", ch3), RatFunc.const(ch3, 1)
+    with pytest.raises(DiracError, match="need exactly n sections, each a row of 2n entries"):
+        DiracSectionFamily(ch3, [[x] * 6, [x] * 6])
+    with pytest.raises(DiracError, match="need exactly n sections, each a row of 2n entries"):
+        DiracSectionFamily(ch3, [[x] * 6, [x] * 6, [x] * 5])
+    with pytest.raises(ChartMismatchError, match="section entries must be RatFuncs on the chart"):
+        DiracSectionFamily(ch3, [[x] * 6, [x] * 6, [x] * 5 + [RatFunc.const(chart("u"), 1)]])
+    with pytest.raises(ChartMismatchError, match="section entries must be RatFuncs on the chart"):
+        DiracSectionFamily(ch3, [[x] * 6, [x] * 6, [x] * 5 + [1]])
+    with pytest.raises(DiracError, match="graph_of_2form needs a 2-form"):
+        DiracSectionFamily.graph_of_2form(DiffForm(ch3, 1, {(0,): one}))
+    # non-isotropic rows have a Courant tensor, but fail the check at a sample
+    rows = [[one] * 6, [x] * 6, [one, x, one, x, one, x]]
+    assert set(courant_tensor(DiracSectionFamily(ch3, rows))) == {(0, 1, 2)}
+    with pytest.raises(DiracError, match="basis does not span a lagrangian subspace"):
+        courant_tensor(DiracSectionFamily(ch3, rows, samples=[P]))
+
+
 # -- maps ------------------------------------------------------------------------------
 
 
@@ -134,6 +205,32 @@ def test_dual_pair_check(chqp):
     samples = [[F(1), F(2)], [F(-1), F(1, 2)]]
     assert dual_pair_check(omega, q, q, zero, zero, samples)
     assert not dual_pair_check(omega, q, p, zero, zero, samples)
+
+
+def test_dual_pair_check_prints_the_failing_sample(chqp):
+    line = chart("u")
+    zero = MultiVec.zero(line, 2)
+    omega = _form(chqp, {(0, 1): "1"})
+    q = PolyMap(chqp, line, (parse_expr("q", chqp),))
+    p = PolyMap(chqp, line, (parse_expr("p", chqp),))
+    with pytest.raises(DiracError, match=r"^2-form degenerate at sample \(0, 1/2\)$"):
+        dual_pair_check(_form(chqp, {(0, 1): "q"}), q, p, zero, zero, [[F(0), F(1, 2)]])
+    square = PolyMap(chqp, line, (parse_expr("q^2", chqp),))
+    with pytest.raises(DiracError, match=r"^a leg is not a submersion at \(0, 3\)$"):
+        dual_pair_check(omega, square, p, zero, zero, [[F(0), F(3)]])
+
+
+def test_dual_pair_check_takes_structures_on_the_legs_targets(chqp):
+    omega = _form(chqp, {(0, 1): "1"})
+    q = PolyMap(chqp, chart("u"), (parse_expr("q", chqp),))
+    p = PolyMap(chqp, chart("u"), (parse_expr("p", chqp),))
+    samples = [[F(1), F(2)]]
+    on_v = MultiVec.zero(chart("v"), 2)
+    with pytest.raises(ChartMismatchError, match="each structure must live on its leg's target"):
+        dual_pair_check(omega, q, q, on_v, on_v, samples)
+    plane = MultiVec.zero(chart("u", "w"), 2)
+    with pytest.raises(ChartMismatchError, match="each structure must live on its leg's target"):
+        dual_pair_check(omega, q, p, MultiVec.zero(chart("u"), 2), plane, samples)
 
 
 def test_forward_image_of_graph_agrees_with_is_poisson_map(ch3, so3_structure):
@@ -163,6 +260,29 @@ def test_coregularity_of_a_line_into_so3(ch3, so3_structure):
     assert report.dims == [3, 3] and report.constant
     report = coregularity_check(so3_structure, phi, [[F(1)], [F(0)]])
     assert report.dims == [3, 1] and not report.constant
+
+
+def test_coregularity_of_a_map_takes_the_structures_chart(ch3, so3_structure):
+    line = chart("t")
+    t = parse_expr("t", line)
+    elsewhere = PolyMap(line, chart("u", "v", "w"), (t, RatFunc.zero(line), RatFunc.zero(line)))
+    with pytest.raises(ChartMismatchError, match="the map must land in the structure's chart"):
+        coregularity_check(so3_structure, elsewhere, [[F(1)], [F(2)]])
+
+
+def test_each_image_takes_two_reductions(so3_structure, monkeypatch):
+    # the preimage rows of the kernel already span; rref runs once on the
+    # image rows and once in LinearLagrangian
+    lag = _graph_at(so3_structure, P)
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or rref(m))
+    back = backward_image(lag, [[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]])
+    assert len(calls) == 2
+    forward = forward_image(lag, [[F(1), F(0), F(0)], [F(0), F(1), F(1)]])
+    assert len(calls) == 4
+    assert str(back) == "span{(1, -4/5, 0, 0); (0, 0, 1, 5/4)}"
+    assert str(forward) == "span{(1, 0, 0, -1); (0, 1, 1, 0)}"
 
 
 # -- constraint systems -----------------------------------------------------------------
@@ -325,7 +445,4 @@ def test_golden_transversal_induced_poisson(ch4):
     )
     with pytest.raises(poisson.NotCosymplecticError) as err:
         transversal_induced_poisson_at(coordinate_planes, [F(1), F(2)])
-    assert str(err.value) == (
-        "TN (+) TN^pi != TM at [Fraction(0, 1), Fraction(1, 1), Fraction(0, 1), "
-        "Fraction(2, 1)]: not cosymplectic there"
-    )
+    assert str(err.value) == "TN (+) TN^pi != TM at (0, 1, 0, 2): not cosymplectic there"

@@ -70,7 +70,9 @@ def test_bracket_equals_dg_of_hamiltonian(ch3, so3_structure):
         f = random_poly(rng, ch3)
         g = random_poly(rng, ch3)
         xf = hamiltonian_vf(so3_structure, f)
-        assert bracket(so3_structure, f, g) == xf.apply_to(g)
+        x_f_of_g = sum((c * g.diff(k) for k, c in enumerate(xf.components())),
+                       RatFunc.zero(ch3))
+        assert bracket(so3_structure, f, g) == x_f_of_g
 
 
 # -- hamiltonian_vf -----------------------------------------------------------------
@@ -905,6 +907,11 @@ def test_log_degeneracy_violation(ch2):
 def test_log_degeneracy_rejects_off_locus(ch2, xdxdy_structure):
     with pytest.raises(PoissonError):
         log_degeneracy_check(xdxdy_structure, [[F(1), F(0)]])
+
+
+def test_log_degeneracy_prints_the_sample_off_the_locus(ch2, xdxdy_structure):
+    with pytest.raises(PoissonError, match=r"^sample \(1/2, 0\) is not on the zero locus$"):
+        log_degeneracy_check(xdxdy_structure, [[F(1, 2), F(0)]])
 
 
 # -- isotropy Lie algebra ------------------------------------------------------------------------------
