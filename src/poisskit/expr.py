@@ -13,7 +13,13 @@ Representation choices:
   changes no value, printed text or hash;
 * a polynomial is a dict mapping exponent tuples (one nonnegative int per
   chart variable) to nonzero coefficients -- the zero polynomial is the empty
-  dict, so structural equality is canonical equality;
+  dict, so structural equality is canonical equality, and a constant has at
+  most one term, so ``is_constant`` looks at one exponent at most;
+* exact division takes each leading remainder term from a heap of the
+  remainder's exponents in graded-lex order (Monagan and Pearce, JSC 2011)
+  instead of scanning the remainder for it.  A step only adds terms below the
+  one it cancels, so the quotient has the terms, in the order, that the scan
+  would give;
 * a rational function stores a numerator/denominator pair of polynomials,
   and every result is reduced: the pair is coprime unless a gcd on the way
   was abandoned, either by ``poly_gcd``'s size guard or by the heuristic
@@ -43,9 +49,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
-from operator import add
+from operator import add, neg, sub
 from typing import Sequence
 
 Coefficient = int | Fraction  # under the coefficient rule above
@@ -114,7 +121,7 @@ def format_point(point) -> str:
 
 
 def _check_same_chart(a, b):
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatchError(f"chart mismatch: {a.chart} vs {b.chart}")
 
 
@@ -188,17 +195,26 @@ class Poly:
         return Poly(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        _check_same_chart(self, other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return Poly(self.chart, out)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         _check_same_chart(self, other)
         out: dict[tuple[int, ...], Coefficient] = {}
+        get, other_items = out.get, other.terms.items()
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+            for eb, cb in other_items:
                 e = tuple(map(add, ea, eb))
-                s = out.get(e, 0) + ca * cb
+                s = get(e, 0) + ca * cb
                 if s:
                     out[e] = s
                 else:
@@ -241,7 +257,9 @@ class Poly:
 
     @property
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        # no terms, or one term: a constant when its exponent is all zeros
+        terms = self.terms
+        return len(terms) <= 1 and not any(next(iter(terms), ()))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -362,30 +380,51 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
     return Poly(a.chart, _divide(a.terms, b.terms, _quotient))
 
 
+def _heap_key(e: tuple[int, ...]):
+    # the smallest key is the largest exponent in graded-lex order
+    return -sum(e), tuple(map(neg, e)), e
+
+
 def _divide(a: dict, b: dict, quotient) -> dict:
     """The terms of a / b, coefficients divided by ``quotient``; raises
     ExprError if b does not divide a.
 
     One remainder dict is reduced in place: each quotient term t*x^diff
-    subtracts t*x^diff*b from it term by term.
+    subtracts t*x^diff*b from it term by term.  The leading remainder term
+    comes from a heap of the remainder's exponents in graded-lex order
+    (Monagan and Pearce, JSC 2011), with lazy deletion: an exponent whose
+    term has cancelled is skipped when it comes off the heap.  The order is a
+    monomial order, so every term a step adds lies below the leading term it
+    cancels, and the quotient gets the terms, in the order, that a scan of
+    the remainder for its largest exponent would give.
     """
     be = max(b, key=_monomial_key)
     bc = b[be]
     q = {}
     r = dict(a)
-    while r:
-        re = max(r, key=_monomial_key)
-        diff = tuple(x - y for x, y in zip(re, be))
-        if any(d < 0 for d in diff):
+    heap = list(map(_heap_key, r))
+    heapify(heap)
+    while r:  # every exponent in r is on the heap
+        re = heappop(heap)[2]
+        lead = r.get(re)
+        if lead is None:
+            continue
+        diff = tuple(map(sub, re, be))
+        if min(diff) < 0:
             raise ExprError("inexact polynomial division")
-        t = q[diff] = quotient(r[re], bc)
+        t = q[diff] = quotient(lead, bc)
         for e, c in b.items():
             e = tuple(map(add, diff, e))
-            s = r.get(e, 0) - t * c
+            s = r.get(e)
+            if s is None:
+                r[e] = -t * c
+                heappush(heap, _heap_key(e))
+                continue
+            s -= t * c
             if s:
                 r[e] = s
             else:
-                r.pop(e, None)
+                del r[e]
     return q
 
 
@@ -561,7 +600,7 @@ def _normalized(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if num.is_zero:
         return num, Poly.const(num.chart, 1)
     if den.is_constant:
-        c = den.constant_value()
+        c = next(iter(den.terms.values()))
         if c == 1:  # Poly values are never modified, so num can be shared
             return num, den
         return num.scale(_quotient(1, c)), Poly.const(num.chart, 1)
@@ -595,7 +634,10 @@ class RatFunc:
         _check_same_chart(num, den)
         if den.is_zero:
             raise ExprError("zero denominator")
-        self.num, self.den = self._reduce(num, den)
+        if den.is_constant and 1 in den.terms.values():  # a polynomial: nothing to reduce
+            self.num, self.den = num, den
+        else:
+            self.num, self.den = self._reduce(num, den)
 
     @staticmethod
     def _reduce(num: Poly, den: Poly) -> tuple[Poly, Poly]:

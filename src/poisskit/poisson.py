@@ -424,9 +424,17 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
 
 
 def _id_plus(p, w):
-    """I + P W."""
-    return [[e + 1 if i == j else e for j, e in enumerate(row)]
-            for i, row in enumerate(linalg.matmul(p, w))]
+    """I + P W.  When every entry of P and W is a polynomial, the product is
+    formed over ``Poly``, by the sums ``linalg.matmul`` forms over RatFunc in
+    the same order, and each entry is wrapped once; it is the same pair, term
+    order included.  Any other P or W takes the RatFunc product."""
+    if not all(e.is_polynomial for m in (p, w) for row in m for e in row):
+        return [[e + 1 if i == j else e for j, e in enumerate(row)]
+                for i, row in enumerate(linalg.matmul(p, w))]
+    one = Poly.const(p[0][0].chart, 1)
+    pw = linalg.matmul(*([[e.num for e in row] for row in m] for m in (p, w)))
+    return [[RatFunc._coprime(e + one if i == j else e, one) for j, e in enumerate(row)]
+            for i, row in enumerate(pw)]
 
 
 def gauge_matrix(p, w):

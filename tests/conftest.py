@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from poisskit import poisson
-from poisskit.expr import Poly, RatFunc, chart, parse_expr
+from poisskit.expr import ExprError, Poly, RatFunc, chart, parse_expr
 from poisskit.multivec import DiffForm, MultiVec, schouten
 
 
@@ -109,6 +110,36 @@ def random_form(rng, ch, degree, max_degree=2):
 
 def rng_for(name):
     return random.Random(name)
+
+
+# -- the scan-based exact division, an oracle for expr._divide --------------------
+
+
+def scan_divide(a, b, quotient):
+    """The terms of a / b, coefficients divided by ``quotient``, each
+    quotient term read off the largest remainder term in graded-lex order
+    found by a scan of the whole remainder; raises ExprError if b does not
+    divide a."""
+    def key(e):
+        return sum(e), e
+    be = max(b, key=key)
+    bc = b[be]
+    q = {}
+    r = dict(a)
+    while r:
+        re = max(r, key=key)
+        diff = tuple(x - y for x, y in zip(re, be))
+        if any(d < 0 for d in diff):
+            raise ExprError("inexact polynomial division")
+        t = q[diff] = quotient(r[re], bc)
+        for e, c in b.items():
+            e = tuple(map(add, diff, e))
+            s = r.get(e, 0) - t * c
+            if s:
+                r[e] = s
+            else:
+                r.pop(e, None)
+    return q
 
 
 # -- the Jacobiator, an oracle for the Schouten bracket --------------------------

@@ -1,8 +1,13 @@
+import copy
 import json
+from functools import reduce
+from operator import getitem
 
 import pytest
 
-from poisskit import cli
+from poisskit import cli, fixtures
+
+from conftest import rng_for
 
 SO3 = {"chart": ["x", "y", "z"], "bivectors": {"pi": {"0,1": "z", "1,2": "x", "0,2": "-y"}}}
 
@@ -235,3 +240,44 @@ def test_drift_at_a_pole_is_a_flow_failure(tmp_path, capsys):
     assert status == 1 and err == ""
     assert out.splitlines() == ["FAIL flow cannot evaluate 1/(x) at "
                                 "[0.0, 0.3333333333333333, -0.25]: float division by zero"]
+
+
+# values a fuzzed manifest puts in place of one of its own: wrong types, bad
+# and good expressions, indices, points and names of tasks and objects
+FUZZ_VALUES = [None, True, 0, -1, 2**70, 1.5, "", "0", "1/0", "x+", "x^2 - y", "q1", "0,1",
+               "0,0", "9,9", "-1", [], ["0"], {}, {"0,1": "1"}, "pi", "is_poisson", "gauge",
+               "cohomology", "lie_poisson", "modular_character", "flow", "bracket"]
+
+
+def _paths(node, path=()):
+    """The path of every key and list item under node, as a tuple of keys."""
+    if path:
+        yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _fuzzed(rng, doc):
+    """doc with one or two of its keys or items deleted or replaced."""
+    for _ in range(rng.randint(1, 2)):
+        *head, last = rng.choice(list(_paths(doc)))
+        parent = reduce(getitem, head, doc)
+        if rng.random() < 0.5:
+            del parent[last]
+        else:
+            parent[last] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return doc
+
+
+def test_fuzzed_fixture_manifests_fail_cleanly(tmp_path, capsys):
+    # every outcome is a report: PASS/FAIL lines and status 0 or 1, or a
+    # manifest error and status 2; never an uncaught exception
+    rng = rng_for("manifest-fuzz")
+    path = tmp_path / "manifest.json"
+    for case in range(150):
+        doc = _fuzzed(rng, fixtures.fixture_manifest(rng.choice(fixtures.list_fixtures())))
+        path.write_text(json.dumps(doc))
+        status = cli.main(["run", str(path)])
+        assert status in (0, 1, 2) and "Traceback" not in capsys.readouterr().err, doc

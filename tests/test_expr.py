@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from poisskit import expr
 from poisskit.expr import (
-    Chart,
+    ChartMismatchError,
     ExprError,
     ParseError,
     PoleError,
@@ -17,7 +17,7 @@ from poisskit.expr import (
     poly_gcd,
 )
 
-from conftest import random_poly, rng_for
+from conftest import random_poly, rng_for, scan_divide
 
 
 # -- chart ----------------------------------------------------------------------
@@ -197,6 +197,87 @@ def test_round_trip_random_ratfuncs():
         den = random_poly(rng, ch) * random_poly(rng, ch) + RatFunc.const(ch, 1)
         rf = num / den
         assert parse_expr(str(rf), ch) == rf
+
+
+# -- exact division and the constant fast paths -----------------------------------------
+
+
+def _random_terms(rng, nvars, nterms, fractions):
+    """nterms terms in nvars variables, with int or Fraction coefficients."""
+    top = 30 // nvars + 1  # room for 30 distinct exponents
+    out = {}
+    while len(out) < nterms:
+        c = rng.choice([-3, -2, -1, 1, 2, 5])
+        out[tuple(rng.randint(0, top) for _ in range(nvars))] = (
+            Fraction(c, rng.randint(1, 4)) if fractions else c)
+    return out
+
+
+def _layout(p):
+    """The terms of p in dict order, each with its coefficient's type."""
+    return [(e, type(c), c) for e, c in p.items()]
+
+
+def test_heap_division_matches_the_scan():
+    rng = rng_for("heap-division")
+    for case in range(80):
+        nvars, fractions = rng.randint(1, 5), case % 2 == 1
+        ch = chart(*"xyzuv"[:nvars])
+        a, b = (Poly(ch, _random_terms(rng, nvars, rng.randint(1, 30), fractions))
+                for _ in range(2))
+        ab = a * b
+        got = poly_divexact(ab, b)
+        assert _layout(got.terms) == _layout(scan_divide(ab.terms, b.terms, expr._quotient))
+        assert got == a
+        if not fractions:
+            assert _layout(expr._int_divide(ab.terms, b.terms)) == _layout(
+                scan_divide(ab.terms, b.terms, expr._int_quotient))
+
+
+@pytest.mark.parametrize("a,b", [
+    ("x^2*y + x + 1", "x*y + 1"),  # a remainder of 1 is left
+    ("x*y", "y^2"),                # the first exponent of the quotient goes negative
+], ids=["remainder", "negative-exponent"])
+def test_inexact_division_raises(ch2, a, b):
+    a, b = (parse_expr(text, ch2).as_poly() for text in (a, b))
+    for divide in (poly_divexact, lambda a, b: scan_divide(a.terms, b.terms, expr._quotient)):
+        with pytest.raises(ExprError, match="inexact"):
+            divide(a, b)
+    assert expr._int_divide(a.terms, b.terms) is None
+
+
+@pytest.mark.parametrize("terms,constant", [
+    ({}, True),
+    ({(0, 0): Fraction(-3, 2)}, True),
+    ({(0, 0): 1, (1, 0): 2}, False),  # a constant term first
+    ({(0, 1): 5}, False),
+], ids=["zero", "constant", "with-constant-term", "monomial"])
+def test_is_constant(ch2, terms, constant):
+    assert Poly(ch2, terms).is_constant is constant
+
+
+def test_equal_charts_combine_and_different_charts_raise():
+    x, y = Poly.var(chart("x", "y"), 0), Poly.var(chart("x", "y"), 1)
+    assert x.chart is not y.chart and x.chart == y.chart
+    assert [str(v) for v in (x + y, x - y, x * y, RatFunc(x, y))] == [
+        "x + y", "x - y", "x*y", "x/(y)"]
+    z = Poly.var(chart("x", "z"), 1)
+    for combine in (lambda: x + z, lambda: x - z, lambda: x * z, lambda: RatFunc(x, z)):
+        with pytest.raises(ChartMismatchError):
+            combine()
+
+
+def test_ratfunc_over_one_keeps_the_pair(ch2):
+    # terms out of graded-lex order, and the zero polynomial
+    for terms in ({(0, 0): 3, (2, 0): 1, (1, 1): Fraction(1, 2)}, {}):
+        p = Poly(ch2, terms)
+        r = RatFunc(p, Poly.const(ch2, 1))
+        assert _layout(r.num.terms) == _layout(p.terms)
+        assert _layout(r.den.terms) == [((0, 0), int, 1)]
+    # any other constant is divided out
+    r = RatFunc(Poly.var(ch2, 0), Poly.const(ch2, -2))
+    assert _layout(r.num.terms) == [((1, 0), Fraction, Fraction(-1, 2))]
+    assert _layout(r.den.terms) == [((0, 0), int, 1)]
 
 
 # -- gcd machinery ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Every name a poisskit module imports is used in that module, every
+"""Every name a poisskit module or a test file imports is used in that file, every
 function, class and method it defines is referenced somewhere, and every
 name the benchmark's tracer wraps exists; neither importing the CLI nor
 running the numeric checks imports numpy; and the benchmark's self-test
@@ -39,7 +39,8 @@ def _unused_imports(tree):
                   if name not in used and name not in exported)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 

@@ -35,6 +35,7 @@ from conftest import (
     jacobiator,
     jacobiator_trivector,
     multivec_terms,
+    random_form,
     random_multivec,
     random_poly,
     rng_for,
@@ -727,6 +728,57 @@ def test_gauge_transform_takes_one_gcd_per_upper_entry_and_no_verify(fixture, al
     assert any(not c.is_polynomial for c in out.pi.coeffs.values())
     assert 0 < counted.call_count <= ch.dim * (ch.dim - 1) // 2
     assert verified.call_count == 0
+
+
+def _pairs(matrix):
+    """Each entry's numerator and denominator terms, in dict order."""
+    return [[(list(e.num.terms.items()), list(e.den.terms.items())) for e in row]
+            for row in matrix]
+
+
+def _assert_id_plus_over_poly(p, w):
+    # polynomial P and W take the Poly route: the same pairs, term order included
+    by_ratfunc = [[e + 1 if i == j else e for j, e in enumerate(row)]
+                  for i, row in enumerate(linalg.matmul(p, w))]
+    with mock.patch.object(linalg, "matmul", side_effect=linalg.matmul) as product:
+        by_poly = poisson._id_plus(p, w)
+    assert [type(call.args[0][0][0]) for call in product.call_args_list] == [expr.Poly]
+    assert _pairs(by_poly) == _pairs(by_ratfunc)
+
+
+@GAUGE_SHAPES
+def test_id_plus_over_poly_is_the_ratfunc_product(fixture, alpha):
+    pi, _, b = _gauge_case(fixture, alpha)
+    _assert_id_plus_over_poly(poisson.bivector_matrix(pi), poisson.bivector_matrix(b))
+
+
+def test_id_plus_over_poly_keeps_the_order_of_random_products(ch3):
+    # entries of several terms in both P and W, so each product's term order shows
+    rng = rng_for("id-plus")
+    for _ in range(5):
+        p = poisson.bivector_matrix(random_multivec(rng, ch3, 2))
+        w = poisson.bivector_matrix(random_form(rng, ch3, 2))
+        _assert_id_plus_over_poly(p, w)
+
+
+def test_gauge_with_a_rational_pi_takes_the_ratfunc_product(ch3):
+    # so3 over 1 + x^2 + y^2 + z^2, which is Poisson: a denominator that is
+    # not constant keeps I + P W over RatFunc, with the text it always had
+    den = "/(x^2 + y^2 + z^2 + 1)"
+    pi = verify(MultiVec(ch3, 2, {(0, 1): parse_expr("z" + den, ch3),
+                                  (1, 2): parse_expr("x" + den, ch3),
+                                  (0, 2): parse_expr("-y" + den, ch3)}))
+    b = multivec.exterior_derivative(DiffForm(ch3, 1, {(0,): parse_expr("y*z", ch3)}))
+    with mock.patch.object(linalg, "matmul", side_effect=linalg.matmul) as product:
+        out = gauge_transform(pi, b)
+    assert [type(call.args[0][0][0]) for call in product.call_args_list] == [RatFunc]
+    assert out.verified and str(out.pi) == (
+        "(z/(x^2 + 2*z^2 + 1)) d/dx^d/dy + ((-y)/(x^2 + 2*z^2 + 1)) d/dx^d/dz"
+        " + (x/(x^2 + 2*z^2 + 1)) d/dy^d/dz")
+    den_terms = [((2, 0, 0), 1), ((0, 0, 2), 2), ((0, 0, 0), 1)]
+    assert _pairs([out.pi.coeffs.values()]) == [[
+        ([((0, 0, 1), 1)], den_terms), ([((0, 1, 0), -1)], den_terms),
+        ([((1, 0, 0), 1)], den_terms)]]
 
 
 def _poisson_gauge_pairs(rng, ch, pi):
