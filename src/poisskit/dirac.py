@@ -23,7 +23,9 @@ condition, checked by ``poisson.is_poisson_map``.
 Restriction to a constraint level set N is performed by exact substitution
 through a polynomial parametrization when one is supplied, and otherwise by
 exact evaluation at user-provided on-level sample points (results are then
-labeled "sampled").
+labeled "sampled").  Dirac brackets and submanifold classification need a
+system whose structure passed ``poisson.verify``; on any other they raise
+``require_verified``'s PoissonError.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .poisson import (
     bracket,
     hamiltonian_vf,
     matrix_at,
+    require_verified,
 )
 
 
@@ -323,6 +326,7 @@ class DiracBracket:
     """Closure computing {f,g}_N for ambient representatives f, g."""
 
     def __init__(self, cs: ConstraintSystem):
+        require_verified(cs.structure)
         if not cs.samples and cs.parametrization is None:
             raise DiracError("no parametrization and no samples")
         c_upper = constraint_bracket_matrix(cs)
@@ -371,6 +375,7 @@ class SubmanifoldFlags:
 
 
 def classify_submanifold(cs: ConstraintSystem) -> SubmanifoldFlags:
+    require_verified(cs.structure)
     if cs.parametrization is None and not cs.samples:
         raise DiracError("need a parametrization or samples")
     mode = "exact" if cs.parametrization is not None else "sampled"

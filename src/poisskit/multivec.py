@@ -10,14 +10,15 @@ basis symbol.
 Sign conventions (fixed once, all tests written against them):
 
 * {f,g} = pi(df,dg),  X_f = pi#(df)  with  beta(pi#(alpha)) = pi(alpha,beta);
-* the Schouten bracket is computed from its local superalgebra expression,
-  treating a k-vector as a function of the chart variables x_i and odd
-  generators xi_i = d/dx_i, with the xi-derivative taken from the right:
+* the Schouten bracket is taken with a bivector pi only: [pi, .] is the
+  graded derivation of the wedge product fixed by its 2n generator images,
+  for P the matrix of pi (P[i][j] = {x_i, x_j}),
 
-      [X,Y] = sum_i dX/dxi_i * dY/dx_i - (-1)^((k-1)(l-1)) dY/dxi_i * dX/dx_i
+      [pi, x_j] = sum_a P[a][j] d/dx_a,    [pi, d/dx_j] = -d(pi)/dx_j,
 
-  This choice satisfies graded antisymmetry, the Leibniz rule, [Z,-] = L_Z
-  for vector fields, and gives [pi, f] = -X_f.
+  so [pi, f] = -X_f for a function f, and [pi, pi] = 0 exactly when pi is
+  Poisson.  The bracket needs polynomial coefficients: it works on exponent
+  tuples and exact coefficients.
 
 A wedge whose degree exceeds the dimension of the space is the canonical zero
 object rather than an error.
@@ -29,10 +30,11 @@ exact check ``poisson.is_poisson_map``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Chart, ChartMismatchError, ExprError, RatFunc
+from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc
 
 Index = tuple[int, ...]
 
@@ -260,67 +262,91 @@ def exterior_derivative(form: DiffForm) -> DiffForm:
     return DiffForm(chart, degree, out)
 
 
-# -- Schouten bracket ---------------------------------------------------------
+# -- Schouten bracket with a bivector -------------------------------------------
 
 
-def _xi_derivative_right(x: MultiVec, i: int) -> MultiVec:
-    """Right derivative with respect to the odd generator xi_i."""
-    k = x.degree
-    if k == 0:
-        return MultiVec.zero(x.chart, 0)
-    out: dict[Index, RatFunc] = {}
-    for idx, c in x.coeffs.items():
-        if i not in idx:
-            continue
-        pos = idx.index(i)
-        rest = idx[:pos] + idx[pos + 1 :]
-        term = c if (k - 1 - pos) % 2 == 0 else -c
-        _accumulate(out, rest, term)
-    return MultiVec(x.chart, k - 1, out)
+def generator_images(pi: MultiVec):
+    """(of_x, of_d): [pi, x_j] and [pi, d/dx_j] for each coordinate j as lists
+    of (index tuple, exponent tuple, coefficient) terms, read off pi's
+    polynomial terms: for P the matrix of pi,
+
+        [pi, x_j] = sum_a P[a][j] d/dx_a,    [pi, d/dx_j] = -d(pi)/dx_j,
+
+    the derivative taken coefficient by coefficient."""
+    n = pi.chart.dim
+    of_x, of_d = [[] for _ in range(n)], [[] for _ in range(n)]
+    for (a, b), f in pi.coeffs.items():
+        for e, c in f.as_poly().terms.items():
+            of_x[b].append(((a,), e, c))
+            of_x[a].append(((b,), e, -c))
+            for j, ej in enumerate(e):
+                if ej:
+                    of_d[j].append(((a, b), e[:j] + (ej - 1,) + e[j + 1 :], -ej * c))
+    return of_x, of_d
 
 
-def _x_derivative(x: MultiVec, i: int) -> MultiVec:
-    return MultiVec(
-        x.chart, x.degree, {idx: c.diff(i) for idx, c in x.coeffs.items()}
-    )
+def _wedged(terms, rest, sign):
+    """The terms (index, e, c) of a generator image wedged with d/dx_rest and
+    scaled by sign, as (merged index, e, c); terms whose indices repeat drop."""
+    out = []
+    for gen_idx, e, c in terms:
+        merged = _merge_indices(gen_idx, rest)
+        if merged is not None:
+            out.append((merged[1], e, c if merged[0] == sign else -c))
+    return out
 
 
-def schouten(x: MultiVec, y: MultiVec) -> MultiVec:
-    """Schouten bracket via the local superalgebra formula
+def _d_pi_images(basis, of_x, of_d):
+    """Yields [pi, x^mono d/dx_idx] for each (idx, mono) of ``basis`` as
+    {(index tuple, exponent tuple): coefficient}, from the generator images
+    (of_x, of_d) of pi by the derivation rule (see ``schouten``).  The index
+    merges depend on idx only, so they are made once per run of equal idx,
+    those of [pi, x_j] when a monomial first holds x_j; each monomial then
+    only adds exponents."""
+    plan_idx = None
+    for idx, mono in basis:
+        if idx != plan_idx:
+            plan_idx, via_x = idx, {}
+            via_d = [t for r, i in enumerate(idx)
+                     for t in _wedged(of_d[i], idx[:r] + idx[r + 1 :], -1 if r % 2 else 1)]
+        out = {}
+        for j, mj in enumerate(mono):
+            if mj:
+                if j not in via_x:
+                    via_x[j] = _wedged(of_x[j], idx, 1)
+                base = mono[:j] + (mj - 1,) + mono[j + 1 :]
+                for key_idx, e, c in via_x[j]:
+                    key = (key_idx, tuple(map(operator.add, base, e)))
+                    out[key] = out.get(key, 0) + mj * c
+        for key_idx, e, c in via_d:
+            key = (key_idx, tuple(map(operator.add, mono, e)))
+            out[key] = out.get(key, 0) + c
+        yield {key: c for key, c in out.items() if c}
 
-        [x, y] = sum_i d_xi_i x ^ d_i y  -  sign * d_xi_i y ^ d_i x,
 
-    with sign = (-1)^((k-1)(l-1)) for degrees k and l.  For ``x is y`` the
-    two sums are equal, so [x, x] = (1 - sign) * sum_i d_xi_i x ^ d_i x,
-    zero for odd degree: each derivative and wedge is taken once."""
-    if not isinstance(x, MultiVec) or not isinstance(y, MultiVec):
-        raise ExprError("schouten expects multivector fields")
-    if x.chart != y.chart:
+def schouten(pi: MultiVec, y: MultiVec) -> MultiVec:
+    """[pi, y] for a bivector pi and a multivector y, both with polynomial
+    coefficients.  [pi, .] is a graded derivation of the wedge product, so on
+    a term, with e_j the j-th unit exponent,
+
+        [pi, x^m d_I] = sum_j m_j x^(m - e_j) [pi, x_j] ^ d_I
+                        + x^m sum_r (-1)^r [pi, d_{i_r}] ^ d_{I without i_r}
+
+    (r counted from 0), built from pi's ``generator_images`` on exponent
+    tuples and exact (int or Fraction) coefficients.  Any other input raises
+    ExprError."""
+    if not isinstance(pi, MultiVec) or not isinstance(y, MultiVec) or pi.degree != 2:
+        raise ExprError("schouten expects a bivector and a multivector field")
+    if pi.chart != y.chart:
         raise ChartMismatchError("chart mismatch in schouten")
-    chart = x.chart
-    k, l = x.degree, y.degree
-    degree = k + l - 1
-    if degree < 0:
-        # two degree-0 objects commute
-        return MultiVec.zero(chart, 0)
-    result = MultiVec.zero(chart, degree)
-    sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
-    if x is y:
-        if sign == 1:
-            return result
-        for i in range(chart.dim):
-            dx_xi = _xi_derivative_right(x, i)
-            if not dx_xi.is_zero:
-                result = result + wedge(dx_xi, _x_derivative(x, i))
-        return result.scale(2)
-    for i in range(chart.dim):
-        dx_xi = _xi_derivative_right(x, i)
-        if not dx_xi.is_zero:
-            result = result + wedge(dx_xi, _x_derivative(y, i))
-        dy_xi = _xi_derivative_right(y, i)
-        if not dy_xi.is_zero:
-            result = result + wedge(dy_xi, _x_derivative(x, i)).scale(-sign)
-    return result
+    terms = [((idx, e), c) for idx, f in y.coeffs.items() for e, c in f.as_poly().terms.items()]
+    out: dict[Index, dict] = {}
+    for (_, c), image in zip(terms, _d_pi_images([t for t, _ in terms], *generator_images(pi))):
+        for (idx, e), v in image.items():
+            poly = out.setdefault(idx, {})
+            poly[e] = poly.get(e, 0) + c * v
+    return MultiVec(pi.chart, y.degree + 1,
+                    {idx: RatFunc.from_poly(Poly(pi.chart, poly)) for idx, poly in out.items()})
 
 
 # -- polynomial maps between charts -------------------------------------------

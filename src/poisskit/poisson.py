@@ -7,29 +7,33 @@ Matrix convention: the matrix of a bivector pi has entry (i,j) equal to
     X_f   = pi#(df),   (pi# alpha)_j = sum_i alpha_i P[i][j].
 
 With these choices {f,g} = dg(X_f) and [pi, f] = -X_f for the Schouten
-bracket of ``multivec``.
+bracket of ``multivec``, the one implementation of [pi, .]: ``verify``,
+``d_pi`` and ``cohomology`` all apply its derivation rule to pi's generator
+images.
 
 One check per fact: ``verify`` is the [pi,pi] = 0 test and the one report of
 a failed square (the Jacobiator of the bracket is (1/2)[pi,pi] on
-differentials; ``gauge_transform`` decides its result's square over a common
-denominator and hands a failure to ``verify``), and ``is_poisson_map`` is the
-only Poisson-map test.  They are also the Lie-algebra checks: a bracket table
-satisfies Jacobi exactly when its Lie-Poisson bivector passes ``verify``, and
-a linear map of Lie algebras is a morphism exactly when its transpose passes
-``is_poisson_map``.  So are the checks of a Lie bialgebra, one ``verify`` of
-the Lie-Poisson bivector of its Drinfeld double, and of the classical
-Yang-Baxter equation, which needs that ``verify`` only when [r, r] != 0 (see
-``liealg``).  ``is_poisson_map`` is exact on rational data too, as
-``RatFunc.subst`` and ``is_zero`` are.  Pointwise checks (rank, Darboux
-basis, isotropy) read ``matrix_at``, whose row alpha P is pi#(alpha); the
-characteristic data at a point, the range of pi# with its induced form, is
-read off the graph of pi# by ``dirac.kernel_and_range``.
+differentials).  It squares pi = X / delta over a common denominator on
+polynomials (``_cleared_square``), as ``gauge_transform`` squares its result
+with the delta of its solve; both report a nonzero square divided by
+delta^3, so a rational failure prints that value with a constant factor that
+depends on delta.  ``is_poisson_map`` is the only Poisson-map test.  They
+are also the Lie-algebra checks: a bracket table satisfies Jacobi exactly
+when its Lie-Poisson bivector passes ``verify``, and a linear map of Lie
+algebras is a morphism exactly when its transpose passes ``is_poisson_map``.
+So are the checks of a Lie bialgebra, one ``verify`` of the Lie-Poisson
+bivector of its Drinfeld double, and of the classical Yang-Baxter equation,
+which needs that ``verify`` only when [r, r] != 0 (see ``liealg``).
+``is_poisson_map`` is exact on rational data too, as ``RatFunc.subst`` and
+``is_zero`` are.  Pointwise checks (rank, Darboux basis, isotropy) read
+``matrix_at``, whose row alpha P is pi#(alpha); the characteristic data at a
+point, the range of pi# with its induced form, is read off the graph of pi#
+by ``dirac.kernel_and_range``.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -41,8 +45,9 @@ from .multivec import (
     MultiVec,
     PolyMap,
     _accumulate,
-    _merge_indices,
+    _d_pi_images,
     exterior_derivative,
+    generator_images,
     schouten,
     wedge,
 )
@@ -78,26 +83,10 @@ class PoissonStructure:
 
     @cached_property
     def generator_images(self):
-        """(of_x, of_d): d_pi(x_j) and d_pi(d/dx_j) for each coordinate j as
-        lists of (index tuple, exponent tuple, coefficient) terms, which
-        ``cohomology`` builds d_pi from.  They are read off pi's polynomial
-        terms, with the signs of ``multivec.schouten``: for P the matrix of pi,
-
-            [pi, x_j] = sum_a P[a][j] d/dx_a,    [pi, d/dx_j] = -d(pi)/dx_j,
-
-        the derivative taken coefficient by coefficient, so no bracket is
-        taken.  Kept on the instance, outside the dataclass fields, so
+        """``multivec.generator_images`` of pi, which ``cohomology`` builds
+        d_pi from; kept on the instance, outside the dataclass fields, so
         equality and repr ignore it."""
-        n = self.chart.dim
-        of_x, of_d = [[] for _ in range(n)], [[] for _ in range(n)]
-        for (a, b), f in self.pi.coeffs.items():
-            for e, c in f.as_poly().terms.items():
-                of_x[b].append(((a,), e, c))
-                of_x[a].append(((b,), e, -c))
-                for j, ej in enumerate(e):
-                    if ej:
-                        of_d[j].append(((a, b), e[:j] + (ej - 1,) + e[j + 1 :], -ej * c))
-        return of_x, of_d
+        return generator_images(self.pi)
 
 
 def bivector_matrix(pi) -> list[list[RatFunc]]:
@@ -131,15 +120,26 @@ def _pi_of(obj) -> MultiVec:
 
 def verify(bivector: MultiVec) -> PoissonStructure:
     """The [pi,pi] = 0 check: ``verified`` is True when the Schouten square
-    vanishes exactly; otherwise ``schouten_square`` holds that trivector."""
+    vanishes exactly; otherwise ``schouten_square`` holds that trivector.
+    pi is written X / delta over the lcm delta of its denominators
+    (``linalg._cleared``; delta is a constant for polynomial pi) and squared
+    by ``_cleared_square``, so the bracket only meets polynomials."""
     if bivector.degree != 2:
         raise PoissonError("a Poisson structure needs a degree-2 multivector")
-    square = schouten(bivector, bivector)
-    return PoissonStructure(bivector, square.is_zero, None if square.is_zero else square)
+    if bivector.is_zero:
+        return PoissonStructure(bivector, True, None)
+    row, delta = linalg._cleared(list(bivector.coeffs.values()))
+    x = MultiVec(bivector.chart, 2, dict(zip(bivector.coeffs, map(RatFunc.from_poly, row))))
+    return _certified(bivector, x, delta)
 
 
 def require_poisson(bivector: MultiVec) -> PoissonStructure:
-    ps = verify(bivector)
+    return require_verified(verify(bivector))
+
+
+def require_verified(ps: PoissonStructure) -> PoissonStructure:
+    """ps itself when it is verified; otherwise the PoissonError that names
+    its square."""
     if not ps.verified:
         raise PoissonError(
             f"not a Poisson bivector; [pi,pi] = {ps.schouten_square}"
@@ -279,9 +279,12 @@ class CohomologyReport:
 
 
 def d_pi(structure: PoissonStructure, x: MultiVec) -> MultiVec:
-    """Lichnerowicz differential [pi, .]; requires a verified structure."""
+    """Lichnerowicz differential [pi, .] by ``multivec.schouten``; requires a
+    verified structure and polynomial coefficients."""
     if not isinstance(structure, PoissonStructure) or not structure.verified:
         raise PoissonError("d_pi requires a verified Poisson structure")
+    if not all(c.is_polynomial for m in (structure.pi, x) for c in m.coeffs.values()):
+        raise PoissonError("d_pi needs polynomial coefficients")
     return schouten(structure.pi, x)
 
 
@@ -323,43 +326,6 @@ def _basis_element(chart: Chart, idx, mono) -> MultiVec:
     )
 
 
-def _wedged(terms, rest, sign):
-    """The terms (index, e, c) of a generator image wedged with d/dx_rest and
-    scaled by sign, as (merged index, e, c); terms whose indices repeat drop."""
-    out = []
-    for gen_idx, e, c in terms:
-        merged = _merge_indices(gen_idx, rest)
-        if merged is not None:
-            out.append((merged[1], e, c if merged[0] == sign else -c))
-    return out
-
-
-def _d_pi_images(basis, of_x, of_d):
-    """Yields d_pi(x^mono d/dx_idx) for each (idx, mono) of ``basis`` as
-    {(index tuple, exponent tuple): coefficient}, from the generator images
-    of ``PoissonStructure.generator_images``.  The index merges depend on
-    idx only, so they are made once per run of equal idx; each monomial then
-    only adds exponents."""
-    plan_idx = None
-    for idx, mono in basis:
-        if idx != plan_idx:
-            plan_idx = idx
-            via_x = [_wedged(terms, idx, 1) for terms in of_x]
-            via_d = [t for r, i in enumerate(idx)
-                     for t in _wedged(of_d[i], idx[:r] + idx[r + 1 :], -1 if r % 2 else 1)]
-        out = {}
-        for j, mj in enumerate(mono):
-            if mj:
-                base = mono[:j] + (mj - 1,) + mono[j + 1 :]
-                for key_idx, e, c in via_x[j]:
-                    key = (key_idx, tuple(map(operator.add, base, e)))
-                    out[key] = out.get(key, 0) + mj * c
-        for key_idx, e, c in via_d:
-            key = (key_idx, tuple(map(operator.add, mono, e)))
-            out[key] = out.get(key, 0) + c
-        yield {key: c for key, c in out.items() if c}
-
-
 def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     """Exact H^k of d_pi on k-vectors with degree-d polynomial coefficients.
 
@@ -367,17 +333,9 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     d_pi is degree-homogeneous; with delta that degree, the incoming image is
     taken from (k-1)-vectors of degree d - delta + 1.
 
-    d_pi = [pi, .] is a graded derivation of the wedge product, so on a basis
-    element, with e_j the j-th unit exponent,
-
-        d_pi(x^m d_I) = sum_j m_j x^(m - e_j) d_pi(x_j) ^ d_I
-                        + x^m sum_r (-1)^r d_pi(d_{i_r}) ^ d_{I without i_r}
-
-    (r counted from 0).  The 2n generator images d_pi(x_j) and d_pi(d/dx_j)
-    are read off pi's terms once per structure
-    (``PoissonStructure.generator_images``), and no Schouten bracket is
-    taken; the rest is index and exponent bookkeeping on exact (int or
-    Fraction) coefficients, with the index merges made once per index tuple.
+    Each column is d_pi = [pi, .] of one basis element by the derivation
+    rule of ``multivec.schouten`` (``_d_pi_images``), from the 2n generator
+    images read off pi once per structure (``generator_images``).
     """
     pi = _pi_of(structure)
     chart = pi.chart
@@ -450,13 +408,8 @@ def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     In matrices (P the pi matrix, W the form matrix), P_B = (I + P W)^-1 P,
     which ``linalg.mat_solve_pair`` gives as X / delta, X antisymmetric and
     delta != 0; each entry above the diagonal is built as RatFunc(X_ij, delta).
-    The square is taken on polynomials, with no gcd, by the Leibniz rule
-
-        delta^3 [pi_B, pi_B] = delta [X, X] + 2 V ^ X,   V = X#(d delta),
-
-    exact because polynomials have no zero divisors; V ^ X vanishes
-    identically in dimension 3, as X_i0 X_12 - X_i1 X_02 + X_i2 X_01 = 0 for
-    each i.  A nonzero square is reported by ``verify``.
+    The square is ``_cleared_square(X, delta)``, the one ``verify`` takes,
+    and a nonzero one is reported as ``verify`` reports it.
     """
     pi = _pi_of(structure)
     chart = pi.chart
@@ -473,19 +426,34 @@ def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     upper = list(itertools.combinations(range(chart.dim), 2))
     pi_b = MultiVec(chart, 2, {(i, j): RatFunc(x[i][j], delta) for i, j in upper})
     x_mv = MultiVec(chart, 2, {(i, j): RatFunc.from_poly(x[i][j]) for i, j in upper})
-    if _cleared_square(x_mv, delta).is_zero:
-        return PoissonStructure(pi_b, True, None)
-    return verify(pi_b)
+    return _certified(pi_b, x_mv, delta)
 
 
 def _cleared_square(x, delta):
     """delta^3 [x/delta, x/delta] for a bivector x with polynomial coefficients
-    and a polynomial delta != 0, on polynomials (see ``gauge_transform``)."""
+    and a polynomial delta != 0, on polynomials with no gcd, by the Leibniz
+    rule
+
+        delta^3 [x/delta, x/delta] = delta [x, x] + 2 V ^ x,   V = x#(d delta),
+
+    exact because polynomials have no zero divisors.  V ^ x is skipped for a
+    constant delta, where V = 0, and in dimension 3, where it vanishes
+    identically, as x_i0 x_12 - x_i1 x_02 + x_i2 x_01 = 0 for each i."""
     d = RatFunc.from_poly(delta)
     square = schouten(x, x).scale(d)
-    if x.chart.dim > 3:
+    if x.chart.dim > 3 and not delta.is_constant:
         square = square + wedge(hamiltonian_vf(x, d), x).scale(2)
     return square
+
+
+def _certified(pi, x, delta):
+    """The PoissonStructure of pi = x / delta: verified when
+    ``_cleared_square(x, delta)`` is zero, else holding it divided by
+    delta^3, which is [pi, pi]."""
+    square = _cleared_square(x, delta)
+    if square.is_zero:
+        return PoissonStructure(pi, True, None)
+    return PoissonStructure(pi, False, square.scale(1 / RatFunc.from_poly(delta ** 3)))
 
 
 # -- Poisson map check -----------------------------------------------------------

@@ -142,6 +142,20 @@ def test_gauge_of_a_bivector_that_is_not_poisson_fails(tmp_path, capsys):
     assert _run(tmp_path, capsys, json.dumps(doc)) == (1, ["FAIL gauge result not Poisson"])
 
 
+def test_constraint_tasks_on_a_bivector_that_is_not_poisson_fail(tmp_path, capsys):
+    # [pi, pi] = (2x - 2y - 2z) d/dx^d/dy^d/dz: classify and dirac_bracket each
+    # print one FAIL line naming the square, and the other tasks still run
+    doc = {"chart": ["x", "y", "z"], "bivectors": {"pi": {"0,1": "x", "0,2": "z", "1,2": "y"}},
+           "constraints": {"n": {"bivector": "pi", "psi": ["z"], "level": ["0"],
+                                 "samples": [["1", "2", "0"]]}},
+           "tasks": [{"task": "classify", "constraints": "n"},
+                     {"task": "dirac_bracket", "constraints": "n", "f": "x", "g": "y"},
+                     {"task": "rank", "point": "1,1,1"}]}
+    square = "not a Poisson bivector; [pi,pi] = (2*x - 2*y - 2*z) d/dx^d/dy^d/dz"
+    assert _run(tmp_path, capsys, json.dumps(doc)) == (1, [
+        f"FAIL classify {square}", f"FAIL dirac_bracket {square}", "INFO rank 2"])
+
+
 # pi = x d/dx^d/dy has the modular vector field -d/dy for dx^dy
 def _modular(expect):
     return json.dumps({"chart": ["x", "y"], "bivectors": {"pi": {"0,1": "x"}},

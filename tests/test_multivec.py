@@ -1,17 +1,24 @@
+from fractions import Fraction as F
+from unittest import mock
+
 import pytest
 
-from poisskit.expr import ChartMismatchError, RatFunc, chart, parse_expr
+from poisskit import liealg
+from poisskit.expr import ChartMismatchError, ExprError, RatFunc, chart, parse_expr
+from poisskit.liealg import bialgebra_check, lie_from_constants, lie_poisson
 from poisskit.multivec import DiffForm, MultiVec, PolyMap, exterior_derivative, schouten, wedge
 from poisskit.poisson import bivector_matrix
 
 from conftest import (
     commutator,
     contract_d,
+    gl_triples,
     lie_derivative_of_1form,
     random_form,
     random_multivec,
     random_poly,
     rng_for,
+    schouten_oracle,
     vector_on,
 )
 
@@ -87,7 +94,7 @@ def test_d_squared_zero(ch3):
 #
 # conftest's L_X beta and i_Y d alpha on 1-forms, checked by the Cartan formula
 # L_X beta = i_X d beta + d(beta(X)) and by L_X(beta(Y)) - (L_X beta)(Y) = beta([X, Y]),
-# against ``exterior_derivative`` and ``schouten``.
+# against ``exterior_derivative`` and the Schouten oracle.
 
 
 def _components(form):
@@ -117,7 +124,7 @@ def test_lie_contract_commutator(ch3):
     for _ in range(15):
         x, y = random_multivec(rng, ch3, 1), random_multivec(rng, ch3, 1)
         beta = _components(random_form(rng, ch3, 1))
-        xs, ys, bracket = x.components(), y.components(), schouten(x, y).components()
+        xs, ys, bracket = x.components(), y.components(), schouten_oracle(x, y).components()
         assert bracket == commutator(xs, ys)
         lie_beta = lie_derivative_of_1form(xs, beta)
         assert vector_on(xs, _pair(beta, ys)) - _pair(lie_beta, ys) == _pair(beta, bracket)
@@ -128,7 +135,7 @@ def test_lie_contract_commutator(ch3):
 
 def test_schouten_reduces_to_commutator(ch2):
     v = MultiVec(ch2, 1, {(1,): parse_expr("x", ch2)})
-    assert schouten(dx(ch2, 0), v) == dx(ch2, 1)
+    assert schouten_oracle(dx(ch2, 0), v) == dx(ch2, 1)
 
 
 def test_schouten_pi_f_is_minus_hamiltonian(ch2):
@@ -147,6 +154,69 @@ def test_schouten_decomposable_2d(ch2):
     assert schouten(pi, pi).is_zero
 
 
+def _rational_coefficients(rng, mv):
+    """mv with each polynomial coefficient scaled by its own random Fraction."""
+    return type(mv)(mv.chart, mv.degree, {
+        idx: c * F(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 3, 5, 7]))
+        for idx, c in mv.coeffs.items()})
+
+
+def _assert_matches_the_oracle(pi, y):
+    bracket, expected = schouten(pi, y), schouten_oracle(pi, y)
+    assert bracket == expected and str(bracket) == str(expected)
+    return bracket
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_schouten_matches_the_superalgebra_oracle(n):
+    # random polynomial bivectors with int and Fraction coefficients, against
+    # multivectors y of every degree; from dimension 3 on also f * pi_so3 on
+    # (x, y, z), which is Poisson for every f (X_f is tangent to the spheres),
+    # so squares of both kinds are seen
+    rng = rng_for(f"schouten battery {n}")
+    ch = chart(*"xyzuv"[:n])
+    so3 = MultiVec(ch, 2, {(0, 1): parse_expr("z", ch), (1, 2): parse_expr("x", ch),
+                           (0, 2): parse_expr("-y", ch)}) if n >= 3 else None
+    squares = set()
+    for case in range(8):
+        pi = random_multivec(rng, ch, 2)
+        if so3 is not None and case % 2:
+            pi = so3.scale(random_poly(rng, ch))
+        if case >= 4:
+            pi = _rational_coefficients(rng, pi)
+        squares.add(_assert_matches_the_oracle(pi, pi).is_zero)
+        for k in range(n + 1):
+            y = random_multivec(rng, ch, k)
+            _assert_matches_the_oracle(pi, _rational_coefficients(rng, y) if case % 3 else y)
+    assert squares == ({True} if n == 2 else {True, False})
+
+
+def test_schouten_matches_the_oracle_on_gl3_and_its_double():
+    # gl3's Lie-Poisson bivector, and the 18-variable one of its Drinfeld
+    # double with the zero cobracket, the one bialgebra_check squares
+    g = lie_from_constants(9, gl_triples(3))
+    pi_g = lie_poisson(g).pi
+    rng = rng_for("schouten gl3")
+    for k in range(3):
+        _assert_matches_the_oracle(pi_g, random_multivec(rng, pi_g.chart, k, max_degree=1))
+    with mock.patch.object(liealg, "verify", side_effect=liealg.verify) as verified:
+        assert bialgebra_check(g, []).ok
+    [(double,)] = [call.args for call in verified.call_args_list]
+    assert double.chart.dim == 18
+    for pi in (pi_g, double):
+        assert _assert_matches_the_oracle(pi, pi).is_zero
+
+
+def test_schouten_takes_a_bivector_with_polynomial_coefficients(ch3):
+    pi = MultiVec(ch3, 2, {(0, 1): parse_expr("z", ch3)})
+    rational = MultiVec(ch3, 2, {(0, 1): parse_expr("1/(1 + x^2)", ch3)})
+    vector = dx(ch3, 0)
+    for first, second in ((vector, pi), (wedge(pi, dx(ch3, 2)), vector), (rational, pi),
+                          (pi, rational), (d_form(ch3, 0), pi), (pi, d_form(ch3, 0))):
+        with pytest.raises(ExprError):
+            schouten(first, second)
+
+
 def test_schouten_graded_antisymmetry(ch3):
     rng = rng_for("anti")
     for _ in range(25):
@@ -154,12 +224,12 @@ def test_schouten_graded_antisymmetry(ch3):
         x = random_multivec(rng, ch3, k)
         y = random_multivec(rng, ch3, l)
         sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
-        assert schouten(x, y) == schouten(y, x).scale(-sign)
+        assert schouten_oracle(x, y) == schouten_oracle(y, x).scale(-sign)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_schouten_square_of_itself_matches_an_equal_copy(ch3, degree):
-    # schouten(x, x) takes each derivative once; an equal copy that is not
+    # schouten_oracle(x, x) takes each derivative once; an equal copy that is not
     # the same object goes through the two sums of the general formula
     # (odd degree: [x, x] = 0 by graded antisymmetry)
     rng = rng_for(f"square {degree}")
@@ -171,8 +241,8 @@ def test_schouten_square_of_itself_matches_an_equal_copy(ch3, degree):
             x = x.scale(1 / den)
         copy = MultiVec(ch3, degree, dict(x.coeffs))
         assert copy is not x and copy == x
-        square = schouten(x, x)
-        assert square == schouten(x, copy)
+        square = schouten_oracle(x, x)
+        assert square == schouten_oracle(x, copy)
         nonzero += not square.is_zero
     assert nonzero == 0 if degree % 2 else nonzero > 0
 
@@ -184,9 +254,9 @@ def test_schouten_graded_jacobi(ch3):
         x = random_multivec(rng, ch3, k)
         y = random_multivec(rng, ch3, l)
         z = random_multivec(rng, ch3, m)
-        t1 = schouten(x, schouten(y, z)).scale(-1 if ((k - 1) * (m - 1)) % 2 else 1)
-        t2 = schouten(z, schouten(x, y)).scale(-1 if ((m - 1) * (l - 1)) % 2 else 1)
-        t3 = schouten(y, schouten(z, x)).scale(-1 if ((l - 1) * (k - 1)) % 2 else 1)
+        t1 = schouten_oracle(x, schouten_oracle(y, z)).scale(-1 if ((k - 1) * (m - 1)) % 2 else 1)
+        t2 = schouten_oracle(z, schouten_oracle(x, y)).scale(-1 if ((m - 1) * (l - 1)) % 2 else 1)
+        t3 = schouten_oracle(y, schouten_oracle(z, x)).scale(-1 if ((l - 1) * (k - 1)) % 2 else 1)
         assert (t1 + t2 + t3).is_zero
 
 
@@ -198,8 +268,8 @@ def test_schouten_leibniz(ch3):
         y = random_multivec(rng, ch3, l)
         z = random_multivec(rng, ch3, rng.choice([0, 1]))
         sign = -1 if ((k - 1) * l) % 2 else 1
-        lhs = schouten(x, wedge(y, z))
-        rhs = wedge(schouten(x, y), z) + wedge(y, schouten(x, z)).scale(sign)
+        lhs = schouten_oracle(x, wedge(y, z))
+        rhs = wedge(schouten_oracle(x, y), z) + wedge(y, schouten_oracle(x, z)).scale(sign)
         assert lhs == rhs
 
 

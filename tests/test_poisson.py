@@ -39,6 +39,7 @@ from conftest import (
     random_multivec,
     random_poly,
     rng_for,
+    schouten_oracle,
     trivector_on_differentials,
 )
 
@@ -392,6 +393,19 @@ def test_d_pi_squared_zero(ch2, xdxdy_structure):
         assert d_pi(xdxdy_structure, d_pi(xdxdy_structure, x)).is_zero
 
 
+def test_d_pi_and_cohomology_take_polynomial_data(ch3, so3_structure):
+    # f pi_so3 is Poisson for a rational f too, but d_pi and cohomology work
+    # on polynomials; cohomology keeps its own text
+    rational = verify(so3_structure.pi.scale(parse_expr("1/(1 + x^2)", ch3)))
+    assert rational.verified
+    for structure, x in ((rational, MultiVec.basis_vector(ch3, 0)),
+                         (so3_structure, MultiVec.from_scalar(parse_expr("1/(1 + y)", ch3)))):
+        with pytest.raises(PoissonError, match="^d_pi needs polynomial coefficients$"):
+            d_pi(structure, x)
+    with pytest.raises(PoissonError, match="^cohomology needs polynomial coefficients$"):
+        cohomology(rational, 1, 1)
+
+
 def test_cohomology_x_structure(xdxdy_structure):
     sums = {0: 0, 1: 0, 2: 0}
     reps = []
@@ -567,9 +581,10 @@ def _fixture_structure(name):
 
 @pytest.mark.parametrize("name", ["s3_standard", "book", "so3", "r2_xdxdy"])
 def test_d_pi_derivation_rule_matches_schouten(name):
-    # cohomology reads the 2n generator images off pi and builds d_pi from
-    # them; the direct Schouten bracket on each generator and on each basis
-    # element is the reference (compared as dicts: the term order differs)
+    # cohomology and multivec.schouten read the 2n generator images off pi
+    # and build d_pi from them; the superalgebra bracket of the oracle on each
+    # generator and on each basis element is the reference (compared as
+    # dicts: the term order differs)
     structure = _fixture_structure(name)
     chart = structure.chart
 
@@ -578,18 +593,19 @@ def test_d_pi_derivation_rule_matches_schouten(name):
         assert len(out) == len(terms)  # each (index, exponent) once
         return out
 
+    pi = structure.pi
     of_x, of_d = structure.generator_images
     for j in range(chart.dim):
-        bracket_x = d_pi(structure, MultiVec.from_scalar(RatFunc.var(chart, j)))
+        bracket_x = schouten_oracle(pi, MultiVec.from_scalar(RatFunc.var(chart, j)))
         assert as_dict(of_x[j]) == multivec_terms(bracket_x)
-        assert as_dict(of_d[j]) == multivec_terms(d_pi(structure, MultiVec.basis_vector(chart, j)))
+        assert as_dict(of_d[j]) == multivec_terms(schouten_oracle(pi, MultiVec.basis_vector(chart, j)))
     count = 0
     for k in range(chart.dim + 1):
         for d in range(3):
             basis = poisson._kvector_basis(chart, k, d)
             images = poisson._d_pi_images(basis, of_x, of_d)
             for (idx, mono), image in zip(basis, images, strict=True):
-                direct = d_pi(structure, poisson._basis_element(chart, idx, mono))
+                direct = schouten_oracle(pi, poisson._basis_element(chart, idx, mono))
                 assert image == multivec_terms(direct)
                 count += 1
     assert count == 2 ** chart.dim * sum(
@@ -834,14 +850,68 @@ def test_cleared_square_identity_against_schouten(n):
         d = RatFunc.from_poly(delta)
         v = MultiVec(ch, 1, {(j,): RatFunc.from_poly(sum(
             (delta.diff(i) * x[i][j] for i in range(n)), expr.Poly.zero(ch))) for j in range(n)})
-        cleared, v_x = multivec.schouten(pi, pi).scale(d ** 3), wedge(v, x_mv)
-        assert cleared == multivec.schouten(x_mv, x_mv).scale(d) + v_x.scale(2)
+        cleared, v_x = schouten_oracle(pi, pi).scale(d ** 3), wedge(v, x_mv)
+        assert cleared == schouten_oracle(x_mv, x_mv).scale(d) + v_x.scale(2)
         assert v_x.is_zero or n > 3
         check = poisson._cleared_square(x_mv, delta)
         assert check == cleared
         assert expected in (None, check.is_zero)
         seen.add(check.is_zero)
     assert seen == {True, False}
+
+
+def _random_rational_bivector(rng, ch):
+    """A random bivector whose coefficients have random denominators of their own."""
+    coeffs = {}
+    for idx, c in random_multivec(rng, ch, 2).coeffs.items():
+        den = random_poly(rng, ch, 1)
+        coeffs[idx] = c if den.is_zero else c / den
+    return MultiVec(ch, 2, coeffs)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_of_rational_bivectors_matches_the_oracle(n):
+    # verify writes pi over the lcm of its denominators; the square it reports
+    # is the oracle's [pi, pi] by value, and verified says whether that is
+    # zero.  The X / delta of _bivector_pairs add Poisson cases, and V ^ X is
+    # formed in dimension 4 only
+    ch, pairs = _bivector_pairs(n)
+    upper = list(itertools.combinations(range(n), 2))
+    cases = [MultiVec(ch, 2, {(i, j): RatFunc(x[i][j], delta) for i, j in upper})
+             for x, delta, _ in pairs]
+    rng = rng_for(f"rational squares/{n}")
+    cases += [_random_rational_bivector(rng, ch) for _ in range(6)]
+    seen = set()
+    for pi in cases:
+        with mock.patch.object(poisson, "wedge", side_effect=wedge) as wedged:
+            ps = verify(pi)
+        expected = schouten_oracle(pi, pi)
+        assert ps.verified == expected.is_zero
+        assert ps.schouten_square == (None if ps.verified else expected)
+        assert wedged.called == (n > 3)
+        seen.add(ps.verified)
+    assert seen == {True, False}
+
+
+def test_f_times_so3_verifies_for_a_rational_f(ch3, so3_structure):
+    for text in ["1/(1 + x^2 + y^2 + z^2)", "(x - y*z)/(2*x^2 + 3*y + 1)", "x^2/3"]:
+        pi = so3_structure.pi.scale(parse_expr(text, ch3))
+        assert verify(pi).verified and schouten_oracle(pi, pi).is_zero
+
+
+@pytest.mark.parametrize("alpha", [{0: "y"}, {0: "y*z", 3: "x^2"}, {1: "w^2", 2: "x*y"}])
+def test_gauge_of_a_bivector_that_is_not_poisson_takes_no_verify(alpha):
+    # the gauge reports the square it took, which is the oracle's [pi_B, pi_B]
+    ch = chart("x", "y", "z", "w")
+    pi = MultiVec(ch, 2, {(0, 1): parse_expr("z", ch), (2, 3): parse_expr("x", ch),
+                          (1, 2): parse_expr("w", ch)})
+    b = multivec.exterior_derivative(DiffForm(ch, 1, {
+        (i,): parse_expr(text, ch) for i, text in alpha.items()}))
+    with mock.patch.object(poisson, "verify", side_effect=verify) as verified:
+        out = gauge_transform(pi, b)
+    assert verified.call_count == 0
+    assert any(not c.is_polynomial for c in out.pi.coeffs.values())
+    assert not out.verified and out.schouten_square == schouten_oracle(out.pi, out.pi)
 
 
 def test_gauge_failure_is_verifys_report():
@@ -995,13 +1065,11 @@ def test_isotropy_abelian(ch2):
 
 
 def test_hamiltonian_fields_bracket_homomorphism(ch3, so3_structure):
-    from poisskit.multivec import schouten
-
     rng = rng_for("brkpres")
     for _ in range(10):
         f = random_poly(rng, ch3)
         g = random_poly(rng, ch3)
-        lhs = schouten(
+        lhs = schouten_oracle(
             hamiltonian_vf(so3_structure, f), hamiltonian_vf(so3_structure, g)
         )
         rhs = hamiltonian_vf(so3_structure, bracket(so3_structure, f, g))
