@@ -343,12 +343,12 @@ def _task_classify(manifest, params):
 def _task_dirac_bracket(manifest, params):
     cs = _named(manifest.constraints, params.get("constraints"), "constraint system")
     try:
-        db = dirac.dirac_bracket(cs)
+        pd = dirac.dirac_bracket(cs)
     except poisson.NotCosymplecticError as err:
         return TaskResult("dirac_bracket", False, [f"FAIL dirac_bracket {err}"], {})
     f = _get_expr(manifest, params, "f")
     g = _get_expr(manifest, params, "g")
-    value = db(f, g)
+    value = cs.restrict(poisson.bracket(pd, f, g))
     text = str(value) if isinstance(value, RatFunc) else str([str(v) for v in value])
     return TaskResult("dirac_bracket", None,
                       [f"INFO dirac_bracket {{f,g}}_N = {text}"],

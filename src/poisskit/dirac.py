@@ -20,12 +20,16 @@ One entry point per fact: the graph of pi# or of omega_flat at a point is
 That phi pushes the graph of pi_1 onto the graph of pi_2 is the Poisson-map
 condition, checked by ``poisson.is_poisson_map``.
 
-Restriction to a constraint level set N is performed by exact substitution
-through a polynomial parametrization when one is supplied, and otherwise by
-exact evaluation at user-provided on-level sample points (results are then
-labeled "sampled").  Dirac brackets and submanifold classification need a
-system whose structure passed ``poisson.verify``; on any other they raise
-``require_verified``'s PoissonError.
+The Dirac bracket of a cosymplectic constraint system psi_1, ..., psi_k is
+the bivector pi_D = pi + sum_{i<j} c^ij X_psi_i ^ X_psi_j, c the inverse of
+C = ({psi_i, psi_j}): a Poisson structure with every psi_i a Casimir (Dirac,
+Canad. J. Math. 2, 1950), so {f,g}_N is ``poisson.bracket`` of pi_D,
+restricted to N.  Restriction to a constraint level set N is performed by
+exact substitution through a polynomial parametrization when one is
+supplied, and otherwise by exact evaluation at user-provided on-level sample
+points (results are then labeled "sampled").  Dirac brackets and submanifold
+classification need a system whose structure passed ``poisson.verify``; on
+any other they raise ``require_verified``'s PoissonError.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from fractions import Fraction
 
 from . import linalg, poisson
 from .expr import Chart, ChartMismatchError, ExprError, RatFunc, format_point
-from .multivec import DiffForm, PolyMap
+from .multivec import DiffForm, PolyMap, wedge
 from .poisson import (
     NotCosymplecticError,
     PoissonStructure,
@@ -322,45 +326,28 @@ def constraint_bracket_matrix(cs: ConstraintSystem):
     ]
 
 
-class DiracBracket:
-    """Closure computing {f,g}_N for ambient representatives f, g."""
-
-    def __init__(self, cs: ConstraintSystem):
-        require_verified(cs.structure)
-        if not cs.samples and cs.parametrization is None:
-            raise DiracError("no parametrization and no samples")
-        c_upper = constraint_bracket_matrix(cs)
-        c_lower = linalg.mat_inverse(c_upper) if c_upper else []
-        if c_upper and c_lower is None:
-            pretty = "[" + "; ".join(
-                ", ".join(str(e) for e in row) for row in c_upper
-            ) + "]"
-            raise NotCosymplecticError(
-                f"constraint matrix is singular (not cosymplectic): c_upper = {pretty}"
-            )
-        self.cs = cs
-        self.c_lower = c_lower
-
-    def ambient(self, f: RatFunc, g: RatFunc) -> RatFunc:
-        """The unrestricted combination {f,g} - {f,psi_i} c_ij {psi_j,g}."""
-        cs = self.cs
-        out = bracket(cs.structure, f, g)
-        k = len(cs.constraints)
-        if k:
-            fpsi = [bracket(cs.structure, f, cs.constraints[i]) for i in range(k)]
-            psig = [bracket(cs.structure, cs.constraints[j], g) for j in range(k)]
-            for i in range(k):
-                for j in range(k):
-                    out = out - fpsi[i] * self.c_lower[i][j] * psig[j]
-        return out
-
-    def __call__(self, f: RatFunc, g: RatFunc):
-        return self.cs.restrict(self.ambient(f, g))
-
-
-def dirac_bracket(cs: ConstraintSystem) -> DiracBracket:
-    """The Dirac bracket of the constraint system, as a closure."""
-    return DiracBracket(cs)
+def dirac_bracket(cs: ConstraintSystem) -> PoissonStructure:
+    """pi_D = pi + sum_{i<j} c^ij X_psi_i ^ X_psi_j with c = ({psi_i, psi_j})^-1,
+    the Dirac bracket {f,g} - {f,psi_i} c^ij {psi_j,g} as a bivector.  Dirac's
+    theorem (1950) that it is Poisson, with each psi_i a Casimir, is its
+    certificate.  NotCosymplecticError when ({psi_i, psi_j}) is singular."""
+    require_verified(cs.structure)
+    if not cs.samples and cs.parametrization is None:
+        raise DiracError("no parametrization and no samples")
+    c_upper = constraint_bracket_matrix(cs)
+    c_lower = linalg.mat_inverse(c_upper)
+    if c_lower is None:
+        pretty = "[" + "; ".join(
+            ", ".join(str(e) for e in row) for row in c_upper
+        ) + "]"
+        raise NotCosymplecticError(
+            f"constraint matrix is singular (not cosymplectic): c_upper = {pretty}"
+        )
+    fields = [hamiltonian_vf(cs.structure, psi) for psi in cs.constraints]
+    pi_d = cs.structure.pi
+    for i, j in itertools.combinations(range(len(fields)), 2):
+        pi_d = pi_d + wedge(fields[i], fields[j]).scale(c_lower[i][j])
+    return PoissonStructure(pi_d, True)
 
 
 # -- submanifold classification -----------------------------------------------------

@@ -9,7 +9,10 @@ Matrix convention: the matrix of a bivector pi has entry (i,j) equal to
 With these choices {f,g} = dg(X_f) and [pi, f] = -X_f for the Schouten
 bracket of ``multivec``, the one implementation of [pi, .]: ``verify``,
 ``d_pi`` and ``cohomology`` all apply its derivation rule to pi's generator
-images.
+images.  ``bracket`` is the one bracket of functions and takes each partial
+of f and g once: the Dirac bracket of a constraint system is ``bracket`` of
+the bivector pi_D of ``dirac.dirac_bracket``, and the transverse Lie bracket
+of ``isotropy_bracket_at`` is d{alpha.x, beta.x} at the point.
 
 One check per fact: ``verify`` is the [pi,pi] = 0 test and the one report of
 a failed square (the Jacobiator of the bracket is (1/2)[pi,pi] on
@@ -150,14 +153,20 @@ def require_verified(ps: PoissonStructure) -> PoissonStructure:
 # -- brackets and Hamiltonian fields -------------------------------------------
 
 
+def _partials(pi: MultiVec, f: RatFunc) -> dict:
+    """{k: df/dx_k} for each coordinate k that a term of pi names."""
+    return {k: f.diff(k) for k in sorted({k for idx in pi.coeffs for k in idx})}
+
+
 def bracket(structure, f: RatFunc, g: RatFunc) -> RatFunc:
     """{f,g} = pi(df, dg)."""
     pi = _pi_of(structure)
     if f.chart != pi.chart or g.chart != pi.chart:
         raise ChartMismatchError("bracket arguments live on another chart")
+    df, dg = _partials(pi, f), _partials(pi, g)
     out = RatFunc.zero(pi.chart)
     for (i, j), c in pi.coeffs.items():
-        out = out + c * (f.diff(i) * g.diff(j) - f.diff(j) * g.diff(i))
+        out = out + c * (df[i] * dg[j] - df[j] * dg[i])
     return out
 
 
@@ -166,11 +175,12 @@ def hamiltonian_vf(structure, f: RatFunc) -> MultiVec:
     pi = _pi_of(structure)
     if f.chart != pi.chart:
         raise ChartMismatchError("function lives on another chart")
+    df = _partials(pi, f)
     comps = {}
     for (i, j), c in pi.coeffs.items():
         # contribution of the term c d/dx_i ^ d/dx_j
-        _accumulate(comps, j, c * f.diff(i))
-        _accumulate(comps, i, -(c * f.diff(j)))
+        _accumulate(comps, j, c * df[i])
+        _accumulate(comps, i, -(c * df[j]))
     return MultiVec(pi.chart, 1, {(k,): v for k, v in comps.items()})
 
 
@@ -521,7 +531,8 @@ def log_degeneracy_check(structure, samples) -> LogDegeneracyReport:
 
 
 def isotropy_bracket_at(structure, point):
-    """Transverse Lie algebra at a point, on ker(pi#)* via c_ijk = d(pi_ij)/dx_k.
+    """Transverse Lie algebra at a point, on ker(pi#)*: [alpha, beta] is
+    d{alpha.x, beta.x} there, c_ijk = d(pi_ij)/dx_k contracted with them.
 
     Jacobi failure signals an implementation bug (ruled out by theory), so
     the returned algebra is constructed through the verifying constructor.
@@ -537,21 +548,14 @@ def isotropy_bracket_at(structure, point):
     m = len(kernel)
     if m == 0:
         return lie_from_constants(0, [])
-    pmat = bivector_matrix(pi)
     kernel_rows, pivots = linalg.rref(kernel)
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    linear = [RatFunc.from_poly(Poly(chart, dict(zip(units, row)))) for row in kernel_rows]
     triples = []
     for a in range(m):
         for b in range(a + 1, m):
-            alpha, beta = kernel_rows[a], kernel_rows[b]
-            # d{f,g}|_point for linear f,g with df=alpha, dg=beta
-            comps = []
-            for k in range(n):
-                acc = Fraction(0)
-                for i in range(n):
-                    for j in range(n):
-                        if alpha[i] and beta[j]:
-                            acc += alpha[i] * beta[j] * pmat[i][j].diff(k).eval(point)
-                comps.append(acc)
+            brk = bracket(pi, linear[a], linear[b])
+            comps = [brk.diff(k).eval(point) for k in range(n)]
             coords = [comps[pc] for pc in pivots]
             if linalg.matvec(linalg.transpose(kernel_rows), coords) != comps:
                 raise PoissonError(

@@ -5,7 +5,8 @@ from operator import add
 
 import pytest
 
-from poisskit import poisson
+from poisskit import linalg, poisson
+from poisskit.dirac import constraint_bracket_matrix
 from poisskit.expr import ChartMismatchError, ExprError, Poly, RatFunc, chart, parse_expr
 from poisskit.multivec import DiffForm, Index, MultiVec, _accumulate, wedge
 
@@ -258,6 +259,24 @@ def trivector_on_differentials(t, f, g, h):
             term = dfs[a][i] * dfs[b][j] * dfs[c_][k]
             det = det + term if sign > 0 else det - term
         out = out + c * det
+    return out
+
+
+# -- the Dirac bracket by its formula, an oracle for dirac.dirac_bracket ---------
+
+
+def dirac_bracket_oracle(cs, f, g):
+    """The unrestricted combination {f,g} - {f,psi_i} c_ij {psi_j,g}, with c
+    the inverse of the constraint matrix {psi_i, psi_j}."""
+    out = poisson.bracket(cs.structure, f, g)
+    k = len(cs.constraints)
+    if k:
+        c_lower = linalg.mat_inverse(constraint_bracket_matrix(cs))
+        fpsi = [poisson.bracket(cs.structure, f, cs.constraints[i]) for i in range(k)]
+        psig = [poisson.bracket(cs.structure, cs.constraints[j], g) for j in range(k)]
+        for i in range(k):
+            for j in range(k):
+                out = out - fpsi[i] * c_lower[i][j] * psig[j]
     return out
 
 

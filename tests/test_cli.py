@@ -156,6 +156,29 @@ def test_constraint_tasks_on_a_bivector_that_is_not_poisson_fail(tmp_path, capsy
         f"FAIL classify {square}", f"FAIL dirac_bracket {square}", "INFO rank 2"])
 
 
+def test_dirac_bracket_lines_on_canonical_r4(tmp_path, capsys):
+    # the values at the samples, the missing-samples and singular-matrix
+    # failures, and a constraint with a polynomial denominator
+    doc = {"chart": ["q1", "p1", "q2", "p2"], "bivectors": {"pi": {"0,1": "1", "2,3": "1"}},
+           "constraints": {
+               "plane": {"bivector": "pi", "psi": ["q2", "p2"], "level": ["0", "0"],
+                         "samples": [["1", "2", "0", "0"], ["3", "-1", "0", "0"]]},
+               "bare": {"bivector": "pi", "psi": ["q2", "p2"], "level": ["0", "0"]},
+               "coiso": {"bivector": "pi", "psi": ["q2", "q1"], "level": ["0", "0"],
+                         "samples": [["0", "1", "0", "2"]]},
+               "curved": {"bivector": "pi", "psi": ["q2 - q1^2", "p2/(1 + q1^2)"],
+                          "level": ["0", "0"], "samples": [["1", "2", "1", "0"]]}},
+           "tasks": [{"task": "dirac_bracket", "constraints": name, "f": f, "g": "p1"}
+                     for name, f in [("plane", "q2"), ("bare", "q1"), ("coiso", "q1"),
+                                     ("curved", "q1")]]}
+    assert _run(tmp_path, capsys, json.dumps(doc)) == (1, [
+        "INFO dirac_bracket {f,g}_N = ['0', '0']",
+        "FAIL dirac_bracket no parametrization and no samples",
+        "FAIL dirac_bracket constraint matrix is singular (not cosymplectic): "
+        "c_upper = [0, 0; 0, 0]",
+        "INFO dirac_bracket {f,g}_N = ['1']"])
+
+
 # pi = x d/dx^d/dy has the modular vector field -d/dy for dx^dy
 def _modular(expect):
     return json.dumps({"chart": ["x", "y"], "bivectors": {"pi": {"0,1": "x"}},

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from poisskit import linalg, poisson
+from poisskit import flow, linalg, poisson
 from poisskit.dirac import (
     ConstraintSystem,
     DiracError,
@@ -29,6 +29,7 @@ from poisskit.poisson import gauge_transform, is_poisson_map, matrix_at
 
 from conftest import (
     courant_oracle,
+    dirac_bracket_oracle,
     jacobiator_trivector,
     random_form,
     random_multivec,
@@ -301,8 +302,8 @@ def test_transversal_induced_poisson_matches_dirac_bracket(ch4):
     cs = _symplectic_plane_system(ch4)
     matrix = transversal_induced_poisson_at(cs, [F(1), F(2)])
     assert matrix == [[0, 1], [-1, 0]]
-    bracket = dirac_bracket(cs)
-    assert bracket(parse_expr("q1", ch4), parse_expr("p1", ch4)) == \
+    pd = dirac_bracket(cs)
+    assert cs.restrict(poisson.bracket(pd, parse_expr("q1", ch4), parse_expr("p1", ch4))) == \
         RatFunc.const(cs.parametrization.source, 1)
 
 
@@ -336,20 +337,86 @@ def test_dirac_bracket_through_polynomial_denominators():
     cs = ConstraintSystem(
         structure, [parse_expr("q2 - q1^2", ch4), parse_expr("p2/(1 + q1^2)", ch4)], [0, 0],
         parametrization=PolyMap(plane, ch4, (a, b, a * a, RatFunc.zero(plane))))
-    bracket = dirac_bracket(cs)
-    assert _rows(bracket.c_lower) == [["0", "-q1^2 - 1"], ["q1^2 + 1", "0"]]
+    pd = dirac_bracket(cs)
+    assert _rows(linalg.mat_inverse(constraint_bracket_matrix(cs))) == \
+        [["0", "-q1^2 - 1"], ["q1^2 + 1", "0"]]
     p1, p2 = parse_expr("p1", ch4), parse_expr("p2", ch4)
-    assert str(bracket.ambient(p1, p2)) == "(-2*q1*p2)/(q1^2 + 1)"
-    assert bracket(p1, p2).is_zero
+    assert str(poisson.bracket(pd, p1, p2)) == "(-2*q1*p2)/(q1^2 + 1)"
+    assert cs.restrict(poisson.bracket(pd, p1, p2)).is_zero
     f, g = parse_expr("p1*q2", ch4), parse_expr("q1 + p2", ch4)
-    assert str(bracket.ambient(f, g)) == "(-q1^2*q2 - 2*q1*q2*p2 - q2)/(q1^2 + 1)"
-    assert str(bracket(f, g)) == "-a^2"
+    assert str(poisson.bracket(pd, f, g)) == "(-q1^2*q2 - 2*q1*q2*p2 - q2)/(q1^2 + 1)"
+    assert str(cs.restrict(poisson.bracket(pd, f, g))) == "-a^2"
     restricted = [[e.subst([a, b, a * a, RatFunc.zero(plane)]) for e in row]
                   for row in constraint_bracket_matrix(cs)]
     assert _rows(restricted) == [["0", "1/(a^2 + 1)"], ["(-1)/(a^2 + 1)", "0"]]
     assert str(linalg.det(restricted)) == "1/(a^4 + 2*a^2 + 1)"
     assert classify_submanifold(cs) == SubmanifoldFlags(
         poisson=False, coisotropic=False, cosymplectic=True, mode="exact")
+
+
+# -- the Dirac bivector ----------------------------------------------------------------
+
+Q4 = ("q1", "p1", "q2", "p2")
+Q6 = ("q1", "p1", "q2", "p2", "q3", "p3")
+
+# the benchmark's systems, three second-class systems, one with a polynomial
+# denominator, and four constraints in dimension 6
+DIRAC_SYSTEMS = [
+    *((Q4, [f"q2 - {a}*q1^2", f"p2 - {b}*p1^2"]) for a in (-2, -1, 1, 2) for b in (-2, -1, 1, 2)),
+    (Q4, ["q2", "p2"]),
+    (Q4, ["q2 + q1^2", "p2 + q1*p1"]),
+    (Q4, ["q1*q2 + p1", "p2 - q1^2"]),
+    (Q4, ["q2 - q1^2", "p2/(1 + q1^2)"]),
+    (Q6, ["q2 - q1^2", "p2 + q1*p3", "q3 - p1*q2", "p3 - q1*p1"]),
+]
+
+
+def _canonical(names):
+    ch = chart(*names)
+    one = RatFunc.const(ch, 1)
+    return poisson.require_poisson(MultiVec(ch, 2, {(i, i + 1): one
+                                                    for i in range(0, len(names), 2)}))
+
+
+def _system_through(structure, psi, point):
+    """The system of the level set of psi through a point, sampled there."""
+    psi = [parse_expr(text, structure.chart) for text in psi]
+    point = [F(v) for v in point]
+    return ConstraintSystem(structure, psi, [q.eval(point) for q in psi], [point])
+
+
+@pytest.mark.parametrize("names,psi", DIRAC_SYSTEMS, ids=[", ".join(psi)
+                                                          for _, psi in DIRAC_SYSTEMS])
+def test_dirac_bivector_is_poisson_with_the_constraints_as_casimirs(names, psi):
+    rng = rng_for(f"dirac {psi}")
+    cs = _system_through(_canonical(names), psi, [rng.randint(-3, 3) for _ in names])
+    pd = dirac_bracket(cs)
+    assert isinstance(pd, poisson.PoissonStructure) and pd.verified
+    assert poisson.verify(pd.pi).verified
+    assert all(poisson.casimir_check(pd, q) for q in cs.constraints)
+    for _ in range(3):
+        f, g = random_poly(rng, pd.chart), random_poly(rng, pd.chart)
+        got, want = poisson.bracket(pd, f, g), dirac_bracket_oracle(cs, f, g)
+        assert got == want and str(got) == str(want)
+
+
+def test_dirac_bivector_without_constraints_is_pi(ch4, pican4_structure):
+    cs = ConstraintSystem(pican4_structure, [], [], [[F(1), F(2), F(3), F(4)]])
+    assert dirac_bracket(cs) == pican4_structure
+
+
+def test_dirac_flow_stays_on_the_level_set():
+    # X_H of pi_D is tangent to N, so RK4 keeps each psi to its truncation
+    # error; the flow of pi itself leaves N
+    structure = _canonical(Q4)
+    x0 = [F(1, 2), F(-1, 3), F(0), F(0)]
+    cs = _system_through(structure, ["q2 + q1^2", "p2 + q1*p1"], x0)
+    h = parse_expr("(q1^2 + p1^2)/2 + q2*p2 + p2^2", structure.chart)
+    cfg = flow.FlowConfig(dt=0.01, t_max=2.0, tol=1e-8)
+    traj = flow.integrate_hamiltonian(dirac_bracket(cs), h, x0, cfg, casimirs=cs.constraints)
+    assert all(d < cfg.tol for d in [traj.h_drift, *traj.casimir_drifts])
+    free = flow.integrate_hamiltonian(structure, h, x0, cfg, casimirs=cs.constraints)
+    assert min(free.casimir_drifts) > 0.1
 
 
 def test_constraint_and_level_counts_must_match(ch3, so3_structure):
