@@ -318,12 +318,14 @@ class ConstraintSystem:
 
 
 def constraint_bracket_matrix(cs: ConstraintSystem):
-    """Ambient matrix {psi_i, psi_j} as RatFuncs."""
-    k = len(cs.constraints)
-    return [
-        [bracket(cs.structure, cs.constraints[i], cs.constraints[j]) for j in range(k)]
-        for i in range(k)
-    ]
+    """Ambient matrix {psi_i, psi_j} as RatFuncs: the brackets with i < j, a
+    zero diagonal and the lower triangle by antisymmetry."""
+    psi = cs.constraints
+    m = [[RatFunc.zero(cs.structure.chart)] * len(psi) for _ in psi]
+    for i, j in itertools.combinations(range(len(psi)), 2):
+        m[i][j] = bracket(cs.structure, psi[i], psi[j])
+        m[j][i] = -m[i][j]
+    return m
 
 
 def dirac_bracket(cs: ConstraintSystem) -> PoissonStructure:

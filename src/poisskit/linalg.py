@@ -123,7 +123,10 @@ def _cancel(row, pc, pivot_row):
 
 def null_space(reduced, ncols):
     """Sparse kernel basis of ``eliminate``'s ``reduced`` rows: per free column,
-    Fraction(1) there and minus that column of each pivot row at its pivot."""
+    Fraction(1) there and minus that column of each pivot row at its pivot.
+    The vectors come in ascending free-column order, and each vector's first
+    key is its free column, with entry 1; its other keys are pivots, so it is
+    0 at the other free columns.  ``poisson.cohomology`` reads this."""
     basis = {c: {c: Fraction(1)} for c in range(ncols) if c not in reduced}
     for pc, row in reduced.items():
         for c, x in row.items():

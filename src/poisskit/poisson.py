@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
 from . import linalg
@@ -312,28 +312,26 @@ def _coefficient_degree(pi: MultiVec) -> int:
     return degs.pop() if degs else 0
 
 
+@cache
 def _monomials(chart: Chart, degree: int):
+    """The exponent tuples of degree ``degree``, sorted.  Cached, as cohomology
+    takes the same few (chart, degree) pairs on every call; the tuple keeps
+    the shared result unchanged."""
     if degree < 0:
-        return []
+        return ()
     out = []
     for combo in itertools.combinations_with_replacement(range(chart.dim), degree):
         e = [0] * chart.dim
         for i in combo:
             e[i] += 1
         out.append(tuple(e))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 def _kvector_basis(chart: Chart, k: int, degree: int):
     idxs = list(itertools.combinations(range(chart.dim), k))
     monos = _monomials(chart, degree)
     return [(idx, m) for idx in idxs for m in monos]
-
-
-def _basis_element(chart: Chart, idx, mono) -> MultiVec:
-    return MultiVec(
-        chart, len(idx), {idx: RatFunc.from_poly(Poly(chart, {mono: 1}))}
-    )
 
 
 def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
@@ -346,6 +344,16 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     Each column is d_pi = [pi, .] of one basis element by the derivation
     rule of ``multivec.schouten`` (``_d_pi_images``), from the 2n generator
     images read off pi once per structure (``generator_images``).
+
+    The image is tested in the kernel's free coordinates.  Each kernel vector
+    of ``linalg.null_space`` is 1 at its own free column and 0 at the other
+    free columns, so keeping only the free coordinates is injective on the
+    kernel, which holds the image (d_pi d_pi = 0).  One elimination of the
+    image rows so restricted gives the image's dimension as its rank; with
+    the columns negated, each pivot is the last free column of an image
+    vector.  The representatives are the kernel vectors whose free column is
+    the last free column of no image vector: the kernel vectors that are
+    independent of the image and of the kernel vectors before them.
     """
     pi = _pi_of(structure)
     chart = pi.chart
@@ -364,28 +372,28 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     for col, column in enumerate(_d_pi_images(dom, of_x, of_d)):
         for key, c in column.items():
             out_rows[cod_index[key]][col] = c
+    # one vector per free column, in ascending order, each keyed first by it
     kernel = linalg.null_space(linalg.eliminate(out_rows)[0], len(dom))
-    # incoming image, as sparse rows over the domain basis
-    image = []
+    free = [next(iter(v)) for v in kernel]
+    negated = {dom[col]: -col for col in free}
+    # incoming image, as sparse rows over the negated free columns
+    images = []
     if k >= 1 and d - delta + 1 >= 0:
-        dom_index = {b: i for i, b in enumerate(dom)}
-        image = [{dom_index[key]: c for key, c in row.items()}
-                 for row in _d_pi_images(_kvector_basis(chart, k - 1, d - delta + 1),
-                                         of_x, of_d)]
-    # a row's independence depends only on the rows before it, so the
-    # independent image rows count the image, and the independent kernel rows
-    # after them are the representatives: they extend the image to a kernel basis
-    independent = linalg.eliminate(image + kernel)[1]
-    dim_image = sum(i < len(image) for i in independent)
-    dim_kernel = len(kernel)
-    dim_h = dim_kernel - dim_image
+        images = _d_pi_images(_kvector_basis(chart, k - 1, d - delta + 1), of_x, of_d)
+    last_free = linalg.eliminate([{negated[key]: c for key, c in row.items() if key in negated}
+                                  for row in images])[0]
+    dim_image = len(last_free)
     reps = []
-    for i in independent[dim_image:]:
-        mv = MultiVec.zero(chart, k)
-        for col, coef in sorted(kernel[i - len(image)].items()):
-            mv = mv + _basis_element(chart, *dom[col]).scale(coef)
-        reps.append(mv)
-    return CohomologyReport(k, d, dim_kernel, dim_image, dim_h, reps)
+    for first, v in zip(free, kernel):
+        if -first in last_free:
+            continue
+        coeffs = {}
+        for col, coef in v.items():
+            idx, mono = dom[col]
+            coeffs.setdefault(idx, {})[mono] = coef
+        reps.append(MultiVec(chart, k, {idx: RatFunc.from_poly(Poly(chart, terms))
+                                        for idx, terms in coeffs.items()}))
+    return CohomologyReport(k, d, len(kernel), dim_image, len(kernel) - dim_image, reps)
 
 
 # -- gauge transformations -------------------------------------------------------

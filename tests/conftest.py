@@ -8,7 +8,7 @@ import pytest
 from poisskit import linalg, poisson
 from poisskit.dirac import constraint_bracket_matrix
 from poisskit.expr import ChartMismatchError, ExprError, Poly, RatFunc, chart, parse_expr
-from poisskit.multivec import DiffForm, Index, MultiVec, _accumulate, wedge
+from poisskit.multivec import DiffForm, Index, MultiVec, _accumulate, _d_pi_images, wedge
 
 
 @pytest.fixture
@@ -218,6 +218,50 @@ def gl_triples(n):
         i, j = n * a + b, n * c + d
         triples += [(i, j, n * a + d, 1)] * (b == c) + [(i, j, n * c + b, -1)] * (d == a)
     return triples
+
+
+# -- the joint elimination, an oracle for the cohomology's image test -----------
+
+
+def basis_element(chart, idx, mono):
+    """The k-vector x^mono d/dx_idx of the cohomology's domain basis."""
+    return MultiVec(chart, len(idx), {idx: RatFunc.from_poly(Poly(chart, {mono: 1}))})
+
+
+def cohomology_oracle(structure, k, d):
+    """``poisson.cohomology`` by one elimination of the image rows, over all
+    domain columns, followed by the kernel rows.  A row's independence depends
+    only on the rows before it, so the independent image rows count the
+    image, and the independent kernel rows after them are the
+    representatives: they extend the image to a kernel basis.  Each
+    representative is a sum of scaled basis elements."""
+    chart = structure.chart
+    delta = poisson._coefficient_degree(structure.pi)
+    of_x, of_d = structure.generator_images
+    dom = poisson._kvector_basis(chart, k, d)
+    cod = poisson._kvector_basis(chart, k + 1, d + delta - 1)
+    cod_index = {b: i for i, b in enumerate(cod)}
+    out_rows = [{} for _ in cod]
+    for col, column in enumerate(_d_pi_images(dom, of_x, of_d)):
+        for key, c in column.items():
+            out_rows[cod_index[key]][col] = c
+    kernel = linalg.null_space(linalg.eliminate(out_rows)[0], len(dom))
+    image = []
+    if k >= 1 and d - delta + 1 >= 0:
+        dom_index = {b: i for i, b in enumerate(dom)}
+        image = [{dom_index[key]: c for key, c in row.items()}
+                 for row in _d_pi_images(poisson._kvector_basis(chart, k - 1, d - delta + 1),
+                                         of_x, of_d)]
+    independent = linalg.eliminate(image + kernel)[1]
+    dim_image = sum(i < len(image) for i in independent)
+    reps = []
+    for i in independent[dim_image:]:
+        mv = MultiVec.zero(chart, k)
+        for col, coef in sorted(kernel[i - len(image)].items()):
+            mv = mv + basis_element(chart, *dom[col]).scale(coef)
+        reps.append(mv)
+    return poisson.CohomologyReport(k, d, len(kernel), dim_image,
+                                    len(kernel) - dim_image, reps)
 
 
 # -- the Jacobiator, an oracle for the Schouten bracket --------------------------

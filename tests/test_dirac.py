@@ -400,6 +400,22 @@ def test_dirac_bivector_is_poisson_with_the_constraints_as_casimirs(names, psi):
         assert got == want and str(got) == str(want)
 
 
+@pytest.mark.parametrize("names", [Q4, Q6, "xyz"])
+def test_constraint_bracket_matrix_is_the_full_matrix_of_brackets(names, request):
+    # the matrix takes the brackets above the diagonal only; each entry is
+    # the bracket the full k^2 loop takes, by value and by printed text
+    structure = (request.getfixturevalue("so3_structure") if names == "xyz"
+                 else _canonical(names))
+    ch = structure.chart
+    rng = rng_for(f"constraint brackets {names}")
+    for _ in range(10):
+        psi = [_random_entry(rng, ch) for _ in range(rng.randint(1, 4))]
+        cs = ConstraintSystem(structure, psi, [0] * len(psi))
+        full = [[poisson.bracket(structure, f, g) for g in psi] for f in psi]
+        m = constraint_bracket_matrix(cs)
+        assert m == full and _rows(m) == _rows(full)
+
+
 def test_dirac_bivector_without_constraints_is_pi(ch4, pican4_structure):
     cs = ConstraintSystem(pican4_structure, [], [], [[F(1), F(2), F(3), F(4)]])
     assert dirac_bracket(cs) == pican4_structure

@@ -152,6 +152,23 @@ def test_int_rows_eliminate_as_their_fractions():
         assert (reduced, independent) == linalg.eliminate(fractions)
         assert all(type(x) is F for row in reduced.values() for x in row.values())
 
+def test_null_space_vectors_come_in_free_column_order_keyed_first_by_it():
+    # poisson.cohomology reads each kernel vector's free column as its first
+    # key: the vectors come in ascending free-column order, each 1 at its own
+    # free column and with its other keys at pivots, so 0 at the other free
+    # columns; columns no row touches are free too
+    rng = rng_for("null space contract")
+    for _ in range(60):
+        cols = rng.randint(1, 7)
+        reduced = linalg.eliminate(_int_rows(rng, cols))[0]
+        basis = linalg.null_space(reduced, cols + 2)
+        free = [c for c in range(cols + 2) if c not in reduced]
+        assert [next(iter(v)) for v in basis] == free
+        for c, v in zip(free, basis):
+            assert v[c] == 1 and type(v[c]) is F
+            assert set(v) - {c} <= reduced.keys()
+
+
 # three entries in four are zero, like the cohomology matrices' sparse rows
 _sparse_fraction = st.one_of(
     st.just(F(0)), st.just(F(0)), st.just(F(0)),

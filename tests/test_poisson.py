@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction as F
 from functools import cached_property
@@ -32,6 +33,9 @@ from poisskit.poisson import (
 )
 
 from conftest import (
+    basis_element,
+    cohomology_oracle,
+    gl_triples,
     jacobiator,
     jacobiator_trivector,
     multivec_terms,
@@ -480,7 +484,7 @@ def _check_lie_poisson_report(structure, k, rep):
         terms = multivec_terms(mv)
         return [terms.get(b, F(0)) for b in dom]
 
-    image = [vector(d_pi(structure, poisson._basis_element(chart, idx, mono)))
+    image = [vector(d_pi(structure, basis_element(chart, idx, mono)))
              for idx, mono in (poisson._kvector_basis(chart, k - 1, d) if k else [])]
     reps = rep.representatives
     assert all(d_pi(structure, r).is_zero for r in reps)
@@ -562,8 +566,9 @@ def test_lie_poisson_cohomology_whitehead(so3_structure, algebra, k, dims):
 ])
 def test_cohomology_is_sparse_elimination_only(so3_structure, monkeypatch,
                                                algebra, k, d, dim_h):
-    # the kernel takes one sparse elimination, and the image and the
-    # representatives together take one more; no dense matrix is built
+    # the kernel takes one sparse elimination, and the image rows, restricted
+    # to the kernel's free columns, one more (with no rows when k = 0); the
+    # representatives are read off its pivots; no dense matrix is built
     structure = so3_structure if algebra == "so3" else _gl_lie_poisson(2)
     for name in ("rref", "kernel_basis", "canonical_span", "transpose"):
         monkeypatch.setattr(linalg, name, lambda *a, name=name: pytest.fail(name))
@@ -577,6 +582,59 @@ def test_cohomology_is_sparse_elimination_only(so3_structure, monkeypatch,
 def _fixture_structure(name):
     manifest = cli.load_manifest(fixtures.fixture_manifest(name))
     return require_poisson(manifest.bivectors["pi"])
+
+
+def _fraction_gl2():
+    # gl2 in the basis s_a e_a: [s_a e_a, s_b e_b] = sum_c (s_a s_b / s_c) c_ab^c s_c e_c
+    s = [F(1), F(1, 2), F(3), F(-2, 3)]
+    return lie_poisson(lie_from_constants(
+        4, [(a, b, c, v * s[a] * s[b] / s[c]) for a, b, c, v in gl_triples(2)]))
+
+
+@pytest.mark.parametrize("name,dims", [
+    ("so3", range(5)),
+    ("sl2r", range(5)),
+    ("book", range(4)),
+    ("gl2", range(3)),
+    ("gl2_fractions", range(3)),
+    ("s3_standard", range(4)),
+])
+def test_cohomology_matches_the_joint_elimination(request, name, dims):
+    # the image test in the kernel's free coordinates gives the image's
+    # dimension and the representatives of one elimination of the image
+    # rows followed by the kernel rows, by value and by printed text
+    structure = {"gl2": lambda: _gl_lie_poisson(2), "gl2_fractions": _fraction_gl2,
+                 "s3_standard": lambda: _fixture_structure("s3_standard")}.get(
+        name, lambda: request.getfixturevalue(f"{name}_structure"))()
+    seen = set()
+    for k in range(structure.chart.dim + 1):
+        for d in dims:
+            got, want = cohomology(structure, k, d), cohomology_oracle(structure, k, d)
+            assert got == want and got.serialize() == want.serialize()
+            seen.add((got.dim_image > 0, got.dim_h > 0))
+    assert (True, True) in seen  # some report has both an image and representatives
+    if name == "gl2_fractions":
+        assert any(type(c) is F for row in structure.generator_images[1] for _, _, c in row)
+
+
+# SHA-256 of serialize() for rungs beyond GL2_COHOMOLOGY, taken before the
+# image was tested in the kernel's free coordinates
+@pytest.mark.parametrize("name,k,d,digest", [
+    ("gl2", 0, 3, "1f4ff5947ae35dbd396de41eb52afe5d1769958be863863e32a42b12f642ca60"),
+    ("gl2", 1, 3, "ca8f4e765136ea58cd2431ca1c9d5e3e188880888940e800b1ba44598a737b6b"),
+    ("gl2", 3, 3, "6ebc4051b608a6899fe1abc3e51fb6742e811f2e1f22c3d13403eac2dbebdf45"),
+    ("gl2", 4, 3, "ac7e3fa3cb5e1dfa8f348df79dae276f0713fdeba9cb9cd4702b7b914606af4c"),
+    ("so3", 0, 4, "2bff75edefeeafaeaf2c74fb9470ba6378f3542d386571f71d1deec8c361a7b2"),
+    ("so3", 3, 4, "1ddd66845fac1b8cdb54ba61d34e6ea954537a3173cc226a8e20a2730bfab525"),
+    ("book", 1, 1, "7e3cb61a124657949ea557a59ed26a3f6dd115232f6e458408f0731e17cccc58"),
+    ("book", 2, 1, "dc34dced56862b1c213220b5367f7adebd770995a690e9b628104ce289390bdf"),
+    ("book", 2, 3, "af962efe8563a79e3fd4145ae6efc9df8994692d739f3fde24c7b0ff93618337"),
+])
+def test_cohomology_text_digests_are_pinned(request, name, k, d, digest):
+    structure = (_gl_lie_poisson(2) if name == "gl2"
+                 else request.getfixturevalue(f"{name}_structure"))
+    text = cohomology(structure, k, d).serialize()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", ["s3_standard", "book", "so3", "r2_xdxdy"])
@@ -605,7 +663,7 @@ def test_d_pi_derivation_rule_matches_schouten(name):
             basis = poisson._kvector_basis(chart, k, d)
             images = poisson._d_pi_images(basis, of_x, of_d)
             for (idx, mono), image in zip(basis, images, strict=True):
-                direct = schouten_oracle(pi, poisson._basis_element(chart, idx, mono))
+                direct = schouten_oracle(pi, basis_element(chart, idx, mono))
                 assert image == multivec_terms(direct)
                 count += 1
     assert count == 2 ** chart.dim * sum(
