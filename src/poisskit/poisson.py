@@ -18,9 +18,10 @@ One check per fact: ``verify`` is the [pi,pi] = 0 test and the one report of
 a failed square (the Jacobiator of the bracket is (1/2)[pi,pi] on
 differentials).  It squares pi = X / delta over a common denominator on
 polynomials (``_cleared_square``), as ``gauge_transform`` squares its result
-with the delta of its solve; both report a nonzero square divided by
-delta^3, so a rational failure prints that value with a constant factor that
-depends on delta.  ``is_poisson_map`` is the only Poisson-map test.  They
+as the pair (X, delta) of ``_gauge_pair``, P / (1 - beta) in closed form
+when pi ^ pi = 0 and the Bareiss solve otherwise; both report a nonzero
+square divided by delta^3, so a rational failure prints that value with a
+constant factor that depends on delta.  ``is_poisson_map`` is the only Poisson-map test.  They
 are also the Lie-algebra checks: a bracket table satisfies Jacobi exactly
 when its Lie-Poisson bivector passes ``verify``, and a linear map of Lie
 algebras is a morphism exactly when its transpose passes ``is_poisson_map``.
@@ -37,12 +38,13 @@ by ``dirac.kernel_and_range``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 
 from . import linalg
-from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc, format_point
+from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc, _descending, format_point
 from .multivec import (
     DiffForm,
     MultiVec,
@@ -413,21 +415,73 @@ def _id_plus(p, w):
             for i, row in enumerate(pw)]
 
 
+def _rank_two(p) -> bool:
+    """pi ^ pi = 0 for the bivector of the matrix p of Polys: every 4 x 4
+    Pfaffian P_ij P_kl - P_ik P_jl + P_il P_jk vanishes.  It holds on every
+    chart of dimension 3 or less, and says that pi = u ^ v over the fraction
+    field, of rank 2 or less."""
+    return all((p[i][j] * p[k][l] - p[i][k] * p[j][l] + p[i][l] * p[j][k]).is_zero
+               for i, j, k, l in itertools.combinations(range(len(p)), 4))
+
+
+def _gauge_pair(p, w):
+    """(x, delta) with (I + P W)^-1 P = x / delta, or None when I + P W is
+    singular as a RatFunc matrix.
+
+    For a pi of rank 2 or less (pi ^ pi = 0, ``_rank_two``) and beta =
+    sum_{i<j} W_ij P_ij, P W P = -beta P, so (I + P W) P = (1 - beta) P and
+    det(I + P W) = (1 - beta)^2: P_B = P / (1 - beta), and I + P W is
+    singular exactly when 1 - beta = 0.  For polynomial P and W of that kind
+    the pair is (c P, c (1 - beta)), with the constant c that makes delta
+    primitive and integral, as ``linalg.mat_solve_pair`` makes its delta, and
+    every polynomial in descending graded-lex order, the order of the solve's
+    exact divisions; so each RatFunc(x_ij, delta) is the entry of the solve,
+    term order included (on a 2-dimensional chart, up to the term order of a
+    polynomial entry).  Any other P or W (pi of rank 4 or more, rational
+    entries) takes ``linalg.mat_solve_pair(_id_plus(p, w), p)``."""
+    pp = [[e.num for e in row] for row in p]
+    if not (all(e.is_polynomial for m in (p, w) for row in m for e in row) and _rank_two(pp)):
+        return linalg.mat_solve_pair(_id_plus(p, w), p)
+    one_minus = Poly.const(pp[0][0].chart, 1)
+    for i, j in itertools.combinations(range(len(pp)), 2):
+        one_minus = one_minus - w[i][j].num * pp[i][j]
+    if one_minus.is_zero:
+        return None
+    coefficients = one_minus.terms.values()
+    c = Fraction(math.lcm(*(v.denominator for v in coefficients)),
+                 math.gcd(*(v.numerator for v in coefficients)))
+    return [[_descending(e * c) for e in row] for row in pp], _descending(one_minus * c)
+
+
 def gauge_matrix(p, w):
-    """(I + P W)^-1 P by ``linalg.mat_solve``, fraction-free (for polynomial P
-    and W, one gcd per entry), or None when I + P W is singular as a RatFunc
-    matrix.  All n^2 entries are built: ``flow.moser_verify`` reads them."""
-    return linalg.mat_solve(_id_plus(p, w), p)
+    """(I + P W)^-1 P as RatFuncs, built from ``_gauge_pair``'s (x, delta),
+    or None when I + P W is singular as a RatFunc matrix.  All n^2 entries
+    are built, as ``flow.moser_verify`` reads them: each entry above the
+    diagonal is RatFunc(x_ij, delta), reduced by at most one gcd, and the
+    one below it is its negative."""
+    pair = _gauge_pair(p, w)
+    if pair is None:
+        return None
+    x, delta = pair
+    out = [[RatFunc(e, delta) if i < j else None for j, e in enumerate(row)]
+           for i, row in enumerate(x)]
+    for i, row in enumerate(out):
+        row[i] = RatFunc.zero(delta.chart)
+        for j in range(i):
+            row[j] = -out[j][i]
+    return out
 
 
 def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     """Gauge transformation by a closed 2-form: pi_B# = pi# (Id + B_flat pi#)^-1.
 
     In matrices (P the pi matrix, W the form matrix), P_B = (I + P W)^-1 P,
-    which ``linalg.mat_solve_pair`` gives as X / delta, X antisymmetric and
-    delta != 0; each entry above the diagonal is built as RatFunc(X_ij, delta).
-    The square is ``_cleared_square(X, delta)``, the one ``verify`` takes,
-    and a nonzero one is reported as ``verify`` reports it.
+    which ``_gauge_pair`` gives as X / delta, X antisymmetric and delta != 0:
+    in closed form, P / (1 - beta), for a pi of rank 2 or less, and by
+    ``linalg.mat_solve_pair`` otherwise.  Each entry above the diagonal is
+    built as RatFunc(X_ij, delta).  The square is
+    ``_cleared_square(X, delta)``, the one ``verify`` takes, and a nonzero
+    one is reported as ``verify`` reports it.
     """
     pi = _pi_of(structure)
     chart = pi.chart
@@ -436,8 +490,7 @@ def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     db = exterior_derivative(b_form)
     if not db.is_zero:
         raise NotClosedError(f"2-form is not closed; dB = {db}")
-    p = bivector_matrix(pi)
-    pair = linalg.mat_solve_pair(_id_plus(p, bivector_matrix(b_form)), p)
+    pair = _gauge_pair(bivector_matrix(pi), bivector_matrix(b_form))
     if pair is None:
         raise PoissonError("Id + B_flat pi# singular as a rational-function matrix")
     x, delta = pair

@@ -123,6 +123,28 @@ def test_moser_deviation_falls_at_fourth_order(so3_structure, ch3):
         assert coarse / fine >= 12
 
 
+# The Moser shapes of the benchmark, at its settings: a linear alpha (flow
+# workload) and alpha = (a y, b x z, 0) (rational workload), with the
+# deviations per sample and grid time that the Bareiss solve of the gauge
+# family gave, as the bytes of their doubles.
+MOSER_PINS = [
+    (["-2*z", "-x", "-z"], [[0.171, -0.391, -0.737], [0.713, 0.316, -0.597]],
+     ["0000000054efca3d0000000063bad03d", "000000005036c13d000000008ad3d43d"]),
+    (["y", "2*x*z", "0"], [[-0.599, 0.68, 0.182], [-0.598, 0.13, 0.281]],
+     ["00000000c0f1913d00000000a0b5b03d", "00000000802d653d00000000c04d783d"]),
+]
+
+
+@pytest.mark.parametrize("alpha,samples,pinned", MOSER_PINS, ids=["linear", "inhomogeneous"])
+def test_moser_deviations_are_pinned_to_the_last_bit(so3_structure, ch3, alpha, samples, pinned):
+    # the gauge family P_t and X_t compile to the same float code, term order
+    # included, so every deviation keeps its last bit
+    form = DiffForm(ch3, 1, {(i,): parse_expr(t, ch3) for i, t in enumerate(alpha) if t != "0"})
+    report = flow.moser_verify(so3_structure, form, [0.1, 0.2], samples,
+                               flow.FlowConfig(dt=0.005, t_max=1.0, tol=1e-6))
+    assert [array("d", row).tobytes().hex() for row in report.per_sample] == pinned
+
+
 @pytest.mark.parametrize("t_grid", [["nan"], [0.5, math.nan], [math.inf, 0.5]])
 def test_moser_rejects_a_time_that_is_not_finite(so3_structure, ch3, t_grid):
     alpha = DiffForm(ch3, 1, {(0,): parse_expr("y", ch3)})

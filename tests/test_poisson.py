@@ -763,6 +763,7 @@ def test_gauge_denominators_are_primitive(ch3, so3_structure):
 # the gauge shapes of the rational benchmark workload
 GAUGE_SHAPES = pytest.mark.parametrize("fixture,alpha", [
     ("so3", {0: "3*y*z", 1: "-2*x^2"}),
+    ("sl2r", {0: "-x*z", 1: "2*y^2"}),
     ("book", {0: "x*y - 2*z^2", 1: "3*x*z", 2: "y^2"}),
     ("s3_standard", {2: "2*x*y"}),
 ])
@@ -778,14 +779,16 @@ def _gauge_case(fixture, alpha):
 
 @GAUGE_SHAPES
 def test_gauge_matrix_takes_one_gcd_per_entry(fixture, alpha):
-    # fraction-free elimination runs no gcd, and each of the n^2 entries of
-    # P_B is reduced by at most one
+    # the closed form P / (1 - beta) takes no gcd; each entry of P_B above
+    # the diagonal is reduced by at most one, and each entry below it is the
+    # negative of one above
     pi, ch, b = _gauge_case(fixture, alpha)
     gcd = expr.poly_gcd
     with mock.patch.object(expr, "poly_gcd", side_effect=gcd) as counted:
         pb = poisson.gauge_matrix(poisson.bivector_matrix(pi), poisson.bivector_matrix(b))
     assert pb is not None and any(not e.is_polynomial for row in pb for e in row)
-    assert 0 < counted.call_count <= ch.dim ** 2
+    assert 0 < counted.call_count <= ch.dim * (ch.dim - 1) // 2
+    assert all(pb[i][j] == -pb[j][i] for i in range(ch.dim) for j in range(ch.dim))
 
 
 @GAUGE_SHAPES
@@ -853,6 +856,99 @@ def test_gauge_with_a_rational_pi_takes_the_ratfunc_product(ch3):
     assert _pairs([out.pi.coeffs.values()]) == [[
         ([((0, 0, 1), 1)], den_terms), ([((0, 1, 0), -1)], den_terms),
         ([((1, 0, 0), 1)], den_terms)]]
+
+
+def _entries(pair):
+    """RatFunc(x_ij, delta) for each entry of a pair (x, delta)."""
+    x, delta = pair
+    return [[RatFunc(e, delta) for e in row] for row in x]
+
+
+def _assert_closed_form_is_the_solve(p, w):
+    # the closed form (c P, c (1 - beta)) takes no solve, and its entries are
+    # those of the Bareiss pair: the same values, text and term order
+    with mock.patch.object(linalg, "mat_solve_pair") as solved:
+        closed = poisson._gauge_pair(p, w)
+    assert not solved.called
+    ours = _entries(closed)
+    theirs = _entries(linalg.mat_solve_pair(poisson._id_plus(p, w), p))
+    assert ours == theirs
+    assert str(ours) == str(theirs)
+    assert _pairs(ours) == _pairs(theirs)
+    assert _pairs(poisson.gauge_matrix(p, w)) == _pairs(theirs)
+
+
+@GAUGE_SHAPES
+def test_closed_form_gauge_is_the_solve_on_the_benchmark_shapes(fixture, alpha):
+    pi, _, b = _gauge_case(fixture, alpha)
+    _assert_closed_form_is_the_solve(poisson.bivector_matrix(pi), poisson.bivector_matrix(b))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_closed_form_gauge_of_random_decomposable_bivectors(n):
+    # pi = u ^ v, Poisson when u = f a and v = b for constant a and b, and in
+    # general not; B = d(alpha), with integer or Fraction coefficients.  The
+    # gauge reports the square that verify takes of its result
+    rng = rng_for(f"closed-form gauge/{n}")
+    ch = chart(*"xyzuv"[:n])
+    seen = set()
+    for k in range(8):
+        if k % 2:
+            f = random_poly(rng, ch, 1, 2)
+            u = [f * rng.randint(-2, 2) for _ in range(n)]
+            v = [RatFunc.const(ch, rng.randint(-2, 2)) for _ in range(n)]
+        else:
+            u, v = ([random_poly(rng, ch, 1, 2) for _ in range(n)] for _ in range(2))
+        pi = MultiVec(ch, 2, {(i, j): u[i] * v[j] - u[j] * v[i]
+                              for i, j in itertools.combinations(range(n), 2)})
+        scale = F(1, k % 3 + 1)
+        b = multivec.exterior_derivative(DiffForm(ch, 1, {
+            (i,): random_poly(rng, ch, 2, 1) * scale for i in range(n)}))
+        p, w = poisson.bivector_matrix(pi), poisson.bivector_matrix(b)
+        assert poisson._rank_two([[e.num for e in row] for row in p])
+        _, delta = linalg.mat_solve_pair(poisson._id_plus(p, w), p)
+        assert len(delta.terms) <= 200  # the solve's gcds are under the size guard
+        _assert_closed_form_is_the_solve(p, w)
+        out = gauge_transform(pi, b)
+        assert out == verify(out.pi)
+        seen.add((out.verified, scale == 1))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_closed_form_gauge_reduces_past_the_gcd_size_guard(ch2):
+    # beta = x^5 y^4: (1 - beta)^2, the denominator of the Bareiss pair, has
+    # degree 18, over poly_gcd's size guard, so the solve left its entries
+    # unreduced; the closed form's entries are reduced, with the same values
+    pi = MultiVec(ch2, 2, {(0, 1): parse_expr("x^5", ch2)})
+    b = DiffForm(ch2, 2, {(0, 1): parse_expr("y^4", ch2)})
+    p, w = poisson.bivector_matrix(pi), poisson.bivector_matrix(b)
+    ours = _entries(poisson._gauge_pair(p, w))
+    theirs = _entries(linalg.mat_solve_pair(poisson._id_plus(p, w), p))
+    assert ours == theirs
+    assert str(theirs[0][1]) == "(-x^10*y^4 + x^5)/(x^10*y^8 - 2*x^5*y^4 + 1)"
+    assert str(ours[0][1]) == "(-x^5)/(x^5*y^4 - 1)"
+    assert str(gauge_transform(pi, b).pi) == "((-x^5)/(x^5*y^4 - 1)) d/dx^d/dy"
+
+
+@pytest.mark.parametrize("case", ["canonical R^4", "not Poisson", "rational"])
+def test_gauge_of_rank_four_or_rational_bivectors_takes_the_solve(case):
+    # the closed form needs pi ^ pi = 0 and polynomial entries; any other
+    # input is solved as before
+    ch = chart("x", "y", "z", "w")
+    pi = MultiVec(ch, 2, {idx: parse_expr(text, ch) for idx, text in {
+        "canonical R^4": {(0, 1): "-1", (2, 3): "-1"},
+        "not Poisson": {(0, 1): "z", (2, 3): "x", (1, 2): "w"},
+        "rational": {(0, 1): "1/(1 + x^2)"},
+    }[case].items()})
+    b = multivec.exterior_derivative(DiffForm(ch, 1, {(0,): parse_expr("y*z", ch)}))
+    p = poisson.bivector_matrix(pi)
+    if case != "rational":
+        assert not poisson._rank_two([[e.num for e in row] for row in p])
+    solve = linalg.mat_solve_pair
+    with mock.patch.object(linalg, "mat_solve_pair", side_effect=solve) as solved:
+        out = gauge_transform(pi, b)
+    assert solved.call_count == 1
+    assert any(not c.is_polynomial for c in out.pi.coeffs.values())
 
 
 def _poisson_gauge_pairs(rng, ch, pi):
@@ -1003,6 +1099,20 @@ def test_gauge_rejects_singular(ch2):
     b = DiffForm(ch2, 2, {(0, 1): RatFunc.const(ch2, 1)})
     with pytest.raises(PoissonError):
         gauge_transform(pi, b)
+
+
+def test_closed_form_gauge_rejects_one_minus_beta_zero_without_a_solve():
+    # {x,y} = 1 and B = dx^dy + z dz^dw give beta = 1: I + P W is singular
+    # exactly when 1 - beta = 0, as the solve finds too
+    ch = chart("x", "y", "z", "w")
+    pi = verify(MultiVec(ch, 2, {(0, 1): RatFunc.const(ch, 1)}))
+    b = DiffForm(ch, 2, {(0, 1): RatFunc.const(ch, 1), (2, 3): parse_expr("z", ch)})
+    with mock.patch.object(linalg, "mat_solve_pair") as solved, pytest.raises(
+            PoissonError, match=r"^Id \+ B_flat pi# singular as a rational-function matrix$"):
+        gauge_transform(pi, b)
+    assert not solved.called
+    p = poisson.bivector_matrix(pi.pi)
+    assert linalg.mat_solve_pair(poisson._id_plus(p, poisson.bivector_matrix(b)), p) is None
 
 
 # -- is_poisson_map -------------------------------------------------------------------------------------
