@@ -17,7 +17,8 @@ so the two give bit-identical states (the tests hold the loop to it).  H and
 the Casimirs are written in too, after each step, and the loop keeps their
 largest |f(x_k) - f(x_0)|: no trajectory is stored, and a flow returns its
 final state and these drifts.  Stages and drifts compute each power and term
-that they repeat only once (``_shared_sources``, exact to the last bit).
+that they repeat only once (``_shared_sources``, exact to the last bit), and
+the first stage of a step reads those that the drifts of its state computed.
 The integrator is deliberately fixed-step RK4 (no adaptivity) so traces are
 reproducible; variational (Jacobian) equations are integrated alongside the
 base flow.  Three fixed limits stop a flow: a pole guard below
@@ -102,10 +103,14 @@ def _ratfunc_source(rf: RatFunc, names) -> str:
     return f"({num_src}) / ({_poly_source(rf.den, names)})"
 
 
-def _shared_sources(functions, names, local):
-    """(prelude, sources): float sources of the RatFuncs ``functions`` on
-    ``names``, and the lines that compute each power x**k and term |c|*x^m
-    that they would compute twice or more once, into local(0), local(1), ...
+def _shared_sources(functions, names, local, counted=(), known=None):
+    """(prelude, sources, shared): float sources of the RatFuncs
+    ``functions`` on ``names``, and the lines that compute each power x**k
+    and term |c|*x^m that they would compute twice or more once, into
+    local(0), local(1), ...; ``shared`` maps each of these values to its
+    local.  The uses in ``counted`` count too, though they are not written,
+    and a value in ``known``, a ``shared`` of lines that ran before, is read
+    from its local.
 
     Otherwise the sources do the float operations of ``_ratfunc_source`` in
     its order, with rewrites that are exact because rounding to nearest is
@@ -114,23 +119,27 @@ def _shared_sources(functions, names, local):
     out.  No sum is reordered and x**k stays a power (libm's pow(v, 2) is not
     always v*v), so the values are bit-identical up to the sign of a nan.
     """
-    uses, prelude = {}, {}
+    uses, prelude, known = {}, {}, known or {}
 
     def count(key, make):
         # a repeated term is made once, so only its first use counts its powers
+        if key in known:
+            return ""
         uses[key] = uses.get(key, 0) + 1
         return make() if uses[key] == 1 else ""
 
     def share(key, make):
+        if key in known:
+            return known[key]
         if uses[key] > 1 and key not in prelude:
             text = make()
             prelude[key] = local(len(prelude)), text
         return prelude[key][0] if key in prelude else make()
 
-    def render(value):
+    def render(value, functions):
         def power(i, k):
             text = f"{names[i]}**{k}"
-            return value(text, lambda: text)
+            return value(("**", i, k), lambda: text)
 
         def source(poly):
             parts = []
@@ -150,9 +159,10 @@ def _shared_sources(functions, names, local):
         return [f"({source(f.num)})" if f.den.is_constant
                 else f"({source(f.num)}) / ({source(f.den)})" for f in functions]
 
-    render(count)
-    sources = render(share)
-    return [f"{name} = {text}" for name, text in prelude.values()], sources
+    render(count, [*functions, *counted])
+    sources = render(share, functions)
+    return ([f"{name} = {text}" for name, text in prelude.values()], sources,
+            {key: name for key, (name, _) in prelude.items()})
 
 
 def _names(chart: Chart, time_var=None) -> list[str]:
@@ -197,6 +207,8 @@ def compile_field(components, time_var=None, variational=False, watch=()) -> Com
     ``steps`` steps of size h from the state y at time t and returns the new
     (t, y), y as a list.  It stores no state, and takes the drifts of
     ``watch``, RatFuncs on the m coordinates, into their ``_Drifts`` ``drifts``.
+    The drifts of a state keep the powers and terms that they share with
+    the next step's first stage in locals, and that stage reads them.
 
     The four stages of ``advance`` hold the field itself.  A component or
     entry of A with a constant denominator, and each entry of A J, is
@@ -221,38 +233,47 @@ def compile_field(components, time_var=None, variational=False, watch=()) -> Com
     if time_var is not None:
         names[time_var] = "{t}"
     jacobian = [[c.diff(col) for col in range(m)] for c in components] if variational else []
-    prelude, written = _shared_sources(
-        [e for e in [*components, *(a for row in jacobian for a in row if not a.is_zero)]
-         if e.den.is_constant], names, lambda j: f"c{{k}}_{j}")
-    written = iter(written)
+    entries = [*components, *(a for row in jacobian for a in row if not a.is_zero)]
+    written_in = [e for e in entries if e.den.is_constant]
     env = {}
+    called = {}
+    for n, rf in enumerate(entries):
+        if not rf.den.is_constant:
+            name = called[n] = f"f{len(env)}"
+            env[name] = eval(f"lambda t, p: {_ratfunc_source(rf, _names(rf.chart, time_var))}")
 
-    def source(rf):
-        if rf.den.is_constant:
-            return next(written)
-        name = f"f{len(env)}"
-        env[name] = eval(f"lambda t, p: {_ratfunc_source(rf, _names(rf.chart, time_var))}")
-        return f"{name}({{t}}, {{p}})"
+    def stage_body(prelude, written, _):
+        written = iter(written)
+        texts = iter([f"{called[n]}({{t}}, {{p}})" if n in called else next(written)
+                      for n in range(len(entries))])
+        body = prelude + [f"k{{k}}_{i} = {next(texts)}" for i in range(m)]
+        for i, row in enumerate(jacobian):
+            cols = [col for col, a in enumerate(row) if not a.is_zero]
+            body += [f"a{i}_{col} = {next(texts)}" for col in cols]
+            body += [f"k{{k}}_{m + i * m + j} = "
+                     + (" + ".join(f"a{i}_{col} * {{{m + col * m + j}}}" for col in cols)
+                        or "0.0")
+                     for j in range(m)]
+        return body
 
-    body = prelude + [f"k{{k}}_{i} = {source(c)}" for i, c in enumerate(components)]
-    for i, entries in enumerate(jacobian):
-        row = []
-        for col, a in enumerate(entries):
-            if not a.is_zero:
-                body.append(f"a{i}_{col} = {source(a)}")
-                row.append(col)
-        body += [f"k{{k}}_{m + i * m + j} = "
-                 + (" + ".join(f"a{i}_{col} * {{{m + col * m + j}}}" for col in row)
-                    or "0.0")
-                 for j in range(m)]
+    def local(j):
+        return f"c{{k}}_{j}"
+
+    body = stage_body(*_shared_sources(written_in, names, local))
+    # the drifts and the next step's stage 1 read the same state: on one
+    # chart, the drifts keep every value they share with stage 1 in a local
+    same = bool(watch) and components[0].chart == watch[0].chart
+    *watched, known = _shared_sources(watch, [f"y{i}" for i in range(m)], lambda j: f"w{j}",
+                                      counted=written_in if same else ())
+    after_drift = stage_body(*_shared_sources(written_in, names, local, known=known))
     guards = [eval(f"lambda t, p: {_poly_source(c.den, _names(c.chart, time_var))}")
               for c in components if not c.den.is_constant]
     env.update((f"g{i}", g) for i, g in enumerate(guards))
     env.update(FlowError=FlowError, PoleProximityError=PoleProximityError,
                state_text=_state_text)
-    watched = _shared_sources(watch, [f"y{i}" for i in range(m)], lambda j: f"w{j}")
     exec(_rhs_source(size, body), env)
-    exec(_advance_source(size, m, body, len(guards), *watched), env)
+    exec(_advance_source(size, m, body, len(guards), *watched,
+                         after_drift if after_drift != body else None), env)
     return CompiledField(env["rhs"], guards, env["advance"])
 
 
@@ -292,7 +313,7 @@ def _rhs_source(size, body):
             + f"    return ({', '.join(f'k1_{i}' for i in range(size))},)\n")
 
 
-def _advance_source(size, m, body, guard_count, watch_prelude, watched):
+def _advance_source(size, m, body, guard_count, watch_prelude, watched, after_drift=None):
     """Source of ``advance``, the RK4 loop of ``rk4_step`` on a state of
     ``size`` floats held in the locals y0, y1, ...
 
@@ -316,6 +337,9 @@ def _advance_source(size, m, body, guard_count, watch_prelude, watched):
     evaluate the watched functions, and drift b_i takes |f_i(x) - f_i(x_0)|
     if strictly greater (``max``'s rule).  The first state where one fails
     ends the drifts, not the loop: a later guard, escape or overflow wins.
+    ``after_drift``, if given, is the first stage's template reading the
+    values that the drifts keep in w0, w1, ...: the next step runs it when
+    the drift pass of its state ran through (``fresh``), and ``body`` else.
     """
     ys = [f"y{i}" for i in range(size)]
     qs = [f"q{i}" for i in range(size)]
@@ -343,6 +367,11 @@ def _advance_source(size, m, body, guard_count, watch_prelude, watched):
     drift = "".join(f"                    {line}\n" for line in watch_prelude) + "".join(
         f"                    d = abs({v} - v{i})\n"
         f"                    if d > b{i}: b{i} = d\n" for i, v in enumerate(watched))
+    stage1 = _stage(body, 1, ys, "t", "p", indent)
+    if after_drift is not None:
+        stage1 = (f"{indent}if fresh:\n" + _stage(after_drift, 1, ys, "t", "p", indent + "    ")
+                  + f"{indent}else:\n" + _stage(body, 1, ys, "t", "p", indent + "    "))
+        drift += "                    fresh = True\n"
     return (
         "def advance(t, y, h, steps, pole_msg, escape_msg=None, drifts=None):\n"
         f"    {state} = y\n"
@@ -350,11 +379,12 @@ def _advance_source(size, m, body, guard_count, watch_prelude, watched):
            if watched else "")
         + "    h2 = h / 2\n"
         "    h6 = h / 6\n"
-        "    try:\n"
+        + ("    fresh = False\n" if after_drift is not None else "")
+        + "    try:\n"
         "        for _ in range(steps):\n"
         + (f"            p = {state}\n" if guard_count or calls else "")
         + guards
-        + _stage(body, 1, ys, "t", "p", indent)
+        + stage1
         + later_stage(2, "h2", "t + h2")
         + later_stage(3, "h2", None)
         + later_stage(4, "h", "t + h")
@@ -367,6 +397,7 @@ def _advance_source(size, m, body, guard_count, watch_prelude, watched):
            f"{drift}"
            "                except ArithmeticError:  # a pole, an overflowing power\n"
            f"                    drifts.failure = [{', '.join(ys[:m])}]\n"
+           + ("                    fresh = False\n" if after_drift is not None else "")
            if watched else "")
         + "    except ArithmeticError:  # a float power overflowed, or a stage hit a pole\n"
         "        raise FlowError((escape_msg or 'flow overflowed near {}').format(\n"

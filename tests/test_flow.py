@@ -710,6 +710,33 @@ def _fused_drifts(functions, field, t, y, h, steps):
         return None, str(err)
 
 
+def test_first_stage_reads_the_values_of_the_drift_pass(monkeypatch, so3_structure, ch3):
+    # H's powers and terms serve the drifts of a state and the first stage of
+    # the next step; states and drifts are those of rk4_step to the last bit,
+    # also when a watched function fails at the state after step 7, after
+    # which each step computes its own first stage
+    h = parse_expr(SO3_SHARED["expressions"]["h"], ch3)
+    components = poisson.hamiltonian_vf(so3_structure, h).components()
+    x0, dt = [1 / 3, -1 / 2, 1 / 4], 0.01
+    _, states = _rk4_states(flow.compile_field(components).rhs, 0.0, x0, dt, 20)
+    c = states[7 * 3]
+    assert c not in states[0:7 * 3:3]
+    pole = RatFunc.const(ch3, 1) / (RatFunc.var(ch3, 0) - RatFunc.const(ch3, Fraction(c)))
+    sources, source = [], flow._advance_source
+    monkeypatch.setattr(flow, "_advance_source",
+                        lambda *args: sources.append(source(*args)) or sources[-1])
+    # H's drift is taken at every state up to the first failure, that one included
+    for watch, failure, last in (([h], None, 20), ([h, pole], list(states[21:24]), 7)):
+        field = flow.compile_field(components, watch=watch)
+        drifts = flow._Drifts.at(watch, x0)
+        _, y = field.advance(0.0, x0, dt, 20, "pole {}", None, drifts)
+        assert array("d", y).tobytes() == states[-3:].tobytes()
+        assert drifts.failure == failure
+        assert array("d", drifts.worst[:1]).tobytes() == array(
+            "d", _drift_reference([h], states[:(last + 1) * 3], 3)).tobytes()
+    assert len(sources) == 2 and all("            if fresh:\n" in text for text in sources)
+
+
 def test_drift_pass_raises_at_a_pole(so3_structure, ch3):
     # 1/x has a pole at the first state of the trace
     cfg = flow.FlowConfig(dt=0.01, t_max=1.0)
