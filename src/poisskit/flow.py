@@ -235,14 +235,13 @@ def compile_field(components, time_var=None, variational=False, watch=()) -> Com
     jacobian = [[c.diff(col) for col in range(m)] for c in components] if variational else []
     entries = [*components, *(a for row in jacobian for a in row if not a.is_zero)]
     written_in = [e for e in entries if e.den.is_constant]
-    env = {}
-    called = {}
+    env, called = {}, {}
     for n, rf in enumerate(entries):
         if not rf.den.is_constant:
             name = called[n] = f"f{len(env)}"
             env[name] = eval(f"lambda t, p: {_ratfunc_source(rf, _names(rf.chart, time_var))}")
 
-    def stage_body(prelude, written, _):
+    def stage_body(prelude, written):
         written = iter(written)
         texts = iter([f"{called[n]}({{t}}, {{p}})" if n in called else next(written)
                       for n in range(len(entries))])
@@ -259,13 +258,13 @@ def compile_field(components, time_var=None, variational=False, watch=()) -> Com
     def local(j):
         return f"c{{k}}_{j}"
 
-    body = stage_body(*_shared_sources(written_in, names, local))
+    body = stage_body(*_shared_sources(written_in, names, local)[:2])
     # the drifts and the next step's stage 1 read the same state: on one
     # chart, the drifts keep every value they share with stage 1 in a local
     same = bool(watch) and components[0].chart == watch[0].chart
     *watched, known = _shared_sources(watch, [f"y{i}" for i in range(m)], lambda j: f"w{j}",
                                       counted=written_in if same else ())
-    after_drift = stage_body(*_shared_sources(written_in, names, local, known=known))
+    after_drift = stage_body(*_shared_sources(written_in, names, local, known=known)[:2])
     guards = [eval(f"lambda t, p: {_poly_source(c.den, _names(c.chart, time_var))}")
               for c in components if not c.den.is_constant]
     env.update((f"g{i}", g) for i, g in enumerate(guards))

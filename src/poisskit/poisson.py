@@ -21,8 +21,8 @@ polynomials (``_cleared_square``), as ``gauge_transform`` squares its result
 as the pair (X, delta) of ``_gauge_pair``, P / (1 - beta) in closed form
 when pi ^ pi = 0 and the Bareiss solve otherwise; both report a nonzero
 square divided by delta^3, so a rational failure prints that value with a
-constant factor that depends on delta.  ``is_poisson_map`` is the only Poisson-map test.  They
-are also the Lie-algebra checks: a bracket table satisfies Jacobi exactly
+constant factor that depends on delta.  ``is_poisson_map`` is the only
+Poisson-map test.  They are also the Lie-algebra checks: a bracket table satisfies Jacobi exactly
 when its Lie-Poisson bivector passes ``verify``, and a linear map of Lie
 algebras is a morphism exactly when its transpose passes ``is_poisson_map``.
 So are the checks of a Lie bialgebra, one ``verify`` of the Lie-Poisson
@@ -453,23 +453,25 @@ def _gauge_pair(p, w):
     return [[_descending(e * c) for e in row] for row in pp], _descending(one_minus * c)
 
 
+def _upper_entries(x, delta):
+    """{(i, j): RatFunc(x_ij, delta)} above the diagonal, each reduced by
+    at most one gcd."""
+    return {(i, j): RatFunc(x[i][j], delta)
+            for i, j in itertools.combinations(range(len(x)), 2)}
+
+
 def gauge_matrix(p, w):
     """(I + P W)^-1 P as RatFuncs, built from ``_gauge_pair``'s (x, delta),
     or None when I + P W is singular as a RatFunc matrix.  All n^2 entries
-    are built, as ``flow.moser_verify`` reads them: each entry above the
-    diagonal is RatFunc(x_ij, delta), reduced by at most one gcd, and the
-    one below it is its negative."""
+    are built, as ``flow.moser_verify`` reads them: those above the diagonal
+    by ``_upper_entries``, and each one below it as the negative of one
+    above."""
     pair = _gauge_pair(p, w)
     if pair is None:
         return None
-    x, delta = pair
-    out = [[RatFunc(e, delta) if i < j else None for j, e in enumerate(row)]
-           for i, row in enumerate(x)]
-    for i, row in enumerate(out):
-        row[i] = RatFunc.zero(delta.chart)
-        for j in range(i):
-            row[j] = -out[j][i]
-    return out
+    upper, n, zero = _upper_entries(*pair), len(p), RatFunc.zero(pair[1].chart)
+    return [[upper[i, j] if i < j else -upper[j, i] if j < i else zero for j in range(n)]
+            for i in range(n)]
 
 
 def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
@@ -478,8 +480,8 @@ def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     In matrices (P the pi matrix, W the form matrix), P_B = (I + P W)^-1 P,
     which ``_gauge_pair`` gives as X / delta, X antisymmetric and delta != 0:
     in closed form, P / (1 - beta), for a pi of rank 2 or less, and by
-    ``linalg.mat_solve_pair`` otherwise.  Each entry above the diagonal is
-    built as RatFunc(X_ij, delta).  The square is
+    ``linalg.mat_solve_pair`` otherwise.  pi_B takes the entries above the
+    diagonal, ``_upper_entries``.  The square is
     ``_cleared_square(X, delta)``, the one ``verify`` takes, and a nonzero
     one is reported as ``verify`` reports it.
     """
@@ -494,9 +496,8 @@ def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     if pair is None:
         raise PoissonError("Id + B_flat pi# singular as a rational-function matrix")
     x, delta = pair
-    upper = list(itertools.combinations(range(chart.dim), 2))
-    pi_b = MultiVec(chart, 2, {(i, j): RatFunc(x[i][j], delta) for i, j in upper})
-    x_mv = MultiVec(chart, 2, {(i, j): RatFunc.from_poly(x[i][j]) for i, j in upper})
+    pi_b = MultiVec(chart, 2, _upper_entries(x, delta))
+    x_mv = MultiVec(chart, 2, {(i, j): RatFunc.from_poly(x[i][j]) for i, j in pi_b.coeffs})
     return _certified(pi_b, x_mv, delta)
 
 
