@@ -763,9 +763,9 @@ def test_gauge_denominators_are_primitive(ch3, so3_structure):
 # the gauge shapes of the rational benchmark workload
 GAUGE_SHAPES = pytest.mark.parametrize("fixture,alpha", [
     ("so3", {0: "3*y*z", 1: "-2*x^2"}),
-    ("sl2r", {0: "-x*z", 1: "2*y^2"}),
     ("book", {0: "x*y - 2*z^2", 1: "3*x*z", 2: "y^2"}),
     ("s3_standard", {2: "2*x*y"}),
+    ("sl2r", {0: "-x*z", 1: "2*y^2"}),
 ])
 
 
