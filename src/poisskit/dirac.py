@@ -332,23 +332,30 @@ def dirac_bracket(cs: ConstraintSystem) -> PoissonStructure:
     """pi_D = pi + sum_{i<j} c^ij X_psi_i ^ X_psi_j with c = ({psi_i, psi_j})^-1,
     the Dirac bracket {f,g} - {f,psi_i} c^ij {psi_j,g} as a bivector.  Dirac's
     theorem (1950) that it is Poisson, with each psi_i a Casimir, is its
-    certificate.  NotCosymplecticError when ({psi_i, psi_j}) is singular."""
+    certificate.  With C = X / a cleared, c^ij = (-1)^(i+j) a Pf(X_(i^ j^)) / Pf(X)
+    for i < j.  NotCosymplecticError when Pf(C) = 0, as for odd k."""
     require_verified(cs.structure)
     if not cs.samples and cs.parametrization is None:
         raise DiracError("no parametrization and no samples")
+    pi_d = cs.structure.pi
+    if not cs.constraints:
+        return PoissonStructure(pi_d, True)
     c_upper = constraint_bracket_matrix(cs)
-    c_lower = linalg.mat_inverse(c_upper)
-    if c_lower is None:
+    x, scale = linalg._cleared_matrix(c_upper)
+    pf, full = linalg.pfaffians(x), tuple(range(len(x)))
+    if pf(full).is_zero:
         pretty = "[" + "; ".join(
             ", ".join(str(e) for e in row) for row in c_upper
         ) + "]"
         raise NotCosymplecticError(
             f"constraint matrix is singular (not cosymplectic): c_upper = {pretty}"
         )
+    minors, delta = linalg._primitive_pair(
+        {(i, j): pf(full[:i] + full[i + 1:j] + full[j + 1:]) * scale * (-1) ** (i + j)
+         for i, j in itertools.combinations(full, 2)}, pf(full))
     fields = [hamiltonian_vf(cs.structure, psi) for psi in cs.constraints]
-    pi_d = cs.structure.pi
-    for i, j in itertools.combinations(range(len(fields)), 2):
-        pi_d = pi_d + wedge(fields[i], fields[j]).scale(c_lower[i][j])
+    for (i, j), minor in minors.items():
+        pi_d = pi_d + wedge(fields[i], fields[j]).scale(RatFunc(minor, delta))
     return PoissonStructure(pi_d, True)
 
 
@@ -380,14 +387,13 @@ def classify_submanifold(cs: ConstraintSystem) -> SubmanifoldFlags:
             break
     c_upper = constraint_bracket_matrix(cs)
     coiso = all(cs.restrict_is_zero(e) for row in c_upper for e in row)
-    # cosymplectic: restricted constraint matrix invertible
+    # cosymplectic: the Pfaffian of the restricted constraint matrix is nonzero
     if not cs.constraints:
         cosym = True
     elif cs.parametrization is not None:
         comps = list(cs.parametrization.components)
-        restricted = [[e.subst(comps) for e in row] for row in c_upper]
-        d = linalg.det(restricted)
-        cosym = not d.is_zero
+        restricted, _ = linalg._cleared_matrix([[e.subst(comps) for e in row] for row in c_upper])
+        cosym = not linalg.pfaffians(restricted)(tuple(range(len(restricted)))).is_zero
     else:
         cosym = all(
             linalg.det([[e.eval(p) for e in row] for row in c_upper]) != 0

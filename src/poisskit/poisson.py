@@ -18,9 +18,9 @@ One check per fact: ``verify`` is the [pi,pi] = 0 test and the one report of
 a failed square (the Jacobiator of the bracket is (1/2)[pi,pi] on
 differentials).  It squares pi = X / delta over a common denominator on
 polynomials (``_cleared_square``), as ``gauge_transform`` squares its result
-as the pair (X, delta) of ``_gauge_pair``, P / (1 - beta) in closed form
-when pi ^ pi = 0 and the Bareiss solve otherwise; both report a nonzero
-square divided by delta^3, so a rational failure prints that value with a
+as the pair (X, delta) of ``_gauge_pair``, read off Pfaffians of pi and B by
+minor summation for bivectors of any rank; both report a nonzero square
+divided by delta^3, so a rational failure prints that value with a
 constant factor that depends on delta.  ``is_poisson_map`` is the only
 Poisson-map test.  They are also the Lie-algebra checks: a bracket table satisfies Jacobi exactly
 when its Lie-Poisson bivector passes ``verify``, and a linear map of Lie
@@ -38,13 +38,12 @@ by ``dirac.kernel_and_range``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from fractions import Fraction
 
 from . import linalg
-from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc, _descending, format_point
+from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc, format_point
 from .multivec import (
     DiffForm,
     MultiVec,
@@ -401,75 +400,59 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
 # -- gauge transformations -------------------------------------------------------
 
 
-def _id_plus(p, w):
-    """I + P W.  When every entry of P and W is a polynomial, the product is
-    formed over ``Poly``, by the sums ``linalg.matmul`` forms over RatFunc in
-    the same order, and each entry is wrapped once; it is the same pair, term
-    order included.  Any other P or W takes the RatFunc product."""
-    if not all(e.is_polynomial for m in (p, w) for row in m for e in row):
-        return [[e + 1 if i == j else e for j, e in enumerate(row)]
-                for i, row in enumerate(linalg.matmul(p, w))]
-    one = Poly.const(p[0][0].chart, 1)
-    pw = linalg.matmul(*([[e.num for e in row] for row in m] for m in (p, w)))
-    return [[RatFunc._coprime(e + one if i == j else e, one) for j, e in enumerate(row)]
-            for i, row in enumerate(pw)]
-
-
-def _rank_two(p) -> bool:
-    """pi ^ pi = 0 for the bivector of the matrix p of Polys: every 4 x 4
-    Pfaffian P_ij P_kl - P_ik P_jl + P_il P_jk vanishes.  It holds on every
-    chart of dimension 3 or less, and says that pi = u ^ v over the fraction
-    field, of rank 2 or less."""
-    return all((p[i][j] * p[k][l] - p[i][k] * p[j][l] + p[i][l] * p[j][k]).is_zero
-               for i, j, k, l in itertools.combinations(range(len(p)), 4))
-
-
 def _gauge_pair(p, w):
-    """(x, delta) with (I + P W)^-1 P = x / delta, or None when I + P W is
-    singular as a RatFunc matrix.
+    """(x, delta) with (I + P W)^-1 P = x / delta, x the {(i, j): x_ij} above
+    the diagonal, or None when I + P W is singular as a RatFunc matrix.
 
-    For a pi of rank 2 or less (pi ^ pi = 0, ``_rank_two``) and beta =
-    sum_{i<j} W_ij P_ij, P W P = -beta P, so (I + P W) P = (1 - beta) P and
-    det(I + P W) = (1 - beta)^2: P_B = P / (1 - beta), and I + P W is
-    singular exactly when 1 - beta = 0.  For polynomial P and W of that kind
-    the pair is (c P, c (1 - beta)), with the constant c that makes delta
-    primitive and integral, as ``linalg.mat_solve_pair`` makes its delta, and
-    every polynomial in descending graded-lex order, the order of the solve's
-    exact divisions; so each RatFunc(x_ij, delta) is the entry of the solve,
-    term order included (on a 2-dimensional chart, up to the term order of a
-    polynomial entry).  Any other P or W (pi of rank 4 or more, rational
-    entries) takes ``linalg.mat_solve_pair(_id_plus(p, w), p)``."""
-    pp = [[e.num for e in row] for row in p]
-    if not (all(e.is_polynomial for m in (p, w) for row in m for e in row) and _rank_two(pp)):
-        return linalg.mat_solve_pair(_id_plus(p, w), p)
-    one_minus = Poly.const(pp[0][0].chart, 1)
-    for i, j in itertools.combinations(range(len(pp)), 2):
-        one_minus = one_minus - w[i][j].num * pp[i][j]
-    if one_minus.is_zero:
-        return None
-    coefficients = one_minus.terms.values()
-    c = Fraction(math.lcm(*(v.denominator for v in coefficients)),
-                 math.gcd(*(v.numerator for v in coefficients)))
-    return [[_descending(e * c) for e in row] for row in pp], _descending(one_minus * c)
+    With P = X / a and W = Y / b cleared, m = n // 2, and S running over the
+    sorted index tuples of size 2t, the Pfaffian minor summation (Ishikawa
+    and Wakayama, Linear Multilinear Algebra 39, 1995) for
+    M = [[W, -I], [I, P]], whose inverse has P_B as its top left block, gives
 
+        delta = sum_S (-1)^t Pf(X_S) Pf(Y_S) (ab)^(m - t) = Pf(M) (ab)^m,
+        x_ij  = sum_(S > {i, j}) (-1)^(t + u + v) Pf(X_S) Pf(Y_(S - {i, j})) (ab)^(m - t) b,
 
-def _upper_entries(x, delta):
-    """{(i, j): RatFunc(x_ij, delta)} above the diagonal, each reduced by
-    at most one gcd."""
-    return {(i, j): RatFunc(x[i][j], delta)
-            for i, j in itertools.combinations(range(len(x)), 2)}
+    for i, j at the places u < v of S, with Pf(M)^2 = det(I + P W).  For
+    pi ^ pi = 0 every Pf(X_S) with |S| >= 4 vanishes, so the pair is
+    P / (1 - beta), beta = sum_(i<j) W_ij P_ij.  ``linalg._primitive_pair``
+    normalizes it."""
+    n = len(p)
+    (xp, a), (yw, b) = linalg._cleared_matrix(p), linalg._cleared_matrix(w)
+    pf_p, pf_w = linalg.pfaffians(xp), linalg.pfaffians(yw)
+    one, delta = Poly.const(a.chart, 1), Poly.zero(a.chart)
+
+    def times(f, g):  # skips the factors 1: Pf(()), and (ab)^k for P and W over Z[x]
+        return g if f.terms == one.terms else f if g.terms == one.terms else f * g
+
+    x, weight = {pair: delta for pair in itertools.combinations(range(n), 2)}, one
+    for t in reversed(range(n // 2 + 1)):  # weight = (ab)^(n // 2 - t)
+        for s in itertools.combinations(range(n), 2 * t):
+            ps = pf_p(s)
+            if ps.is_zero:
+                continue
+            ps = times(ps, weight)
+            term = times(ps, pf_w(s))
+            delta = delta - term if t % 2 else delta + term
+            ps = times(ps, b)
+            for (u, i), (v, j) in itertools.combinations(enumerate(s), 2):
+                rest = pf_w(s[:u] + s[u + 1:v] + s[v + 1:])
+                if not rest.is_zero:
+                    term = times(ps, rest)
+                    x[i, j] = x[i, j] - term if (t + u + v) % 2 else x[i, j] + term
+        weight = times(weight, a * b)
+    return None if delta.is_zero else linalg._primitive_pair(x, delta)
 
 
 def gauge_matrix(p, w):
-    """(I + P W)^-1 P as RatFuncs, built from ``_gauge_pair``'s (x, delta),
-    or None when I + P W is singular as a RatFunc matrix.  All n^2 entries
-    are built, as ``flow.moser_verify`` reads them: those above the diagonal
-    by ``_upper_entries``, and each one below it as the negative of one
-    above."""
+    """(I + P W)^-1 P as the full matrix of RatFuncs that ``flow.moser_verify``
+    reads, or None when I + P W is singular as a RatFunc matrix: each entry
+    above the diagonal is RatFunc(x_ij, delta) of ``_gauge_pair``, reduced by
+    at most one gcd, and each one below it the negative of one above."""
     pair = _gauge_pair(p, w)
     if pair is None:
         return None
-    upper, n, zero = _upper_entries(*pair), len(p), RatFunc.zero(pair[1].chart)
+    x, delta = pair
+    upper, n, zero = {k: RatFunc(e, delta) for k, e in x.items()}, len(p), RatFunc.zero(delta.chart)
     return [[upper[i, j] if i < j else -upper[j, i] if j < i else zero for j in range(n)]
             for i in range(n)]
 
@@ -478,10 +461,9 @@ def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     """Gauge transformation by a closed 2-form: pi_B# = pi# (Id + B_flat pi#)^-1.
 
     In matrices (P the pi matrix, W the form matrix), P_B = (I + P W)^-1 P,
-    which ``_gauge_pair`` gives as X / delta, X antisymmetric and delta != 0:
-    in closed form, P / (1 - beta), for a pi of rank 2 or less, and by
-    ``linalg.mat_solve_pair`` otherwise.  pi_B takes the entries above the
-    diagonal, ``_upper_entries``.  The square is
+    which ``_gauge_pair`` gives as X / delta by Pfaffians, for pi of any rank
+    and rational entries alike, with delta != 0.  pi_B takes the entries
+    above the diagonal, RatFunc(x_ij, delta).  The square is
     ``_cleared_square(X, delta)``, the one ``verify`` takes, and a nonzero
     one is reported as ``verify`` reports it.
     """
@@ -496,8 +478,8 @@ def gauge_transform(structure, b_form: DiffForm) -> PoissonStructure:
     if pair is None:
         raise PoissonError("Id + B_flat pi# singular as a rational-function matrix")
     x, delta = pair
-    pi_b = MultiVec(chart, 2, _upper_entries(x, delta))
-    x_mv = MultiVec(chart, 2, {(i, j): RatFunc.from_poly(x[i][j]) for i, j in pi_b.coeffs})
+    pi_b = MultiVec(chart, 2, {k: RatFunc(e, delta) for k, e in x.items()})
+    x_mv = MultiVec(chart, 2, {idx: RatFunc.from_poly(x[idx]) for idx in pi_b.coeffs})
     return _certified(pi_b, x_mv, delta)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import add
@@ -7,7 +8,15 @@ import pytest
 
 from poisskit import linalg, poisson
 from poisskit.dirac import constraint_bracket_matrix
-from poisskit.expr import ChartMismatchError, ExprError, Poly, RatFunc, chart, parse_expr
+from poisskit.expr import (
+    ChartMismatchError,
+    ExprError,
+    Poly,
+    RatFunc,
+    chart,
+    parse_expr,
+    poly_divexact,
+)
 from poisskit.multivec import DiffForm, Index, MultiVec, _accumulate, _d_pi_images, wedge
 
 
@@ -306,6 +315,80 @@ def trivector_on_differentials(t, f, g, h):
     return out
 
 
+# -- the Bareiss solve over RatFunc, an oracle for linalg.pfaffians and the --------
+# -- gauge and Dirac pairs built from it ------------------------------------------
+#
+# The solve the Pfaffians replaced: Bareiss's elimination in Gauss-Jordan form
+# on the rows of [m | r] of RatFuncs cleared of denominators (Bareiss, Math.
+# Comp. 1968), over Poly.
+
+
+def bareiss_fraction_free(m, r):
+    """(delta, delta m^-1 r, scale) with det m = delta / scale, or None when m
+    is singular.  Step k takes row_i <- (p_k row_i - a_ik row_k) / p_(k-1),
+    an exact division, and drops the pivot column from the rows."""
+    cleared = [linalg._cleared(list(a) + list(b)) for a, b in zip(m, r)]
+    rows = [row for row, _ in cleared]
+    scale = math.prod(s for _, s in cleared)
+    prev = 1
+    for k in range(len(rows)):
+        i = next((i for i in range(k, len(rows)) if not rows[i][0].is_zero), None)
+        if i is None:
+            return None
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
+            scale = -scale
+        top = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                row = [top[0] * x - row[0] * y for x, y in zip(row[1:], top[1:])]
+                rows[i] = [poly_divexact(v, prev) for v in row] if k else row
+        prev, rows[k] = top[0], top[1:]
+    return prev, rows, scale
+
+
+def bareiss_solve_pair(m, r):
+    """(x, delta) with m^-1 r = x / delta, scaled by the one constant that
+    makes delta primitive, or None when m is singular."""
+    out = bareiss_fraction_free(m, r)
+    if out is None:
+        return None
+    delta, right, _ = out
+    c = Fraction(1, math.gcd(*delta.terms.values()))
+    return [[x * c for x in row] for row in right], delta * c
+
+
+def bareiss_solve(m, r):
+    """X with m @ X = r, as RatFuncs."""
+    pair = bareiss_solve_pair(m, r)
+    if pair is None:
+        return None
+    right, delta = pair
+    return [[RatFunc(x, delta) for x in row] for row in right]
+
+
+def bareiss_inverse(m):
+    zero = m[0][0] * 0
+    return bareiss_solve(m, [[zero + int(i == j) for j in range(len(m))] for i in range(len(m))])
+
+
+def bareiss_det(m):
+    """det m as a RatFunc; m's zero when m is singular."""
+    out = bareiss_fraction_free(m, [[] for _ in m])
+    if out is None:
+        return m[0][0] * 0
+    delta, _, scale = out
+    return RatFunc(delta, scale)
+
+
+def bareiss_gauge_pair(p, w):
+    """(x, delta) with (I + P W)^-1 P = x / delta, x the full matrix, by the
+    solve of the RatFunc product I + P W; None when it is singular."""
+    id_plus = [[e + 1 if i == j else e for j, e in enumerate(row)]
+               for i, row in enumerate(linalg.matmul(p, w))]
+    return bareiss_solve_pair(id_plus, p)
+
+
 # -- the Dirac bracket by its formula, an oracle for dirac.dirac_bracket ---------
 
 
@@ -315,13 +398,26 @@ def dirac_bracket_oracle(cs, f, g):
     out = poisson.bracket(cs.structure, f, g)
     k = len(cs.constraints)
     if k:
-        c_lower = linalg.mat_inverse(constraint_bracket_matrix(cs))
+        c_lower = bareiss_inverse(constraint_bracket_matrix(cs))
         fpsi = [poisson.bracket(cs.structure, f, cs.constraints[i]) for i in range(k)]
         psig = [poisson.bracket(cs.structure, cs.constraints[j], g) for j in range(k)]
         for i in range(k):
             for j in range(k):
                 out = out - fpsi[i] * c_lower[i][j] * psig[j]
     return out
+
+
+def dirac_bivector_oracle(cs):
+    """pi + sum_(i<j) c_ij X_psi_i ^ X_psi_j with c the Bareiss inverse of the
+    constraint matrix, or None when it is singular."""
+    c_lower = bareiss_inverse(constraint_bracket_matrix(cs))
+    if c_lower is None:
+        return None
+    fields = [poisson.hamiltonian_vf(cs.structure, psi) for psi in cs.constraints]
+    pi_d = cs.structure.pi
+    for i, j in itertools.combinations(range(len(fields)), 2):
+        pi_d = pi_d + wedge(fields[i], fields[j]).scale(c_lower[i][j])
+    return pi_d
 
 
 # -- the Dorfman bracket in components, an oracle for dirac.courant_tensor -------

@@ -9,6 +9,7 @@ from poisskit.dirac import (
     DiracError,
     DiracSectionFamily,
     LinearLagrangian,
+    NotCosymplecticError,
     SubmanifoldFlags,
     backward_image,
     classify_submanifold,
@@ -28,7 +29,10 @@ from poisskit.multivec import DiffForm, MultiVec, PolyMap, exterior_derivative
 from poisskit.poisson import gauge_transform, is_poisson_map, matrix_at
 
 from conftest import (
+    bareiss_det,
+    bareiss_inverse,
     courant_oracle,
+    dirac_bivector_oracle,
     dirac_bracket_oracle,
     jacobiator_trivector,
     random_form,
@@ -329,7 +333,8 @@ def test_coregularity_of_a_system_takes_its_structure_and_level_set(ch4):
 def test_dirac_bracket_through_polynomial_denominators():
     # psi2 = p2/(1 + q1^2) gives {psi1, psi2} = 1/(q1^2 + 1): the constraint
     # matrix, and the one restricted to N, have polynomial denominators.
-    # The printed values are the ones RatFunc Gauss-Jordan gave.
+    # The printed values are the ones RatFunc Gauss-Jordan gave; the Bareiss
+    # oracle's inverse and determinant keep them, and Pf(C)^2 is its det.
     ch4 = chart("q1", "p1", "q2", "p2")
     structure = poisson.require_poisson(_bivector(ch4, {(0, 1): "1", (2, 3): "1"}))
     plane = chart("a", "b")
@@ -338,7 +343,7 @@ def test_dirac_bracket_through_polynomial_denominators():
         structure, [parse_expr("q2 - q1^2", ch4), parse_expr("p2/(1 + q1^2)", ch4)], [0, 0],
         parametrization=PolyMap(plane, ch4, (a, b, a * a, RatFunc.zero(plane))))
     pd = dirac_bracket(cs)
-    assert _rows(linalg.mat_inverse(constraint_bracket_matrix(cs))) == \
+    assert _rows(bareiss_inverse(constraint_bracket_matrix(cs))) == \
         [["0", "-q1^2 - 1"], ["q1^2 + 1", "0"]]
     p1, p2 = parse_expr("p1", ch4), parse_expr("p2", ch4)
     assert str(poisson.bracket(pd, p1, p2)) == "(-2*q1*p2)/(q1^2 + 1)"
@@ -349,7 +354,9 @@ def test_dirac_bracket_through_polynomial_denominators():
     restricted = [[e.subst([a, b, a * a, RatFunc.zero(plane)]) for e in row]
                   for row in constraint_bracket_matrix(cs)]
     assert _rows(restricted) == [["0", "1/(a^2 + 1)"], ["(-1)/(a^2 + 1)", "0"]]
-    assert str(linalg.det(restricted)) == "1/(a^4 + 2*a^2 + 1)"
+    assert str(bareiss_det(restricted)) == "1/(a^4 + 2*a^2 + 1)"
+    pf = linalg.pfaffians(restricted)((0, 1))
+    assert str(pf) == "1/(a^2 + 1)" and pf * pf == bareiss_det(restricted)
     assert classify_submanifold(cs) == SubmanifoldFlags(
         poisson=False, coisotropic=False, cosymplectic=True, mode="exact")
 
@@ -393,6 +400,8 @@ def test_dirac_bivector_is_poisson_with_the_constraints_as_casimirs(names, psi):
     pd = dirac_bracket(cs)
     assert isinstance(pd, poisson.PoissonStructure) and pd.verified
     assert poisson.verify(pd.pi).verified
+    oracle = dirac_bivector_oracle(cs)
+    assert pd.pi == oracle and str(pd.pi) == str(oracle)
     assert all(poisson.casimir_check(pd, q) for q in cs.constraints)
     for _ in range(3):
         f, g = random_poly(rng, pd.chart), random_poly(rng, pd.chart)
@@ -414,6 +423,22 @@ def test_constraint_bracket_matrix_is_the_full_matrix_of_brackets(names, request
         full = [[poisson.bracket(structure, f, g) for g in psi] for f in psi]
         m = constraint_bracket_matrix(cs)
         assert m == full and _rows(m) == _rows(full)
+
+
+def test_three_constraints_are_never_cosymplectic():
+    # an odd number of constraints has Pf(C) = 0: the Dirac bracket raises,
+    # and the exact classification reads cosymplectic = False
+    structure = _canonical(Q6)
+    ch, src = structure.chart, chart("a", "b", "c")
+    a, b, c = (parse_expr(v, src) for v in "abc")
+    zero = RatFunc.zero(src)
+    cs = ConstraintSystem(structure, [parse_expr(t, ch) for t in ("q2 - q1^2", "p2 - q1", "q3")],
+                          [0, 0, 0], parametrization=PolyMap(src, ch, (a, b, a * a, a, zero, c)))
+    assert dirac_bivector_oracle(cs) is None
+    with pytest.raises(NotCosymplecticError, match="not cosymplectic"):
+        dirac_bracket(cs)
+    assert classify_submanifold(cs) == SubmanifoldFlags(
+        poisson=False, coisotropic=False, cosymplectic=False, mode="exact")
 
 
 def test_dirac_bivector_without_constraints_is_pi(ch4, pican4_structure):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from poisskit import linalg, poisson
 from poisskit.expr import Poly, RatFunc, chart, parse_expr
 
-from conftest import rng_for
+from conftest import bareiss_det, bareiss_inverse, bareiss_solve, random_poly, rng_for
 
 
 def test_rref_and_rank():
@@ -52,11 +52,12 @@ def test_inverse_and_det():
 
 
 def test_ratfunc_matrix_inverse():
+    # the Bareiss oracle's RatFunc inverse
     ch = chart("x")
     x = parse_expr("x", ch)
     one = RatFunc.const(ch, 1)
     m = [[one + x, one], [RatFunc.zero(ch), one]]
-    inv = linalg.mat_inverse(m)
+    inv = bareiss_inverse(m)
     prod = linalg.matmul(m, inv)
     assert prod[0][0] == one and prod[1][1] == one
     assert prod[0][1].is_zero and prod[1][0].is_zero
@@ -85,19 +86,23 @@ def test_preimage_span():
 
 
 def test_inverse_and_det_keep_the_entry_type():
-    # 0 and 1 come from the matrix: RatFunc and Fraction matrices give
-    # entries of their own type, int matrices exact Fractions from divisions
+    # 0 and 1 come from the matrix: the oracle's RatFunc matrices and the
+    # Pfaffians of RatFunc matrices give entries of their own type, Fraction
+    # matrices too, and int matrices exact Fractions from divisions
     ch = chart("x")
     x, one, zero = parse_expr("x", ch), RatFunc.const(ch, 1), RatFunc.zero(ch)
-    inv = linalg.mat_inverse([[x, one], [zero, one]])
+    inv = bareiss_inverse([[x, one], [zero, one]])
     assert inv == [[one / x, -one / x], [zero, one]]
     assert all(isinstance(e, RatFunc) for row in inv for e in row)
-    d = linalg.det([[x, one], [one, x]])
+    d = bareiss_det([[x, one], [one, x]])
     assert isinstance(d, RatFunc) and d == x * x - 1
-    # a singular RatFunc matrix has a RatFunc zero determinant
-    d = linalg.det([[x, one], [x * x, x]])
+    # a singular RatFunc matrix has a RatFunc zero determinant and Pfaffian
+    d = bareiss_det([[x, one], [x * x, x]])
     assert isinstance(d, RatFunc) and d.is_zero
-    assert linalg.mat_inverse([[x, one], [x * x, x]]) is None
+    assert bareiss_inverse([[x, one], [x * x, x]]) is None
+    pf = linalg.pfaffians([[zero, x, one], [-x, zero, x], [-one, -x, zero]])
+    assert [type(pf(s)) for s in ((), (0, 2), (0, 1, 2))] == [RatFunc] * 3
+    assert pf(()) == one and pf((0, 2)) == one and pf((0, 1, 2)).is_zero
     for entry in (F, int):
         m = [[entry(2), entry(1)], [entry(4), entry(3)]]
         inv = linalg.mat_inverse(m)
@@ -285,10 +290,11 @@ def test_rational_inverse_and_det_match_sympy(m):
 @settings(max_examples=30, deadline=None)
 @given(_square(_ratfuncs, RatFunc.zero(XYZ)))
 def test_ratfunc_inverse_and_det_match_sympy(m):
+    # the Bareiss oracle, which the Pfaffian tests compare against
     sym = _sympy_matrix(m)
-    d = linalg.det(m)
+    d = bareiss_det(m)
     assert isinstance(d, RatFunc) and _sympy_matrix([[d]]).det() == sym.det()
-    inv = linalg.mat_inverse(m)
+    inv = bareiss_inverse(m)
     if not sym.det():
         assert inv is None
         return
@@ -329,13 +335,49 @@ def test_gauge_matrix_matches_sympy(pw):
 
 
 def test_mat_solve_clears_polynomial_denominators():
-    # outputs recorded from the RatFunc Gauss-Jordan this solver replaced
+    # outputs recorded from the RatFunc Gauss-Jordan the Bareiss oracle replaced
     x, y = parse_expr("x", XYZ), parse_expr("y", XYZ)
     m = [[1 / (1 + x), y], [x, 1 / (y - 1)]]
     den = "(x^2*y^2 - x^2*y + x*y^2 - x*y - 1)"
-    assert [[str(e) for e in row] for row in linalg.mat_inverse(m)] == [
+    assert [[str(e) for e in row] for row in bareiss_inverse(m)] == [
         [f"(-x - 1)/{den}", f"(x*y^2 - x*y + y^2 - y)/{den}"],
         [f"(x^2*y - x^2 + x*y - x)/{den}", f"(-y + 1)/{den}"]]
-    assert str(linalg.det(m)) == "(-x^2*y^2 + x^2*y - x*y^2 + x*y + 1)/(x*y - x + y - 1)"
-    assert linalg.mat_solve(m, [[x], [y]]) == [[e] for e in linalg.matvec(
-        linalg.mat_inverse(m), [x, y])]
+    assert str(bareiss_det(m)) == "(-x^2*y^2 + x^2*y - x*y^2 + x*y + 1)/(x*y - x + y - 1)"
+    assert bareiss_solve(m, [[x], [y]]) == [[e] for e in linalg.matvec(
+        bareiss_inverse(m), [x, y])]
+
+
+# -- pfaffians against the rational det and inverse -------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_pfaffian_squared_is_the_determinant(n):
+    # seeded antisymmetric matrices of polynomials, and of RatFuncs with
+    # first rows over 1 + h^2, at seeded rational points: Pf(A)^2 = det(A)
+    # by the rational det, and (A^-1)_ij = (-1)^(i+j) Pf(A_(i^ j^)) / Pf(A)
+    # for i < j by the rational inverse.  Cleared to X / a, Pf(X) = Pf(A)
+    # a^(n/2) over Poly
+    rng = rng_for(f"pfaffian/{n}")
+    zero, full = RatFunc.zero(XYZ), tuple(range(n))
+    for rational in (False, True) * 2:
+        a = [[zero] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                e = random_poly(rng, XYZ, 2)
+                if rational and i == 0:
+                    e = e / (random_poly(rng, XYZ, 1, 2) ** 2 + 1)
+                a[i][j], a[j][i] = e, -e
+        pf = linalg.pfaffians(a)
+        x, scale = linalg._cleared_matrix(a)
+        assert RatFunc.from_poly(linalg.pfaffians(x)(full)) == \
+            pf(full) * RatFunc.from_poly(scale ** (n // 2))
+        for _ in range(3):
+            point = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+            at = [[e.eval(point) for e in row] for row in a]
+            value = pf(full).eval(point)
+            assert value ** 2 == linalg.det(at)
+            if value:
+                inverse = linalg.mat_inverse(at)
+                assert all(inverse[i][j] == (-1) ** (i + j) * pf(
+                    full[:i] + full[i + 1:j] + full[j + 1:]).eval(point) / value
+                    for i in range(n) for j in range(i + 1, n))
