@@ -8,15 +8,22 @@ sum of two subspaces is the span of the joined rows, so its dimension is the
 ``rank`` of the joined list.  A matrix with no rows has the whole space as
 its kernel: ``kernel_basis([], ncols)`` is the standard basis.
 
-One sparse core does the elimination: ``eliminate`` takes rows as
+One sparse forward core does the elimination: ``echelon`` takes rows as
 ``{column: entry}`` dicts of their nonzero entries, so its cost follows the
 nonzeros (the Poisson cohomology matrices have densities of about 1%), and
-``null_space`` reads a sparse kernel basis off its result.  Poisson
-cohomology calls the two directly and builds no dense matrix.  ``rref`` and
-``kernel_basis`` are their dense views; ``canonical_span`` and ``rank`` run
-on ``rref``, and ``preimage_span`` on ``kernel_basis``, returning a spanning
-set rather than a canonical one.  All of these take and return dense lists.
-A vector in the span of RREF rows has its coordinates at their pivots.
+reduces each row only at its leading entry, against the pivot row there,
+until the row's leading column is new.  Its pivot rows form a row echelon
+form; their leading columns are the pivot columns of the reduced one, which
+is unique.  ``eliminate`` is ``echelon`` followed by one back-substitution,
+and ``null_space`` reads a sparse kernel basis off its result;
+``kernel_vector`` builds one of those kernel vectors from ``echelon``'s rows
+alone.  Poisson cohomology calls ``echelon`` and ``kernel_vector`` directly
+and builds no dense matrix.  ``rref`` and ``kernel_basis`` are the dense
+views of ``eliminate`` and ``null_space``; ``canonical_span`` and ``rank``
+run on ``rref``, and ``preimage_span`` on ``kernel_basis``, returning a
+spanning set rather than a canonical one.  All of these take and return
+dense lists.  A vector in the span of RREF rows has its coordinates at their
+pivots.
 
 The core takes rational entries (int or Fraction) and eliminates over the
 integers (fraction-free, as in Bareiss, Math. Comp. 1968).  On entry each
@@ -26,11 +33,9 @@ divided out.  A step that cancels the entry f of a row against the pivot p
 of a pivot row takes row <- (p/g) row - (f/g) pivot_row with g = gcd(p, f),
 and then divides the row by its content, the gcd of its entries; so the loop
 builds no Fraction, and it tests its sums for zero by their truth value.
-Each pivot row is divided by its pivot once, at the end of ``eliminate``:
-the reduced row echelon form is unique, so the result is the one of dividing
-at every step, with Fraction entries.  On gl3 Lie-Poisson cohomology, H^2 at
-d = 3 took 6.8 s instead of 28.5 s with Fraction steps, and H^2 at d = 2
-took 0.43 s instead of 1.76 s (2-core x86 VM, Python 3.11).
+``eliminate`` divides each pivot row by its pivot once, after the
+back-substitution: the reduced row echelon form is unique, so the result is
+the one of dividing at every step, with Fraction entries.
 
 ``mat_inverse`` reads the RREF of [m | I], and ``det`` takes a small square
 rational m through Gaussian elimination over Fraction.
@@ -55,33 +60,47 @@ from fractions import Fraction
 from .expr import Poly, _descending, _part_gcd, poly_divexact
 
 
-def eliminate(rows):
-    """Sparse Gauss-Jordan on rows given as ``{column: entry}`` dicts of
-    nonzero entries, left unmodified.  Each row is reduced against the pivot
-    rows found so far, which are kept reduced against each other; its leading
-    column then becomes a new pivot and is eliminated from the earlier ones.
-    Rational rows are worked on as primitive integer rows, cancelled by
-    ``_cancel`` with a content step, and each pivot row is divided by its
-    pivot only at the end (see the module docstring).
-    Returns (reduced, independent): ``reduced`` maps each pivot column to its
-    row (1 there, 0 at the other pivots); ``independent`` lists the indices
-    of the rows outside the span of the rows before them."""
-    reduced = {}
+def echelon(rows):
+    """Sparse forward elimination of rows given as ``{column: entry}`` dicts
+    of nonzero rational entries, left unmodified.  Each row is worked on as
+    a primitive integer row (``_primitive``), and reduced only at its leading
+    entry, against the pivot row there (``_cancel``), until its leading
+    column is new; it then becomes the pivot row of that column.
+    Returns (pivots, independent): ``pivots`` maps each pivot column to its
+    primitive integer row, whose entries lie at that column and after it;
+    ``independent`` lists the indices of the rows outside the span of the
+    rows before them."""
+    pivots = {}
     independent = []
     for i, row in enumerate(rows):
         if not row:
             continue
         row = _primitive(row)
-        for pc in [c for c in row if c in reduced]:
-            _cancel(row, pc, reduced[pc])
-        if not row:
-            continue
         pc = min(row)
-        for other in reduced.values():
-            if pc in other:
-                _cancel(other, pc, row)
+        while pc in pivots:
+            _cancel(row, pc, pivots[pc])
+            if not row:
+                break
+            pc = min(row)
+        else:
+            pivots[pc] = row
+            independent.append(i)
+    return pivots, independent
+
+
+def eliminate(rows):
+    """Sparse Gauss-Jordan: ``echelon``, then a back-substitution that clears
+    each pivot row at the later pivots, latest pivot first, and one division
+    of each pivot row by its pivot (see the module docstring).
+    Returns (reduced, independent): ``reduced`` maps each pivot column to its
+    row (1 there, 0 at the other pivots); ``independent`` is ``echelon``'s."""
+    pivots, independent = echelon(rows)
+    reduced = {}
+    for pc in sorted(pivots, reverse=True):
+        row = pivots[pc]
+        for c in [c for c in row if c != pc and c in reduced]:
+            _cancel(row, c, reduced[c])
         reduced[pc] = row
-        independent.append(i)
     for pc, row in reduced.items():
         pv = row[pc]
         reduced[pc] = {c: Fraction(x, pv) for c, x in row.items()}
@@ -129,13 +148,28 @@ def null_space(reduced, ncols):
     Fraction(1) there and minus that column of each pivot row at its pivot.
     The vectors come in ascending free-column order, and each vector's first
     key is its free column, with entry 1; its other keys are pivots, so it is
-    0 at the other free columns.  ``poisson.cohomology`` reads this."""
+    0 at the other free columns."""
     basis = {c: {c: Fraction(1)} for c in range(ncols) if c not in reduced}
     for pc, row in reduced.items():
         for c, x in row.items():
             if c != pc:
                 basis[c][pc] = -x
     return list(basis.values())
+
+
+def kernel_vector(pivots, col):
+    """``null_space``'s vector for the free column col, from ``echelon``'s
+    ``pivots`` alone: Fraction(1) at col, and at each pivot before col, latest
+    first, the value that makes its row vanish on the vector.  It is 0 at the
+    other free columns and at the pivots after col, as their rows hold only
+    entries after col."""
+    v = {col: Fraction(1)}
+    for pc in sorted((pc for pc in pivots if pc < col), reverse=True):
+        row = pivots[pc]
+        s = sum(x * v[c] for c, x in row.items() if c in v)
+        if s:
+            v[pc] = -s / row[pc]
+    return v
 
 
 def _sparse_rows(matrix):

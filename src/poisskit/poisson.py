@@ -346,15 +346,19 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     rule of ``multivec.schouten`` (``_d_pi_images``), from the 2n generator
     images read off pi once per structure (``generator_images``).
 
-    The image is tested in the kernel's free coordinates.  Each kernel vector
-    of ``linalg.null_space`` is 1 at its own free column and 0 at the other
-    free columns, so keeping only the free coordinates is injective on the
-    kernel, which holds the image (d_pi d_pi = 0).  One elimination of the
-    image rows so restricted gives the image's dimension as its rank; with
-    the columns negated, each pivot is the last free column of an image
-    vector.  The representatives are the kernel vectors whose free column is
-    the last free column of no image vector: the kernel vectors that are
-    independent of the image and of the kernel vectors before them.
+    The kernel takes one ``linalg.echelon`` of the rows of d_pi on the domain,
+    empty rows dropped and sorted so that the latest leading column comes
+    first, the order that keeps the fill-in small.  Only its pivot set is
+    read: the free columns are the rest, and a kernel vector is fixed by its
+    free coordinates, so keeping only those is injective on the kernel, which
+    holds the image (d_pi d_pi = 0).  The image rows so restricted, in the
+    same order, take one more ``echelon``, and the image's dimension is their
+    pivot count; with the columns negated, each pivot is the last free column
+    of an image vector.  The representatives are the kernel vectors that are
+    1 at a free column that is the last free column of no image vector, and
+    0 at the other free columns: the kernel vectors that are independent of
+    the image and of the kernel vectors before them.  Only these are built,
+    by ``linalg.kernel_vector``.
     """
     pi = _pi_of(structure)
     chart = pi.chart
@@ -373,28 +377,33 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     for col, column in enumerate(_d_pi_images(dom, of_x, of_d)):
         for key, c in column.items():
             out_rows[cod_index[key]][col] = c
-    # one vector per free column, in ascending order, each keyed first by it
-    kernel = linalg.null_space(linalg.eliminate(out_rows)[0], len(dom))
-    free = [next(iter(v)) for v in kernel]
+    pivots = linalg.echelon(_latest_first(out_rows))[0]
+    free = [col for col in range(len(dom)) if col not in pivots]
     negated = {dom[col]: -col for col in free}
     # incoming image, as sparse rows over the negated free columns
     images = []
     if k >= 1 and d - delta + 1 >= 0:
         images = _d_pi_images(_kvector_basis(chart, k - 1, d - delta + 1), of_x, of_d)
-    last_free = linalg.eliminate([{negated[key]: c for key, c in row.items() if key in negated}
-                                  for row in images])[0]
+    last_free = linalg.echelon(_latest_first(
+        [{negated[key]: c for key, c in row.items() if key in negated} for row in images]))[0]
     dim_image = len(last_free)
     reps = []
-    for first, v in zip(free, kernel):
+    for first in free:
         if -first in last_free:
             continue
         coeffs = {}
-        for col, coef in v.items():
+        for col, coef in linalg.kernel_vector(pivots, first).items():
             idx, mono = dom[col]
             coeffs.setdefault(idx, {})[mono] = coef
         reps.append(MultiVec(chart, k, {idx: RatFunc.from_poly(Poly(chart, terms))
                                         for idx, terms in coeffs.items()}))
-    return CohomologyReport(k, d, len(kernel), dim_image, len(kernel) - dim_image, reps)
+    return CohomologyReport(k, d, len(free), dim_image, len(free) - dim_image, reps)
+
+
+def _latest_first(rows):
+    """The nonempty sparse rows, sorted so that the latest leading column comes
+    first."""
+    return sorted(filter(None, rows), key=min, reverse=True)
 
 
 # -- gauge transformations -------------------------------------------------------

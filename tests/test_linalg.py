@@ -155,13 +155,16 @@ def test_int_rows_eliminate_as_their_fractions():
         assert all(type(x) is int for r in rows for x in r.values())
         fractions = [{c: F(x) for c, x in r.items()} for r in rows]
         assert (reduced, independent) == linalg.eliminate(fractions)
+        assert linalg.echelon(rows) == linalg.echelon(fractions)
+        assert rows == snapshot
         assert all(type(x) is F for row in reduced.values() for x in row.values())
 
 def test_null_space_vectors_come_in_free_column_order_keyed_first_by_it():
-    # poisson.cohomology reads each kernel vector's free column as its first
-    # key: the vectors come in ascending free-column order, each 1 at its own
-    # free column and with its other keys at pivots, so 0 at the other free
-    # columns; columns no row touches are free too
+    # the vectors come in ascending free-column order, each keyed first by
+    # its free column, 1 there, and with its other keys at pivots, so 0 at
+    # the other free columns; columns no row touches are free too.
+    # linalg.kernel_vector builds the same vector for one free column
+    # (test_rref_matches_sympy)
     rng = rng_for("null space contract")
     for _ in range(60):
         cols = rng.randint(1, 7)
@@ -215,14 +218,27 @@ def test_rref_matches_sympy(matrix):
     kernel = [[v.get(c, F(0)) for c in range(cols)] for v in linalg.null_space(reduced, cols)]
     assert kernel == linalg.kernel_basis(matrix)
     assert kernel == [[F(int(e.p), int(e.q)) for e in v] for v in sym.nullspace()]
+    # the forward core alone: eliminate's pivots and independent rows, as
+    # primitive integer rows keyed by their leading columns, and for each free
+    # column null_space's vector by back-substitution
+    pivots, forward_independent = linalg.echelon(sparse)
+    assert sparse == [{c: x for c, x in enumerate(row) if x} for row in matrix]
+    assert sorted(pivots) == sorted(reduced) and forward_independent == independent
+    for pc, row in pivots.items():
+        assert min(row) == pc and all(type(x) is int for x in row.values())
+        assert math.gcd(*row.values()) == 1
+    free = [c for c in range(cols) if c not in pivots]
+    assert [linalg.kernel_vector(pivots, c) for c in free] == linalg.null_space(reduced, cols)
     # each row scaled to integers: same pivots, same kernel, no floats
     ints = [[int(x * math.lcm(*(e.denominator for e in row))) for x in row]
             for row in matrix]
-    reduced, independent = linalg.eliminate([{c: x for c, x in enumerate(row) if x}
-                                             for row in ints])
+    int_rows = [{c: x for c, x in enumerate(row) if x} for row in ints]
+    reduced, independent = linalg.eliminate(int_rows)
     assert independent == linalg.eliminate(sparse)[1]
     assert all(type(x) is F for row in reduced.values() for x in row.values())
     assert linalg.kernel_basis(ints) == kernel and _no_floats(linalg.rref(ints)[0])
+    assert linalg.echelon(int_rows) == (pivots, forward_independent)
+    assert int_rows == [{c: x for c, x in enumerate(row) if x} for row in ints]
 
 
 # -- mat_solve, mat_inverse and det against sympy -------------------------------------

@@ -478,19 +478,22 @@ def _gl_lie_poisson(n):
 def _check_lie_poisson_report(structure, k, rep):
     # representatives are cocycles, independent modulo the image, which is
     # spanned by direct Schouten brackets of (k-1)-vectors of the same degree
+    # (sparse rows, so that the gl3 rungs stay small)
     chart, d = structure.chart, rep.poly_degree
-    dom = poisson._kvector_basis(chart, k, d)
+    index = {b: i for i, b in enumerate(poisson._kvector_basis(chart, k, d))}
 
     def vector(mv):
-        terms = multivec_terms(mv)
-        return [terms.get(b, F(0)) for b in dom]
+        return {index[b]: c for b, c in multivec_terms(mv).items()}
+
+    def rank(rows):
+        return len(linalg.echelon(rows)[0])
 
     image = [vector(d_pi(structure, basis_element(chart, idx, mono)))
              for idx, mono in (poisson._kvector_basis(chart, k - 1, d) if k else [])]
     reps = rep.representatives
     assert all(d_pi(structure, r).is_zero for r in reps)
-    assert linalg.rank(image) == rep.dim_image
-    assert linalg.rank(image + [vector(r) for r in reps]) == rep.dim_image + rep.dim_h
+    assert rank(image) == rep.dim_image
+    assert rank(image + [vector(r) for r in reps]) == rep.dim_image + rep.dim_h
 
 
 # serialize() of gl2 H^0..H^4 at d <= 2, representatives included, one
@@ -549,8 +552,9 @@ def test_gl2_cohomology_text_is_pinned():
     ("gl2", 1, [1, 1, 2, 2]),
     ("gl2", 2, [0, 0, 0, 0]),
     ("gl3", 1, [1, 1, 2, 3]),
-    ("gl3", 3, [1, 1]),
-    ("gl3", 2, [0, 0, 0]),
+    ("gl3", 3, [1, 1, 2]),
+    ("gl3", 2, [0, 0, 0, 0]),
+    ("gl3", 4, [1, 1, 2]),
 ])
 def test_lie_poisson_cohomology_whitehead(so3_structure, algebra, k, dims):
     structure = so3_structure if algebra == "so3" else _gl_lie_poisson(int(algebra[2]))
@@ -567,15 +571,17 @@ def test_lie_poisson_cohomology_whitehead(so3_structure, algebra, k, dims):
 ])
 def test_cohomology_is_sparse_elimination_only(so3_structure, monkeypatch,
                                                algebra, k, d, dim_h):
-    # the kernel takes one sparse elimination, and the image rows, restricted
+    # the kernel takes one forward elimination, and the image rows, restricted
     # to the kernel's free columns, one more (with no rows when k = 0); the
-    # representatives are read off its pivots; no dense matrix is built
+    # representatives are read off its pivots; no back-substituted RREF, full
+    # kernel basis or dense matrix is built
     structure = so3_structure if algebra == "so3" else _gl_lie_poisson(2)
-    for name in ("rref", "kernel_basis", "canonical_span", "transpose"):
+    for name in ("eliminate", "null_space", "rref", "kernel_basis", "canonical_span",
+                 "transpose"):
         monkeypatch.setattr(linalg, name, lambda *a, name=name: pytest.fail(name))
     calls = []
-    eliminate = linalg.eliminate
-    monkeypatch.setattr(linalg, "eliminate", lambda rows: calls.append(rows) or eliminate(rows))
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda rows: calls.append(rows) or echelon(rows))
     assert cohomology(structure, k, d).dim_h == dim_h
     assert len(calls) == 2
 
@@ -619,7 +625,8 @@ def test_cohomology_matches_the_joint_elimination(request, name, dims):
 
 
 # SHA-256 of serialize() for rungs beyond GL2_COHOMOLOGY, taken before the
-# image was tested in the kernel's free coordinates
+# image was tested in the kernel's free coordinates; those of gl3 were taken
+# before the forward-only elimination (``linalg.echelon``)
 @pytest.mark.parametrize("name,k,d,digest", [
     ("gl2", 0, 3, "1f4ff5947ae35dbd396de41eb52afe5d1769958be863863e32a42b12f642ca60"),
     ("gl2", 1, 3, "ca8f4e765136ea58cd2431ca1c9d5e3e188880888940e800b1ba44598a737b6b"),
@@ -630,9 +637,19 @@ def test_cohomology_matches_the_joint_elimination(request, name, dims):
     ("book", 1, 1, "7e3cb61a124657949ea557a59ed26a3f6dd115232f6e458408f0731e17cccc58"),
     ("book", 2, 1, "dc34dced56862b1c213220b5367f7adebd770995a690e9b628104ce289390bdf"),
     ("book", 2, 3, "af962efe8563a79e3fd4145ae6efc9df8994692d739f3fde24c7b0ff93618337"),
+    ("gl3", 2, 0, "a7d60c5a4517c328032e8b9c40f0193fcffb06a740d890d7a21b3e72abada3fc"),
+    ("gl3", 2, 1, "3b9fb836b9675eb4dd0bdb9f05317c2cf7281acdffde7b49734ff8cddaa3ef94"),
+    ("gl3", 2, 2, "077783eaee283642e4e2e01e082808fb9c96b9bc5bbb877c664b016bd48d1834"),
+    ("gl3", 2, 3, "0d2549e829e95d4f9655d99996618420bfcaf8eb762ffe18af6a93a5a96cdcaa"),
+    ("gl3", 3, 0, "926febd8369a77d70af1c80b6b0df6643bec0f3874976661b1f1fdf123d8d693"),
+    ("gl3", 3, 1, "f944511af769aeba279535b1a21ca4e6a6b0ff0304b876fa0ca6f44433bffd32"),
+    ("gl3", 3, 2, "9121e55bc64a3019a63f1a82dbe685c3d8771ee050967b4e9d015dd33644abdf"),
+    ("gl3", 4, 0, "718c081d78f584c353e344d33419a3ec27a9cb3696f8987d8d9e53ae87d5452b"),
+    ("gl3", 4, 1, "6dbc1be4c6447b43fa6d4add52f27e81a5c47df07f5ba8a89cb8c6ac6c503016"),
+    ("gl3", 4, 2, "729bf047192f0e61d888c71f16026279c90c91c0b7ea1fd79de01739fc15fda2"),
 ])
 def test_cohomology_text_digests_are_pinned(request, name, k, d, digest):
-    structure = (_gl_lie_poisson(2) if name == "gl2"
+    structure = (_gl_lie_poisson(int(name[2])) if name.startswith("gl")
                  else request.getfixturevalue(f"{name}_structure"))
     text = cohomology(structure, k, d).serialize()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
