@@ -233,8 +233,12 @@ def identity(n):
 def _cleared(row):
     """(row * scale, scale) for the scale that clears the denominators of a row
     of RatFuncs: the lcm of the denominators (as far as ``_part_gcd`` finds
-    common factors) times that of the coefficients'."""
+    common factors) times that of the coefficients'.  A row of polynomials
+    with int coefficients is its numerators over 1, as the general steps
+    would find."""
     scale = Poly.const(row[0].chart, 1)
+    if all(e.den.is_constant and all(type(x) is int for x in e.num.terms.values()) for e in row):
+        return [e.num for e in row], scale
     for d in (e.den for e in row if not e.den.is_constant):
         g = d if d == scale else _part_gcd(scale, d)
         scale = scale * (d if g is None else poly_divexact(d, g))
@@ -274,7 +278,13 @@ def pfaffians(a):
     index, sum_k (-1)^(k+1) a[s_0][s_k] Pf(a_(S - s_0 - s_k)), skipping zero
     entries and zero sub-Pfaffians.  Pf(a_()) = 1.  The memo is a plain dict
     in a partial, not a closure that calls itself, so it leaves no reference
-    cycle for the garbage collector."""
+    cycle for the garbage collector.
+
+    Pass a cleared matrix of Polys (``_cleared_matrix``), as the gauge pair,
+    ``dirac.dirac_bracket`` and the exact ``dirac.classify_submanifold`` do.
+    On RatFunc entries with distinct denominators every sum of the expansion
+    cancels through gcds: a 6 x 6 one of degree-2 entries, each over its own
+    1 + h^2, ran for over ten minutes."""
     zero = a[0][0] * 0
     return functools.partial(_pfaffian, a, {(): type(zero).const(zero.chart, 1)}, zero)
 

@@ -17,8 +17,8 @@ Sign conventions (fixed once, all tests written against them):
       [pi, x_j] = sum_a P[a][j] d/dx_a,    [pi, d/dx_j] = -d(pi)/dx_j,
 
   so [pi, f] = -X_f for a function f, and [pi, pi] = 0 exactly when pi is
-  Poisson.  The bracket needs polynomial coefficients: it works on exponent
-  tuples and exact coefficients.
+  Poisson.  The bracket needs polynomial coefficients: it works on exact
+  coefficients and on int keys, one per term x^m d/dx_I (``_key``).
 
 A wedge whose degree exceeds the dimension of the space is the canonical zero
 object rather than an error.
@@ -30,7 +30,7 @@ exact check ``poisson.is_poisson_map``.
 
 from __future__ import annotations
 
-import operator
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,24 +39,26 @@ from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc
 Index = tuple[int, ...]
 
 
+def _shuffle_sign(a: Index, b: Index) -> int:
+    """The sign of the shuffle that sorts a + b, for strictly increasing a
+    and b: (-1) to the number of pairs x > y with x in a and y in b; 0 when
+    an index repeats."""
+    inversions = 0
+    for x in a:
+        for y in b:
+            if x == y:
+                return 0
+            inversions += x > y
+    return -1 if inversions % 2 else 1
+
+
 def _merge_indices(a: Index, b: Index):
     """Concatenate and sort strictly increasing tuples; sign of the shuffle.
 
     Returns (sign, sorted tuple) or None when an index repeats.
     """
-    merged = list(a)
-    sign = 1
-    for i in b:
-        pos = len(merged)
-        for j, m in enumerate(merged):
-            if i == m:
-                return None
-            if i < m:
-                pos = j
-                break
-        sign *= -1 if (len(merged) - pos) % 2 else 1
-        merged.insert(pos, i)
-    return sign, tuple(merged)
+    sign = _shuffle_sign(a, b)
+    return (sign, tuple(sorted(a + b))) if sign else None
 
 
 def _accumulate(out: dict, key, term) -> None:
@@ -275,53 +277,118 @@ def generator_images(pi: MultiVec):
     the derivative taken coefficient by coefficient."""
     n = pi.chart.dim
     of_x, of_d = [[] for _ in range(n)], [[] for _ in range(n)]
-    for (a, b), f in pi.coeffs.items():
+    for idx, f in pi.coeffs.items():
+        a, b = idx
+        (to_a, as_a), (to_b, as_b) = (of_x[a].append, (a,)), (of_x[b].append, (b,))
         for e, c in f.as_poly().terms.items():
-            of_x[b].append(((a,), e, c))
-            of_x[a].append(((b,), e, -c))
+            to_b((as_a, e, c))
+            to_a((as_b, e, -c))
             for j, ej in enumerate(e):
                 if ej:
-                    of_d[j].append(((a, b), e[:j] + (ej - 1,) + e[j + 1 :], -ej * c))
+                    of_d[j].append((idx, e[:j] + (ej - 1,) + e[j + 1 :], -ej * c))
     return of_x, of_d
 
 
-def _wedged(terms, rest, sign):
-    """The terms (index, e, c) of a generator image wedged with d/dx_rest and
-    scaled by sign, as (merged index, e, c); terms whose indices repeat drop."""
-    out = []
-    for gen_idx, e, c in terms:
-        merged = _merge_indices(gen_idx, rest)
-        if merged is not None:
-            out.append((merged[1], e, c if merged[0] == sign else -c))
-    return out
+def _radix(top: int) -> int:
+    """The radix R of the coded keys for exponents up to ``top``: the least
+    power of two above it, and at least 8, so that a linear pi at degrees up
+    to 7 keeps one R."""
+    return max(8, 1 << top.bit_length())
 
 
-def _d_pi_images(basis, of_x, of_d):
-    """Yields [pi, x^mono d/dx_idx] for each (idx, mono) of ``basis`` as
-    {(index tuple, exponent tuple): coefficient}, from the generator images
-    (of_x, of_d) of pi by the derivation rule (see ``schouten``).  The index
-    merges depend on idx only, so they are made once per run of equal idx,
-    those of [pi, x_j] when a monomial first holds x_j; each monomial then
-    only adds exponents."""
+def _key(idx: Index, mono, radix: int) -> int:
+    """The int key of the term x^mono d/dx_idx at the radix R:
+    rank(idx) R^n + code(mono), with rank(idx) = sum_(i in idx) 2^i and
+    code(m) = sum_i m_i R^i."""
+    key = 0
+    for i in idx:
+        key += 1 << i
+    for m in reversed(mono):
+        key = key * radix + m
+    return key
+
+
+def _decoded(key: int, n: int, radix: int):
+    """(index tuple, exponent tuple) of a ``_key``."""
+    bits = radix.bit_length() - 1
+    rank = key >> (bits * n)
+    return (tuple(i for i in range(n) if rank >> i & 1),
+            tuple(key >> (bits * i) & (radix - 1) for i in range(n)))
+
+
+class _WedgePlans(dict):
+    """The wedge plans of pi's generator images at the radix R, by index
+    tuple I, each made on first use and kept: plans[I] is (via_x, via_d), with
+    via_x[j] the terms of [pi, x_j] ^ d/dx_I, made when a monomial first
+    holds x_j (None before), and via_d those of
+    sum_r (-1)^r [pi, d/dx_(i_r)] ^ d/dx_(I without i_r), as (offset,
+    coefficient) pairs.  An offset added to the ``_key`` of x^m d/dx_I is
+    the key of the term of x^(m - e_j) [pi, x_j] ^ d/dx_I (via_x[j]) or of
+    x^m [pi, d/dx_(i_r)] ^ ... (via_d): ranks and codes add, and no digit
+    reaches R when R is above every exponent of the result."""
+
+    def __init__(self, images, radix: int):
+        super().__init__()
+        self.of_x, self.of_d = images
+        self.radix = radix
+
+    def __missing__(self, idx: Index):
+        place = self.radix ** len(self.of_x)  # R^n, the place of the rank
+        via_d = [t for r, i in enumerate(idx)
+                 for t in self.wedged(self.of_d[i], idx[:r] + idx[r + 1 :],
+                                      -1 if r % 2 else 1, -(place << i))]
+        plan = self[idx] = ([None] * len(self.of_x), via_d)
+        return plan
+
+    def fill_via_x(self, idx: Index, j: int):
+        """The via_x[j] of plans[idx], made and kept."""
+        terms = self[idx][0][j] = self.wedged(self.of_x[j], idx, 1, -self.radix ** j)
+        return terms
+
+    def wedged(self, terms, rest, sign, shift):
+        """The terms (index, e, c) of a generator image wedged with d/dx_rest
+        and scaled by sign, as (offset, c), the offset their ``_key`` plus
+        shift; terms whose indices repeat drop."""
+        out = []
+        for gen_idx, e, c in terms:
+            shuffle = _shuffle_sign(gen_idx, rest)
+            if shuffle:
+                out.append((_key(gen_idx, e, self.radix) + shift, c if shuffle == sign else -c))
+        return out
+
+
+def _d_pi_images(basis, plans):
+    """Yields [pi, x^m d/dx_I] for each element (key, I, m) of ``basis``, key
+    the ``_key`` of x^m d/dx_I at the radix of ``plans``, as
+    {key: coefficient}, terms that cancel kept with coefficient 0, by the
+    derivation rule (see ``schouten``) on pi's ``_WedgePlans``: the plan of I
+    is looked up once per run of equal I, and each term of the image is one
+    int addition to the element's key."""
     plan_idx = None
-    for idx, mono in basis:
-        if idx != plan_idx:
-            plan_idx, via_x = idx, {}
-            via_d = [t for r, i in enumerate(idx)
-                     for t in _wedged(of_d[i], idx[:r] + idx[r + 1 :], -1 if r % 2 else 1)]
+    for key, idx, mono in basis:
+        if idx is not plan_idx:
+            plan_idx = idx
+            via_x, via_d = plans[idx]
         out = {}
         for j, mj in enumerate(mono):
-            if mj:
-                if j not in via_x:
-                    via_x[j] = _wedged(of_x[j], idx, 1)
-                base = mono[:j] + (mj - 1,) + mono[j + 1 :]
-                for key_idx, e, c in via_x[j]:
-                    key = (key_idx, tuple(map(operator.add, base, e)))
-                    out[key] = out.get(key, 0) + mj * c
-        for key_idx, e, c in via_d:
-            key = (key_idx, tuple(map(operator.add, mono, e)))
-            out[key] = out.get(key, 0) + c
-        yield {key: c for key, c in out.items() if c}
+            if not mj:
+                continue
+            terms = via_x[j]
+            if terms is None:
+                terms = plans.fill_via_x(idx, j)
+            for offset, c in terms:
+                k = key + offset
+                out[k] = out.get(k, 0) + mj * c
+        for offset, c in via_d:
+            k = key + offset
+            out[k] = out.get(k, 0) + c
+        yield out
+
+
+def _top_exponent(polys) -> int:
+    """The largest exponent in the terms of some polynomials, given as their
+    term dicts; 0 when there are none."""
+    return max(itertools.chain.from_iterable(itertools.chain.from_iterable(polys)), default=0)
 
 
 def schouten(pi: MultiVec, y: MultiVec) -> MultiVec:
@@ -332,21 +399,36 @@ def schouten(pi: MultiVec, y: MultiVec) -> MultiVec:
         [pi, x^m d_I] = sum_j m_j x^(m - e_j) [pi, x_j] ^ d_I
                         + x^m sum_r (-1)^r [pi, d_{i_r}] ^ d_{I without i_r}
 
-    (r counted from 0), built from pi's ``generator_images`` on exponent
-    tuples and exact (int or Fraction) coefficients.  Any other input raises
-    ExprError."""
+    (r counted from 0), built from pi's ``generator_images`` with exact (int
+    or Fraction) coefficients by ``_d_pi_images``, the one implementation of
+    the rule, on int keys: y's terms are coded (``_key``) at the radix R of
+    the largest exponent of y plus that of pi, which bounds every exponent of
+    the result, and each distinct key of the result is decoded once.  The
+    ``_WedgePlans`` of one call are dropped with it; ``poisson.cohomology``
+    keeps them on the PoissonStructure.  Any other input raises ExprError."""
     if not isinstance(pi, MultiVec) or not isinstance(y, MultiVec) or pi.degree != 2:
         raise ExprError("schouten expects a bivector and a multivector field")
     if pi.chart != y.chart:
         raise ChartMismatchError("chart mismatch in schouten")
-    terms = [((idx, e), c) for idx, f in y.coeffs.items() for e, c in f.as_poly().terms.items()]
-    out: dict[Index, dict] = {}
-    for (_, c), image in zip(terms, _d_pi_images([t for t, _ in terms], *generator_images(pi))):
-        for (idx, e), v in image.items():
-            poly = out.setdefault(idx, {})
-            poly[e] = poly.get(e, 0) + c * v
-    return MultiVec(pi.chart, y.degree + 1,
-                    {idx: RatFunc.from_poly(Poly(pi.chart, poly)) for idx, poly in out.items()})
+    chart, n = pi.chart, pi.chart.dim
+    polys = [(idx, f.as_poly().terms) for idx, f in y.coeffs.items()]
+    top_y = _top_exponent(p for _, p in polys)
+    top_pi = top_y if y is pi else _top_exponent(f.num.terms for f in pi.coeffs.values())
+    radix = _radix(top_pi + top_y)
+    coefficients = [c for _, p in polys for c in p.values()]
+    images = _d_pi_images([(_key(idx, e, radix), idx, e) for idx, p in polys for e in p],
+                          _WedgePlans(generator_images(pi), radix))
+    out = {}
+    for c, image in zip(coefficients, images):
+        for key, v in image.items():
+            out[key] = out.get(key, 0) + c * v
+    bracket: dict[Index, dict] = {}
+    for key, v in out.items():
+        if v:
+            idx, e = _decoded(key, n, radix)
+            bracket.setdefault(idx, {})[e] = v
+    return MultiVec(chart, y.degree + 1,
+                    {idx: RatFunc.from_poly(Poly(chart, p)) for idx, p in bracket.items()})
 
 
 # -- polynomial maps between charts -------------------------------------------

@@ -50,6 +50,9 @@ from .multivec import (
     PolyMap,
     _accumulate,
     _d_pi_images,
+    _key,
+    _radix,
+    _WedgePlans,
     exterior_derivative,
     generator_images,
     schouten,
@@ -89,8 +92,26 @@ class PoissonStructure:
     def generator_images(self):
         """``multivec.generator_images`` of pi, which ``cohomology`` builds
         d_pi from; kept on the instance, outside the dataclass fields, so
-        equality and repr ignore it."""
+        equality and repr ignore it, as they ignore what follows."""
         return generator_images(self.pi)
+
+    @cached_property
+    def coefficient_degree(self) -> int:
+        """``_coefficient_degree`` of pi, taken once."""
+        return _coefficient_degree(self.pi)
+
+    @cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def wedge_plans(self, radix: int):
+        """The ``multivec._WedgePlans`` of the generator images at the radix
+        R: made once per R, and kept, with the plan of every index tuple it
+        was asked for, as long as the structure lives."""
+        plans = self._plans.get(radix)
+        if plans is None:
+            plans = self._plans[radix] = _WedgePlans(self.generator_images, radix)
+        return plans
 
 
 def bivector_matrix(pi) -> list[list[RatFunc]]:
@@ -335,6 +356,20 @@ def _kvector_basis(chart: Chart, k: int, degree: int):
     return [(idx, m) for idx in idxs for m in monos]
 
 
+@cache
+def _coded_basis(chart: Chart, k: int, degree: int, radix: int):
+    """``_kvector_basis`` as (key, idx, mono), key the ``multivec._key`` at
+    the radix R, in its order.  Cached, as ``_monomials`` is: it depends on
+    the chart, not on pi."""
+    return tuple((_key(idx, m, radix), idx, m) for idx, m in _kvector_basis(chart, k, degree))
+
+
+@cache
+def _basis_index(chart: Chart, k: int, degree: int, radix: int):
+    """{key: position} of ``_coded_basis``, cached with it; never modified."""
+    return {key: i for i, (key, _, _) in enumerate(_coded_basis(chart, k, degree, radix))}
+
+
 def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     """Exact H^k of d_pi on k-vectors with degree-d polynomial coefficients.
 
@@ -343,8 +378,17 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     taken from (k-1)-vectors of degree d - delta + 1.
 
     Each column is d_pi = [pi, .] of one basis element by the derivation
-    rule of ``multivec.schouten`` (``_d_pi_images``), from the 2n generator
-    images read off pi once per structure (``generator_images``).
+    rule of ``multivec.schouten`` (``_d_pi_images``) on int keys, one per
+    basis element x^m d/dx_I (``multivec._key``).  Their radix R is the
+    least power of two, and at least 8, above d + |delta - 1|, the largest
+    total degree among the domain, the codomain and the incoming image, so
+    no exponent reaches it.  What the rule reads is kept:
+      - on the structure, for its lifetime: the generator images, delta
+        (``coefficient_degree``) and the ``_WedgePlans`` of each R
+        (``wedge_plans``), so a loop over d builds them once per R;
+      - by (chart, k, degree, R), for the life of the process, as
+        ``_monomials`` is: the coded bases (``_coded_basis``) and their
+        index dicts (``_basis_index``), which do not depend on pi.
 
     The kernel takes one ``linalg.echelon`` of the rows of d_pi on the domain,
     empty rows dropped and sorted so that the latest leading column comes
@@ -366,26 +410,27 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
         raise PoissonError("cohomology requires a verified Poisson structure")
     if k > chart.dim or k < 0 or d < 0:
         raise PoissonError("invalid (k, d)")
-    delta = _coefficient_degree(pi)
-    of_x, of_d = structure.generator_images
+    delta = structure.coefficient_degree
+    radix = _radix(d + abs(delta - 1))
+    plans = structure.wedge_plans(radix)
 
-    dom = _kvector_basis(chart, k, d)
-    cod = _kvector_basis(chart, k + 1, d + delta - 1)
-    cod_index = {b: i for i, b in enumerate(cod)}
+    dom = _coded_basis(chart, k, d, radix)
+    cod_index = _basis_index(chart, k + 1, d + delta - 1, radix)
     # outgoing differential as sparse rows, one column per domain basis element
-    out_rows = [{} for _ in cod]
-    for col, column in enumerate(_d_pi_images(dom, of_x, of_d)):
+    out_rows = [{} for _ in range(len(cod_index))]
+    for col, column in enumerate(_d_pi_images(dom, plans)):
         for key, c in column.items():
-            out_rows[cod_index[key]][col] = c
+            if c:
+                out_rows[cod_index[key]][col] = c
     pivots = linalg.echelon(_latest_first(out_rows))[0]
     free = [col for col in range(len(dom)) if col not in pivots]
-    negated = {dom[col]: -col for col in free}
+    negated = {dom[col][0]: -col for col in free}
     # incoming image, as sparse rows over the negated free columns
     images = []
     if k >= 1 and d - delta + 1 >= 0:
-        images = _d_pi_images(_kvector_basis(chart, k - 1, d - delta + 1), of_x, of_d)
+        images = _d_pi_images(_coded_basis(chart, k - 1, d - delta + 1, radix), plans)
     last_free = linalg.echelon(_latest_first(
-        [{negated[key]: c for key, c in row.items() if key in negated} for row in images]))[0]
+        [{negated[key]: c for key, c in row.items() if c and key in negated} for row in images]))[0]
     dim_image = len(last_free)
     reps = []
     for first in free:
@@ -393,7 +438,7 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
             continue
         coeffs = {}
         for col, coef in linalg.kernel_vector(pivots, first).items():
-            idx, mono = dom[col]
+            _, idx, mono = dom[col]
             coeffs.setdefault(idx, {})[mono] = coef
         reps.append(MultiVec(chart, k, {idx: RatFunc.from_poly(Poly(chart, terms))
                                         for idx, terms in coeffs.items()}))

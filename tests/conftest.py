@@ -17,7 +17,7 @@ from poisskit.expr import (
     parse_expr,
     poly_divexact,
 )
-from poisskit.multivec import DiffForm, Index, MultiVec, _accumulate, _d_pi_images, wedge
+from poisskit.multivec import DiffForm, Index, MultiVec, _accumulate, wedge
 
 
 @pytest.fixture
@@ -243,15 +243,21 @@ def cohomology_oracle(structure, k, d):
     only on the rows before it, so the independent image rows count the
     image, and the independent kernel rows after them are the
     representatives: they extend the image to a kernel basis.  Each
-    representative is a sum of scaled basis elements."""
+    representative is a sum of scaled basis elements.  Every column and image
+    row is the superalgebra bracket of ``schouten_oracle`` on one basis
+    element, so no part of the production derivation rule is used."""
     chart = structure.chart
     delta = poisson._coefficient_degree(structure.pi)
-    of_x, of_d = structure.generator_images
+
+    def d_pi_terms(basis):
+        return [multivec_terms(schouten_oracle(structure.pi, basis_element(chart, *b)))
+                for b in basis]
+
     dom = poisson._kvector_basis(chart, k, d)
     cod = poisson._kvector_basis(chart, k + 1, d + delta - 1)
     cod_index = {b: i for i, b in enumerate(cod)}
     out_rows = [{} for _ in cod]
-    for col, column in enumerate(_d_pi_images(dom, of_x, of_d)):
+    for col, column in enumerate(d_pi_terms(dom)):
         for key, c in column.items():
             out_rows[cod_index[key]][col] = c
     kernel = linalg.null_space(linalg.eliminate(out_rows)[0], len(dom))
@@ -259,8 +265,7 @@ def cohomology_oracle(structure, k, d):
     if k >= 1 and d - delta + 1 >= 0:
         dom_index = {b: i for i, b in enumerate(dom)}
         image = [{dom_index[key]: c for key, c in row.items()}
-                 for row in _d_pi_images(poisson._kvector_basis(chart, k - 1, d - delta + 1),
-                                         of_x, of_d)]
+                 for row in d_pi_terms(poisson._kvector_basis(chart, k - 1, d - delta + 1))]
     independent = linalg.eliminate(image + kernel)[1]
     dim_image = sum(i < len(image) for i in independent)
     reps = []

@@ -361,6 +361,29 @@ def test_dirac_bracket_through_polynomial_denominators():
         poisson=False, coisotropic=False, cosymplectic=True, mode="exact")
 
 
+def test_pfaffians_take_cleared_polynomial_matrices(monkeypatch):
+    # the expansion cancels through gcds on RatFunc entries with distinct
+    # denominators, so each caller clears its matrix first: the gauge pair,
+    # dirac_bracket and the exact classification pass Poly entries only,
+    # here from constraint and bivector entries over 1 + q1^2
+    seen = []
+    pfaffians = linalg.pfaffians
+    monkeypatch.setattr(linalg, "pfaffians", lambda a: seen.append(
+        {type(e).__name__ for row in a for e in row}) or pfaffians(a))
+    ch4 = chart("q1", "p1", "q2", "p2")
+    structure = poisson.require_poisson(_bivector(ch4, {(0, 1): "1/(1 + q1^2)", (2, 3): "1"}))
+    gauge_transform(structure, _form(ch4, {(0, 2): "1", (1, 3): "p1"}))
+    assert seen == [{"Poly"}, {"Poly"}]
+    plane = chart("a", "b")
+    a, b = parse_expr("a", plane), parse_expr("b", plane)
+    cs = ConstraintSystem(
+        structure, [parse_expr("q2 - q1^2", ch4), parse_expr("p2/(1 + q1^2)", ch4)], [0, 0],
+        parametrization=PolyMap(plane, ch4, (a, b, a * a, RatFunc.zero(plane))))
+    dirac_bracket(cs)
+    classify_submanifold(cs)
+    assert seen == [{"Poly"}] * 4
+
+
 # -- the Dirac bivector ----------------------------------------------------------------
 
 Q4 = ("q1", "p1", "q2", "p2")

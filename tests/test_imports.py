@@ -1,8 +1,8 @@
 """Every name a poisskit module or a test file imports is used in that file, every
 function, class and method it defines is referenced somewhere, and every
-name the benchmark's tracer wraps exists; neither importing the CLI nor
-running the numeric checks imports numpy; and the benchmark's self-test
-passes against this source."""
+name the benchmark's tracer wraps exists; importing the CLI fills no
+cohomology cache; neither importing the CLI nor running the numeric checks
+imports numpy; and the benchmark's self-test passes against this source."""
 
 import ast
 import importlib
@@ -126,6 +126,18 @@ def test_traced_names_exist():
         if obj is None:
             missing.append(name)
     assert missing == []
+
+
+def test_cli_import_leaves_the_cohomology_caches_empty():
+    # the coded bases are built on first use, so importing the CLI computes
+    # none of them
+    code = ("import poisskit.cli; from poisskit import poisson; "
+            "print(sorted((name, f.cache_info().currsize) "
+            "for name, f in vars(poisson).items() if hasattr(f, 'cache_info')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[('_basis_index', 0), ('_coded_basis', 0), ('_monomials', 0)]"
 
 
 def test_cli_import_leaves_numpy_out():

@@ -1,10 +1,12 @@
+import itertools
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisskit import liealg
-from poisskit.expr import ChartMismatchError, ExprError, RatFunc, chart, parse_expr
+from poisskit.expr import ChartMismatchError, ExprError, Poly, RatFunc, chart, parse_expr
 from poisskit.liealg import bialgebra_check, lie_from_constants, lie_poisson
 from poisskit.multivec import DiffForm, MultiVec, PolyMap, exterior_derivative, schouten, wedge
 from poisskit.poisson import bivector_matrix
@@ -205,6 +207,34 @@ def test_schouten_matches_the_oracle_on_gl3_and_its_double():
     assert double.chart.dim == 18
     for pi in (pi_g, double):
         assert _assert_matches_the_oracle(pi, pi).is_zero
+
+
+_HIGH = chart("x", "y", "z")
+_coefficients = st.sampled_from([1, -2, 3, F(1, 2), F(-5, 3)])
+
+
+def _terms(k, low, high):
+    return st.tuples(st.sampled_from(list(itertools.combinations(range(3), k))),
+                     st.tuples(*[st.integers(low, high)] * 3), _coefficients)
+
+
+def _multivec(k, terms):
+    coeffs = {}
+    for idx, e, c in terms:
+        coeffs[idx] = coeffs.get(idx, RatFunc.zero(_HIGH)) + RatFunc.from_poly(Poly(_HIGH, {e: c}))
+    return MultiVec(_HIGH, k, coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_terms(2, 0, 9), min_size=1, max_size=4),
+       st.integers(0, 3).flatmap(lambda k: st.tuples(
+           st.just(k), st.lists(_terms(k, 0, 9), max_size=3), _terms(k, 8, 20))))
+def test_schouten_matches_the_oracle_at_exponents_from_8(pi_terms, y_draw):
+    # each y draws a term with every exponent at least 8, so the coded keys
+    # of its bracket take a radix of 16 or 32
+    k, y_terms, high = y_draw
+    pi, y = _multivec(2, pi_terms), _multivec(k, y_terms + [high])
+    _assert_matches_the_oracle(pi, y)
 
 
 def test_schouten_takes_a_bivector_with_polynomial_coefficients(ch3):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import itertools
+import weakref
 from fractions import Fraction as F
 from functools import cached_property
 from unittest import mock
@@ -658,9 +660,10 @@ def test_cohomology_text_digests_are_pinned(request, name, k, d, digest):
 @pytest.mark.parametrize("name", ["s3_standard", "book", "so3", "r2_xdxdy"])
 def test_d_pi_derivation_rule_matches_schouten(name):
     # cohomology and multivec.schouten read the 2n generator images off pi
-    # and build d_pi from them; the superalgebra bracket of the oracle on each
-    # generator and on each basis element is the reference (compared as
-    # dicts: the term order differs)
+    # and build d_pi from them on coded keys; the superalgebra bracket of the
+    # oracle on each generator and on each basis element is the reference
+    # (compared as dicts of decoded keys: the term order differs), at the
+    # least radix and at a larger one
     structure = _fixture_structure(name)
     chart = structure.chart
 
@@ -679,12 +682,17 @@ def test_d_pi_derivation_rule_matches_schouten(name):
     for k in range(chart.dim + 1):
         for d in range(3):
             basis = poisson._kvector_basis(chart, k, d)
-            images = poisson._d_pi_images(basis, of_x, of_d)
-            for (idx, mono), image in zip(basis, images, strict=True):
-                direct = schouten_oracle(pi, basis_element(chart, idx, mono))
-                assert image == multivec_terms(direct)
-                count += 1
-    assert count == 2 ** chart.dim * sum(
+            direct = [multivec_terms(schouten_oracle(pi, basis_element(chart, *b))) for b in basis]
+            for radix in (8, 16):
+                coded = [(multivec._key(idx, mono, radix), idx, mono) for idx, mono in basis]
+                images = poisson._d_pi_images(coded, structure.wedge_plans(radix))
+                for image, want in zip(images, direct, strict=True):
+                    image = {key: c for key, c in image.items() if c}
+                    decoded = {multivec._decoded(key, chart.dim, radix): c
+                               for key, c in image.items()}
+                    assert len(decoded) == len(image) and decoded == want
+                    count += 1
+    assert count == 2 * 2 ** chart.dim * sum(
         len(poisson._monomials(chart, d)) for d in range(3))
 
 
@@ -692,11 +700,24 @@ def test_cohomology_takes_the_generator_images_once(monkeypatch):
     # a CLI cohomology task loops over d = 0..d_max on one structure: it
     # takes one Schouten square in verify, then no d_pi and no bracket, and
     # reads the generator images off pi once; the manifest is loaded first,
-    # as checking its Lie algebra takes a Schouten square of its own
+    # as checking its Lie algebra takes a Schouten square of its own.  The
+    # wedge plans are built once per radix, R = 8 for d <= 7 and R = 16 for
+    # d = 8, and the plan of each index tuple once per radix
     doc = {**fixtures.fixture_manifest("so3"),
-           "tasks": [{"task": "cohomology", "k": 1, "d_max": 3}]}
+           "tasks": [{"task": "cohomology", "k": 1, "d_max": 8}]}
     manifest = cli.load_manifest(doc)
-    events = []
+    events, planned = [], []
+
+    class CountedPlans(multivec._WedgePlans):
+        def __init__(self, images, radix):
+            events.append(("plans", radix))
+            super().__init__(images, radix)
+
+        def __missing__(self, idx):
+            planned.append((self.radix, idx))
+            return super().__missing__(idx)
+
+    monkeypatch.setattr(poisson, "_WedgePlans", CountedPlans)
     for module, name in ((poisson, "verify"), (poisson, "d_pi"), (poisson, "schouten"),
                          (multivec, "schouten")):
         original = getattr(module, name)
@@ -708,8 +729,43 @@ def test_cohomology_takes_the_generator_images_once(monkeypatch):
     counted.__set_name__(poisson.PoissonStructure, "generator_images")
     monkeypatch.setattr(poisson.PoissonStructure, "generator_images", counted)
     [result] = cli.run_tasks(manifest)
-    assert len(result.data["reports"]) == 4
-    assert events == ["verify", "schouten", "generator_images"]
+    assert len(result.data["reports"]) == 9
+    assert events == ["verify", "schouten", "generator_images", ("plans", 8), ("plans", 16)]
+    assert len(planned) == len(set(planned)) == 2 * 4  # d/dx, d/dy, d/dz and () at each R
+
+
+@pytest.mark.parametrize("name,k,d,radix", [
+    ("so3", 1, 7, 8),
+    ("so3", 1, 8, 16),
+    ("s3_standard", 1, 6, 8),
+    ("s3_standard", 1, 7, 16),
+    ("s3_standard", 2, 7, 16),
+])
+def test_cohomology_where_the_radix_grows_matches_the_oracle(request, name, k, d, radix):
+    # the radix of the coded keys is the least power of two above
+    # d + |delta - 1| and at least 8: 16 from so3's d = 8 (delta = 1) and
+    # s3_standard's d = 7 (delta = 2) on
+    structure = (_fixture_structure(name) if name == "s3_standard"
+                 else request.getfixturevalue(f"{name}_structure"))
+    assert multivec._radix(d + abs(structure.coefficient_degree - 1)) == radix
+    got, want = cohomology(structure, k, d), cohomology_oracle(structure, k, d)
+    assert got == want and got.serialize() == want.serialize()
+    assert list(vars(structure)["_plans"]) == [radix]
+
+
+def test_no_module_cache_keeps_a_structure_alive(so3_structure):
+    # the wedge plans live on the structure; the module caches hold only
+    # charts, degrees and radices, so a structure is freed with its last
+    # reference
+    structure = require_poisson(so3_structure.pi)
+    for d in range(4):
+        cohomology(structure, 1, d)
+    d_pi(structure, structure.pi)
+    assert vars(structure)["_plans"] and poisson._coded_basis.cache_info().currsize
+    ref = weakref.ref(structure)
+    del structure
+    gc.collect()
+    assert ref() is None
 
 
 def test_generator_images_stay_out_of_equality_and_repr(so3_structure):
