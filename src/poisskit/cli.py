@@ -30,8 +30,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import dirac, fixtures, flow, liealg, poisson
 from .expr import Chart, ExprError, ParseError, RatFunc, chart as make_chart, parse_expr
@@ -42,8 +42,7 @@ class ManifestError(ExprError):
     pass
 
 
-@dataclass
-class Manifest:
+class Manifest(NamedTuple):
     chart: Chart
     expressions: dict
     bivectors: dict
@@ -190,12 +189,11 @@ def load_manifest(doc: dict) -> Manifest:
 # -- task registry --------------------------------------------------------------
 
 
-@dataclass
-class TaskResult:
+class TaskResult(NamedTuple):
     name: str
     passed: bool | None          # None for purely informational tasks
-    lines: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    lines: list
+    data: dict
 
 
 def _get_expr(manifest: Manifest, params: dict, key: str) -> RatFunc:

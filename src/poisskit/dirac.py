@@ -35,11 +35,11 @@ any other they raise ``require_verified``'s PoissonError.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg, poisson
-from .expr import Chart, ChartMismatchError, ExprError, RatFunc, format_point
+from .expr import Chart, ChartMismatchError, ExprError, RatFunc, fields_repr, format_point
 from .multivec import DiffForm, PolyMap, wedge
 from .poisson import (
     NotCosymplecticError,
@@ -59,26 +59,34 @@ class DiracError(ExprError):
 # -- pointwise lagrangian subspaces ------------------------------------------
 
 
-@dataclass
 class LinearLagrangian:
     """Lagrangian subspace of V + V*, dim V = n, given by n spanning row
-    vectors; ``basis`` holds its canonical span.  Lagrangian means rank n and
-    a zero Gram matrix of the pairing, B times the transpose of B with its
-    V and V* halves swapped."""
+    vectors; ``basis`` holds its canonical span, so two of them are equal
+    when their dims and bases are.  Lagrangian means rank n and a zero Gram
+    matrix of the pairing, B times the transpose of B with its V and V*
+    halves swapped."""
 
-    dim: int
-    basis: list
+    __slots__ = ("dim", "basis")
 
-    def __post_init__(self):
-        n = self.dim
-        rows = [[Fraction(x) for x in row] for row in self.basis]
+    def __init__(self, dim: int, basis: list):
+        n = dim
+        rows = [[Fraction(x) for x in row] for row in basis]
         if any(len(row) != 2 * n for row in rows):
             raise DiracError("basis vectors must have length 2n")
-        self.basis = linalg.canonical_span(rows)
-        swapped = [row[n:] + row[:n] for row in self.basis]
-        if (not rows or len(rows) != n or len(self.basis) != n
-                or any(any(g) for g in linalg.matmul(self.basis, linalg.transpose(swapped)))):
+        span = linalg.canonical_span(rows)
+        swapped = [row[n:] + row[:n] for row in span]
+        if (not rows or len(rows) != n or len(span) != n
+                or any(any(g) for g in linalg.matmul(span, linalg.transpose(swapped)))):
             raise DiracError("basis does not span a lagrangian subspace")
+        self.dim, self.basis = dim, span
+
+    def __eq__(self, other):
+        if type(other) is not LinearLagrangian:
+            return NotImplemented
+        return self.dim == other.dim and self.basis == other.basis
+
+    def __repr__(self):
+        return fields_repr(self, self.__slots__)
 
     def __str__(self):
         rows = ["(" + ", ".join(str(x) for x in row) + ")" for row in self.basis]
@@ -140,8 +148,7 @@ def gauge_at(lag: LinearLagrangian, b_matrix) -> LinearLagrangian:
     return LinearLagrangian(n, out)
 
 
-@dataclass
-class KernelRangeData:
+class KernelRangeData(NamedTuple):
     kernel: list      # basis of ker(L) = L cap (V + 0), projected to V
     range_basis: list  # basis of R = pr_V(L)
     omega: list        # matrix of the induced form on range_basis
@@ -198,22 +205,25 @@ def _unit_rows(chart: Chart) -> list:
     return [[RatFunc.const(chart, e) for e in row] for row in linalg.identity(chart.dim)]
 
 
-@dataclass
 class DiracSectionFamily:
     """n sections (X_a | alpha_a) of TM + T*M on a chart, as rows of 2n
-    RatFuncs with the vector components first, as in ``LinearLagrangian``."""
+    RatFuncs with the vector components first, as in ``LinearLagrangian``;
+    ``samples`` (none by default) are the points ``courant_tensor`` checks
+    lagrangianity at."""
 
-    chart: Chart
-    rows: list
-    samples: list = field(default_factory=list)
+    __slots__ = ("chart", "rows", "samples")
 
-    def __post_init__(self):
-        n = self.chart.dim
-        if len(self.rows) != n or any(len(row) != 2 * n for row in self.rows):
+    def __init__(self, chart: Chart, rows: list, samples: list | None = None):
+        n = chart.dim
+        if len(rows) != n or any(len(row) != 2 * n for row in rows):
             raise DiracError("need exactly n sections, each a row of 2n entries")
-        if not all(isinstance(e, RatFunc) and e.chart == self.chart
-                   for row in self.rows for e in row):
+        if not all(isinstance(e, RatFunc) and e.chart == chart for row in rows for e in row):
             raise ChartMismatchError("section entries must be RatFuncs on the chart")
+        self.chart, self.rows = chart, rows
+        self.samples = [] if samples is None else samples
+
+    def __repr__(self):
+        return fields_repr(self, self.__slots__)
 
     def evaluate_at(self, point) -> LinearLagrangian:
         return LinearLagrangian(self.chart.dim, [[e.eval(point) for e in row] for row in self.rows])
@@ -223,7 +233,7 @@ class DiracSectionFamily:
         """Sections (pi#(dx_i), dx_i) of a PoissonStructure or a bivector."""
         pi = poisson._pi_of(structure)
         rows = [p + e for p, e in zip(bivector_matrix(pi), _unit_rows(pi.chart))]
-        return DiracSectionFamily(pi.chart, rows, samples or [])
+        return DiracSectionFamily(pi.chart, rows, samples)
 
     @staticmethod
     def graph_of_2form(omega: DiffForm, samples=None) -> "DiracSectionFamily":
@@ -231,7 +241,7 @@ class DiracSectionFamily:
         if omega.degree != 2:
             raise DiracError("graph_of_2form needs a 2-form")
         rows = [e + w for e, w in zip(_unit_rows(omega.chart), bivector_matrix(omega))]
-        return DiracSectionFamily(omega.chart, rows, samples or [])
+        return DiracSectionFamily(omega.chart, rows, samples)
 
 
 def _pair(u, v, zero: RatFunc) -> RatFunc:
@@ -272,35 +282,39 @@ def courant_tensor(family: DiracSectionFamily) -> dict:
 # -- constraint systems and Dirac brackets ------------------------------------------
 
 
-@dataclass
 class ConstraintSystem:
-    structure: PoissonStructure
-    constraints: list          # RatFuncs psi_i
-    level: list                # Fractions r_i
-    samples: list = field(default_factory=list)
-    parametrization: PolyMap | None = None
+    """The level set psi_i = r_i of RatFuncs psi_i on the chart of a
+    structure, the r_i read as Fractions, with optional samples on it and an
+    optional PolyMap parametrizing it."""
 
-    def __post_init__(self):
-        ch = self.structure.chart
-        for psi in self.constraints:
+    __slots__ = ("structure", "constraints", "level", "samples", "parametrization")
+
+    def __init__(self, structure: PoissonStructure, constraints: list, level: list,
+                 samples: list | None = None, parametrization: PolyMap | None = None):
+        ch = structure.chart
+        for psi in constraints:
             if psi.chart != ch:
                 raise ChartMismatchError("constraints live on another chart")
-        self.level = [Fraction(r) for r in self.level]
-        if len(self.level) != len(self.constraints):
-            raise DiracError(
-                f"{len(self.constraints)} constraints but {len(self.level)} level values"
-            )
-        for point in self.samples:
-            for psi, r in zip(self.constraints, self.level):
+        level = [Fraction(r) for r in level]
+        if len(level) != len(constraints):
+            raise DiracError(f"{len(constraints)} constraints but {len(level)} level values")
+        samples = [] if samples is None else samples
+        for point in samples:
+            for psi, r in zip(constraints, level):
                 if psi.eval(point) != r:
                     raise DiracError(f"sample {format_point(point)} is not on the level set")
-        if self.parametrization is not None:
-            if self.parametrization.target != ch:
+        if parametrization is not None:
+            if parametrization.target != ch:
                 raise ChartMismatchError("parametrization must land in the ambient chart")
-            comps = list(self.parametrization.components)
-            for psi, r in zip(self.constraints, self.level):
-                if not (psi.subst(comps) - RatFunc.const(self.parametrization.source, r)).is_zero:
+            comps = list(parametrization.components)
+            for psi, r in zip(constraints, level):
+                if not (psi.subst(comps) - RatFunc.const(parametrization.source, r)).is_zero:
                     raise DiracError("parametrization does not satisfy the constraints")
+        self.structure, self.constraints, self.level = structure, constraints, level
+        self.samples, self.parametrization = samples, parametrization
+
+    def __repr__(self):
+        return fields_repr(self, self.__slots__)
 
     def restrict(self, f: RatFunc):
         """Exact substitution through the parametrization, or values at samples."""
@@ -362,8 +376,7 @@ def dirac_bracket(cs: ConstraintSystem) -> PoissonStructure:
 # -- submanifold classification -----------------------------------------------------
 
 
-@dataclass
-class SubmanifoldFlags:
+class SubmanifoldFlags(NamedTuple):
     poisson: bool
     coisotropic: bool
     cosymplectic: bool
@@ -405,8 +418,7 @@ def classify_submanifold(cs: ConstraintSystem) -> SubmanifoldFlags:
 # -- co-regularity -------------------------------------------------------------------
 
 
-@dataclass
-class CoregularityReport:
+class CoregularityReport(NamedTuple):
     dims: list
     constant: bool
 
@@ -431,7 +443,8 @@ def coregularity_check(structure, data, samples=None) -> CoregularityReport:
     if isinstance(data, ConstraintSystem):
         if pi != poisson._pi_of(data.structure):
             raise DiracError("the constraint system lies over another structure")
-        cs = data if samples is None else replace(data, samples=samples)
+        cs = data if samples is None else ConstraintSystem(
+            data.structure, data.constraints, data.level, samples, data.parametrization)
         if len(cs.samples) < 2:
             raise DiracError("need at least 2 samples")
         dims = [linalg.rank(_tn_pi_rows(cs, point)) for point in cs.samples]

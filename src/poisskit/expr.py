@@ -47,7 +47,6 @@ the ``flow`` module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -82,20 +81,30 @@ class ChartMismatchError(ExprError):
     """Operands built over different charts."""
 
 
-@dataclass(frozen=True)
 class Chart:
-    """An ordered coordinate chart: a tuple of distinct variable names."""
+    """An ordered coordinate chart: a tuple of distinct variable names.
+    Charts with the same names are equal and hash alike, so separately built
+    charts key the same cache entries."""
 
-    var_names: tuple[str, ...]
+    __slots__ = ("var_names",)
 
-    def __post_init__(self):
-        if len(self.var_names) == 0:
+    def __init__(self, var_names: tuple[str, ...]):
+        if len(var_names) == 0:
             raise ExprError("chart needs at least one variable")
-        if len(set(self.var_names)) != len(self.var_names):
-            raise ExprError(f"chart variables not distinct: {self.var_names}")
-        for name in self.var_names:
+        if len(set(var_names)) != len(var_names):
+            raise ExprError(f"chart variables not distinct: {var_names}")
+        for name in var_names:
             if not _IDENT_RE.match(name):
                 raise ExprError(f"invalid variable name {name!r}")
+        self.var_names = var_names
+
+    def __eq__(self, other):
+        if type(other) is not Chart:
+            return NotImplemented
+        return self.var_names == other.var_names
+
+    def __hash__(self):
+        return hash(self.var_names)
 
     @property
     def dim(self) -> int:
@@ -113,6 +122,12 @@ class Chart:
 
 def chart(*names: str) -> Chart:
     return Chart(tuple(names))
+
+
+def fields_repr(obj, names) -> str:
+    """``Name(field=value, ...)`` over the attributes ``names`` of obj: the
+    repr of poisskit's validated classes."""
+    return f"{type(obj).__name__}({', '.join(f'{n}={getattr(obj, n)!r}' for n in names)})"
 
 
 def format_point(point) -> str:

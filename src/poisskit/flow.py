@@ -32,12 +32,11 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import linalg, poisson
-from .expr import Chart, ExprError, RatFunc, chart as make_chart
+from .expr import Chart, ExprError, RatFunc, chart as make_chart, fields_repr
 from .multivec import DiffForm, MultiVec, exterior_derivative
 from .poisson import PoissonStructure, _pi_of, bivector_matrix, hamiltonian_vf
 
@@ -55,20 +54,21 @@ ESCAPE_RADIUS = 1e9
 MAX_STEPS = 10_000_000
 
 
-@dataclass
 class FlowConfig:
-    dt: float = 1e-3
-    t_max: float = 10.0
-    tol: float = 1e-6
+    __slots__ = ("dt", "t_max", "tol")
 
-    def __post_init__(self):
-        for name in ("dt", "t_max", "tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise FlowError(f"{name} must be finite, not {getattr(self, name)}")
-        if self.dt <= 0 or self.t_max <= 0 or self.dt > self.t_max:
+    def __init__(self, dt: float = 1e-3, t_max: float = 10.0, tol: float = 1e-6):
+        for name, value in zip(self.__slots__, (dt, t_max, tol)):
+            if not math.isfinite(value):
+                raise FlowError(f"{name} must be finite, not {value}")
+        if dt <= 0 or t_max <= 0 or dt > t_max:
             raise FlowError("need 0 < dt <= t_max")
-        if self.tol <= 0:
+        if tol <= 0:
             raise FlowError("tolerance must be positive")
+        self.dt, self.t_max, self.tol = dt, t_max, tol
+
+    def __repr__(self):
+        return fields_repr(self, self.__slots__)
 
 
 # -- compiling exact expressions to float code -----------------------------------
@@ -496,13 +496,16 @@ def _point(x, n, message):
     return coords
 
 
-@dataclass
 class _Drifts:
-    """The drifts of ``functions``, carried by the ``advance`` loops of a flow."""
-    functions: list
-    start: list                  # f(x_0) for each f
-    worst: list                  # the max of |f(x_k) - f(x_0)| so far
-    failure: list | None         # the first state where an f cannot be evaluated
+    """The drifts of ``functions``, carried by the ``advance`` loops of a flow:
+    ``start`` holds f(x_0) for each f, ``worst`` the max of |f(x_k) - f(x_0)|
+    so far, and ``failure`` the first state where an f cannot be evaluated,
+    or None."""
+
+    __slots__ = ("functions", "start", "worst", "failure")
+
+    def __init__(self, functions: list, start: list, worst: list, failure: list | None):
+        self.functions, self.start, self.worst, self.failure = functions, start, worst, failure
 
     @classmethod
     def at(cls, functions, x) -> _Drifts:
@@ -527,8 +530,7 @@ class _Drifts:
 # -- Hamiltonian trajectories ------------------------------------------------------
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     final: list                  # the state x_steps at t = steps * dt
     h_drift: float
     casimir_drifts: list
@@ -550,8 +552,7 @@ def integrate_hamiltonian(structure, hamiltonian: RatFunc, x0, cfg: FlowConfig,
     return Trajectory(x, h_drift, casimir_drifts, steps)
 
 
-@dataclass
-class LeafTrace:
+class LeafTrace(NamedTuple):
     final: list                  # the state after the last RK4 step
     casimir_drifts: list         # over the start and the state after each step
     steps: int                   # RK4 steps taken, over the whole schedule
@@ -609,8 +610,7 @@ def _max_gap(a, b) -> float:
 # -- Moser-path verification --------------------------------------------------------
 
 
-@dataclass
-class MoserReport:
+class MoserReport(NamedTuple):
     max_deviation: float
     per_sample: list
 
@@ -685,8 +685,7 @@ def moser_verify(structure: PoissonStructure, alpha: DiffForm, t_grid, samples,
 # -- spray realization ----------------------------------------------------------------
 
 
-@dataclass
-class RealizationSample:
+class RealizationSample(NamedTuple):
     point: list                  # (x, xi) in the cotangent chart
     omega: list                  # 2n x 2n matrix of the averaged 2-form, a list of rows
     det: float                   # det omega, exact on omega's floats, rounded once

@@ -30,9 +30,9 @@ one ``poisson.verify``, or none:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .expr import Chart, ExprError, RatFunc, chart as make_chart
 from .multivec import MultiVec, PolyMap, _accumulate
@@ -45,8 +45,7 @@ class LieAlgebraError(ExprError):
         self.indices = indices
 
 
-@dataclass(frozen=True)
-class LieAlgebra:
+class LieAlgebra(NamedTuple):
     dim: int
     constants: tuple  # constants[i][j][k] = coefficient of e_k in [e_i, e_j]
 
@@ -163,8 +162,7 @@ def affine_poisson(g: LieAlgebra, lam, chart: Chart | None = None) -> PoissonStr
 # -- Lie bialgebras and the classical Yang-Baxter equation ---------------------------
 
 
-@dataclass
-class BialgebraReport:
+class BialgebraReport(NamedTuple):
     dual_jacobi: bool
     compat: bool
     failure: str = ""

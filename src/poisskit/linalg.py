@@ -276,9 +276,11 @@ def pfaffians(a):
     """Pf(a_S) as a memoised function of the sorted index tuples S, for an
     antisymmetric matrix a of Polys or RatFuncs: the expansion along S's first
     index, sum_k (-1)^(k+1) a[s_0][s_k] Pf(a_(S - s_0 - s_k)), skipping zero
-    entries and zero sub-Pfaffians.  Pf(a_()) = 1.  The memo is a plain dict
-    in a partial, not a closure that calls itself, so it leaves no reference
-    cycle for the garbage collector.
+    entries and zero sub-Pfaffians.  Pf(a_()) = 1.  It reads a[0][0], for its
+    zero, and the entries a[i][j] with i < j only, so a matrix that is zero
+    below the diagonal, as ``_cleared_matrix``'s is, will do.  The memo is a
+    plain dict in a partial, not a closure that calls itself, so it leaves no
+    reference cycle for the garbage collector.
 
     Pass a cleared matrix of Polys (``_cleared_matrix``), as the gauge pair,
     ``dirac.dirac_bracket`` and the exact ``dirac.classify_submanifold`` do.
@@ -310,13 +312,15 @@ def _pfaffian(a, memo, zero, s):
 
 
 def _cleared_matrix(m):
-    """(x, scale) with m = x / scale for an antisymmetric m, x antisymmetric:
-    ``_cleared`` on m's zero diagonal entry and the entries above it at once."""
+    """(x, scale) with x[i][j] / scale = m[i][j] above the diagonal of an
+    antisymmetric m and x zero on and below it: ``_cleared`` on m's zero
+    diagonal entry and the entries above it at once.  Only ``pfaffians``
+    reads x, and it reads no entry below the diagonal."""
     upper = list(itertools.combinations(range(len(m)), 2))
     (zero, *flat), scale = _cleared([m[0][0]] + [m[i][j] for i, j in upper])
     x = [[zero] * len(m) for _ in m]
     for (i, j), e in zip(upper, flat):
-        x[i][j], x[j][i] = e, -e
+        x[i][j] = e
     return x, scale
 
 

@@ -31,10 +31,9 @@ exact check ``poisson.is_poisson_map``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc
+from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc, fields_repr
 
 Index = tuple[int, ...]
 
@@ -434,20 +433,21 @@ def schouten(pi: MultiVec, y: MultiVec) -> MultiVec:
 # -- polynomial maps between charts -------------------------------------------
 
 
-@dataclass(frozen=True)
 class PolyMap:
     """Map between charts given by one RatFunc per target coordinate."""
 
-    source: Chart
-    target: Chart
-    components: tuple[RatFunc, ...]
+    __slots__ = ("source", "target", "components")
 
-    def __post_init__(self):
-        if len(self.components) != self.target.dim:
+    def __init__(self, source: Chart, target: Chart, components: tuple[RatFunc, ...]):
+        if len(components) != target.dim:
             raise ExprError("component count must equal target dimension")
-        for c in self.components:
-            if c.chart != self.source:
+        for c in components:
+            if c.chart != source:
                 raise ChartMismatchError("components must live on the source chart")
+        self.source, self.target, self.components = source, target, components
+
+    def __repr__(self):
+        return fields_repr(self, self.__slots__)
 
     @staticmethod
     def identity(chart: Chart) -> "PolyMap":

@@ -38,12 +38,12 @@ by ``dirac.kernel_and_range``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
-from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc, format_point
+from .expr import Chart, ChartMismatchError, ExprError, Poly, RatFunc, fields_repr, format_point
 from .multivec import (
     DiffForm,
     MultiVec,
@@ -72,26 +72,32 @@ class NotCosymplecticError(PoissonError):
     """Constraint-bracket matrix is singular."""
 
 
-@dataclass
 class PoissonStructure:
-    """A bivector field together with a [pi,pi] = 0 certificate."""
+    """A bivector field together with a [pi,pi] = 0 certificate.  Equality
+    and repr read the three fields pi, verified and schouten_square only."""
 
-    pi: MultiVec
-    verified: bool
-    schouten_square: MultiVec = None
+    def __init__(self, pi: MultiVec, verified: bool, schouten_square: MultiVec = None):
+        if pi.degree != 2:
+            raise PoissonError("a Poisson structure needs a degree-2 multivector")
+        self.pi, self.verified, self.schouten_square = pi, verified, schouten_square
 
     @property
     def chart(self) -> Chart:
         return self.pi.chart
 
-    def __post_init__(self):
-        if self.pi.degree != 2:
-            raise PoissonError("a Poisson structure needs a degree-2 multivector")
+    def __eq__(self, other):
+        if type(other) is not PoissonStructure:
+            return NotImplemented
+        return ((self.pi, self.verified, self.schouten_square)
+                == (other.pi, other.verified, other.schouten_square))
+
+    def __repr__(self):
+        return fields_repr(self, ("pi", "verified", "schouten_square"))
 
     @cached_property
     def generator_images(self):
         """``multivec.generator_images`` of pi, which ``cohomology`` builds
-        d_pi from; kept on the instance, outside the dataclass fields, so
+        d_pi from; kept on the instance apart from the three fields, so
         equality and repr ignore it, as they ignore what follows."""
         return generator_images(self.pi)
 
@@ -291,8 +297,7 @@ def modular_vf(structure, volume: DiffForm) -> MultiVec:
 # -- Poisson cohomology (polynomial truncation) ---------------------------------
 
 
-@dataclass
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     degree: int
     poly_degree: int
     dim_kernel: int
@@ -334,7 +339,14 @@ def _coefficient_degree(pi: MultiVec) -> int:
     return degs.pop() if degs else 0
 
 
-@cache
+#: The entries each of the caches ``_monomials``, ``_coded_basis`` and
+#: ``_basis_index`` keeps, the least recently used dropped first: more than
+#: twice the 52 coded bases of the benchmark's cohomology ladder, and a
+#: bound on what a process that sweeps many charts or degrees holds.
+BASIS_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _monomials(chart: Chart, degree: int):
     """The exponent tuples of degree ``degree``, sorted.  Cached, as cohomology
     takes the same few (chart, degree) pairs on every call; the tuple keeps
@@ -356,7 +368,7 @@ def _kvector_basis(chart: Chart, k: int, degree: int):
     return [(idx, m) for idx in idxs for m in monos]
 
 
-@cache
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _coded_basis(chart: Chart, k: int, degree: int, radix: int):
     """``_kvector_basis`` as (key, idx, mono), key the ``multivec._key`` at
     the radix R, in its order.  Cached, as ``_monomials`` is: it depends on
@@ -364,7 +376,7 @@ def _coded_basis(chart: Chart, k: int, degree: int, radix: int):
     return tuple((_key(idx, m, radix), idx, m) for idx, m in _kvector_basis(chart, k, degree))
 
 
-@cache
+@lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _basis_index(chart: Chart, k: int, degree: int, radix: int):
     """{key: position} of ``_coded_basis``, cached with it; never modified."""
     return {key: i for i, (key, _, _) in enumerate(_coded_basis(chart, k, degree, radix))}
@@ -386,9 +398,10 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
       - on the structure, for its lifetime: the generator images, delta
         (``coefficient_degree``) and the ``_WedgePlans`` of each R
         (``wedge_plans``), so a loop over d builds them once per R;
-      - by (chart, k, degree, R), for the life of the process, as
-        ``_monomials`` is: the coded bases (``_coded_basis``) and their
-        index dicts (``_basis_index``), which do not depend on pi.
+      - by (chart, k, degree, R), in the module's caches of
+        ``BASIS_CACHE_SIZE`` entries, as ``_monomials`` is: the coded bases
+        (``_coded_basis``) and their index dicts (``_basis_index``), which
+        do not depend on pi.
 
     The kernel takes one ``linalg.echelon`` of the rows of d_pi on the domain,
     empty rows dropped and sorted so that the latest leading column comes
@@ -598,8 +611,7 @@ def top_power(structure) -> MultiVec:
     return out
 
 
-@dataclass
-class LogDegeneracyReport:
+class LogDegeneracyReport(NamedTuple):
     top_coefficient: RatFunc
     transversal_points: list
     violating_points: list

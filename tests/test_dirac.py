@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -314,8 +313,9 @@ def test_transversal_induced_poisson_matches_dirac_bracket(ch4):
 def test_transversal_induced_poisson_reads_the_systems_structure(ch4):
     cs = _symplectic_plane_system(ch4)
     doubled = poisson.require_poisson(_bivector(ch4, {(0, 1): "2", (2, 3): "1"}))
-    assert transversal_induced_poisson_at(replace(cs, structure=doubled), [F(1), F(2)]) == \
-        [[0, 2], [-2, 0]]
+    over_doubled = ConstraintSystem(doubled, cs.constraints, cs.level, cs.samples,
+                                    cs.parametrization)
+    assert transversal_induced_poisson_at(over_doubled, [F(1), F(2)]) == [[0, 2], [-2, 0]]
 
 
 def test_coregularity_of_a_system_takes_its_structure_and_level_set(ch4):

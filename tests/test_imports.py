@@ -1,8 +1,8 @@
 """Every name a poisskit module or a test file imports is used in that file, every
 function, class and method it defines is referenced somewhere, and every
 name the benchmark's tracer wraps exists; importing the CLI fills no
-cohomology cache; neither importing the CLI nor running the numeric checks
-imports numpy; and the benchmark's self-test passes against this source."""
+cohomology cache; importing the CLI imports neither numpy nor dataclasses nor
+inspect, and running the numeric checks imports no numpy; and the benchmark's self-test passes against this source."""
 
 import ast
 import importlib
@@ -140,8 +140,14 @@ def test_cli_import_leaves_the_cohomology_caches_empty():
     assert out.stdout.strip() == "[('_basis_index', 0), ('_coded_basis', 0), ('_monomials', 0)]"
 
 
-def test_cli_import_leaves_numpy_out():
-    code = "import sys, poisskit.cli; print(sorted(m for m in sys.modules if m.startswith('numpy')))"
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+def test_cli_import_leaves_module_out(module):
+    # numpy is for the flows only; dataclasses and inspect cost the CLI's
+    # start-up several ms.  Only what the import adds counts, not what site
+    # loaded before it.
+    code = ("import sys; before = set(sys.modules); import poisskit.cli; "
+            f"print(sorted(m for m in set(sys.modules) - before "
+            f"if m == {module!r} or m.startswith({module + '.'!r})))")
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)

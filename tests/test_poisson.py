@@ -1090,6 +1090,10 @@ def test_gauge_pair_solves_i_plus_pw_exactly(n):
             continue
         x, delta = pair
         (xp, a), (y, b_scale) = linalg._cleared_matrix(p), linalg._cleared_matrix(w)
+        # the cleared matrices are zero on and below the diagonal
+        assert all(m[i][j].is_zero for m in (xp, y) for i in range(n) for j in range(i + 1))
+        xp, y = ([[m[i][j] if i < j else -m[j][i] for j in range(n)] for i in range(n)]
+                 for m in (xp, y))
         zero = expr.Poly.zero(delta.chart)
         full = [[x[i, j] if i < j else -x[j, i] if j < i else zero for j in range(n)]
                 for i in range(n)]
