@@ -84,13 +84,19 @@ def _typed(value, kind, what):
 def _int(value, what) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ManifestError(f"{what} must be an integer")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError as err:
+        raise ManifestError(f"{what} must be an integer: {err}") from None
 
 
 def _float(value, what) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ManifestError(f"{what} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except ValueError as err:
+        raise ManifestError(f"{what} must be a number: {err}") from None
 
 
 def _required(spec: dict, key: str, what: str):
@@ -121,7 +127,11 @@ def _section(doc: dict, key: str, kind=dict):
 def _parse_table(table, chart: Chart, degree: int):
     coeffs = {}
     for key, text in _typed(table, dict, "a coefficient table").items():
-        idx = tuple(int(p) for p in str(key).split(","))
+        try:
+            idx = tuple(int(p) for p in str(key).split(","))
+        except ValueError as err:
+            raise ManifestError(
+                f"key {key!r} is not a degree-{degree} index tuple: {err}") from None
         if len(idx) != degree:
             raise ManifestError(f"key {key!r} is not a degree-{degree} index tuple")
         coeffs[idx] = parse_expr(str(text), chart)

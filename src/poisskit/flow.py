@@ -3,22 +3,23 @@ by composed flows, Moser-path verification, and spray-based symplectic
 realization by quadrature.
 
 All symbolic data is converted to 64-bit floats on entry: each vector field
-is compiled to generated scalar Python code (``compile_field``), both its
-right-hand side and one generated RK4 loop, ``advance``, that keeps the
-state in scalar locals and runs the pole guards, the escape test and the
-drifts of H and the Casimirs inside the loop.  The four stages hold the
-field itself: polynomial entries (components, Jacobian entries and the
-entries of J' = A J) are written in as expressions, so a step of a
-polynomial field makes no Python call, while each entry with a nonconstant
-denominator stays one compiled lambda that the stages call (see
-``compile_field`` for why).  ``rk4_step`` is the reference step: the loop
-does the float operations of repeated ``rk4_step`` calls in the same order,
-so the two give bit-identical states (the tests hold the loop to it).  H and
-the Casimirs are written in too, after each step, and the loop keeps their
-largest |f(x_k) - f(x_0)|: no trajectory is stored, and a flow returns its
-final state and these drifts.  Stages and drifts compute each power and term
-that they repeat only once (``_shared_sources``, exact to the last bit), and
-the first stage of a step reads those that the drifts of its state computed.
+is compiled to generated scalar Python code (``compile_field``), one RK4
+loop, ``advance``, that keeps the state in scalar locals and runs the pole
+guards, the escape test and the drifts of H and the Casimirs inside the
+loop.  The four stages hold the field itself: polynomial entries
+(components, Jacobian entries and the entries of J' = A J) are written in as
+expressions, so a step of a polynomial field makes no Python call, while
+each entry with a nonconstant denominator stays one compiled lambda that the
+stages call (see ``compile_field`` for why).  ``rk4_step`` is the reference
+step: the loop does the float operations of repeated ``rk4_step`` calls in
+the same order, so the two give bit-identical states (the tests hold the
+loop to ``rk4_step`` on the field's entries, each compiled by
+``compile_ratfunc``).  H and the Casimirs are written in too, after each
+step, and the loop keeps their largest |f(x_k) - f(x_0)|: no trajectory is
+stored, and a flow returns its final state and these drifts.  Stages and
+drifts compute each power and term that they repeat only once
+(``_shared_sources``, exact to the last bit), and the first stage of a step
+reads those that the drifts of its state computed.
 The integrator is deliberately fixed-step RK4 (no adaptivity) so traces are
 reproducible; variational (Jacobian) equations are integrated alongside the
 base flow.  Three fixed limits stop a flow: a pole guard below
@@ -185,22 +186,21 @@ def compile_matrix(entries):
 
 
 class CompiledField(NamedTuple):
-    rhs: Callable
     guards: list
     advance: Callable
 
 
 def compile_field(components, time_var=None, variational=False, watch=()) -> CompiledField:
-    """Compile the vector field p' = X(t, p) to its ``rhs``, ``guards`` and
+    """Compile the vector field p' = X(t, p) to its ``guards`` and
     ``advance``.
 
-    ``rhs(t, p)`` returns the tuple of components as floats; chart variable
-    ``time_var``, if given, reads the time t, and chart variable i < m reads
-    coordinate i.  With ``variational`` the state p carries, after its m
-    coordinates, the m x m matrix J (row-major) of the variational equation
-    J' = A J with A_ik = dX_i/dp_k, and rhs appends the entries of A J,
-    skipping the zero entries of A.  ``guards`` are callables ``g(t, p)`` for
-    the nonconstant denominators of the components.
+    Chart variable ``time_var``, if given, reads the time t, and chart
+    variable i < m reads coordinate i.  With ``variational`` the state p
+    carries, after its m coordinates, the m x m matrix J (row-major) of the
+    variational equation J' = A J with A_ik = dX_i/dp_k, whose entries follow
+    the components in the field, the zero entries of A skipped.  ``guards``
+    are callables ``g(t, p)`` for the nonconstant denominators of the
+    components.
 
     ``advance(t, y, h, steps, pole_msg, escape_msg=None, drifts=None)`` is
     the field's generated RK4 loop (see ``_advance_source``): it takes
@@ -222,8 +222,7 @@ def compile_field(components, time_var=None, variational=False, watch=()) -> Com
     compile four copies of them, and the Moser gauge families of the
     benchmark's ``rational`` workload have entries of up to 62/52 terms:
     that raised its peak RSS from 33.5 to 43.0 MB, against under 2% for
-    writing in the polynomial entries only.  ``rhs`` is the first stage's
-    text in a function of its own.
+    writing in the polynomial entries only.
     """
     m = len(components)
     size = m + m * m if variational else m
@@ -270,10 +269,9 @@ def compile_field(components, time_var=None, variational=False, watch=()) -> Com
     env.update((f"g{i}", g) for i, g in enumerate(guards))
     env.update(FlowError=FlowError, PoleProximityError=PoleProximityError,
                state_text=_state_text)
-    exec(_rhs_source(size, body), env)
     exec(_advance_source(size, m, body, len(guards), *watched,
                          after_drift if after_drift != body else None), env)
-    return CompiledField(env["rhs"], guards, env["advance"])
+    return CompiledField(guards, env["advance"])
 
 
 # -- RK4 -------------------------------------------------------------------------
@@ -301,15 +299,6 @@ def _stage(body, k, names, time, point, indent):
     on the coordinate locals ``names``, the time ``time`` and the point tuple
     ``point``, one statement a line."""
     return "".join(f"{indent}{line.format(*names, t=time, p=point, k=k)}\n" for line in body)
-
-
-def _rhs_source(size, body):
-    """Source of ``rhs(t, p)``: the first stage of ``advance`` on the state
-    p, returning k1_0, k1_1, ..."""
-    state = ", ".join(f"y{i}" for i in range(size))
-    return (f"def rhs(t, p):\n    ({state},) = p\n"
-            + _stage(body, 1, [f"y{i}" for i in range(size)], "t", "p", "    ")
-            + f"    return ({', '.join(f'k1_{i}' for i in range(size))},)\n")
 
 
 def _advance_source(size, m, body, guard_count, watch_prelude, watched, after_drift=None):

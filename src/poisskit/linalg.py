@@ -18,12 +18,12 @@ is unique.  ``eliminate`` is ``echelon`` followed by one back-substitution,
 and ``null_space`` reads a sparse kernel basis off its result;
 ``kernel_vector`` builds one of those kernel vectors from ``echelon``'s rows
 alone.  Poisson cohomology calls ``echelon`` and ``kernel_vector`` directly
-and builds no dense matrix.  ``rref`` and ``kernel_basis`` are the dense
-views of ``eliminate`` and ``null_space``; ``canonical_span`` and ``rank``
-run on ``rref``, and ``preimage_span`` on ``kernel_basis``, returning a
-spanning set rather than a canonical one.  All of these take and return
-dense lists.  A vector in the span of RREF rows has its coordinates at their
-pivots.
+and builds no dense matrix, and ``rank`` is the pivot count of ``echelon``.
+``rref`` and ``kernel_basis`` are the dense views of ``eliminate`` and
+``null_space``; ``canonical_span`` runs on ``rref``, and ``preimage_span``
+on ``kernel_basis``, returning a spanning set rather than a canonical one.
+All of these take and return dense lists.  A vector in the span of RREF
+rows has its coordinates at their pivots.
 
 The core takes rational entries (int or Fraction) and eliminates over the
 integers (fraction-free, as in Bareiss, Math. Comp. 1968).  On entry each
@@ -193,7 +193,8 @@ def rref(matrix):
 
 
 def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    """The dimension of the row span: the number of ``echelon``'s pivots."""
+    return len(echelon(_sparse_rows(matrix))[0])
 
 
 def canonical_span(vectors):

@@ -339,47 +339,37 @@ def _coefficient_degree(pi: MultiVec) -> int:
     return degs.pop() if degs else 0
 
 
-#: The entries each of the caches ``_monomials``, ``_coded_basis`` and
-#: ``_basis_index`` keeps, the least recently used dropped first: more than
-#: twice the 52 coded bases of the benchmark's cohomology ladder, and a
-#: bound on what a process that sweeps many charts or degrees holds.
+#: The entries ``_coded_basis`` keeps, the least recently used dropped
+#: first: a run of the benchmark's cohomology job list codes 42 bases at
+#: seed 1 (52, and 544 hits on a cache of codomain index dicts, while the
+#: codomain was coded too), and the bound caps what a process that sweeps
+#: many charts or degrees holds.
 BASIS_CACHE_SIZE = 128
 
 
-@lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _monomials(chart: Chart, degree: int):
-    """The exponent tuples of degree ``degree``, sorted.  Cached, as cohomology
-    takes the same few (chart, degree) pairs on every call; the tuple keeps
-    the shared result unchanged."""
+def _kvector_basis(chart: Chart, k: int, degree: int):
+    """(idx, mono) of each basis element x^mono d/dx_idx of the k-vectors
+    with degree-``degree`` coefficients: the index tuples in order, each with
+    the exponent tuples, sorted."""
     if degree < 0:
-        return ()
-    out = []
+        return []
+    monos = []
     for combo in itertools.combinations_with_replacement(range(chart.dim), degree):
         e = [0] * chart.dim
         for i in combo:
             e[i] += 1
-        out.append(tuple(e))
-    return tuple(sorted(out))
-
-
-def _kvector_basis(chart: Chart, k: int, degree: int):
-    idxs = list(itertools.combinations(range(chart.dim), k))
-    monos = _monomials(chart, degree)
-    return [(idx, m) for idx in idxs for m in monos]
+        monos.append(tuple(e))
+    monos.sort()
+    return [(idx, m) for idx in itertools.combinations(range(chart.dim), k) for m in monos]
 
 
 @lru_cache(maxsize=BASIS_CACHE_SIZE)
 def _coded_basis(chart: Chart, k: int, degree: int, radix: int):
     """``_kvector_basis`` as (key, idx, mono), key the ``multivec._key`` at
-    the radix R, in its order.  Cached, as ``_monomials`` is: it depends on
-    the chart, not on pi."""
+    the radix R, in its order.  Cached, as cohomology takes the same few
+    (chart, k, degree, R) on every call; it depends on the chart, not on
+    pi, and the tuple keeps the shared result unchanged."""
     return tuple((_key(idx, m, radix), idx, m) for idx, m in _kvector_basis(chart, k, degree))
-
-
-@lru_cache(maxsize=BASIS_CACHE_SIZE)
-def _basis_index(chart: Chart, k: int, degree: int, radix: int):
-    """{key: position} of ``_coded_basis``, cached with it; never modified."""
-    return {key: i for i, (key, _, _) in enumerate(_coded_basis(chart, k, degree, radix))}
 
 
 def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
@@ -398,24 +388,27 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
       - on the structure, for its lifetime: the generator images, delta
         (``coefficient_degree``) and the ``_WedgePlans`` of each R
         (``wedge_plans``), so a loop over d builds them once per R;
-      - by (chart, k, degree, R), in the module's caches of
-        ``BASIS_CACHE_SIZE`` entries, as ``_monomials`` is: the coded bases
-        (``_coded_basis``) and their index dicts (``_basis_index``), which
-        do not depend on pi.
+      - by (chart, k, degree, R), in the module's one cache, of
+        ``BASIS_CACHE_SIZE`` entries: the coded bases of the domain and of
+        the incoming image (``_coded_basis``), which do not depend on pi.
+    No basis of the codomain is coded: each row of d_pi is keyed by the key
+    of its codomain term, which the rule yields.
 
-    The kernel takes one ``linalg.echelon`` of the rows of d_pi on the domain,
-    empty rows dropped and sorted so that the latest leading column comes
-    first, the order that keeps the fill-in small.  Only its pivot set is
-    read: the free columns are the rest, and a kernel vector is fixed by its
-    free coordinates, so keeping only those is injective on the kernel, which
-    holds the image (d_pi d_pi = 0).  The image rows so restricted, in the
-    same order, take one more ``echelon``, and the image's dimension is their
-    pivot count; with the columns negated, each pivot is the last free column
-    of an image vector.  The representatives are the kernel vectors that are
-    1 at a free column that is the last free column of no image vector, and
-    0 at the other free columns: the kernel vectors that are independent of
-    the image and of the kernel vectors before them.  Only these are built,
-    by ``linalg.kernel_vector``.
+    The kernel takes one ``linalg.echelon`` of the nonempty rows of d_pi on
+    the domain, sorted so that the latest leading column comes first, the
+    larger key first among equal ones: the order that keeps the fill-in
+    small.  Only its pivot set is read, which for a fixed column order does
+    not depend on the row order, nor does the kernel vector of a free column.
+    The free columns are the rest, and a kernel vector is fixed by its free
+    coordinates, so keeping only those is injective on the kernel, which holds
+    the image (d_pi d_pi = 0).  The image rows so restricted, sorted by
+    leading column alone, take one more ``echelon``, and the image's
+    dimension is their pivot count; with the columns negated, each pivot is
+    the last free column of an image vector.  The representatives are the
+    kernel vectors that are 1 at a free column that is the last free column
+    of no image vector, and 0 at the other free columns: the kernel vectors
+    that are independent of the image and of the kernel vectors before them.
+    Only these are built, by ``linalg.kernel_vector``.
     """
     pi = _pi_of(structure)
     chart = pi.chart
@@ -428,22 +421,24 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
     plans = structure.wedge_plans(radix)
 
     dom = _coded_basis(chart, k, d, radix)
-    cod_index = _basis_index(chart, k + 1, d + delta - 1, radix)
-    # outgoing differential as sparse rows, one column per domain basis element
-    out_rows = [{} for _ in range(len(cod_index))]
+    # outgoing differential as sparse rows by codomain key, one column per
+    # domain basis element
+    rows = {}
     for col, column in enumerate(_d_pi_images(dom, plans)):
         for key, c in column.items():
             if c:
-                out_rows[cod_index[key]][col] = c
-    pivots = linalg.echelon(_latest_first(out_rows))[0]
+                rows.setdefault(key, {})[col] = c
+    order = sorted(rows, key=lambda key: (min(rows[key]), key), reverse=True)
+    pivots = linalg.echelon([rows[key] for key in order])[0]
     free = [col for col in range(len(dom)) if col not in pivots]
     negated = {dom[col][0]: -col for col in free}
     # incoming image, as sparse rows over the negated free columns
     images = []
     if k >= 1 and d - delta + 1 >= 0:
         images = _d_pi_images(_coded_basis(chart, k - 1, d - delta + 1, radix), plans)
-    last_free = linalg.echelon(_latest_first(
-        [{negated[key]: c for key, c in row.items() if c and key in negated} for row in images]))[0]
+    restricted = [{negated[key]: c for key, c in row.items() if c and key in negated}
+                  for row in images]
+    last_free = linalg.echelon(sorted(filter(None, restricted), key=min, reverse=True))[0]
     dim_image = len(last_free)
     reps = []
     for first in free:
@@ -456,12 +451,6 @@ def cohomology(structure: PoissonStructure, k: int, d: int) -> CohomologyReport:
         reps.append(MultiVec(chart, k, {idx: RatFunc.from_poly(Poly(chart, terms))
                                         for idx, terms in coeffs.items()}))
     return CohomologyReport(k, d, len(free), dim_image, len(free) - dim_image, reps)
-
-
-def _latest_first(rows):
-    """The nonempty sparse rows, sorted so that the latest leading column comes
-    first."""
-    return sorted(filter(None, rows), key=min, reverse=True)
 
 
 # -- gauge transformations -------------------------------------------------------

@@ -1,11 +1,13 @@
 import copy
 import json
+import re
 from functools import reduce
 from operator import getitem
 
 import pytest
 
 from poisskit import cli, fixtures
+from poisskit.expr import ExprError
 
 from conftest import rng_for
 
@@ -80,12 +82,24 @@ def _run(tmp_path, capsys, text):
      "constraint system 'n' needs 'level'"),
     ({**SO3, "lie_algebras": {"g": {"constants": []}}}, "Lie algebra 'g' needs 'dim'"),
     ({**SO3, "lie_algebras": {"g": {"dim": 3}}}, "Lie algebra 'g' needs 'constants'"),
+    ({**SO3, "flow": {"dt": "abc"}}, "flow 'dt' must be a number: could not convert"),
+    ({**SO3, "tasks": [{"task": "cohomology", "k": "one"}]},
+     "parameter 'k' must be an integer: invalid literal for int()"),
+    ({**SO3, "lie_algebras": {"g": {"dim": "3x", "constants": []}}},
+     "Lie algebra 'g' 'dim' must be an integer: invalid literal for int()"),
+    ({**SO3, "lie_algebras": {"g": {"dim": 3, "constants": [["a", 1, 2, "1"]]}}},
+     "Lie algebra 'g': a constant's index must be an integer: invalid literal for int()"),
+    ({**SO3, "bivectors": {"pi": {"0,a": "x"}}},
+     "key '0,a' is not a degree-2 index tuple: invalid literal for int()"),
 ])
 def test_malformed_manifest(tmp_path, capsys, doc, message):
     status, lines = _run(tmp_path, capsys, json.dumps(doc))
     assert status == 2
     assert len(lines) == 1 and lines[0].startswith("FAIL manifest ")
     assert message in lines[0]
+    # a typed error, not a bare ValueError, for callers of the library too
+    with pytest.raises(ExprError, match=re.escape(message)):
+        cli.run_tasks(cli.load_manifest(doc))
 
 
 def test_unparsable_f_option_is_a_manifest_error(tmp_path, capsys):
@@ -102,7 +116,8 @@ def test_expect_dim_is_read_before_any_degree(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.poisson, "cohomology", lambda *args: calls.append(args))
     doc = {**SO3, "tasks": [{"task": "cohomology", "k": 1, "d_max": 2, "expect_dim": "two"}]}
     status, lines = _run(tmp_path, capsys, json.dumps(doc))
-    assert status == 2 and lines[0].startswith("FAIL manifest invalid literal for int()")
+    assert lines == ["FAIL manifest parameter 'expect_dim' must be an integer: "
+                     "invalid literal for int() with base 10: 'two'"] and status == 2
     assert calls == []
 
 

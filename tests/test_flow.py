@@ -495,11 +495,12 @@ def test_generated_loop_is_bit_identical_to_rk4_step():
                                          (0, 2): parse_expr("-y", ch)}))
     h = parse_expr("(x^2 + 2*y^2 + 3*z^2)/(1 + z^2)", ch)
     casimir = parse_expr("x^2 + y^2 + z^2", ch)
-    field = flow.compile_field(poisson.hamiltonian_vf(pi, h).components())
+    components = poisson.hamiltonian_vf(pi, h).components()
+    field = flow.compile_field(components)
     assert len(field.guards) == 3
     cfg, x0 = flow.FlowConfig(dt=0.01, t_max=5.0), [0.5, 1 / 3, -0.25]
     traj = flow.integrate_hamiltonian(pi, h, x0, cfg, casimirs=[casimir])
-    _, states = _rk4_states(field.rhs, 0.0, x0, cfg.dt, 500)
+    _, states = _rk4_states(_unshared_rhs(components, False), 0.0, x0, cfg.dt, 500)
     assert _advance_states(field, 0.0, x0, cfg.dt, 500)[1].tobytes() == states.tobytes()
     # the loop's final state, and the drifts it takes, to the last bit
     assert array("d", traj.final).tobytes() == states[-3:].tobytes()
@@ -520,8 +521,9 @@ def test_generated_variational_loop_is_bit_identical_to_rk4_step():
     got_t, got = _advance_states(field, 0.3, y0, 0.07, 20)
     got_t, tail = _advance_states(field, got_t, got[-6:].tolist(), 1 / 30, 15)
     got.extend(tail[6:])
-    ref_t, ref = _rk4_states(field.rhs, 0.3, y0, 0.07, 20)
-    ref_t, tail = _rk4_states(field.rhs, ref_t, ref[-6:].tolist(), 1 / 30, 15)
+    rhs = _unshared_rhs(components, True)
+    ref_t, ref = _rk4_states(rhs, 0.3, y0, 0.07, 20)
+    ref_t, tail = _rk4_states(rhs, ref_t, ref[-6:].tolist(), 1 / 30, 15)
     ref.extend(tail[6:])
     assert got.tobytes() == ref.tobytes() and got_t == ref_t
     assert array("d", [t, *y]).tobytes() == array("d", [ref_t, *ref[-6:]]).tobytes()
@@ -557,16 +559,19 @@ def test_generated_loop_is_bit_identical_on_written_in_and_called_entries(compon
         y0 = y0 + [float(i == j) for i in range(m) for j in range(m)]
     t, y = field.advance(0.0, y0, 0.01, 150, "pole {}")
     _, got = _advance_states(field, 0.0, y0, 0.01, 150)
-    ref_t, ref = _rk4_states(field.rhs, 0.0, y0, 0.01, 150)
+    ref_t, ref = _rk4_states(_unshared_rhs(components, variational), 0.0, y0, 0.01, 150)
     assert len(y) == len(y0)
     assert got.tobytes() == ref.tobytes()
     assert array("d", [t, *y]).tobytes() == array("d", [ref_t, *ref[-len(y0):]]).tobytes()
 
 
 def _unshared_rhs(components, variational):
-    """The rhs of ``compile_field(components, time_var=m, variational)`` from
-    one ``compile_ratfunc`` per component and entry of A, so that it shares
-    no power or term between them."""
+    """The right-hand side that ``compile_field(components, time_var=m,
+    variational)`` integrates, as a function of (t, p), from one
+    ``compile_ratfunc`` per component and entry of A, so that it shares no
+    power or term between them: the reference that ``flow.rk4_step`` steps.
+    Without a time variable, on a chart of m variables, it is that of
+    ``compile_field(components, variational=variational)``."""
     m = len(components)
     fs = [flow.compile_ratfunc(c) for c in components]
     rows = [[(k, flow.compile_ratfunc(c.diff(k))) for k in range(m) if not c.diff(k).is_zero]
@@ -678,15 +683,15 @@ def test_a_step_calls_only_the_rational_entries_and_the_guards(components, varia
     assert _calls_per_step(field, y0, watch) == 4 * rational + len(field.guards)
 
 
-def _drifts_by_steps(functions, field, t, y, h, steps):
+def _drifts_by_steps(functions, rhs, t, y, h, steps):
     """The reference drifts of ``functions`` along ``steps`` flow.rk4_step
-    calls of ``field.rhs``: (drifts, None), or (None, the FlowError text)
+    calls of ``rhs``: (drifts, None), or (None, the FlowError text)
     when the flow overflows (before the drifts are taken) or a function
     cannot be evaluated at a state (the first such state)."""
     states = array("d", y)
     try:
         for _ in range(steps):
-            y = flow.rk4_step(field.rhs, t, y, h)
+            y = flow.rk4_step(rhs, t, y, h)
             t += h
             states.extend(y)
     except ArithmeticError:
@@ -720,7 +725,7 @@ def test_first_stage_reads_the_values_of_the_drift_pass(monkeypatch, so3_structu
     h = parse_expr(SO3_SHARED["expressions"]["h"], ch3)
     components = poisson.hamiltonian_vf(so3_structure, h).components()
     x0, dt = [1 / 3, -1 / 2, 1 / 4], 0.01
-    _, states = _rk4_states(flow.compile_field(components).rhs, 0.0, x0, dt, 20)
+    _, states = _rk4_states(_unshared_rhs(components, False), 0.0, x0, dt, 20)
     c = states[7 * 3]
     assert c not in states[0:7 * 3:3]
     pole = RatFunc.const(ch3, 1) / (RatFunc.var(ch3, 0) - RatFunc.const(ch3, Fraction(c)))
@@ -749,14 +754,14 @@ def test_drift_pass_raises_at_a_pole(so3_structure, ch3):
                                "float division by zero")
     # z/(x - c) has a pole at the state after step 7, and at no earlier one
     h, x0 = parse_expr("x + 2*y", ch3), [0.6, -0.2, 0.3]
-    field = flow.compile_field(poisson.hamiltonian_vf(so3_structure, h).components())
-    _, states = _rk4_states(field.rhs, 0.0, x0, cfg.dt, 100)
+    rhs = _unshared_rhs(poisson.hamiltonian_vf(so3_structure, h).components(), False)
+    _, states = _rk4_states(rhs, 0.0, x0, cfg.dt, 100)
     c = states[7 * 3]
     assert c not in states[0:7 * 3:3]
     pole = parse_expr("z", ch3) / (RatFunc.var(ch3, 0) - RatFunc.const(ch3, Fraction(c)))
     functions = [parse_expr("y", ch3), pole]
     message = f"cannot evaluate {pole} at {flow._state_text(states[21:24])}: float division by zero"
-    assert _drifts_by_steps(functions, field, 0.0, x0, cfg.dt, 100) == (None, message)
+    assert _drifts_by_steps(functions, rhs, 0.0, x0, cfg.dt, 100) == (None, message)
     with pytest.raises(flow.FlowError) as info:
         flow.integrate_hamiltonian(so3_structure, h, x0, cfg, casimirs=functions)
     assert str(info.value) == message
@@ -779,8 +784,8 @@ def test_drift_pass_keeps_the_first_state_until_a_strictly_greater_one(tmp_path,
     functions = [h, parse_expr(doc["expressions"]["casimir"], ch3), parse_expr("y + z", ch3)]
     cfg = flow.FlowConfig(dt=1e-6, t_max=1e-4)
     traj = flow.integrate_hamiltonian(sl2r, h, [1000, 1000, 1000], cfg, casimirs=functions[1:])
-    field = flow.compile_field(poisson.hamiltonian_vf(sl2r, h).components())
-    expected, _ = _drifts_by_steps(functions, field, 0.0, [1000.0] * 3, cfg.dt, traj.steps)
+    rhs = _unshared_rhs(poisson.hamiltonian_vf(sl2r, h).components(), False)
+    expected, _ = _drifts_by_steps(functions, rhs, 0.0, [1000.0] * 3, cfg.dt, traj.steps)
     got = [traj.h_drift, *traj.casimir_drifts]
     assert math.isnan(got[1]) and 0.0 < got[2] < math.inf
     assert array("d", got).tobytes() == array("d", expected).tobytes()
@@ -790,7 +795,8 @@ def test_drift_pass_keeps_the_first_state_until_a_strictly_greater_one(tmp_path,
     functions = [parse_expr("x*y - x*z", ch3), parse_expr("x - y", ch3)]
     field = flow.compile_field(grow, watch=functions)
     expected = ([0.0, math.inf], None)
-    assert _drifts_by_steps(functions, field, 0.0, [1.0, 1.0, 1.0], 1.0, 3) == expected
+    assert _drifts_by_steps(functions, _unshared_rhs(grow, False), 0.0, [1.0, 1.0, 1.0], 1.0,
+                            3) == expected
     assert _fused_drifts(functions, field, 0.0, [1.0, 1.0, 1.0], 1.0, 3) == expected
 
 
@@ -829,7 +835,8 @@ def test_drift_pass_matches_max_over_the_states(functions, components, x0, steps
     # run through inf and nan; the flow's overflow comes first, then the
     # first state at which a function fails, else the drifts to the last bit
     field = flow.compile_field(components, time_var=3, watch=functions)
-    expected = _drifts_by_steps(functions, field, 0.0, x0, 0.25, steps)
+    expected = _drifts_by_steps(functions, _unshared_rhs(components, False), 0.0, x0, 0.25,
+                                steps)
     got = _fused_drifts(functions, field, 0.0, x0, 0.25, steps)
     if expected[0] is None:
         assert got == expected
@@ -844,8 +851,8 @@ def test_escape_wins_over_a_casimir_pole(qp_canonical):
     qp, pi = qp_canonical
     h = parse_expr("q*p^2", qp)
     x0, state = ESCAPES["q*p^2", 0.01]
-    field = flow.compile_field(poisson.hamiltonian_vf(pi, h).components())
-    _, states = _rk4_states(field.rhs, 0.0, x0, 0.01, 30)
+    rhs = _unshared_rhs(poisson.hamiltonian_vf(pi, h).components(), False)
+    _, states = _rk4_states(rhs, 0.0, x0, 0.01, 30)
     c = states[-2]
     assert c not in states[0::2][:-1]
     later = RatFunc.const(qp, 1) / (RatFunc.var(qp, 0) - RatFunc.const(qp, Fraction(c)))

@@ -17,6 +17,26 @@ def test_rref_and_rank():
     assert linalg.rank(m) == 2
 
 
+def test_rank_matches_sympy():
+    # seeded int and Fraction matrices of up to 8 x 8, some with zero rows or
+    # repeated ones; the matrix with no rows has rank 0
+    sympy = pytest.importorskip("sympy")
+    rng = rng_for("rank against sympy")
+    assert linalg.rank([]) == 0 and linalg.rank([[0, 0], [F(0), 0]]) == 0
+    for _ in range(200):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        ints = [[rng.choice([0, 0, 0, rng.randint(-5, 5)]) for _ in range(cols)]
+                for _ in range(rows)]
+        if rng.random() < 0.3:
+            ints.insert(rng.randrange(rows), [0] * cols)
+        if rng.random() < 0.3:
+            ints.append(list(ints[rng.randrange(rows)]))
+        fractions = [[F(x, rng.randint(1, 7)) for x in row] for row in ints]
+        for matrix in (ints, fractions):
+            want = sympy.Matrix([[sympy.Rational(x) for x in row] for row in matrix]).rank()
+            assert linalg.rank(matrix) == want == len(linalg.rref(matrix)[1])
+
+
 def _no_floats(matrix):
     return not any(isinstance(x, float) for row in matrix for x in row)
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import re
 import weakref
 from fractions import Fraction as F
 from functools import cached_property
@@ -588,6 +589,75 @@ def test_cohomology_is_sparse_elimination_only(so3_structure, monkeypatch,
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("name", ["so3", "gl2", "s3_standard"])
+def test_kernel_of_d_pi_is_the_same_in_every_row_order(monkeypatch, name):
+    # cohomology echelons d_pi's rows keyed by codomain term, the latest
+    # leading column first and, among rows that lead at the same column, the
+    # larger key first.  For a fixed column order the pivot set is the same in
+    # any row order, and so is the kernel vector of each free column: here in
+    # the order of a coded codomain basis, sorted by leading column alone, and
+    # in a seeded shuffle
+    structure = _gl_lie_poisson(2) if name == "gl2" else _fixture_structure(name)
+    chart, delta = structure.chart, structure.coefficient_degree
+    rng = rng_for(f"d_pi row orders {name}")
+    calls = []
+    echelon = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", lambda rows: calls.append(rows) or echelon(rows))
+    differs = 0
+    for k in range(chart.dim + 1):
+        for d in range(3):
+            radix = multivec._radix(d + abs(delta - 1))
+            dom = poisson._coded_basis(chart, k, d, radix)
+            rows = {}
+            for col, image in enumerate(poisson._d_pi_images(dom, structure.wedge_plans(radix))):
+                for key, c in image.items():
+                    if c:
+                        rows.setdefault(key, {})[col] = c
+            codomain = [multivec._key(idx, mono, radix)
+                        for idx, mono in poisson._kvector_basis(chart, k + 1, d + delta - 1)]
+            assert rows.keys() <= set(codomain)
+            descending = [rows[key] for key in sorted(
+                rows, key=lambda key: (min(rows[key]), key), reverse=True)]
+            calls.clear()
+            cohomology(structure, k, d)
+            assert calls[0] == descending
+            shuffled = list(rows.values())
+            rng.shuffle(shuffled)
+            by_basis = sorted(filter(None, map(rows.get, codomain)), key=min, reverse=True)
+            differs += by_basis != descending
+            pivot_sets = [echelon(order)[0] for order in (descending, by_basis, shuffled)]
+            free = [col for col in range(len(dom)) if col not in pivot_sets[0]]
+            for pivots in pivot_sets[1:]:
+                assert pivots.keys() == pivot_sets[0].keys()
+                assert ([linalg.kernel_vector(pivots, col) for col in free]
+                        == [linalg.kernel_vector(pivot_sets[0], col) for col in free])
+    assert differs  # the tie rule reorders the rows of the basis order
+
+
+@pytest.mark.parametrize("name", ["so3", "s3_standard"])
+def test_cohomology_codes_no_basis_of_the_codomain(monkeypatch, name):
+    # d_pi's rows are keyed by their codomain terms, so cohomology codes the
+    # bases of its domain, (k, d), and of the incoming image,
+    # (k - 1, d - delta + 1), only.  The chart's names are fresh, so that no
+    # cache holds a basis of it yet
+    doc = fixtures.fixture_manifest(name)
+    fresh = {"chart": [f"{v}_coded" for v in doc["chart"]],
+             "bivectors": {"pi": {idx: re.sub("([xyzw])", r"\1_coded", text)
+                                  for idx, text in doc["bivectors"]["pi"].items()}}}
+    structure = require_poisson(cli.load_manifest(fresh).bivectors["pi"])
+    delta = structure.coefficient_degree
+    calls = []
+    coded = poisson._coded_basis
+    monkeypatch.setattr(poisson, "_coded_basis",
+                        lambda *args: calls.append(args[1:3]) or coded(*args))
+    for k in range(structure.chart.dim + 1):
+        for d in range(3):
+            calls.clear()
+            cohomology(structure, k, d)
+            incoming = [(k - 1, d - delta + 1)] if k >= 1 and d - delta + 1 >= 0 else []
+            assert calls == [(k, d), *incoming]
+
+
 def _fixture_structure(name):
     manifest = cli.load_manifest(fixtures.fixture_manifest(name))
     return require_poisson(manifest.bivectors["pi"])
@@ -693,7 +763,7 @@ def test_d_pi_derivation_rule_matches_schouten(name):
                     assert len(decoded) == len(image) and decoded == want
                     count += 1
     assert count == 2 * 2 ** chart.dim * sum(
-        len(poisson._monomials(chart, d)) for d in range(3))
+        len(poisson._kvector_basis(chart, 0, d)) for d in range(3))
 
 
 def test_cohomology_takes_the_generator_images_once(monkeypatch):
